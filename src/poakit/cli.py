@@ -13,13 +13,17 @@ import os
 import sys
 
 from .runner import (
+    EXIT_INPUT,
     ExperimentConfig,
+    RunReport,
     run_decompose,
     run_reproduce,
     run_sample,
     run_solve,
     run_sweep,
+    write_report,
 )
+from .solvers import SolverConfig
 
 
 def _grid(text: str) -> list:
@@ -69,12 +73,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _environment() -> dict:
+    """Solver settings from POAKIT_TOLERANCE and POAKIT_BUDGET; ValueError if invalid."""
+    try:
+        settings = dict(tolerance=float(os.environ.get("POAKIT_TOLERANCE", "1e-9")),
+                        enumeration_budget=int(os.environ.get("POAKIT_BUDGET", "10000000")))
+        SolverConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"POAKIT_TOLERANCE / POAKIT_BUDGET: {exc}") from None
+    return settings
+
+
+def _print_verdicts(report: RunReport) -> None:
+    for name, ok, detail in report.verdicts:
+        status = "PASS" if ok else "FAIL"
+        line = f"[{status}] {name}"
+        if detail:
+            line += f": {detail}"
+        print(line)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tolerance = float(os.environ.get("POAKIT_TOLERANCE", "1e-9"))
-    budget = int(os.environ.get("POAKIT_BUDGET", "10000000"))
+    try:
+        common = _environment()
+    except ValueError as exc:
+        report = RunReport(config={"mode": args.mode})
+        report.verdicts.append(("environment", False, str(exc)))
+        report.exit_code = EXIT_INPUT
+        write_report(report, args.out)
+        _print_verdicts(report)
+        return report.exit_code
 
-    common = dict(tolerance=tolerance, enumeration_budget=budget)
     if args.mode == "solve":
         config = ExperimentConfig(mode="solve", game_path=args.game, out_dir=args.out,
                                   seed=args.seed, **common)
@@ -98,12 +128,7 @@ def main(argv=None) -> int:
                                   **common)
         report = run_decompose(config)
 
-    for name, ok, detail in report.verdicts:
-        status = "PASS" if ok else "FAIL"
-        line = f"[{status}] {name}"
-        if detail:
-            line += f": {detail}"
-        print(line)
+    _print_verdicts(report)
     return report.exit_code
 
 

@@ -20,10 +20,13 @@ import numpy as np
 
 from .game import Game, MixedProfile, Number
 from .solvers import (
+    MIXED_MAX_USERS,
     BudgetExceededError,
+    EquilibriumResult,
     SolverConfig,
     best_response_atomic,
     enumerate_atomic_equilibria,
+    expected_arc_statistics,
     expected_path_costs,
     expected_total_cost,
     mixed_ne_residual,
@@ -40,11 +43,13 @@ POA_FLOOR_TOL = 1e-9
 class SamplingPlan:
     n_samples: int = 100_000
     rng_seed: int = 0
-    worker_count: int = 1
+    worker_count: int = 1  # validated only: shards are fixed SAMPLE_CHUNK blocks
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
 
@@ -60,6 +65,8 @@ class PoaReport:
     mixed_status: str = "ok"
     mixed_certified: bool = False
     random_poa_samples: list = field(default_factory=list)  # (value, weight, source)
+    nonatomic_ne: Optional[EquilibriumResult] = None  # the solves behind nonatomic_poa
+    nonatomic_so: Optional[EquilibriumResult] = None
 
     def validate(self) -> None:
         for name, value in (("atomic", self.atomic_poa), ("nonatomic", self.nonatomic_poa),
@@ -94,13 +101,86 @@ def nonatomic_poa(game: Game, config: SolverConfig = SolverConfig()) -> float:
     return float(ne.cost) / float(so.cost)
 
 
-def _two_user_two_path_worst(game: Game, config: SolverConfig) -> Optional[float]:
-    """Certified worst expected cost over all mixed equilibria (2 users, 2 paths).
+def _unit_roots(c0, c1) -> list:
+    """The root of c0 + c1*x when it lies in [0, 1]; none when c1 == 0."""
+    if c1 == 0:
+        return []
+    x = -c0 / c1
+    return [x] if 0 <= x <= 1 else []
 
-    With two users the equilibrium set is the indifference curve
-    E[cost path0](x, y) = E[cost path1](x, y) plus any pure profiles that
-    satisfy the used-path predicate; the expected total cost is maximized by
-    a scan over x with y solved by bisection (the gap is monotone in y).
+
+def _quadratic_roots(c0, c1, c2) -> list:
+    """Real roots of c0 + c1*x + c2*x**2, by the cancellation-free formula."""
+    if c2 == 0:
+        return [-c0 / c1] if c1 != 0 else []
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    root = math.sqrt(disc)
+    t = -(c1 + root) / 2 if c1 >= 0 else (root - c1) / 2
+    return [t / c2, c0 / t] if t != 0 else [t / c2]
+
+
+def _worst_on_equilibrium_set(gaps: dict, totals: dict) -> Optional[Number]:
+    """Largest bilinear T over the mixed equilibrium set of a bilinear gap G.
+
+    ``gaps`` and ``totals`` map the corners (x, y) in {0, 1}^2 to G and T,
+    which fixes G = A + Bx + Cy + Dxy and T = a + bx + cy + dxy.  The
+    equilibrium set is the zero set of G in the unit square, plus (0, 0)
+    when G(0, 0) >= 0 and (1, 1) when G(1, 1) <= 0.  Where C + Dx != 0 the
+    zero set is the curve y(x) = -(A+Bx)/(C+Dx), along which T is a quadratic
+    over a linear function of x; its maximum lies at x = 0 or 1, where y(x)
+    crosses 0 or 1, or at a root of the quadratic numerator of dT/dx.  Where
+    C + Dx and A + Bx both vanish, the whole segment at that x is in the set
+    and T, affine in y, peaks at an end.  When G vanishes identically every
+    point is in the set and T peaks at a corner.  Exact for Fraction corner
+    values except at irrational critical points.  None if the set is empty.
+    """
+    A = gaps[0, 0]
+    B = gaps[1, 0] - A
+    C = gaps[0, 1] - A
+    D = gaps[1, 1] - gaps[1, 0] - gaps[0, 1] + A
+    a = totals[0, 0]
+    b = totals[1, 0] - a
+    c = totals[0, 1] - a
+    d = totals[1, 1] - totals[1, 0] - totals[0, 1] + a
+
+    points = []
+    if A >= 0:
+        points.append((0, 0))
+    if A + B + C + D <= 0:
+        points.append((1, 1))
+    if A == B == C == D == 0:
+        points.extend(totals)
+    else:
+        for x in _unit_roots(C, D) + _unit_roots(A, B):
+            if C + D * x == 0 and A + B * x == 0:
+                points.extend([(x, 0), (x, 1)])
+        # On the curve T = (n0 + n1 x + n2 x^2) / (C + Dx).
+        n0 = a * C - c * A
+        n1 = a * D + b * C - c * B - d * A
+        n2 = b * D - d * B
+        critical = _quadratic_roots(n1 * C - n0 * D, 2 * n2 * C, n2 * D)
+        for x in [0, 1, *_unit_roots(A, B), *_unit_roots(A + C, B + D), *critical]:
+            den = C + D * x
+            if 0 <= x <= 1 and den != 0:
+                y = -(A + B * x) / den
+                if 0 <= y <= 1:
+                    points.append((x, y))
+    if not points:
+        return None
+    return max(a + b * x + c * y + d * x * y for x, y in points)
+
+
+def _two_user_two_path_worst(game: Game) -> Optional[Number]:
+    """Exact worst expected total cost over all mixed equilibria (2 users, 2 paths).
+
+    With x and y the two users' probabilities of taking path 0, their choices
+    are independent, so the gap between the two paths' expected costs and
+    the expected total cost are both bilinear in (x, y).  Four exact
+    evaluations at the pure corners, with Fraction probabilities, fix both,
+    and ``_worst_on_equilibrium_set`` maximizes the cost over the equilibrium
+    set in closed form.  Returns None outside that scope.
     """
     if len(game.groups) != 1:
         return None
@@ -108,79 +188,35 @@ def _two_user_two_path_worst(game: Game, config: SolverConfig) -> Optional[float
     if g.n_users != 2 or g.n_paths != 2:
         return None
 
-    def profile_at(x: float, y: float) -> MixedProfile:
-        return MixedProfile((((x, 1.0 - x), (y, 1.0 - y)),))
-
-    def gap(x: float, y: float) -> float:
-        costs = expected_path_costs(game, profile_at(x, y))
-        return float(costs[(0, 0)] - costs[(0, 1)])
-
-    def cost_at(x: float, y: float) -> float:
-        return float(expected_total_cost(game, profile_at(x, y)))
-
-    def solve_y(x: float) -> Optional[float]:
-        if gap(x, 0.0) > 0.0 or gap(x, 1.0) < 0.0:
-            return None
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if gap(x, mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def curve_cost(x: float) -> Optional[float]:
-        y = solve_y(x)
-        return None if y is None else cost_at(x, y)
-
-    best = None
-    if gap(0.0, 0.0) >= 0.0:
-        best = cost_at(0.0, 0.0)
-    if gap(1.0, 1.0) <= 0.0:
-        c = cost_at(1.0, 1.0)
-        best = c if best is None else max(best, c)
-
-    steps = 400
-    grid = [(i / steps, curve_cost(i / steps)) for i in range(steps + 1)]
-    on_curve = [(x, c) for x, c in grid if c is not None]
-    if on_curve:
-        x_star, c_star = max(on_curve, key=lambda t: t[1])
-        lo = max(0.0, x_star - 2.0 / steps)
-        hi = min(1.0, x_star + 2.0 / steps)
-        for _ in range(100):  # ternary refinement of the curve maximum
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            c1, c2 = curve_cost(m1), curve_cost(m2)
-            if c1 is None:
-                lo = m1
-            elif c2 is None:
-                hi = m2
-            elif c1 < c2:
-                lo = m1
-            else:
-                hi = m2
-        refined = curve_cost(0.5 * (lo + hi))
-        for c in (c_star, refined):
-            if c is not None and (best is None or c > best):
-                best = c
-    return best
+    gaps, totals = {}, {}
+    for x in (0, 1):
+        for y in (0, 1):
+            profile = MixedProfile((((Fraction(x), Fraction(1 - x)),
+                                     (Fraction(y), Fraction(1 - y))),))
+            stats = expected_arc_statistics(game, profile)
+            costs = expected_path_costs(game, profile, stats)
+            gaps[x, y] = costs[(0, 0)] - costs[(0, 1)]
+            totals[x, y] = expected_total_cost(game, profile, stats)
+    return _worst_on_equilibrium_set(gaps, totals)
 
 
-def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig()):
-    """Worst discovered mixed-equilibrium expected cost over the atomic optimum.
+def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig(),
+                    atomic_so: Optional[EquilibriumResult] = None):
+    """Worst mixed-equilibrium expected cost over the atomic optimum.
 
-    Certified only when the equilibrium set can be swept exhaustively (one
-    group, two users, two paths); otherwise a lower bound from the profiles
-    the solver finds, including pure equilibria that satisfy the mixed
-    predicate.  Returns ``(value, certified, status)``.
+    Certified when the game has one group of two users on two paths: the
+    worst cost over the whole equilibrium set is then computed in closed form
+    from four corner evaluations (see ``_two_user_two_path_worst``).
+    Otherwise a lower bound from the profiles the solver finds, including
+    pure equilibria that satisfy the mixed predicate.  ``atomic_so`` reuses
+    an atomic optimum the caller already solved.  Returns
+    ``(value, certified, status)``.
     """
-    so = solve_atomic_so(game, config)
-    so_cost = float(so.cost)
+    so = solve_atomic_so(game, config) if atomic_so is None else atomic_so
 
     candidates = []
     certified = False
-    swept = _two_user_two_path_worst(game, config)
+    swept = _two_user_two_path_worst(game)
     if swept is not None:
         candidates.append(swept)
         certified = True
@@ -199,7 +235,7 @@ def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig()):
 
     if not candidates:
         return None, False, "no mixed equilibrium found (solver failure)"
-    return max(candidates) / so_cost, certified, "ok"
+    return float(max(candidates) / so.cost), certified, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +292,11 @@ def _sample_total_costs(game: Game, profile: MixedProfile, plan: SamplingPlan) -
     coeff_rows = [np.array([float(c) for c in game.arcs[aid].coefficients])
                   for aid in game.arc_ids]
 
-    from .game import sample_uniforms
+    from .game import SAMPLE_CHUNK, sample_uniforms
 
     out = np.empty(plan.n_samples)
-    shard_size = max(1, math.ceil(plan.n_samples / plan.worker_count))
-    start = 0
-    while start < plan.n_samples:
-        count = min(shard_size, plan.n_samples - start)
+    for start in range(0, plan.n_samples, SAMPLE_CHUNK):  # bounded memory whatever n is
+        count = min(SAMPLE_CHUNK, plan.n_samples - start)
         draws = sample_uniforms(plan.rng_seed, start, count, n_users)
         flows = np.zeros((count, len(arc_index)))
         for u, (d, cum, inc) in enumerate(users):
@@ -274,7 +308,6 @@ def _sample_total_costs(game: Game, profile: MixedProfile, plan: SamplingPlan) -
             fa = flows[:, ai]
             total += fa * np.polyval(coeffs, fa)
         out[start:start + count] = total
-        start += count
     return out
 
 
@@ -364,16 +397,15 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
     rho_nat = float(nonat_ne.cost) / float(nonat_so.cost)
 
     atomic_value = None
-    atomic_so_cost = None
+    atomic_so = None
     atomic_status = "ok"
     try:
         equilibria = enumerate_atomic_equilibria(game, config)
-        so = solve_atomic_so(game, config)
-        atomic_so_cost = so.cost
+        atomic_so = solve_atomic_so(game, config)
         if equilibria.worst is None:
             atomic_status = "unavailable: no atomic equilibrium (weighted game)"
         else:
-            atomic_value = equilibria.worst.cost / so.cost
+            atomic_value = equilibria.worst.cost / atomic_so.cost
     except BudgetExceededError:
         br = best_response_atomic(game, config)
         atomic_status = ("unavailable: enumeration budget exceeded; best-response "
@@ -383,9 +415,9 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
     mixed_certified = False
     mixed_status = "ok"
     samples: list = []
-    small = all(g.n_paths <= 2 for g in game.groups) and game.n_users <= 12
-    if atomic_so_cost is not None and small:
-        mixed_value, mixed_certified, mixed_status = mixed_poa_small(game, config)
+    small = all(g.n_paths <= 2 for g in game.groups) and game.n_users <= MIXED_MAX_USERS
+    if atomic_so is not None and small:
+        mixed_value, mixed_certified, mixed_status = mixed_poa_small(game, config, atomic_so)
     else:
         mixed_status = "unavailable: game outside small-solver scope"
     if plan is not None and small:
@@ -397,12 +429,14 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
         atomic_poa=atomic_value,
         nonatomic_poa=rho_nat,
         mixed_poa=mixed_value,
-        atomic_so_cost=atomic_so_cost,
+        atomic_so_cost=None if atomic_so is None else atomic_so.cost,
         nonatomic_so_cost=float(nonat_so.cost),
         atomic_status=atomic_status,
         mixed_status=mixed_status,
         mixed_certified=mixed_certified,
         random_poa_samples=samples,
+        nonatomic_ne=nonat_ne,
+        nonatomic_so=nonat_so,
     )
     report.validate()
     return report

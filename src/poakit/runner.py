@@ -36,6 +36,7 @@ from .poa import (
     sample_random_poa,
 )
 from .solvers import (
+    MIXED_MAX_USERS,
     BudgetExceededError,
     SolverConfig,
     enumerate_atomic_equilibria,
@@ -123,7 +124,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _write_report(report: RunReport, out_dir: Optional[str]) -> None:
+def write_report(report: RunReport, out_dir: Optional[str]) -> None:
     if out_dir is None:
         return
     out = Path(out_dir)
@@ -131,6 +132,16 @@ def _write_report(report: RunReport, out_dir: Optional[str]) -> None:
     (out / "report.json").write_text(
         json.dumps(report.to_document(), indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8")
+
+
+def _fail(report: RunReport, name: str, detail: str, exit_code: int, t0: float,
+          out_dir: Optional[str]) -> RunReport:
+    """End a run on a failed step: record the verdict and write the report."""
+    report.verdicts.append((name, False, detail))
+    report.exit_code = exit_code
+    report.wall_time = time.perf_counter() - t0
+    write_report(report, out_dir)
+    return report
 
 
 def _bound_columns(game: Game, delta: float = 1.0 / 3.0) -> dict:
@@ -161,33 +172,22 @@ def run_solve(config: ExperimentConfig) -> RunReport:
     try:
         game = load_game(Path(config.game_path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        report.verdicts.append(("load", False, f"asset not found: {config.game_path}"))
-        report.exit_code = EXIT_INPUT
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+        return _fail(report, "load", f"asset not found: {config.game_path}", EXIT_INPUT, t0,
+                     config.out_dir)
     except GameSchemaError as exc:
-        report.verdicts.append(("load", False, str(exc)))
-        report.exit_code = EXIT_INPUT
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+        return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     solver = config.solver_config()
     try:
         poa = compute_poa_report(game, solver)
     except RuntimeError as exc:
-        report.verdicts.append(("solve", False, str(exc)))
-        report.exit_code = EXIT_NONCONVERGED
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+        return _fail(report, "solve", str(exc), EXIT_NONCONVERGED, t0, config.out_dir)
     bounds = _bound_columns(game)
     solver_docs = {
-        "nonatomic_ne": solve_nonatomic_ne(game, solver).to_document(game),
-        "nonatomic_so": solve_nonatomic_so(game, solver).to_document(game),
+        "nonatomic_ne": poa.nonatomic_ne.to_document(game),
+        "nonatomic_so": poa.nonatomic_so.to_document(game),
     }
-    if all(g.n_paths <= 2 for g in game.groups) and game.n_users <= 12:
+    if all(g.n_paths <= 2 for g in game.groups) and game.n_users <= MIXED_MAX_USERS:
         solver_docs["mixed_ne"] = solve_mixed_ne_small(game, solver).to_document(game)
     row = {
         "game": config.game_path,
@@ -216,7 +216,7 @@ def run_solve(config: ExperimentConfig) -> RunReport:
             row["nonatomic_poa_bound"], row["ne_residual_bound"], row["p_delta"],
             config.seed, __version__]])
     report.wall_time = time.perf_counter() - t0
-    _write_report(report, config.out_dir)
+    write_report(report, config.out_dir)
     return report
 
 
@@ -231,15 +231,10 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     try:
         family = load_family(Path(config.family_path).read_text(encoding="utf-8"))
     except (FileNotFoundError, GameSchemaError, ValueError) as exc:
-        report.verdicts.append(("load", False, str(exc)))
-        report.exit_code = EXIT_INPUT
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+        return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
     if not config.grid:
-        report.verdicts.append(("grid", False, "sweep needs a nonempty increasing grid"))
-        report.exit_code = EXIT_INPUT
-        return report
+        return _fail(report, "grid", "sweep needs a nonempty increasing grid", EXIT_INPUT, t0,
+                     config.out_dir)
 
     solver = config.solver_config()
     csv_rows = []
@@ -250,8 +245,11 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     for n in config.grid:
         game = family.instantiate(n)
         worst, is_lb = worst_atomic_cost(game, solver)
-        so = solve_atomic_so(game, solver)
-        poa = None if worst is None else worst / float(so.cost)
+        try:
+            so_cost = float(solve_atomic_so(game, solver).cost)
+        except BudgetExceededError:
+            so_cost, is_lb = None, True
+        poa = None if worst is None or so_cost is None else worst / so_cost
         cols = _bound_columns(game)
         t = float(game.total_demand)
         d = float(game.d_max)
@@ -290,7 +288,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                   "atomic_lower_bound_only", "seed", "version"]
         write_csv(Path(config.out_dir) / "sweep.csv", header, csv_rows)
     report.wall_time = time.perf_counter() - t0
-    _write_report(report, config.out_dir)
+    write_report(report, config.out_dir)
     return report
 
 
@@ -304,13 +302,13 @@ def run_sample(config: ExperimentConfig) -> RunReport:
                                "profile": config.profile_path, "seed": config.seed,
                                "n_samples": config.n_samples})
     try:
+        plan = config.sampling_plan()
+    except ValueError as exc:
+        return _fail(report, "plan", str(exc), EXIT_INPUT, t0, config.out_dir)
+    try:
         game = load_game(Path(config.game_path).read_text(encoding="utf-8"))
     except (FileNotFoundError, GameSchemaError) as exc:
-        report.verdicts.append(("load", False, str(exc)))
-        report.exit_code = EXIT_INPUT
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+        return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     solver = config.solver_config()
     try:
@@ -322,27 +320,16 @@ def run_sample(config: ExperimentConfig) -> RunReport:
         else:
             result = solve_mixed_ne_small(game, solver)
             if not result.converged:
-                report.verdicts.append(("mixed-ne", False, result.note))
-                report.exit_code = EXIT_NONCONVERGED
-                report.wall_time = time.perf_counter() - t0
-                _write_report(report, config.out_dir)
-                return report
+                return _fail(report, "mixed-ne", result.note, EXIT_NONCONVERGED, t0,
+                             config.out_dir)
             profile = result.flow
-    except ValueError as exc:
-        report.verdicts.append(("profile", False, str(exc)))
-        report.exit_code = EXIT_INPUT
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+    except (OSError, TypeError, ValueError) as exc:
+        return _fail(report, "profile", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     try:
-        dist = sample_random_poa(game, profile, config.sampling_plan(), solver)
+        dist = sample_random_poa(game, profile, plan, solver)
     except BudgetExceededError as exc:
-        report.verdicts.append(("sample", False, str(exc)))
-        report.exit_code = EXIT_INPUT
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+        return _fail(report, "sample", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     delta = 1.0 / 3.0
     nonat_ne = solve_nonatomic_ne(game, solver)
@@ -370,7 +357,7 @@ def run_sample(config: ExperimentConfig) -> RunReport:
         rows = [[v, p, src, config.seed, __version__] for v, p, src in dist.table()]
         write_csv(Path(config.out_dir) / "distribution.csv", header, rows)
     report.wall_time = time.perf_counter() - t0
-    _write_report(report, config.out_dir)
+    write_report(report, config.out_dir)
     return report
 
 
@@ -386,11 +373,7 @@ def run_decompose(config: ExperimentConfig) -> RunReport:
         family = load_family(Path(config.family_path).read_text(encoding="utf-8"))
         result = decomposition_prediction(family, list(config.grid), config.solver_config())
     except (FileNotFoundError, GameSchemaError, ValueError) as exc:
-        report.verdicts.append(("decompose", False, str(exc)))
-        report.exit_code = EXIT_INPUT
-        report.wall_time = time.perf_counter() - t0
-        _write_report(report, config.out_dir)
-        return report
+        return _fail(report, "decompose", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     csv_rows = []
     for row in result.rows:
@@ -416,7 +399,7 @@ def run_decompose(config: ExperimentConfig) -> RunReport:
                   "atomic_lower_bound_only", "seed", "version"]
         write_csv(Path(config.out_dir) / "decompose.csv", header, csv_rows)
     report.wall_time = time.perf_counter() - t0
-    _write_report(report, config.out_dir)
+    write_report(report, config.out_dir)
     return report
 
 
@@ -557,5 +540,5 @@ def run_reproduce(config: Optional[ExperimentConfig] = None) -> RunReport:
     elif not all(ok for _, ok, _ in checks):
         report.exit_code = EXIT_ASSERTION
     report.wall_time = time.perf_counter() - t0
-    _write_report(report, config.out_dir)
+    write_report(report, config.out_dir)
     return report

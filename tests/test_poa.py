@@ -1,12 +1,16 @@
 """Inefficiency ratios and random-cost sampling."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poakit import (
+    CostPolynomial,
     Game,
     Group,
     MixedProfile,
@@ -22,6 +26,8 @@ from poakit import (
     solve_atomic_so,
     solve_mixed_ne_small,
 )
+from poakit.game import SAMPLE_CHUNK
+from poakit.poa import _worst_on_equilibrium_set
 
 from conftest import (
     affine_offset_game,
@@ -71,6 +77,93 @@ class TestNonatomicPoa:
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
+_LEAD = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+_COEFF = st.fractions(min_value=0, max_value=3, max_denominator=3)
+_DEMAND = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=2)
+
+
+@st.composite
+def two_user_two_path_games(draw):
+    """One group, two users, two paths over up to three arcs (paths may share arcs)."""
+    demands = (draw(_DEMAND), draw(_DEMAND))
+    if draw(st.integers(0, 4)) == 0:  # equal constant arcs: total indifference
+        c = draw(_LEAD)
+        return Game({"a": poly(c), "b": poly(c)}, [Group("od", (("a",), ("b",)), demands)])
+    arcs = {}
+    for i in range(draw(st.integers(2, 3))):
+        rest = draw(st.lists(_COEFF, max_size=2))
+        arcs[f"a{i}"] = CostPolynomial((draw(_LEAD), *rest))
+    subsets = [s for r in range(1, len(arcs) + 1) for s in itertools.combinations(arcs, r)]
+    first = draw(st.sampled_from(subsets))
+    second = draw(st.sampled_from([s for s in subsets if s != first]))
+    return Game(arcs, [Group("od", (first, second), demands)])
+
+
+def pure_outcome_corners(game: Game) -> dict:
+    """Realized (path-0 minus path-1 cost, total cost) at each pure profile.
+
+    Keyed by (x, y), the two users' probabilities of taking path 0, and
+    computed straight from the cost polynomials.
+    """
+    g = game.groups[0]
+    corners = {}
+    for x, y in itertools.product((0, 1), repeat=2):
+        flow = {aid: 0 for aid in game.arc_ids}
+        for on_path0, demand in zip((x, y), g.demands):
+            for aid in g.paths[0 if on_path0 else 1]:
+                flow[aid] += demand
+        cost = {aid: game.arcs[aid].value(f) for aid, f in flow.items()}
+        path = [sum(cost[aid] for aid in g.paths[pi]) for pi in (0, 1)]
+        corners[x, y] = (path[0] - path[1], sum(flow[aid] * cost[aid] for aid in flow))
+    return corners
+
+
+def dense_grid_bounds(corners: dict, steps: int):
+    """Brute-force bounds on the worst expected cost over the equilibrium set.
+
+    The gap G and cost T at a mixed point (x, y) are the expectations of
+    their pure-profile values in ``corners`` over the two independent
+    choices.  They are evaluated exactly at every point of a (steps+1)^2
+    grid.  Every grid edge on which G changes sign or vanishes holds an
+    equilibrium, located exactly because G and T are affine along an edge;
+    these and the pure corners that satisfy the used-path predicate give
+    the lower bound (None if there are none).  The equilibrium set meets only
+    grid cells with such an edge, and T peaks over a cell at a vertex, so the
+    largest T at a vertex of those cells gives the upper bound.
+    """
+    # Grid values in integers, scaled by steps^2 * scale: exact and fast.
+    scale = math.lcm(*(Fraction(v).denominator for pair in corners.values() for v in pair))
+    ints = {c: [int(v * scale) for v in pair] for c, pair in corners.items()}
+
+    def at(i, j):
+        return [sum((i if cx else steps - i) * (j if cy else steps - j) * ints[cx, cy][k]
+                    for cx, cy in ints) for k in (0, 1)]
+
+    grid = {(i, j): at(i, j) for i in range(steps + 1) for j in range(steps + 1)}
+    lower, upper = [], []
+    for corner, on_path0 in (((0, 0), False), ((steps, steps), True)):
+        gap, total = grid[corner]
+        if (gap <= 0) if on_path0 else (gap >= 0):
+            lower.append(total)
+            upper.append(total)
+    for i in range(steps):
+        for j in range(steps):
+            cell = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            crossing = False
+            for p, q in zip(cell, cell[1:] + cell[:1]):
+                (gp, tp), (gq, tq) = grid[p], grid[q]
+                if gp * gq <= 0:
+                    crossing = True
+                    lower.append(max(tp, tq) if gp == gq else
+                                 tp + Fraction(gp, gp - gq) * (tq - tp))
+            if crossing:
+                upper.append(max(grid[c][1] for c in cell))
+    if not lower:
+        return None, None
+    unit = steps * steps * scale
+    return Fraction(max(lower), unit), Fraction(max(upper), unit)
+
+
 class TestMixedPoa:
     def test_certified_sweep_on_two_user_game(self):
         value, certified, status = mixed_poa_small(quadratic_constant_game(), CFG)
@@ -95,6 +188,37 @@ class TestMixedPoa:
         assert float(result.flow.probabilities[0][0][0]) == pytest.approx(1 / 8, abs=1e-10)
         value, certified, status = mixed_poa_small(game, CFG)
         assert value == pytest.approx(15 / 8, abs=1e-9)
+
+    @settings(max_examples=120, deadline=None)
+    @given(game=two_user_two_path_games())
+    def test_closed_form_bounds_dense_grid_reference(self, game):
+        value, certified, status = mixed_poa_small(game, CFG)
+        assert certified and status == "ok"
+        so_cost = solve_atomic_so(game, CFG).cost
+        lower, upper = dense_grid_bounds(pure_outcome_corners(game), steps=24)
+        slack = 1e-12 * (1 + value)
+        assert float(lower / so_cost) - slack <= value <= float(upper / so_cost) + slack
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+           totals=st.lists(st.integers(0, 9), min_size=4, max_size=4))
+    def test_closed_form_on_every_bilinear_gap(self, gaps, totals):
+        # Arbitrary corner values reach the degenerate branches that games
+        # with nondecreasing costs never produce: vertical segments of the
+        # zero set, gaps independent of y, and total indifference.
+        keys = list(itertools.product((0, 1), repeat=2))
+        corners = {key: (Fraction(gv), Fraction(tv)) for key, gv, tv in zip(keys, gaps, totals)}
+        worst = _worst_on_equilibrium_set({k: v[0] for k, v in corners.items()},
+                                          {k: v[1] for k, v in corners.items()})
+        lower, upper = dense_grid_bounds(corners, steps=12)
+        assert worst is not None and lower is not None
+        assert lower - 1e-12 <= worst <= upper + 1e-12
+
+    def test_reuses_given_atomic_optimum(self):
+        game = linear_double_game()
+        so = solve_atomic_so(game, CFG)
+        assert mixed_poa_small(game, CFG, so) == mixed_poa_small(game, CFG)
+        assert mixed_poa_small(game, CFG, so) == (4 / 3, True, "ok")
 
 
 class TestRandomPoa:
@@ -149,6 +273,32 @@ class TestRandomPoa:
         d1 = sample_random_poa(game, mixed.flow, SamplingPlan(30_000, 4, worker_count=1), CFG)
         d2 = sample_random_poa(game, mixed.flow, SamplingPlan(30_000, 4, worker_count=7), CFG)
         assert np.array_equal(d1.samples, d2.samples)
+
+    def test_samples_byte_identical_across_worker_counts(self):
+        game = quadratic_constant_game()
+        mixed = solve_mixed_ne_small(game, CFG)
+        n = 2 * SAMPLE_CHUNK + 123  # crosses two stream-chunk boundaries
+        runs = [sample_random_poa(game, mixed.flow, SamplingPlan(n, 8, worker_count=w), CFG)
+                for w in (1, 3, 7)]
+        assert runs[0].samples.tobytes() == runs[1].samples.tobytes() \
+            == runs[2].samples.tobytes()
+
+    def test_shards_never_exceed_one_stream_chunk(self, monkeypatch):
+        import poakit.game
+
+        counts = []
+        draw = poakit.game.sample_uniforms
+
+        def recording(seed, start, count, width):
+            counts.append(count)
+            return draw(seed, start, count, width)
+
+        monkeypatch.setattr(poakit.game, "sample_uniforms", recording)
+        game = quadratic_constant_game()
+        mixed = solve_mixed_ne_small(game, CFG)
+        sample_random_poa(game, mixed.flow, SamplingPlan(3 * SAMPLE_CHUNK + 5, 1), CFG)
+        assert sum(counts) == 3 * SAMPLE_CHUNK + 5
+        assert max(counts) <= SAMPLE_CHUNK
 
     def test_exact_distribution_convolves_components(self):
         game = Game({"a": poly(1, 0), "b": poly(1, 0)},

@@ -45,6 +45,13 @@ UNIT_USER_FAMILY = {
     "demand_laws": {"od": {"c": 1, "gamma": 1, "user_demand": 1}},
 }
 
+THREE_PATH_UNIT_FAMILY = {
+    "arcs": [{"id": "a", "coeffs": [1, 0]}, {"id": "b", "coeffs": [2, 0]},
+             {"id": "c", "coeffs": [1, 1]}],
+    "groups": [{"id": "od", "paths": [["a"], ["b"], ["c"]], "users": [{"demand": 1}]}],
+    "demand_laws": {"od": {"c": 1, "gamma": 1, "user_demand": 1}},
+}
+
 # Offset keeps two equilibria alive at every scale, so the measured gap is
 # strictly positive and its decay is informative rather than 0 == 0.
 OFFSET_UNIT_FAMILY = {
@@ -136,6 +143,32 @@ class TestSweep:
         config = ExperimentConfig(mode="sweep", family_path=str(tmp_path / "no.json"),
                                   grid=[1, 2])
         assert run_sweep(config).exit_code == EXIT_INPUT
+
+    def test_empty_grid_is_input_error_with_report(self, tmp_path):
+        path = write_family(tmp_path, "fam.json", UNIT_USER_FAMILY)
+        out = tmp_path / "out"
+        report = run_sweep(ExperimentConfig(mode="sweep", family_path=path, grid=[],
+                                            out_dir=str(out)))
+        assert report.exit_code == EXIT_INPUT
+        assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_INPUT
+
+    def test_point_past_budget_is_lower_bound_only(self, tmp_path, monkeypatch, capsys):
+        # 50 unit users on three paths have C(52, 2) = 1326 states, past the
+        # budget: the worst cost falls back to best response and the optimum
+        # is not computed, so the row carries no measured ratio.
+        monkeypatch.setenv("POAKIT_BUDGET", "1000")
+        path = write_family(tmp_path, "fam.json", THREE_PATH_UNIT_FAMILY)
+        out = tmp_path / "out"
+        code = main(["sweep", "--family", path, "--grid", "10,50", "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().out
+        doc = json.loads((out / "report.json").read_text())
+        small, large = doc["rows"]
+        assert small["poa_measured"] is not None and not small["atomic_lower_bound_only"]
+        assert large["poa_measured"] is None and large["atomic_lower_bound_only"]
+        # One measured point cannot show the decay the family promises.
+        assert code == doc["exit_code"] == EXIT_ASSERTION
+        lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[2].split(",")[3:4] == [""] and lines[2].split(",")[8] == "True"
 
 
 class TestSample:
@@ -267,6 +300,33 @@ class TestCli:
     def test_grid_parsing(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--family", "x.json", "--grid", "3,2,1"])
+
+    @pytest.mark.parametrize("env, args", [
+        ({"POAKIT_TOLERANCE": "abc"}, ["solve", "--game", "{asset}"]),
+        ({"POAKIT_BUDGET": "1.5"}, ["solve", "--game", "{asset}"]),
+        ({"POAKIT_TOLERANCE": "-1"}, ["solve", "--game", "{asset}"]),
+        ({}, ["sample", "--game", "{asset}", "--n", "0"]),
+        ({}, ["sample", "--game", "{asset}", "--workers", "0"]),
+        ({}, ["sample", "--game", "{asset}", "--seed", "-1"]),
+        ({}, ["sample", "--game", "{asset}", "--profile", "{missing}"]),
+        ({}, ["sample", "--game", "{asset}", "--profile", "{flat}"]),
+    ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
+            "zero-workers", "negative-seed", "missing-profile", "flat-profile"])
+    def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        asset = str(asset_path("parallel_linear_double.json"))
+        missing = str(tmp_path / "missing.json")
+        flat = write_family(tmp_path, "flat.json", [1])
+        out = tmp_path / "out"
+        argv = [a.format(asset=asset, missing=missing, flat=flat) for a in args]
+        argv += ["--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[FAIL] ")
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_INPUT
+        assert [v["passed"] for v in doc["verdicts"]] == [False]
 
     def test_env_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POAKIT_BUDGET", "1")
