@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from .runner import (
     EXIT_INPUT,
@@ -95,15 +96,24 @@ def _print_verdicts(report: RunReport) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    report = RunReport(config={"mode": args.mode})
+
+    def refuse(name: str, detail: str, out_dir) -> int:
+        report.verdicts.append((name, False, detail))
+        report.exit_code = EXIT_INPUT
+        write_report(report, out_dir)
+        _print_verdicts(report)
+        return report.exit_code
+
+    if args.out is not None:
+        try:  # before any work, so an unusable --out fails at once
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return refuse("out", f"cannot create output directory: {exc}", None)
     try:
         common = _environment()
     except ValueError as exc:
-        report = RunReport(config={"mode": args.mode})
-        report.verdicts.append(("environment", False, str(exc)))
-        report.exit_code = EXIT_INPUT
-        write_report(report, args.out)
-        _print_verdicts(report)
-        return report.exit_code
+        return refuse("environment", str(exc), args.out)
 
     if args.mode == "solve":
         config = ExperimentConfig(mode="solve", game_path=args.game, out_dir=args.out,

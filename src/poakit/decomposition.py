@@ -267,13 +267,16 @@ def _random_profile(game: Game, seed: int) -> AtomicProfile:
 
 
 def worst_atomic_cost(game: Game, config: SolverConfig):
-    """Worst pure-equilibrium cost; exact when enumerable, else a best-response
-    search from seeded random starts (a lower bound on the true worst case)."""
+    """Worst pure-equilibrium cost, whether it is only a lower bound, and the
+    atomic optimum cost, as ``(worst, is_lower_bound, optimum)``.
+
+    Exact when enumerable: one scan gives the worst equilibrium (None when
+    there is none) and the optimum.  Past the enumeration budget the worst
+    cost comes from a best-response search from seeded random starts (a
+    lower bound on the true worst case) and the optimum is None.
+    """
     try:
         equilibria = enumerate_atomic_equilibria(game, config)
-        if equilibria.worst is None:
-            return None, False
-        return float(equilibria.worst.cost), False
     except BudgetExceededError:
         worst = None
         for i in range(WORST_CASE_RESTARTS):
@@ -281,7 +284,9 @@ def worst_atomic_cost(game: Game, config: SolverConfig):
             result = best_response_atomic(game, config, start)
             if result.converged and (worst is None or float(result.cost) > worst):
                 worst = float(result.cost)
-        return worst, True
+        return worst, True, None
+    worst = None if equilibria.worst is None else float(equilibria.worst.cost)
+    return worst, False, float(equilibria.optimum.cost)
 
 
 def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
@@ -327,7 +332,7 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
         predicted = sum(class_costs)
         nonat = solve_nonatomic_ne(game, config)
         measured_nonatomic = float(nonat.cost)
-        measured_atomic, is_lb = worst_atomic_cost(game, config)
+        measured_atomic, is_lb, _ = worst_atomic_cost(game, config)
         rows.append(PredictionRow(
             n=n,
             total_demand=float(game.total_demand),

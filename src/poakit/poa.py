@@ -21,6 +21,7 @@ import numpy as np
 from .game import Game, MixedProfile, Number
 from .solvers import (
     MIXED_MAX_USERS,
+    AtomicEquilibria,
     BudgetExceededError,
     EquilibriumResult,
     SolverConfig,
@@ -30,7 +31,6 @@ from .solvers import (
     expected_path_costs,
     expected_total_cost,
     mixed_ne_residual,
-    solve_atomic_so,
     solve_mixed_ne_small,
     solve_nonatomic_ne,
     solve_nonatomic_so,
@@ -67,6 +67,7 @@ class PoaReport:
     random_poa_samples: list = field(default_factory=list)  # (value, weight, source)
     nonatomic_ne: Optional[EquilibriumResult] = None  # the solves behind nonatomic_poa
     nonatomic_so: Optional[EquilibriumResult] = None
+    mixed_ne: Optional[EquilibriumResult] = None  # set when the game is in mixed scope
 
     def validate(self) -> None:
         for name, value in (("atomic", self.atomic_poa), ("nonatomic", self.nonatomic_poa),
@@ -87,9 +88,7 @@ def atomic_poa(game: Game, config: SolverConfig = SolverConfig()):
     equilibria = enumerate_atomic_equilibria(game, config)
     if equilibria.worst is None:
         return None, "no atomic equilibrium (weighted game)"
-    so = solve_atomic_so(game, config)
-    value = equilibria.worst.cost / so.cost
-    return value, "ok"
+    return equilibria.worst.cost / equilibria.optimum.cost, "ok"
 
 
 def nonatomic_poa(game: Game, config: SolverConfig = SolverConfig()) -> float:
@@ -201,18 +200,22 @@ def _two_user_two_path_worst(game: Game) -> Optional[Number]:
 
 
 def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig(),
-                    atomic_so: Optional[EquilibriumResult] = None):
+                    equilibria: Optional[AtomicEquilibria] = None,
+                    mixed_ne: Optional[EquilibriumResult] = None):
     """Worst mixed-equilibrium expected cost over the atomic optimum.
 
     Certified when the game has one group of two users on two paths: the
     worst cost over the whole equilibrium set is then computed in closed form
     from four corner evaluations (see ``_two_user_two_path_worst``).
     Otherwise a lower bound from the profiles the solver finds, including
-    pure equilibria that satisfy the mixed predicate.  ``atomic_so`` reuses
-    an atomic optimum the caller already solved.  Returns
+    pure equilibria that satisfy the mixed predicate.  ``equilibria`` reuses
+    the caller's ``enumerate_atomic_equilibria`` result (its pure equilibria
+    and ``optimum``), and ``mixed_ne`` its ``solve_mixed_ne_small`` result;
+    each is computed here when not given.  Returns
     ``(value, certified, status)``.
     """
-    so = solve_atomic_so(game, config) if atomic_so is None else atomic_so
+    if equilibria is None:
+        equilibria = enumerate_atomic_equilibria(game, config)
 
     candidates = []
     certified = False
@@ -221,21 +224,17 @@ def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig(),
         candidates.append(swept)
         certified = True
     else:
-        result = solve_mixed_ne_small(game, config)
+        result = solve_mixed_ne_small(game, config) if mixed_ne is None else mixed_ne
         if result.converged:
             candidates.append(float(result.cost))
-        try:
-            equilibria = enumerate_atomic_equilibria(game, config)
-            for entry in equilibria.equilibria:
-                profile = entry.flow.as_mixed(game)
-                if mixed_ne_residual(game, profile) <= config.tolerance:
-                    candidates.append(float(expected_total_cost(game, profile)))
-        except BudgetExceededError:
-            pass
+        for entry in equilibria.equilibria:
+            profile = entry.flow.as_mixed(game)
+            if mixed_ne_residual(game, profile) <= config.tolerance:
+                candidates.append(float(expected_total_cost(game, profile)))
 
     if not candidates:
         return None, False, "no mixed equilibrium found (solver failure)"
-    return float(max(candidates) / so.cost), certified, "ok"
+    return float(max(candidates) / equilibria.optimum.cost), certified, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +367,16 @@ EXACT_DISTRIBUTION_MAX_USERS = 20
 
 
 def sample_random_poa(game: Game, profile: MixedProfile, plan: SamplingPlan,
-                      config: SolverConfig = SolverConfig()) -> RandomPoaDistribution:
-    """Distribution of realized total cost over the atomic optimum cost."""
+                      config: SolverConfig = SolverConfig(),
+                      optimum: Optional[EquilibriumResult] = None) -> RandomPoaDistribution:
+    """Distribution of realized total cost over the atomic optimum cost.
+
+    ``optimum`` reuses an atomic optimum the caller already holds.
+    """
     profile.validate(game)
-    so = solve_atomic_so(game, config)
-    so_cost = float(so.cost)
+    if optimum is None:
+        optimum = enumerate_atomic_equilibria(game, config).optimum
+    so_cost = float(optimum.cost)
     if so_cost <= 0:
         raise ValueError("atomic optimum cost must be positive")
     costs = _sample_total_costs(game, profile, plan)
@@ -397,33 +401,33 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
     rho_nat = float(nonat_ne.cost) / float(nonat_so.cost)
 
     atomic_value = None
-    atomic_so = None
+    equilibria = None
     atomic_status = "ok"
     try:
         equilibria = enumerate_atomic_equilibria(game, config)
-        atomic_so = solve_atomic_so(game, config)
         if equilibria.worst is None:
             atomic_status = "unavailable: no atomic equilibrium (weighted game)"
         else:
-            atomic_value = equilibria.worst.cost / atomic_so.cost
+            atomic_value = equilibria.worst.cost / equilibria.optimum.cost
     except BudgetExceededError:
         br = best_response_atomic(game, config)
         atomic_status = ("unavailable: enumeration budget exceeded; best-response "
                          f"cost {float(br.cost):.6g} is a lower-bound witness")
+    atomic_so = None if equilibria is None else equilibria.optimum
 
     mixed_value = None
     mixed_certified = False
     mixed_status = "ok"
     samples: list = []
     small = all(g.n_paths <= 2 for g in game.groups) and game.n_users <= MIXED_MAX_USERS
-    if atomic_so is not None and small:
-        mixed_value, mixed_certified, mixed_status = mixed_poa_small(game, config, atomic_so)
+    mixed_ne = solve_mixed_ne_small(game, config) if small else None
+    if equilibria is not None and small:
+        mixed_value, mixed_certified, mixed_status = mixed_poa_small(
+            game, config, equilibria, mixed_ne)
     else:
         mixed_status = "unavailable: game outside small-solver scope"
-    if plan is not None and small:
-        ne = solve_mixed_ne_small(game, config)
-        if ne.converged:
-            samples = sample_random_poa(game, ne.flow, plan, config).table()
+    if plan is not None and small and mixed_ne.converged:
+        samples = sample_random_poa(game, mixed_ne.flow, plan, config, atomic_so).table()
 
     report = PoaReport(
         atomic_poa=atomic_value,
@@ -437,6 +441,7 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
         random_poa_samples=samples,
         nonatomic_ne=nonat_ne,
         nonatomic_so=nonat_so,
+        mixed_ne=mixed_ne,
     )
     report.validate()
     return report

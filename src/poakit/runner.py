@@ -28,7 +28,7 @@ from .bounds import (
     random_poa_probability_bound,
 )
 from .decomposition import decomposition_prediction, load_family, worst_atomic_cost
-from .game import Game, GameSchemaError, Group, load_game
+from .game import Game, Group, load_game
 from .poa import (
     SamplingPlan,
     compute_poa_report,
@@ -36,12 +36,10 @@ from .poa import (
     sample_random_poa,
 )
 from .solvers import (
-    MIXED_MAX_USERS,
     BudgetExceededError,
     SolverConfig,
     enumerate_atomic_equilibria,
     mixed_ne_residual,
-    solve_atomic_so,
     solve_mixed_ne_small,
     solve_nonatomic_ne,
     solve_nonatomic_so,
@@ -171,10 +169,7 @@ def run_solve(config: ExperimentConfig) -> RunReport:
                                "seed": config.seed, "tolerance": config.tolerance})
     try:
         game = load_game(Path(config.game_path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return _fail(report, "load", f"asset not found: {config.game_path}", EXIT_INPUT, t0,
-                     config.out_dir)
-    except GameSchemaError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     solver = config.solver_config()
@@ -187,8 +182,8 @@ def run_solve(config: ExperimentConfig) -> RunReport:
         "nonatomic_ne": poa.nonatomic_ne.to_document(game),
         "nonatomic_so": poa.nonatomic_so.to_document(game),
     }
-    if all(g.n_paths <= 2 for g in game.groups) and game.n_users <= MIXED_MAX_USERS:
-        solver_docs["mixed_ne"] = solve_mixed_ne_small(game, solver).to_document(game)
+    if poa.mixed_ne is not None:
+        solver_docs["mixed_ne"] = poa.mixed_ne.to_document(game)
     row = {
         "game": config.game_path,
         "total_demand": float(game.total_demand),
@@ -230,7 +225,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                                "grid": list(config.grid), "seed": config.seed})
     try:
         family = load_family(Path(config.family_path).read_text(encoding="utf-8"))
-    except (FileNotFoundError, GameSchemaError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
     if not config.grid:
         return _fail(report, "grid", "sweep needs a nonempty increasing grid", EXIT_INPUT, t0,
@@ -244,11 +239,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     totals = []
     for n in config.grid:
         game = family.instantiate(n)
-        worst, is_lb = worst_atomic_cost(game, solver)
-        try:
-            so_cost = float(solve_atomic_so(game, solver).cost)
-        except BudgetExceededError:
-            so_cost, is_lb = None, True
+        worst, is_lb, so_cost = worst_atomic_cost(game, solver)
         poa = None if worst is None or so_cost is None else worst / so_cost
         cols = _bound_columns(game)
         t = float(game.total_demand)
@@ -307,7 +298,7 @@ def run_sample(config: ExperimentConfig) -> RunReport:
         return _fail(report, "plan", str(exc), EXIT_INPUT, t0, config.out_dir)
     try:
         game = load_game(Path(config.game_path).read_text(encoding="utf-8"))
-    except (FileNotFoundError, GameSchemaError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     solver = config.solver_config()
@@ -372,7 +363,7 @@ def run_decompose(config: ExperimentConfig) -> RunReport:
     try:
         family = load_family(Path(config.family_path).read_text(encoding="utf-8"))
         result = decomposition_prediction(family, list(config.grid), config.solver_config())
-    except (FileNotFoundError, GameSchemaError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(report, "decompose", str(exc), EXIT_INPUT, t0, config.out_dir)
 
     csv_rows = []
@@ -457,15 +448,14 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         flow = eq.worst.flow.induced_flow(game)
         assert flow.values() == (Fraction(0), Fraction(4)), \
             f"expected pure equilibrium flow (0, 4), got {flow.values()}"
-        so_at = solve_atomic_so(game, solver)
-        assert eq.worst.cost / so_at.cost == 1, "expected atomic ratio exactly 1"
+        assert eq.worst.cost / eq.optimum.cost == 1, "expected atomic ratio exactly 1"
         mixed = solve_mixed_ne_small(game, solver)
         x = float(mixed.flow.probabilities[0][0][0])
         want_x = (math.sqrt(2.0) - 1.0) / 2.0
         assert abs(x - want_x) <= 1e-8, f"expected symmetric probability {want_x}, got {x}"
         residual = mixed_ne_residual(game, mixed.flow)
         assert residual <= 1e-9, f"indifference residual {residual} above 1e-9"
-        value, certified, _ = mixed_poa_small(game, solver)
+        value, certified, _ = mixed_poa_small(game, solver, eq, mixed)
         want_mixed = 5.0 - 2.5 * math.sqrt(2.0)
         assert certified, "expected a certified sweep of the equilibrium set"
         assert abs(value - want_mixed) <= 1e-8, f"expected mixed ratio {want_mixed}, got {value}"
@@ -479,8 +469,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
             t1 = time.perf_counter()
             game = base if n == 1 else _with_uniform_users(base, 4 * n, Fraction(1, 4 * n))
             eq = enumerate_atomic_equilibria(game, solver)
-            so = solve_atomic_so(game, solver)
-            value = eq.worst.cost / so.cost
+            value = eq.worst.cost / eq.optimum.cost
             assert value == Fraction(8, 7), \
                 f"expected atomic ratio exactly 8/7 at n={n}, got {value}"
             dt = time.perf_counter() - t1
@@ -494,7 +483,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         for n in (1, 2):
             game = _with_uniform_users(base, 2, Fraction(n))
             eq = enumerate_atomic_equilibria(game, solver)
-            so = solve_atomic_so(game, solver)
+            so = eq.optimum
             assert eq.worst.cost == 4 * n * n, \
                 f"expected worst equilibrium cost {4 * n * n}, got {eq.worst.cost}"
             assert so.cost == 3 * n * n, f"expected optimum cost {3 * n * n}, got {so.cost}"
@@ -510,8 +499,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         for n in (100, 1000, 10000):
             game = _with_uniform_users(base, 2, _sqrt_exact(n))
             eq = enumerate_atomic_equilibria(game, solver)
-            so = solve_atomic_so(game, solver)
-            values.append(float(eq.worst.cost) / float(so.cost))
+            values.append(float(eq.worst.cost) / float(eq.optimum.cost))
         target = 16.0 / 9.0
         assert values[0] < values[1] < values[2] <= target + 1e-9, \
             f"expected the ratio to increase toward 16/9, got {values}"

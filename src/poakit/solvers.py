@@ -118,16 +118,19 @@ def verify_wardrop(game: Game, flow: PathFlow) -> float:
     used path is a cheapest path of its group.
     """
     arc_costs = game.arc_cost_map(flow)
+    return _worst_used_gap(game, flow, lambda gi, pi: game.path_cost(flow, gi, pi, arc_costs))
+
+
+def _worst_used_gap(game: Game, flow: PathFlow, path_cost: Callable) -> float:
+    """Largest ``path_cost(gi, pi)`` of a used path above its group's cheapest."""
     worst = 0.0
     for gi, g in enumerate(game.groups):
         used_thresh = g.total_demand * USED_PATH_REL_TOL
-        costs = [game.path_cost(flow, gi, pi, arc_costs) for pi in range(g.n_paths)]
+        costs = [path_cost(gi, pi) for pi in range(g.n_paths)]
         cheapest = min(costs)
         for pi, c in enumerate(costs):
             if flow.value(gi, pi) > used_thresh:
-                gap = float(c - cheapest)
-                if gap > worst:
-                    worst = gap
+                worst = max(worst, float(c - cheapest))
     return worst
 
 
@@ -238,26 +241,17 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
             break
 
     flow = PathFlow(game, [max(v, 0.0) for v in flows])
-    residual = verify_wardrop(game, flow) if kind == "nonatomic-ne" else _dir_residual(
-        game, flow, direction_polys)
+    if kind == "nonatomic-ne":
+        residual = verify_wardrop(game, flow)
+    else:
+        fa = game.arc_flow(flow)
+        dir_costs = {aid: _horner(direction_polys[aid], float(fa[aid])) for aid in game.arc_ids}
+        residual = _worst_used_gap(game, flow, lambda gi, pi: sum(
+            dir_costs[aid] for aid in game.groups[gi].paths[pi]))
     cost = game.total_cost(flow.as_float())
     return EquilibriumResult(flow=flow, kind=kind, residual=float(residual),
                              iterations=moves, exact=False, converged=converged,
                              cost=cost, wall_time=time.perf_counter() - t0)
-
-
-def _dir_residual(game: Game, flow: PathFlow, direction_polys: dict) -> float:
-    fa = game.arc_flow(flow)
-    arc_costs = {aid: _horner(direction_polys[aid], float(fa[aid])) for aid in game.arc_ids}
-    worst = 0.0
-    for gi, g in enumerate(game.groups):
-        used_thresh = float(g.total_demand) * 1e-12
-        costs = [sum(arc_costs[aid] for aid in g.paths[pi]) for pi in range(g.n_paths)]
-        cheapest = min(costs)
-        for pi, c in enumerate(costs):
-            if float(flow.value(gi, pi)) > used_thresh:
-                worst = max(worst, c - cheapest)
-    return worst
 
 
 def _segment_step(src_arcs, dst_arcs, arc_flow, dir_cost, available: float) -> float:
@@ -426,10 +420,15 @@ class _ComponentScan:
 
         rec(0)
 
-    def is_equilibrium(self, assignment, arc_flow) -> bool:
-        """No user class can strictly improve by a unilateral path change."""
+    def arc_costs(self, arc_flow) -> dict:
+        return {aid: self.game.arcs[aid].value(arc_flow[aid]) for aid in self.arc_ids}
+
+    def is_equilibrium(self, assignment, arc_flow, costs) -> bool:
+        """No user class can strictly improve by a unilateral path change.
+
+        ``costs`` is the state's arc-cost map (``arc_costs(arc_flow)``).
+        """
         game = self.game
-        costs = {aid: game.arcs[aid].value(arc_flow[aid]) for aid in self.arc_ids}
         for ci, cls in enumerate(self.classes):
             g = game.groups[cls.gi]
             counts = assignment[ci]
@@ -448,10 +447,6 @@ class _ComponentScan:
                     if move_cost < stay_cost:
                         return False
         return True
-
-    def total_cost(self, arc_flow) -> Number:
-        game = self.game
-        return sum(v * game.arcs[aid].value(v) for aid, v in arc_flow.items())
 
     def representative(self, assignment) -> dict:
         """Per-group user choices realizing the counts (users filled in slot order)."""
@@ -473,11 +468,12 @@ class _ComponentScan:
 
 @dataclass
 class AtomicEquilibria:
-    """All pure equilibria of a game, found by exhaustive exact enumeration.
+    """All pure equilibria of a game and its atomic optimum, from one exact scan.
 
     ``equilibria`` lists one representative per user-symmetry class with its
     multiplicity; ``worst`` and ``best`` are by total cost.  Empty when the
-    game (necessarily weighted) has no pure equilibrium.
+    game (necessarily weighted) has no pure equilibrium.  ``optimum`` is the
+    cheapest state (kind ``atomic-so``), set whether or not equilibria exist.
     """
 
     equilibria: list
@@ -485,6 +481,7 @@ class AtomicEquilibria:
     best: Optional[EquilibriumResult]
     states_scanned: int
     exact: bool
+    optimum: EquilibriumResult
 
 
 def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig()) -> AtomicEquilibria:
@@ -492,9 +489,11 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
 
     Users of equal demand within a group are interchangeable, so states are
     enumerated as per-class path counts; groups that share no arcs are
-    enumerated independently and recombined.  Raises BudgetExceededError when
-    the state space exceeds the configured budget (callers should fall back
-    to best-response dynamics).
+    enumerated independently and recombined.  The same scan keeps the first
+    state of strictly least total cost, the atomic optimum.  Raises
+    BudgetExceededError when the summed state count of the components
+    exceeds the configured budget (callers should fall back to best-response
+    dynamics).
     """
     t0 = time.perf_counter()
     comps = [_ComponentScan(game, idxs) for idxs in _group_components(game)]
@@ -508,24 +507,38 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
                 f"{config.enumeration_budget}")
 
     per_comp: list[list] = []
+    so_picks: dict[int, list] = {}
+    so_cost = 0
     scanned = 0
     for comp in comps:
         found: list = []
+        cheapest = None
 
         def visit(assignment, arc_flow, comp=comp, found=found):
-            if comp.is_equilibrium(assignment, arc_flow):
-                found.append((comp.representative(assignment),
-                              comp.total_cost(arc_flow),
+            nonlocal cheapest
+            costs = comp.arc_costs(arc_flow)
+            cost = sum(v * costs[aid] for aid, v in arc_flow.items())
+            if cheapest is None or cost < cheapest[1]:
+                cheapest = (list(assignment), cost)
+            if comp.is_equilibrium(assignment, arc_flow, costs):
+                found.append((comp.representative(assignment), cost,
                               comp.assignment_multiplicity(assignment)))
 
         comp.scan(visit)
         scanned += comp.state_count()
         per_comp.append(found)
+        so_picks.update(comp.representative(cheapest[0]))
+        so_cost += cheapest[1]
 
-    if any(not found for found in per_comp):
-        return AtomicEquilibria([], None, None, scanned, True)
+    def profile_of(picks) -> AtomicProfile:
+        return AtomicProfile(tuple(tuple(picks[gi]) for gi in range(len(game.groups))))
 
     exact = game.is_rational
+    optimum = EquilibriumResult(flow=profile_of(so_picks), kind="atomic-so", residual=0.0,
+                                iterations=scanned, exact=exact, cost=so_cost,
+                                wall_time=time.perf_counter() - t0)
+    if any(not found for found in per_comp):
+        return AtomicEquilibria([], None, None, scanned, True, optimum)
 
     def combine(combo, note=""):
         # Component costs add and multiplicities multiply (disjoint arc sets).
@@ -535,8 +548,7 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
         for rep, _, m in combo:
             mult *= m
             picks.update(rep)
-        profile = AtomicProfile(tuple(tuple(picks[gi]) for gi in range(len(game.groups))))
-        return EquilibriumResult(flow=profile, kind="atomic-ne", residual=0.0,
+        return EquilibriumResult(flow=profile_of(picks), kind="atomic-ne", residual=0.0,
                                  iterations=scanned, exact=exact, cost=cost,
                                  multiplicity=mult, note=note,
                                  wall_time=time.perf_counter() - t0)
@@ -550,39 +562,16 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
     results = []
     if combo_count <= 100_000:
         results = [combine(combo) for combo in itertools.product(*per_comp)]
-    return AtomicEquilibria(results, worst, best, scanned, exact)
+    return AtomicEquilibria(results, worst, best, scanned, exact, optimum)
 
 
 def solve_atomic_so(game: Game, config: SolverConfig = SolverConfig()) -> EquilibriumResult:
-    """Exact minimizer of total cost over all atomic states."""
-    t0 = time.perf_counter()
-    comps = [_ComponentScan(game, idxs) for idxs in _group_components(game)]
-    for comp in comps:
-        if comp.state_count() > config.enumeration_budget:
-            raise BudgetExceededError(
-                f"state space {comp.state_count()} exceeds enumeration budget")
+    """Exact minimizer of total cost over all atomic states.
 
-    picks: dict[int, list] = {}
-    total = 0
-    scanned = 0
-    for comp in comps:
-        best = None
-
-        def visit(assignment, arc_flow, comp=comp):
-            nonlocal best
-            cost = comp.total_cost(arc_flow)
-            if best is None or cost < best[1]:
-                best = ([tuple(a) for a in assignment], cost)
-
-        comp.scan(visit)
-        scanned += comp.state_count()
-        picks.update(comp.representative(best[0]))
-        total += best[1]
-
-    profile = AtomicProfile(tuple(tuple(picks[gi]) for gi in range(len(game.groups))))
-    return EquilibriumResult(flow=profile, kind="atomic-so", residual=0.0,
-                             iterations=scanned, exact=game.is_rational, cost=total,
-                             wall_time=time.perf_counter() - t0)
+    The optimum found by ``enumerate_atomic_equilibria``'s scan; callers that
+    also need the equilibria should take ``.optimum`` from that one call.
+    """
+    return enumerate_atomic_equilibria(game, config).optimum
 
 
 # ---------------------------------------------------------------------------
@@ -658,30 +647,38 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
 # Exact expectations for mixed profiles
 # ---------------------------------------------------------------------------
 
+def _bernoulli_convolution(pairs, zero, one) -> dict:
+    """Distribution of the sum of independent d * Bernoulli(q) over (d, q) pairs.
+
+    Starts from the point mass ``{zero: one}``; values and weights keep the
+    number types of the inputs, so Fraction inputs give an exact result.
+    """
+    dist = {zero: one}
+    for d, q in pairs:
+        if q == 0:
+            continue
+        new: dict = {}
+        for v, p in dist.items():
+            if q == 1:
+                new[v + d] = new.get(v + d, 0) + p
+            else:
+                new[v] = new.get(v, 0) + p * (1 - q)
+                new[v + d] = new.get(v + d, 0) + p * q
+        dist = new
+    return dist
+
+
 def arc_flow_distribution(game: Game, profile: MixedProfile, arc_id: str) -> dict:
     """Exact distribution of one arc's random flow under a mixed profile."""
-    dist = {0: 1.0}
-    exact = game.is_rational
-    if exact:
-        dist = {Fraction(0): Fraction(1)}
+    pairs = []
     for gi, g in enumerate(game.groups):
         touching = [pi for pi in range(g.n_paths) if arc_id in g.paths[pi]]
-        if not touching:
-            continue
-        for ui, d in enumerate(g.demands):
-            q = sum(profile.probabilities[gi][ui][pi] for pi in touching)
-            if q == 0:
-                continue
-            new: dict = {}
-            if q == 1:
-                for v, p in dist.items():
-                    new[v + d] = new.get(v + d, 0) + p
-            else:
-                for v, p in dist.items():
-                    new[v] = new.get(v, 0) + p * (1 - q)
-                    new[v + d] = new.get(v + d, 0) + p * q
-            dist = new
-    return dist
+        if touching:
+            pairs.extend((d, sum(profile.probabilities[gi][ui][pi] for pi in touching))
+                         for ui, d in enumerate(g.demands))
+    if game.is_rational:
+        return _bernoulli_convolution(pairs, Fraction(0), Fraction(1))
+    return _bernoulli_convolution(pairs, 0, 1.0)
 
 
 def expected_arc_statistics(game: Game, profile: MixedProfile) -> dict:
@@ -720,17 +717,8 @@ def mixed_ne_residual(game: Game, profile: MixedProfile) -> float:
     mixed profiles (and, on degenerate profiles, the first principle).
     """
     profile.validate(game)
-    exp_flow = profile.expected_flow(game)
     path_costs = expected_path_costs(game, profile)
-    worst = 0.0
-    for gi, g in enumerate(game.groups):
-        used_thresh = g.total_demand * USED_PATH_REL_TOL
-        costs = [path_costs[(gi, pi)] for pi in range(g.n_paths)]
-        cheapest = min(costs)
-        for pi, c in enumerate(costs):
-            if exp_flow.value(gi, pi) > used_thresh:
-                worst = max(worst, float(c - cheapest))
-    return worst
+    return _worst_used_gap(game, profile.expected_flow(game), lambda gi, pi: path_costs[gi, pi])
 
 
 # ---------------------------------------------------------------------------
@@ -794,19 +782,10 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         for sign, arcs in ((1.0, arcs0), (-1.0, arcs1)):
             for aid in arcs:
                 q_own = x if aid in arcs0 else 1.0 - x
-                dist = {0.0: 1.0}
                 contributions = list(user_arc_probs(aid, gi, xs))
                 contributions.extend((d, q_own) for d in g.demands)
-                for d, q in contributions:
-                    if q == 0.0:
-                        continue
-                    new: dict = {}
-                    for v, p in dist.items():
-                        if q < 1.0:
-                            new[v] = new.get(v, 0.0) + p * (1.0 - q)
-                        nv = v + float(d)
-                        new[nv] = new.get(nv, 0.0) + p * q
-                    dist = new
+                dist = _bernoulli_convolution(((float(d), q) for d, q in contributions),
+                                              0.0, 1.0)
                 poly = game.arcs[aid]
                 total += sign * sum(p * float(poly.value(v)) for v, p in dist.items())
         return total

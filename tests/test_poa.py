@@ -19,6 +19,7 @@ from poakit import (
     SolverConfig,
     atomic_poa,
     compute_poa_report,
+    enumerate_atomic_equilibria,
     exact_random_cost_distribution,
     mixed_poa_small,
     nonatomic_poa,
@@ -216,9 +217,9 @@ class TestMixedPoa:
 
     def test_reuses_given_atomic_optimum(self):
         game = linear_double_game()
-        so = solve_atomic_so(game, CFG)
-        assert mixed_poa_small(game, CFG, so) == mixed_poa_small(game, CFG)
-        assert mixed_poa_small(game, CFG, so) == (4 / 3, True, "ok")
+        equilibria = enumerate_atomic_equilibria(game, CFG)  # carries the optimum
+        assert mixed_poa_small(game, CFG, equilibria) == mixed_poa_small(game, CFG)
+        assert mixed_poa_small(game, CFG, equilibria) == (4 / 3, True, "ok")
 
 
 class TestRandomPoa:

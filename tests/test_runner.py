@@ -310,16 +310,27 @@ class TestCli:
         ({}, ["sample", "--game", "{asset}", "--seed", "-1"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{missing}"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{flat}"]),
+        ({}, ["solve", "--game", "{directory}"]),
+        ({}, ["sample", "--game", "{directory}"]),
+        ({}, ["sweep", "--family", "{directory}", "--grid", "3"]),
+        ({}, ["decompose", "--family", "{directory}", "--grid", "3"]),
+        ({}, ["solve", "--game", "{binary}"]),
+        ({}, ["sample", "--game", "{binary}"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
-            "zero-workers", "negative-seed", "missing-profile", "flat-profile"])
+            "zero-workers", "negative-seed", "missing-profile", "flat-profile",
+            "solve-directory", "sample-directory", "sweep-directory", "decompose-directory",
+            "solve-not-utf8", "sample-not-utf8"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         asset = str(asset_path("parallel_linear_double.json"))
         missing = str(tmp_path / "missing.json")
         flat = write_family(tmp_path, "flat.json", [1])
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
         out = tmp_path / "out"
-        argv = [a.format(asset=asset, missing=missing, flat=flat) for a in args]
+        argv = [a.format(asset=asset, missing=missing, flat=flat, directory=str(tmp_path),
+                         binary=str(binary)) for a in args]
         argv += ["--out", str(out)]
         assert main(argv) == EXIT_INPUT
         lines = capsys.readouterr().out.splitlines()
@@ -327,6 +338,18 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_INPUT
         assert [v["passed"] for v in doc["verdicts"]] == [False]
+
+    @pytest.mark.parametrize("mode", ["solve", "sample", "reproduce"])
+    def test_unwritable_out_exits_three_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                        mode):
+        monkeypatch.setattr(f"poakit.cli.run_{mode}", lambda config: pytest.fail("work ran"))
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        args = [] if mode == "reproduce" else [
+            "--game", str(asset_path("parallel_linear_double.json"))]
+        assert main([mode, *args, "--out", str(blocker / "out")]) == EXIT_INPUT
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[FAIL] out: ")
 
     def test_env_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POAKIT_BUDGET", "1")

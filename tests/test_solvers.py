@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poakit import (
     AtomicProfile,
@@ -256,6 +258,70 @@ def _bruteforce_equilibrium_flows(game):
             key = tuple(flow.values())
             flows[key] = flows.get(key, 0) + 1
     return [(k, m) for k, m in flows.items()]
+
+
+@st.composite
+def small_shared_arc_games(draw):
+    """One or two groups of one to three users (demand 1 or 2) on two paths
+    each, over three or four arcs that paths may share."""
+    arcs = {f"a{i}": poly(draw(st.integers(1, 4)),
+                          *draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2)))
+            for i in range(draw(st.integers(3, 4)))}
+    path_st = st.lists(st.sampled_from(sorted(arcs)), min_size=1, max_size=2, unique=True)
+    groups = []
+    taken = set()
+    for gi in range(draw(st.integers(1, 2))):
+        paths = tuple(tuple(sorted(draw(path_st))) for _ in range(2))
+        assume(paths[0] != paths[1] and not taken & {paths[0], paths[1]})
+        taken.update(paths)
+        demands = tuple(Fraction(d) for d in draw(
+            st.lists(st.sampled_from([1, 1, 2]), min_size=1, max_size=3)))
+        groups.append(Group(f"g{gi}", paths, demands))
+    return Game(arcs, groups)
+
+
+def _bruteforce_optimum_cost(game):
+    """Oracle: the least total cost over every per-user assignment."""
+    best = None
+    for combo in itertools.product(*[range(g.n_paths) for g in game.groups for _ in g.demands]):
+        it = iter(combo)
+        profile = AtomicProfile(tuple(tuple(next(it) for _ in range(g.n_users))
+                                      for g in game.groups))
+        cost = game.total_cost(profile.induced_flow(game))
+        best = cost if best is None else min(best, cost)
+    return best
+
+
+class TestOneScan:
+    @settings(max_examples=80, deadline=None)
+    @given(game=small_shared_arc_games())
+    def test_optimum_matches_bruteforce_and_bounds_equilibria(self, game):
+        eq = enumerate_atomic_equilibria(game, CFG)
+        assert eq.optimum.kind == "atomic-so"
+        assert eq.optimum.cost == _bruteforce_optimum_cost(game)
+        assert game.total_cost(eq.optimum.flow.induced_flow(game)) == eq.optimum.cost
+        if eq.equilibria:
+            assert eq.optimum.cost <= eq.best.cost <= eq.worst.cost
+        assert solve_atomic_so(game, CFG).flow == eq.optimum.flow
+
+    def test_optimum_without_pure_equilibrium(self):
+        game = no_equilibrium_game()
+        eq = enumerate_atomic_equilibria(game, CFG)
+        assert eq.worst is None
+        assert eq.optimum.cost == _bruteforce_optimum_cost(game)
+
+    def test_budget_counts_every_component(self):
+        # Two disjoint components of 4 count states each: each fits a budget
+        # of 5, their sum of 8 does not.
+        game = Game({"a": poly(1, 0), "b": poly(2, 0), "c": poly(1, 0), "d": poly(2, 0)},
+                    [Group("ab", (("a",), ("b",)), (Fraction(1),) * 3),
+                     Group("cd", (("c",), ("d",)), (Fraction(1),) * 3)])
+        tight = SolverConfig(enumeration_budget=5)
+        with pytest.raises(BudgetExceededError):
+            enumerate_atomic_equilibria(game, tight)
+        with pytest.raises(BudgetExceededError):
+            solve_atomic_so(game, tight)
+        assert enumerate_atomic_equilibria(game, SolverConfig(enumeration_budget=8)).states_scanned == 8
 
 
 class TestAtomicSo:
