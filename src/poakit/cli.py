@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: solve, sweep, sample, reproduce, decompose.  Exit codes:
-0 success, 2 assertion failure, 3 input error, 4 solver non-convergence.
-Tolerance and enumeration budget may be overridden with the environment
-variables POAKIT_TOLERANCE and POAKIT_BUDGET.
+Subcommands: solve, sweep, sample, reproduce, decompose.  Every run ends in
+``runner``'s one frame, which writes report.json under --out and picks the
+exit code: 0 success, 2 assertion failure, 3 input error, 4 solver
+non-convergence.  Tolerance and enumeration budget may be overridden with
+the environment variables POAKIT_TOLERANCE and POAKIT_BUDGET.
 """
 
 from __future__ import annotations
@@ -14,17 +15,20 @@ import sys
 from pathlib import Path
 
 from .runner import (
-    EXIT_INPUT,
     ExperimentConfig,
     RunReport,
+    refuse,
     run_decompose,
     run_reproduce,
     run_sample,
     run_solve,
     run_sweep,
-    write_report,
 )
 from .solvers import SolverConfig
+
+# Parsed argument names that differ from the ExperimentConfig field they set.
+_CONFIG_FIELDS = {"game": "game_path", "family": "family_path", "profile": "profile_path",
+                  "n": "n_samples", "out": "out_dir"}
 
 
 def _grid(text: str) -> list:
@@ -60,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON mixed profile; default solves the mixed equilibrium")
     sample.add_argument("--n", type=int, default=100_000)
     sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--workers", type=int, default=1)
     sample.add_argument("--out", default=None)
 
     rep = sub.add_parser("reproduce", help="check the bundled example games")
@@ -96,48 +99,19 @@ def _print_verdicts(report: RunReport) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    report = RunReport(config={"mode": args.mode})
-
-    def refuse(name: str, detail: str, out_dir) -> int:
-        report.verdicts.append((name, False, detail))
-        report.exit_code = EXIT_INPUT
-        write_report(report, out_dir)
-        _print_verdicts(report)
-        return report.exit_code
-
-    if args.out is not None:
-        try:  # before any work, so an unusable --out fails at once
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            return refuse("out", f"cannot create output directory: {exc}", None)
     try:
-        common = _environment()
+        if args.out is not None:  # before any work, so an unusable --out fails at once
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        settings = _environment()
+    except OSError as exc:  # no report.json can be written there
+        report = refuse(args.mode, "out", f"cannot create output directory: {exc}", None)
     except ValueError as exc:
-        return refuse("environment", str(exc), args.out)
-
-    if args.mode == "solve":
-        config = ExperimentConfig(mode="solve", game_path=args.game, out_dir=args.out,
-                                  seed=args.seed, **common)
-        report = run_solve(config)
-    elif args.mode == "sweep":
-        config = ExperimentConfig(mode="sweep", family_path=args.family, grid=args.grid,
-                                  out_dir=args.out, seed=args.seed, **common)
-        report = run_sweep(config)
-    elif args.mode == "sample":
-        config = ExperimentConfig(mode="sample", game_path=args.game,
-                                  profile_path=args.profile, n_samples=args.n,
-                                  seed=args.seed, workers=args.workers,
-                                  out_dir=args.out, **common)
-        report = run_sample(config)
-    elif args.mode == "reproduce":
-        config = ExperimentConfig(mode="reproduce", out_dir=args.out, **common)
-        report = run_reproduce(config)
+        report = refuse(args.mode, "environment", str(exc), args.out)
     else:
-        config = ExperimentConfig(mode="decompose", family_path=args.family,
-                                  grid=args.grid, out_dir=args.out, seed=args.seed,
-                                  **common)
-        report = run_decompose(config)
-
+        fields = {_CONFIG_FIELDS.get(k, k): v for k, v in vars(args).items()}
+        run = {"solve": run_solve, "sweep": run_sweep, "sample": run_sample,
+               "reproduce": run_reproduce, "decompose": run_decompose}[args.mode]
+        report = run(ExperimentConfig(**fields, **settings))
     _print_verdicts(report)
     return report.exit_code
 

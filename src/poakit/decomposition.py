@@ -19,6 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .game import CostPolynomial, Game, GameSchemaError, Group, Number, load_game
+from .game import _as_number, _as_object
 from .solvers import (
     BudgetExceededError,
     SolverConfig,
@@ -117,28 +118,32 @@ def load_family(document: Union[str, Mapping]) -> DemandFamily:
     """Family document: a game document plus a ``demand_laws`` mapping."""
     import json
 
-    doc = json.loads(document) if isinstance(document, str) else document
+    doc = _as_object(json.loads(document) if isinstance(document, str) else document, "$")
     if "demand_laws" not in doc:
         raise GameSchemaError("demand_laws", "missing required key")
-    base = load_game({"arcs": doc["arcs"], "groups": doc["groups"]})
+    base = load_game(doc)
     laws = {}
-    for gid, law in doc["demand_laws"].items():
-        from .game import _as_number
+    for gid, law in _as_object(doc["demand_laws"], "demand_laws").items():
         where = f"demand_laws[{gid}]"
-        for key in ("c", "gamma"):
-            if key not in law:
-                raise GameSchemaError(where, f"missing {key!r}")
-        kwargs = {"c": _as_number(law["c"], where + ".c"), "gamma": float(law["gamma"])}
+        c, gamma = _growth(law, where)
         if "user_demand" in law:
-            kwargs["user_demand"] = _as_number(law["user_demand"], where + ".user_demand")
+            user_demand = _as_number(law["user_demand"], where + ".user_demand")
+            laws[gid] = DemandLaw(c, gamma, user_demand=user_demand)
         elif "user_count" in law:
-            uc = law["user_count"]
-            kwargs["user_count"] = (_as_number(uc["c"], where + ".user_count.c"),
-                                    float(uc["gamma"]))
+            laws[gid] = DemandLaw(c, gamma, user_count=_growth(law["user_count"],
+                                                                where + ".user_count"))
         else:
             raise GameSchemaError(where, "needs 'user_demand' or 'user_count'")
-        laws[gid] = DemandLaw(**kwargs)
     return DemandFamily(base=base, laws=laws)
+
+
+def _growth(value, where: str) -> tuple:
+    """(c, gamma) of a ``{"c", "gamma"}`` law object, gamma as a float."""
+    for key in ("c", "gamma"):
+        if key not in _as_object(value, where):
+            raise GameSchemaError(where, f"missing {key!r}")
+    return (_as_number(value["c"], where + ".c"),
+            float(_as_number(value["gamma"], where + ".gamma")))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ otherwise; all evaluation helpers accept either.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -38,6 +39,8 @@ def _as_number(value, path: str, *, allow_float: bool = True) -> Number:
     if isinstance(value, float):
         if not allow_float:
             raise GameSchemaError(path, "expected an exact rational")
+        if not math.isfinite(value):
+            raise GameSchemaError(path, f"expected a finite number, got {value}")
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -45,6 +48,19 @@ def _as_number(value, path: str, *, allow_float: bool = True) -> Number:
         except (ValueError, ZeroDivisionError):
             raise GameSchemaError(path, f"cannot parse rational {value!r}") from None
     raise GameSchemaError(path, f"expected a number, got {type(value).__name__}")
+
+
+def _as_list(value, path: str) -> Sequence:
+    """A document array (any sequence but a string)."""
+    if not isinstance(value, Sequence) or isinstance(value, str):
+        raise GameSchemaError(path, f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _as_object(value, path: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise GameSchemaError(path, f"expected an object, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -467,7 +483,7 @@ def expected_arc_flow_and_variance(game: Game, profile: MixedProfile) -> dict:
     return out
 
 
-SAMPLE_CHUNK = 1 << 16  # fixed stream chunking; workers never change the draws
+SAMPLE_CHUNK = 1 << 16  # samples per generator stream; also the sampling shard size
 
 
 def sample_uniforms(seed: int, start: int, count: int, width: int):
@@ -475,7 +491,8 @@ def sample_uniforms(seed: int, start: int, count: int, width: int):
 
     Sample i always reads row i % SAMPLE_CHUNK of the chunk-i//SAMPLE_CHUNK
     stream keyed by (seed, chunk), making every sample a pure function of
-    (seed, i) no matter how the range is split across workers.
+    (seed, i): two calls on adjacent ranges give the rows of one call on
+    their union, wherever the split falls.
     """
     import numpy as np
 
@@ -539,15 +556,15 @@ def load_game(document: Union[str, Mapping], *, allow_zero_costs: bool = False) 
             raise GameSchemaError(key, "missing required key")
 
     arcs = {}
-    for i, entry in enumerate(doc["arcs"]):
+    for i, entry in enumerate(_as_list(doc["arcs"], "arcs")):
         where = f"arcs[{i}]"
-        if "id" not in entry or "coeffs" not in entry:
+        if "id" not in _as_object(entry, where) or "coeffs" not in entry:
             raise GameSchemaError(where, "arc needs 'id' and 'coeffs'")
         aid = str(entry["id"])
         if aid in arcs:
             raise GameSchemaError(where + ".id", f"duplicate arc id {aid!r}")
-        coeffs = entry["coeffs"]
-        if not isinstance(coeffs, Sequence) or isinstance(coeffs, str) or not coeffs:
+        coeffs = _as_list(entry["coeffs"], where + ".coeffs")
+        if not coeffs:
             raise GameSchemaError(where + ".coeffs", "expected a nonempty list")
         vals = [_as_number(c, f"{where}.coeffs[{j}]") for j, c in enumerate(coeffs)]
         if not allow_zero_costs and vals[0] <= 0:
@@ -558,9 +575,9 @@ def load_game(document: Union[str, Mapping], *, allow_zero_costs: bool = False) 
         arcs[aid] = CostPolynomial(tuple(vals))
 
     groups = []
-    for i, entry in enumerate(doc["groups"]):
+    for i, entry in enumerate(_as_list(doc["groups"], "groups")):
         where = f"groups[{i}]"
-        if "id" not in entry:
+        if "id" not in _as_object(entry, where):
             raise GameSchemaError(where, "group needs an 'id'")
         paths = entry.get("paths")
         users = entry.get("users")
@@ -569,12 +586,11 @@ def load_game(document: Union[str, Mapping], *, allow_zero_costs: bool = False) 
         if not users:
             raise GameSchemaError(where + ".users", "group needs at least one user")
         path_tuples = []
-        for pi, path in enumerate(paths):
-            if not isinstance(path, Sequence) or isinstance(path, str):
-                raise GameSchemaError(f"{where}.paths[{pi}]", "path must be a list of arc ids")
+        for pi, path in enumerate(_as_list(paths, where + ".paths")):
+            path = _as_list(path, f"{where}.paths[{pi}]")
             path_tuples.append(tuple(str(a) for a in path))
         demands = []
-        for ui, user in enumerate(users):
+        for ui, user in enumerate(_as_list(users, where + ".users")):
             if not isinstance(user, Mapping) or "demand" not in user:
                 raise GameSchemaError(f"{where}.users[{ui}]", "user needs a 'demand'")
             d = _as_number(user["demand"], f"{where}.users[{ui}].demand")

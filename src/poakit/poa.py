@@ -43,15 +43,12 @@ POA_FLOOR_TOL = 1e-9
 class SamplingPlan:
     n_samples: int = 100_000
     rng_seed: int = 0
-    worker_count: int = 1  # validated only: shards are fixed SAMPLE_CHUNK blocks
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
 
 
 @dataclass
@@ -91,13 +88,21 @@ def atomic_poa(game: Game, config: SolverConfig = SolverConfig()):
     return equilibria.worst.cost / equilibria.optimum.cost, "ok"
 
 
-def nonatomic_poa(game: Game, config: SolverConfig = SolverConfig()) -> float:
-    """Equilibrium cost over optimum cost for arbitrarily splittable demand."""
-    ne = solve_nonatomic_ne(game, config)
+def nonatomic_pair(game: Game, config: SolverConfig = SolverConfig()):
+    """The non-atomic ratio with the equilibrium and optimum behind it.
+
+    Returns ``(ratio, ne, so)``; RuntimeError if either solve did not converge.
+    """
     so = solve_nonatomic_so(game, config)
+    ne = solve_nonatomic_ne(game, config)
     if not (ne.converged and so.converged):
         raise RuntimeError("non-atomic solver did not converge within budget")
-    return float(ne.cost) / float(so.cost)
+    return float(ne.cost) / float(so.cost), ne, so
+
+
+def nonatomic_poa(game: Game, config: SolverConfig = SolverConfig()) -> float:
+    """Equilibrium cost over optimum cost for arbitrarily splittable demand."""
+    return nonatomic_pair(game, config)[0]
 
 
 def _unit_roots(c0, c1) -> list:
@@ -394,11 +399,7 @@ def sample_random_poa(game: Game, profile: MixedProfile, plan: SamplingPlan,
 def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
                        plan: Optional[SamplingPlan] = None) -> PoaReport:
     """All applicable ratios for one game, with solver fallbacks recorded."""
-    nonat_so = solve_nonatomic_so(game, config)
-    nonat_ne = solve_nonatomic_ne(game, config)
-    if not (nonat_ne.converged and nonat_so.converged):
-        raise RuntimeError("non-atomic solver did not converge within budget")
-    rho_nat = float(nonat_ne.cost) / float(nonat_so.cost)
+    rho_nat, nonat_ne, nonat_so = nonatomic_pair(game, config)
 
     atomic_value = None
     equilibria = None
@@ -421,11 +422,13 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
     samples: list = []
     small = all(g.n_paths <= 2 for g in game.groups) and game.n_users <= MIXED_MAX_USERS
     mixed_ne = solve_mixed_ne_small(game, config) if small else None
-    if equilibria is not None and small:
+    if not small:
+        mixed_status = "unavailable: game outside small-solver scope"
+    elif equilibria is None:
+        mixed_status = "unavailable: enumeration budget exceeded; no atomic optimum"
+    else:
         mixed_value, mixed_certified, mixed_status = mixed_poa_small(
             game, config, equilibria, mixed_ne)
-    else:
-        mixed_status = "unavailable: game outside small-solver scope"
     if plan is not None and small and mixed_ne.converged:
         samples = sample_random_poa(game, mixed_ne.flow, plan, config, atomic_so).table()
 

@@ -28,11 +28,12 @@ from .bounds import (
     random_poa_probability_bound,
 )
 from .decomposition import decomposition_prediction, load_family, worst_atomic_cost
-from .game import Game, Group, load_game
+from .game import Game, Group, MixedProfile, load_game
 from .poa import (
     SamplingPlan,
     compute_poa_report,
     mixed_poa_small,
+    nonatomic_pair,
     sample_random_poa,
 )
 from .solvers import (
@@ -63,7 +64,6 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     tolerance: float = 1e-9
     enumeration_budget: int = 10_000_000
-    workers: int = 1
 
     def __post_init__(self):
         if self.grid and list(self.grid) != sorted(set(self.grid)):
@@ -74,8 +74,7 @@ class ExperimentConfig:
                             enumeration_budget=self.enumeration_budget)
 
     def sampling_plan(self) -> SamplingPlan:
-        return SamplingPlan(n_samples=self.n_samples, rng_seed=self.seed,
-                            worker_count=self.workers)
+        return SamplingPlan(n_samples=self.n_samples, rng_seed=self.seed)
 
 
 @dataclass
@@ -122,24 +121,64 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def write_report(report: RunReport, out_dir: Optional[str]) -> None:
-    if out_dir is None:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_document(), indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8")
+@dataclass(eq=False)
+class RunFailure(Exception):
+    """A failed step: ends the run with one failed verdict and this exit code.
+
+    ``exit_code`` None stands for an assertion failure (EXIT_ASSERTION).
+    """
+
+    step: str
+    detail: str
+    exit_code: Optional[int] = None
 
 
-def _fail(report: RunReport, name: str, detail: str, exit_code: int, t0: float,
-          out_dir: Optional[str]) -> RunReport:
-    """End a run on a failed step: record the verdict and write the report."""
-    report.verdicts.append((name, False, detail))
-    report.exit_code = exit_code
+def _run(fields: dict, out_dir: Optional[str],
+         body: Callable[[RunReport], Optional[int]]) -> RunReport:
+    """The one frame every run ends in: exit code, wall time and report.json.
+
+    ``body`` fills the report's rows and verdicts, and may return the exit
+    code of its failed verdicts.  A ``RunFailure`` it raises becomes one more
+    failed verdict with that failure's code.  Failed verdicts without a code
+    end in EXIT_ASSERTION.
+    """
+    t0 = time.perf_counter()
+    report = RunReport(config=fields)
+    try:
+        code = body(report)
+    except RunFailure as failure:
+        report.verdicts.append((failure.step, False, failure.detail))
+        code = failure.exit_code
+    report.exit_code = EXIT_OK if report.passed else code or EXIT_ASSERTION
     report.wall_time = time.perf_counter() - t0
-    write_report(report, out_dir)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(out_dir) / "report.json").write_text(
+            json.dumps(report.to_document(), indent=2, sort_keys=True, default=str) + "\n",
+            encoding="utf-8")
     return report
+
+
+def refuse(mode: str, step: str, detail: str, out_dir: Optional[str]) -> RunReport:
+    """The report of a run refused as an input error before any work."""
+    def body(report: RunReport):
+        raise RunFailure(step, detail, EXIT_INPUT)
+    return _run({"mode": mode}, out_dir, body)
+
+
+def _read(path: str, parse: Callable, step: str = "load"):
+    """``parse`` applied to the text of ``path``; an input error if either fails."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
+        raise RunFailure(step, str(exc), EXIT_INPUT) from None
+
+
+def _write_table(config: ExperimentConfig, name: str, header: list, rows: list) -> None:
+    """CSV ``name`` under the output directory; every row ends in seed and version."""
+    if config.out_dir:
+        write_csv(Path(config.out_dir) / name, [*header, "seed", "version"],
+                  [[*row, config.seed, __version__] for row in rows])
 
 
 def _bound_columns(game: Game, delta: float = 1.0 / 3.0) -> dict:
@@ -164,19 +203,19 @@ def _bound_columns(game: Game, delta: float = 1.0 / 3.0) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_solve(config: ExperimentConfig) -> RunReport:
-    t0 = time.perf_counter()
-    report = RunReport(config={"mode": "solve", "game": config.game_path,
-                               "seed": config.seed, "tolerance": config.tolerance})
-    try:
-        game = load_game(Path(config.game_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
+    return _run({"mode": "solve", "game": config.game_path, "seed": config.seed,
+                 "tolerance": config.tolerance}, config.out_dir,
+                lambda report: _solve(config, report))
 
-    solver = config.solver_config()
+
+def _solve(config: ExperimentConfig, report: RunReport) -> None:
+    game = _read(config.game_path, load_game)
     try:
-        poa = compute_poa_report(game, solver)
+        poa = compute_poa_report(game, config.solver_config())
     except RuntimeError as exc:
-        return _fail(report, "solve", str(exc), EXIT_NONCONVERGED, t0, config.out_dir)
+        raise RunFailure("solve", str(exc), EXIT_NONCONVERGED) from None
+    except ValueError as exc:  # PoaReport.validate: a ratio below 1 or optima out of order
+        raise RunFailure("validate", str(exc)) from None
     bounds = _bound_columns(game)
     solver_docs = {
         "nonatomic_ne": poa.nonatomic_ne.to_document(game),
@@ -188,7 +227,7 @@ def run_solve(config: ExperimentConfig) -> RunReport:
         "game": config.game_path,
         "total_demand": float(game.total_demand),
         "d_max": float(game.d_max),
-        "atomic_poa": None if poa.atomic_poa is None else poa.atomic_poa,
+        "atomic_poa": poa.atomic_poa,
         "atomic_status": poa.atomic_status,
         "nonatomic_poa": poa.nonatomic_poa,
         "mixed_poa": poa.mixed_poa,
@@ -201,18 +240,9 @@ def run_solve(config: ExperimentConfig) -> RunReport:
     report.rows.append({k: (float(v) if isinstance(v, Fraction) else v) for k, v in row.items()})
     report.rows.append({"solvers": solver_docs})
     report.verdicts.append(("solved", True, ""))
-    if config.out_dir:
-        header = ["game", "total_demand", "d_max", "atomic_poa", "nonatomic_poa", "mixed_poa",
-                  "atomic_poa_bound", "nonatomic_poa_bound", "ne_residual_bound", "p_delta",
-                  "seed", "version"]
-        write_csv(Path(config.out_dir) / "solve.csv", header, [[
-            row["game"], row["total_demand"], row["d_max"], row["atomic_poa"],
-            row["nonatomic_poa"], row["mixed_poa"], row["atomic_poa_bound"],
-            row["nonatomic_poa_bound"], row["ne_residual_bound"], row["p_delta"],
-            config.seed, __version__]])
-    report.wall_time = time.perf_counter() - t0
-    write_report(report, config.out_dir)
-    return report
+    header = ["game", "total_demand", "d_max", "atomic_poa", "nonatomic_poa", "mixed_poa",
+              "atomic_poa_bound", "nonatomic_poa_bound", "ne_residual_bound", "p_delta"]
+    _write_table(config, "solve.csv", header, [[row[k] for k in header]])
 
 
 # ---------------------------------------------------------------------------
@@ -220,45 +250,32 @@ def run_solve(config: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def run_sweep(config: ExperimentConfig) -> RunReport:
-    t0 = time.perf_counter()
-    report = RunReport(config={"mode": "sweep", "family": config.family_path,
-                               "grid": list(config.grid), "seed": config.seed})
-    try:
-        family = load_family(Path(config.family_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
-    if not config.grid:
-        return _fail(report, "grid", "sweep needs a nonempty increasing grid", EXIT_INPUT, t0,
-                     config.out_dir)
+    return _run({"mode": "sweep", "family": config.family_path, "grid": list(config.grid),
+                 "seed": config.seed}, config.out_dir, lambda report: _sweep(config, report))
+
+
+def _sweep(config: ExperimentConfig, report: RunReport) -> None:
+    family = _read(config.family_path, load_family)
+    if not config.grid or config.grid[0] < 1:
+        raise RunFailure("grid", "sweep needs a nonempty increasing grid of n >= 1", EXIT_INPUT)
 
     solver = config.solver_config()
-    csv_rows = []
-    measured = []
-    bounds_seq = []
-    ratios = []
-    totals = []
     for n in config.grid:
         game = family.instantiate(n)
         worst, is_lb, so_cost = worst_atomic_cost(game, solver)
         poa = None if worst is None or so_cost is None else worst / so_cost
-        cols = _bound_columns(game)
-        t = float(game.total_demand)
-        d = float(game.d_max)
-        measured.append(poa)
-        bounds_seq.append(cols["atomic_poa_bound"])
-        ratios.append(d / t)
-        totals.append(t)
-        csv_rows.append([n, t, d, poa, cols["atomic_poa_bound"], cols["nonatomic_poa_bound"],
-                         cols["ne_residual_bound"], cols["p_delta"], is_lb,
-                         config.seed, __version__])
-        report.rows.append({"n": n, "T": t, "d_max": d, "poa_measured": poa,
-                            **cols, "atomic_lower_bound_only": is_lb})
+        report.rows.append({"n": n, "T": float(game.total_demand), "d_max": float(game.d_max),
+                            "poa_measured": poa, **_bound_columns(game),
+                            "atomic_lower_bound_only": is_lb})
 
     # Decay toward 1 is only promised when the total demand grows while the
     # top user share shrinks; families violating either side are reported
     # without the assertion (they demonstrate non-convergence).
-    decaying = ratios[-1] < ratios[0] - 1e-15 and totals[-1] > totals[0] + 1e-15
-    if decaying:
+    first, last = report.rows[0], report.rows[-1]
+    if (last["d_max"] / last["T"] < first["d_max"] / first["T"] - 1e-15
+            and last["T"] > first["T"] + 1e-15):
+        bounds_seq = [row["atomic_poa_bound"] for row in report.rows]
+        measured = [row["poa_measured"] for row in report.rows]
         ok_bound = all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds_seq, bounds_seq[1:])
                        if b1 is not None and b2 is not None)
         defined = [m for m in measured if m is not None]
@@ -267,20 +284,12 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                                 f"bounds along grid: {bounds_seq}"))
         report.verdicts.append(("poa-decay", ok_measured,
                                 f"measured along grid: {measured}"))
-        if not (ok_bound and ok_measured):
-            report.exit_code = EXIT_ASSERTION
     else:
         report.verdicts.append(("decay", True,
                                 "d_max/T not decaying along grid; decay not asserted"))
-
-    if config.out_dir:
-        header = ["n", "T", "d_max", "poa_measured", "atomic_poa_bound",
-                  "nonatomic_poa_bound", "ne_residual_bound", "p_delta",
-                  "atomic_lower_bound_only", "seed", "version"]
-        write_csv(Path(config.out_dir) / "sweep.csv", header, csv_rows)
-    report.wall_time = time.perf_counter() - t0
-    write_report(report, config.out_dir)
-    return report
+    header = ["n", "T", "d_max", "poa_measured", "atomic_poa_bound", "nonatomic_poa_bound",
+              "ne_residual_bound", "p_delta", "atomic_lower_bound_only"]
+    _write_table(config, "sweep.csv", header, [[row[k] for k in header] for row in report.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -288,45 +297,49 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def run_sample(config: ExperimentConfig) -> RunReport:
-    t0 = time.perf_counter()
-    report = RunReport(config={"mode": "sample", "game": config.game_path,
-                               "profile": config.profile_path, "seed": config.seed,
-                               "n_samples": config.n_samples})
+    return _run({"mode": "sample", "game": config.game_path, "profile": config.profile_path,
+                 "seed": config.seed, "n_samples": config.n_samples}, config.out_dir,
+                lambda report: _sample(config, report))
+
+
+def _mixed_profile(text: str, game: Game) -> MixedProfile:
+    """A profile document: per group, per user, the path probabilities."""
+    doc = json.loads(text)
+    profile = MixedProfile(tuple(tuple(tuple(row) for row in rows) for rows in doc))
+    profile.validate(game)
+    return profile
+
+
+def _sample(config: ExperimentConfig, report: RunReport) -> None:
     try:
         plan = config.sampling_plan()
     except ValueError as exc:
-        return _fail(report, "plan", str(exc), EXIT_INPUT, t0, config.out_dir)
-    try:
-        game = load_game(Path(config.game_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        return _fail(report, "load", str(exc), EXIT_INPUT, t0, config.out_dir)
+        raise RunFailure("plan", str(exc), EXIT_INPUT) from None
+    game = _read(config.game_path, load_game)
 
     solver = config.solver_config()
-    try:
-        if config.profile_path:
-            from .game import MixedProfile
-            doc = json.loads(Path(config.profile_path).read_text(encoding="utf-8"))
-            profile = MixedProfile(tuple(tuple(tuple(row) for row in rows) for rows in doc))
-            profile.validate(game)
-        else:
+    if config.profile_path:
+        profile = _read(config.profile_path, lambda text: _mixed_profile(text, game), "profile")
+    else:
+        try:
             result = solve_mixed_ne_small(game, solver)
-            if not result.converged:
-                return _fail(report, "mixed-ne", result.note, EXIT_NONCONVERGED, t0,
-                             config.out_dir)
-            profile = result.flow
-    except (OSError, TypeError, ValueError) as exc:
-        return _fail(report, "profile", str(exc), EXIT_INPUT, t0, config.out_dir)
+        except ValueError as exc:  # outside the mixed solver's scope
+            raise RunFailure("profile", str(exc), EXIT_INPUT) from None
+        if not result.converged:
+            raise RunFailure("mixed-ne", result.note, EXIT_NONCONVERGED)
+        profile = result.flow
 
     try:
         dist = sample_random_poa(game, profile, plan, solver)
     except BudgetExceededError as exc:
-        return _fail(report, "sample", str(exc), EXIT_INPUT, t0, config.out_dir)
+        raise RunFailure("sample", str(exc), EXIT_INPUT) from None
 
+    try:
+        rho_nat, _, nonat_so = nonatomic_pair(game, solver)
+    except RuntimeError as exc:
+        raise RunFailure("nonatomic", str(exc), EXIT_NONCONVERGED) from None
     delta = 1.0 / 3.0
-    nonat_ne = solve_nonatomic_ne(game, solver)
-    nonat_so = solve_nonatomic_so(game, solver)
-    bound = random_poa_probability_bound(game, delta, float(nonat_ne.cost) / float(nonat_so.cost),
-                                         float(nonat_so.cost))
+    bound = random_poa_probability_bound(game, delta, rho_nat, float(nonat_so.cost))
     exceed = float((dist.samples > bound.threshold).mean())
     n = len(dist.samples)
     slack = 3.0 * math.sqrt(max(bound.p_delta * (1 - bound.p_delta), 1e-12) / n)
@@ -340,16 +353,9 @@ def run_sample(config: ExperimentConfig) -> RunReport:
     })
     report.verdicts.append(("random-poa-probability", ok,
                             f"frequency {exceed} vs ceiling {bound.p_delta}"))
-    if not ok:
-        report.exit_code = EXIT_ASSERTION
 
-    if config.out_dir:
-        header = ["value", "probability_or_frequency", "source", "seed", "version"]
-        rows = [[v, p, src, config.seed, __version__] for v, p, src in dist.table()]
-        write_csv(Path(config.out_dir) / "distribution.csv", header, rows)
-    report.wall_time = time.perf_counter() - t0
-    write_report(report, config.out_dir)
-    return report
+    _write_table(config, "distribution.csv", ["value", "probability_or_frequency", "source"],
+                 dist.table())
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +363,19 @@ def run_sample(config: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def run_decompose(config: ExperimentConfig) -> RunReport:
-    t0 = time.perf_counter()
-    report = RunReport(config={"mode": "decompose", "family": config.family_path,
-                               "grid": list(config.grid), "seed": config.seed})
-    try:
-        family = load_family(Path(config.family_path).read_text(encoding="utf-8"))
-        result = decomposition_prediction(family, list(config.grid), config.solver_config())
-    except (OSError, ValueError) as exc:
-        return _fail(report, "decompose", str(exc), EXIT_INPUT, t0, config.out_dir)
+    return _run({"mode": "decompose", "family": config.family_path,
+                 "grid": list(config.grid), "seed": config.seed}, config.out_dir,
+                lambda report: _decompose(config, report))
 
-    csv_rows = []
+
+def _decompose(config: ExperimentConfig, report: RunReport) -> None:
+    family = _read(config.family_path, load_family)
+    try:
+        result = decomposition_prediction(family, list(config.grid), config.solver_config())
+    except ValueError as exc:
+        raise RunFailure("decompose", str(exc), EXIT_INPUT) from None
+
     for row in result.rows:
-        csv_rows.append([row.n, row.total_demand,
-                         ";".join(repr(c) for c in row.class_costs),
-                         row.predicted, row.measured_atomic, row.measured_nonatomic,
-                         row.atomic_ratio, row.nonatomic_ratio,
-                         row.atomic_is_lower_bound, config.seed, __version__])
         report.rows.append({
             "n": row.n, "T": row.total_demand, "predicted": row.predicted,
             "measured_atomic": row.measured_atomic,
@@ -382,16 +385,12 @@ def run_decompose(config: ExperimentConfig) -> RunReport:
     drift = [abs(r.nonatomic_ratio - 1.0) for r in result.rows]
     ok = len(drift) < 2 or drift[-1] <= drift[0] + 1e-12
     report.verdicts.append(("nonatomic-ratio-drift", ok, f"|ratio-1| along grid: {drift}"))
-    if not ok:
-        report.exit_code = EXIT_ASSERTION
-    if config.out_dir:
-        header = ["n", "T", "class_costs", "predicted", "measured_atomic",
-                  "measured_nonatomic", "atomic_ratio", "nonatomic_ratio",
-                  "atomic_lower_bound_only", "seed", "version"]
-        write_csv(Path(config.out_dir) / "decompose.csv", header, csv_rows)
-    report.wall_time = time.perf_counter() - t0
-    write_report(report, config.out_dir)
-    return report
+    header = ["n", "T", "class_costs", "predicted", "measured_atomic", "measured_nonatomic",
+              "atomic_ratio", "nonatomic_ratio", "atomic_lower_bound_only"]
+    _write_table(config, "decompose.csv", header, [
+        [row.n, row.total_demand, ";".join(repr(c) for c in row.class_costs), row.predicted,
+         row.measured_atomic, row.measured_nonatomic, row.atomic_ratio, row.nonatomic_ratio,
+         row.atomic_is_lower_bound] for row in result.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +427,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         try:
             detail = fn()
             checks.append((name, True, detail))
-        except FileNotFoundError as exc:
-            checks.append((name, False, str(exc)))
-        except AssertionError as exc:
+        except (FileNotFoundError, AssertionError) as exc:
             checks.append((name, False, str(exc)))
 
     def quadratic_constant():
@@ -517,16 +514,15 @@ def reproduce_checks(config: ExperimentConfig) -> list:
 
 
 def run_reproduce(config: Optional[ExperimentConfig] = None) -> RunReport:
-    t0 = time.perf_counter()
     if config is None:
         config = ExperimentConfig(mode="reproduce")
-    report = RunReport(config={"mode": "reproduce", "seed": config.seed})
+    return _run({"mode": "reproduce", "seed": config.seed}, config.out_dir,
+                lambda report: _reproduce(config, report))
+
+
+def _reproduce(config: ExperimentConfig, report: RunReport) -> Optional[int]:
     checks = reproduce_checks(config)
     report.verdicts.extend(checks)
     if any("asset not found" in detail for _, ok, detail in checks if not ok):
-        report.exit_code = EXIT_INPUT
-    elif not all(ok for _, ok, _ in checks):
-        report.exit_code = EXIT_ASSERTION
-    report.wall_time = time.perf_counter() - t0
-    write_report(report, config.out_dir)
-    return report
+        return EXIT_INPUT
+    return None

@@ -27,7 +27,7 @@ from poakit import (
     solve_atomic_so,
     solve_mixed_ne_small,
 )
-from poakit.game import SAMPLE_CHUNK
+from poakit.game import SAMPLE_CHUNK, sample_uniforms
 from poakit.poa import _worst_on_equilibrium_set
 
 from conftest import (
@@ -268,21 +268,19 @@ class TestRandomPoa:
         assert not np.array_equal(d1.samples, d2.samples)
         assert d1.exact == d2.exact
 
-    def test_sharding_does_not_change_samples(self):
-        game = quadratic_constant_game()
-        mixed = solve_mixed_ne_small(game, CFG)
-        d1 = sample_random_poa(game, mixed.flow, SamplingPlan(30_000, 4, worker_count=1), CFG)
-        d2 = sample_random_poa(game, mixed.flow, SamplingPlan(30_000, 4, worker_count=7), CFG)
-        assert np.array_equal(d1.samples, d2.samples)
-
-    def test_samples_byte_identical_across_worker_counts(self):
-        game = quadratic_constant_game()
-        mixed = solve_mixed_ne_small(game, CFG)
-        n = 2 * SAMPLE_CHUNK + 123  # crosses two stream-chunk boundaries
-        runs = [sample_random_poa(game, mixed.flow, SamplingPlan(n, 8, worker_count=w), CFG)
-                for w in (1, 3, 7)]
-        assert runs[0].samples.tobytes() == runs[1].samples.tobytes() \
-            == runs[2].samples.tobytes()
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), start=st.integers(0, 3 * SAMPLE_CHUNK),
+           count=st.integers(1, 2 * SAMPLE_CHUNK + 3), width=st.integers(1, 3),
+           data=st.data())
+    def test_split_ranges_draw_the_same_uniforms(self, seed, start, count, width, data):
+        # Split points next to a stream-chunk boundary are drawn on purpose.
+        boundary = SAMPLE_CHUNK - start % SAMPLE_CHUNK
+        near = [b for b in (boundary - 1, boundary, boundary + 1) if b <= count]
+        k = data.draw(st.integers(0, count) | st.sampled_from(near or [count]))
+        whole = sample_uniforms(seed, start, count, width)
+        parts = np.concatenate([sample_uniforms(seed, start, k, width),
+                                sample_uniforms(seed, start + k, count - k, width)])
+        assert parts.tobytes() == whole.tobytes()
 
     def test_shards_never_exceed_one_stream_chunk(self, monkeypatch):
         import poakit.game
@@ -323,6 +321,14 @@ class TestReports:
         report = compute_poa_report(no_equilibrium_game(), CFG)
         assert report.atomic_poa is None
         assert "no atomic equilibrium" in report.atomic_status
+
+    def test_mixed_status_names_the_exceeded_budget(self):
+        # Two users on two paths are in the mixed solver's scope; only the
+        # atomic optimum, the ratio's denominator, is missing.
+        report = compute_poa_report(linear_double_game(), SolverConfig(enumeration_budget=1))
+        assert report.mixed_poa is None and report.mixed_ne is not None
+        assert report.mixed_status == ("unavailable: enumeration budget exceeded; "
+                                       "no atomic optimum")
 
     def test_report_floor_validation(self):
         report = PoaReport(atomic_poa=0.5, nonatomic_poa=None, mixed_poa=None,

@@ -1,15 +1,23 @@
 """End-to-end runs: solve, sweep, sample, reproduce, decompose, CLI."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poakit.cli import main
 from poakit.runner import (
     EXIT_ASSERTION,
     EXIT_INPUT,
+    EXIT_NONCONVERGED,
     EXIT_OK,
     ExperimentConfig,
     asset_path,
@@ -50,6 +58,19 @@ THREE_PATH_UNIT_FAMILY = {
              {"id": "c", "coeffs": [1, 1]}],
     "groups": [{"id": "od", "paths": [["a"], ["b"], ["c"]], "users": [{"demand": 1}]}],
     "demand_laws": {"od": {"c": 1, "gamma": 1, "user_demand": 1}},
+}
+
+# Well-formed JSON of the wrong shape, one field each.
+MALFORMED = {
+    "groups_item": dict(UNIT_USER_FAMILY, groups=[5]),
+    "paths_number": dict(UNIT_USER_FAMILY,
+                         groups=[{"id": "od", "paths": 5, "users": [{"demand": 1}]}]),
+    "arcs_item": dict(UNIT_USER_FAMILY, arcs=[5]),
+    "laws_list": dict(UNIT_USER_FAMILY, demand_laws=[1]),
+    "user_count_number": dict(UNIT_USER_FAMILY,
+                              demand_laws={"od": {"c": 1, "gamma": 1, "user_count": 5}}),
+    "gamma_null": dict(UNIT_USER_FAMILY,
+                       demand_laws={"od": {"c": 1, "gamma": None, "user_demand": 1}}),
 }
 
 # Offset keeps two equilibria alive at every scale, so the measured gap is
@@ -258,18 +279,6 @@ class TestDeterminism:
             texts.append((out / "sweep.csv").read_bytes())
         assert texts[0] == texts[1]
 
-    def test_sample_csv_byte_identical_across_workers(self, tmp_path):
-        game_path = str(asset_path("parallel_quadratic_constant.json"))
-        texts = []
-        for run, workers in (("a", 1), ("b", 6)):
-            out = tmp_path / run
-            config = ExperimentConfig(mode="sample", game_path=game_path,
-                                      n_samples=20_000, seed=11, workers=workers,
-                                      out_dir=str(out))
-            run_sample(config)
-            texts.append((out / "distribution.csv").read_bytes())
-        assert texts[0] == texts[1]
-
     def test_seed_and_version_in_rows(self, tmp_path):
         path = write_family(tmp_path, "fam.json", UNIT_USER_FAMILY)
         out = tmp_path / "out"
@@ -306,7 +315,6 @@ class TestCli:
         ({"POAKIT_BUDGET": "1.5"}, ["solve", "--game", "{asset}"]),
         ({"POAKIT_TOLERANCE": "-1"}, ["solve", "--game", "{asset}"]),
         ({}, ["sample", "--game", "{asset}", "--n", "0"]),
-        ({}, ["sample", "--game", "{asset}", "--workers", "0"]),
         ({}, ["sample", "--game", "{asset}", "--seed", "-1"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{missing}"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{flat}"]),
@@ -316,27 +324,71 @@ class TestCli:
         ({}, ["decompose", "--family", "{directory}", "--grid", "3"]),
         ({}, ["solve", "--game", "{binary}"]),
         ({}, ["sample", "--game", "{binary}"]),
+        ({}, ["solve", "--game", "{groups_item}"]),
+        ({}, ["solve", "--game", "{paths_number}"]),
+        ({}, ["sample", "--game", "{arcs_item}"]),
+        ({}, ["sweep", "--family", "{laws_list}", "--grid", "3"]),
+        ({}, ["decompose", "--family", "{user_count_number}", "--grid", "3"]),
+        ({}, ["sweep", "--family", "{gamma_null}", "--grid", "3"]),
+        ({}, ["sweep", "--family", "{family}", "--grid", "0,5"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
-            "zero-workers", "negative-seed", "missing-profile", "flat-profile",
+            "negative-seed", "missing-profile", "flat-profile",
             "solve-directory", "sample-directory", "sweep-directory", "decompose-directory",
-            "solve-not-utf8", "sample-not-utf8"])
+            "solve-not-utf8", "sample-not-utf8", "groups-item", "paths-number", "arcs-item",
+            "laws-list", "user-count-number", "gamma-null", "sweep-grid-zero"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        asset = str(asset_path("parallel_linear_double.json"))
-        missing = str(tmp_path / "missing.json")
-        flat = write_family(tmp_path, "flat.json", [1])
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{}")
+        paths = {name: write_family(tmp_path, f"{name}.json", doc)
+                 for name, doc in MALFORMED.items()}
         out = tmp_path / "out"
-        argv = [a.format(asset=asset, missing=missing, flat=flat, directory=str(tmp_path),
-                         binary=str(binary)) for a in args]
+        argv = [a.format(asset=str(asset_path("parallel_linear_double.json")),
+                         missing=str(tmp_path / "missing.json"),
+                         flat=write_family(tmp_path, "flat.json", [1]),
+                         family=write_family(tmp_path, "family.json", UNIT_USER_FAMILY),
+                         directory=str(tmp_path), binary=str(binary), **paths)
+                for a in args]
         argv += ["--out", str(out)]
         assert main(argv) == EXIT_INPUT
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("[FAIL] ")
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_INPUT
+        assert [v["passed"] for v in doc["verdicts"]] == [False]
+
+    def test_failed_validation_exits_two_with_report(self, tmp_path, monkeypatch, capsys):
+        # A tolerance of 0.5 leaves the non-atomic optimum above the atomic one.
+        monkeypatch.setenv("POAKIT_TOLERANCE", "0.5")
+        out = tmp_path / "out"
+        game = str(asset_path("parallel_affine_offset.json"))
+        assert main(["solve", "--game", game, "--out", str(out)]) == EXIT_ASSERTION
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["[FAIL] validate: atomic optimum cheaper than non-atomic optimum"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_ASSERTION
+        assert [v["passed"] for v in doc["verdicts"]] == [False]
+
+    @pytest.mark.parametrize("mode", ["solve", "sample"])
+    def test_unconverged_nonatomic_solve_exits_four(self, tmp_path, monkeypatch, mode):
+        import poakit.poa
+
+        solve = poakit.poa.solve_nonatomic_ne
+
+        def unconverged(game, config):
+            result = solve(game, config)
+            result.converged = False
+            return result
+
+        monkeypatch.setattr(poakit.poa, "solve_nonatomic_ne", unconverged)
+        out = tmp_path / "out"
+        game = str(asset_path("two_commodity_mixed_degree.json"))
+        profile = write_family(tmp_path, "profile.json", [[[0.5, 0.5]] * 2] * 2)
+        args = ["--profile", profile, "--n", "1000"] if mode == "sample" else []
+        assert main([mode, "--game", game, *args, "--out", str(out)]) == EXIT_NONCONVERGED
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_NONCONVERGED
         assert [v["passed"] for v in doc["verdicts"]] == [False]
 
     @pytest.mark.parametrize("mode", ["solve", "sample", "reproduce"])
@@ -358,3 +410,81 @@ class TestCli:
         path = write_family(tmp_path, "g.json", dump_game(affine_offset_game(2)))
         code = main(["solve", "--game", path])
         assert code == EXIT_OK  # budget fallback keeps solve alive with statuses
+
+
+_DELETE = object()
+
+# Values of the wrong shape for any field.  Magnitudes stay small so that
+# every run stays small.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3),
+    st.sampled_from([0.0, -1.5, 0.5, 2.5, float("inf"), float("nan")]),
+    st.text(alphabet="1/-x ", max_size=3), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "c", "gamma"]), st.integers(0, 2), max_size=2),
+    st.just(_DELETE))
+
+# Environment values: unset, unparsable, out of range, or odd but accepted.
+ENV = st.one_of(st.none(), st.sampled_from(["", "abc", "0", "-1", "1.5", "nan", "inf",
+                                            "0.5", "1", "1e9", " 7 "]),
+                st.text(alphabet="0123456789.-e", max_size=4))
+
+
+def _node_paths(doc, path=()):
+    """The key path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _node_paths(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``, or deleted."""
+    if not path:
+        return None if value is _DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestCliProperty:
+    GAME = json.loads(asset_path("parallel_linear_double.json").read_text(encoding="utf-8"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_input_ends_in_a_documented_code_with_report(self, data):
+        mode = data.draw(st.sampled_from(["solve", "sample", "sweep", "decompose"]))
+        base = self.GAME if mode in ("solve", "sample") else OFFSET_UNIT_FAMILY
+        path = data.draw(st.sampled_from(list(_node_paths(base))))
+        doc = _mutated(base, path, data.draw(JUNK))
+        env = {name: data.draw(ENV, label=name)
+               for name in ("POAKIT_TOLERANCE", "POAKIT_BUDGET")}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for name, value in env.items():
+                if value is None:
+                    mp.delenv(name, raising=False)
+                else:
+                    mp.setenv(name, value)
+            document = Path(tmp) / "doc.json"
+            document.write_text(json.dumps(doc), encoding="utf-8")
+            out = Path(tmp) / "out"
+            args = {"solve": ["--game", str(document)],
+                    "sample": ["--game", str(document), "--n", "100"],
+                    "sweep": ["--family", str(document), "--grid", "1,2"],
+                    "decompose": ["--family", str(document), "--grid", "1,2"]}[mode]
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main([mode, *args, "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_INPUT, EXIT_NONCONVERGED)
+            assert json.loads((out / "report.json").read_text())["exit_code"] == code
+            assert all(line.startswith(("[PASS] ", "[FAIL] "))
+                       for line in stdout.getvalue().splitlines())
