@@ -3,8 +3,11 @@
 Subcommands: solve, sweep, sample, reproduce, decompose.  Every run ends in
 ``runner``'s one frame, which writes report.json under --out and picks the
 exit code: 0 success, 2 assertion failure, 3 input error, 4 solver
-non-convergence.  Tolerance and enumeration budget may be overridden with
-the environment variables POAKIT_TOLERANCE and POAKIT_BUDGET.
+non-convergence.  A command line argparse refuses is an input error too;
+its report.json is written when --out can still be read from the
+arguments.  Options take their full names only.  Tolerance and
+enumeration budget may be overridden with the environment variables
+POAKIT_TOLERANCE and POAKIT_BUDGET.
 """
 
 from __future__ import annotations
@@ -29,6 +32,26 @@ from .solvers import SolverConfig
 # Parsed argument names that differ from the ExperimentConfig field they set.
 _CONFIG_FIELDS = {"game": "game_path", "family": "family_path", "profile": "profile_path",
                   "n": "n_samples", "out": "out_dir"}
+_MODES = ("solve", "sweep", "sample", "reproduce", "decompose")
+
+
+class _UsageError(Exception):
+    """A command line argparse refused."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would exit 2, the assertion-failure code.
+
+    Options are matched by their full names only, so a refused command line's
+    --out is always the literal ``--out`` that ``_mode_and_out`` looks for.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
 
 
 def _grid(text: str) -> list:
@@ -42,9 +65,8 @@ def _grid(text: str) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="poakit",
-                                     description="Congestion-game equilibria and "
-                                                 "inefficiency-ratio experiments")
+    parser = _Parser(prog="poakit",
+                     description="Congestion-game equilibria and inefficiency-ratio experiments")
     sub = parser.add_subparsers(dest="mode", required=True)
 
     solve = sub.add_parser("solve", help="solve one game and report all ratios")
@@ -97,16 +119,40 @@ def _print_verdicts(report: RunReport) -> None:
         print(line)
 
 
+def _mode_and_out(argv: list) -> tuple:
+    """The subcommand and --out of a refused command line, where they can be read."""
+    mode = argv[0] if argv and argv[0] in _MODES else None
+    out = None
+    for arg, value in zip(argv, argv[1:] + [None]):
+        if arg == "--out" and value is not None:
+            out = value
+        elif arg.startswith("--out="):
+            out = arg[len("--out="):]
+    return mode, out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.out is not None:  # before any work, so an unusable --out fails at once
-            Path(args.out).mkdir(parents=True, exist_ok=True)
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        usage = exc
+        mode, out = _mode_and_out(argv)
+    else:
+        usage = None
+        mode, out = args.mode, args.out
+    try:
+        if out is not None:  # before any work, so an unusable --out fails at once
+            Path(out).mkdir(parents=True, exist_ok=True)
+        if usage is not None:
+            raise usage
         settings = _environment()
     except OSError as exc:  # no report.json can be written there
-        report = refuse(args.mode, "out", f"cannot create output directory: {exc}", None)
+        report = refuse(mode, "out", f"cannot create output directory: {exc}", None)
+    except _UsageError as exc:
+        report = refuse(mode, "usage", str(exc), out)
     except ValueError as exc:
-        report = refuse(args.mode, "environment", str(exc), args.out)
+        report = refuse(mode, "environment", str(exc), out)
     else:
         fields = {_CONFIG_FIELDS.get(k, k): v for k, v in vars(args).items()}
         run = {"solve": run_solve, "sweep": run_sweep, "sample": run_sample,

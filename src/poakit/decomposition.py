@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .game import CostPolynomial, Game, GameSchemaError, Group, Number, load_game
 from .game import _as_number, _as_object
 from .solvers import (
@@ -26,6 +24,7 @@ from .solvers import (
     AtomicProfile,
     best_response_atomic,
     enumerate_atomic_equilibria,
+    require_converged,
     solve_nonatomic_ne,
 )
 
@@ -224,8 +223,11 @@ def limit_game(game: Game, class_gids: Sequence[str], lam: int,
 
 
 def limit_ne(game: Game, config: SolverConfig = SolverConfig()):
-    """Non-atomic equilibrium of a limit game and its total cost."""
-    result = solve_nonatomic_ne(game, config)
+    """Non-atomic equilibrium of a limit game and its total cost.
+
+    RuntimeError if the solve did not converge.
+    """
+    result = require_converged(solve_nonatomic_ne(game, config))
     return result, float(result.cost)
 
 
@@ -264,6 +266,8 @@ class DecompositionReport:
 
 
 def _random_profile(game: Game, seed: int) -> AtomicProfile:
+    import numpy as np
+
     gen = np.random.Generator(np.random.Philox(key=seed))
     picks = []
     for g in game.groups:
@@ -335,8 +339,7 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
             g_n = t_u ** cls.lam
             class_costs.append(t_u * g_n * cls.limit_cost)
         predicted = sum(class_costs)
-        nonat = solve_nonatomic_ne(game, config)
-        measured_nonatomic = float(nonat.cost)
+        measured_nonatomic = float(require_converged(solve_nonatomic_ne(game, config)).cost)
         measured_atomic, is_lb, _ = worst_atomic_cost(game, config)
         rows.append(PredictionRow(
             n=n,

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -255,7 +256,7 @@ class Game:
         demands = {d for g in self._groups for d in g.demands}
         return len(demands) == 1
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
         ok = all(isinstance(c, Fraction) for p in self._arcs.values() for c in p.coefficients)
         return ok and all(isinstance(d, (int, Fraction)) for g in self._groups for d in g.demands)

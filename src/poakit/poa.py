@@ -14,9 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .game import Game, MixedProfile, Number
 from .solvers import (
@@ -31,10 +29,14 @@ from .solvers import (
     expected_path_costs,
     expected_total_cost,
     mixed_ne_residual,
+    require_converged,
     solve_mixed_ne_small,
     solve_nonatomic_ne,
     solve_nonatomic_so,
 )
+
+if TYPE_CHECKING:  # numpy is imported where samples are drawn, not on every start
+    import numpy as np
 
 POA_FLOOR_TOL = 1e-9
 
@@ -93,10 +95,8 @@ def nonatomic_pair(game: Game, config: SolverConfig = SolverConfig()):
 
     Returns ``(ratio, ne, so)``; RuntimeError if either solve did not converge.
     """
-    so = solve_nonatomic_so(game, config)
-    ne = solve_nonatomic_ne(game, config)
-    if not (ne.converged and so.converged):
-        raise RuntimeError("non-atomic solver did not converge within budget")
+    so = require_converged(solve_nonatomic_so(game, config))
+    ne = require_converged(solve_nonatomic_ne(game, config))
     return float(ne.cost) / float(so.cost), ne, so
 
 
@@ -271,6 +271,8 @@ class RandomPoaDistribution:
 
     def table(self) -> list:
         """Rows (value, probability-or-frequency, source) for CSV export."""
+        import numpy as np
+
         rows = [(float(v), float(p), "exact") for v, p in self.exact]
         values, counts = np.unique(self.samples, return_counts=True)
         rows.extend((float(v), int(c), "monte-carlo") for v, c in zip(values, counts))
@@ -279,6 +281,8 @@ class RandomPoaDistribution:
 
 def _sample_total_costs(game: Game, profile: MixedProfile, plan: SamplingPlan) -> np.ndarray:
     """Vectorized realized total costs; sample i depends only on (seed, i)."""
+    import numpy as np
+
     users = []  # (demand, cumulative probs, incidence rows per path)
     arc_index = {aid: i for i, aid in enumerate(game.arc_ids)}
     for gi, g in enumerate(game.groups):

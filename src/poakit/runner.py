@@ -372,6 +372,8 @@ def _decompose(config: ExperimentConfig, report: RunReport) -> None:
     family = _read(config.family_path, load_family)
     try:
         result = decomposition_prediction(family, list(config.grid), config.solver_config())
+    except RuntimeError as exc:
+        raise RunFailure("decompose", str(exc), EXIT_NONCONVERGED) from None
     except ValueError as exc:
         raise RunFailure("decompose", str(exc), EXIT_INPUT) from None
 

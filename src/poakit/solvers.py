@@ -6,7 +6,11 @@ Beckmann potential (equilibria) or on total cost via marginal costs
 toward its cheapest path, with the step length found by bisecting the
 derivative of the 1-D convex restriction.  Atomic problems are solved
 exactly: exhaustive enumeration over user-class assignments when the
-state space fits the budget, best-response dynamics otherwise.  Mixed
+state space fits the budget, best-response dynamics otherwise.  On a
+rational game both run on exact integer cost tables (``_ArcCosts``): arc
+loads are whole numbers of demand units, each arc's scaled cost is
+tabulated once, and a cost becomes a Fraction only when it is recorded.
+Other games evaluate the cost polynomials, with the same scan.  Mixed
 equilibria on small two-path-per-group games are found by per-group
 bisection of the expected-cost indifference condition, with expectations
 computed by exact convolution over the users touching each arc.
@@ -19,7 +23,9 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
+from operator import getitem, mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from .game import (
@@ -46,8 +52,8 @@ class SolverConfig:
     enumeration_budget: int = 10_000_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.enumeration_budget < 1:
             raise ValueError("enumeration budget must be >= 1")
 
@@ -291,6 +297,13 @@ def solve_nonatomic_so(game: Game, config: SolverConfig = SolverConfig(),
     return _equilibrate(game, config, _float_polys(game, marginals), start, "nonatomic-so")
 
 
+def require_converged(result: EquilibriumResult) -> EquilibriumResult:
+    """``result`` of a non-atomic solve; RuntimeError if it did not converge."""
+    if not result.converged:
+        raise RuntimeError("non-atomic solver did not converge within budget")
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Atomic enumeration
 # ---------------------------------------------------------------------------
@@ -375,6 +388,106 @@ def _multiplicity(counts: Sequence[int]) -> int:
     return m
 
 
+LATTICE_MAX_ROWS = 1 << 18  # cost-table rows one lattice may hold, summed over its arcs
+LATTICE_ROWS_PER_READ = 16  # and rows per cost its solver is sure to read
+
+
+class _Evaluated:
+    """A cost polynomial read like a cost table: ``self[x]`` is its value at x."""
+
+    def __init__(self, poly: CostPolynomial):
+        self.value = poly.value
+
+    def __getitem__(self, x: Number) -> Number:
+        return self.value(x)
+
+
+@dataclass(frozen=True)
+class _ArcCosts:
+    """Arc loads and arc costs as the atomic solvers add and compare them.
+
+    Arcs are numbered; ``tables[a][K]`` is the cost of arc a at load K.  On
+    the integer lattice of a rational game, a load is a whole number K of
+    units 1/L, where L is the LCM of the users' demand denominators, and the
+    table holds the integers ``tau_a(K / L) * M``, with M = D * L**maxdeg
+    and D the LCM of the coefficient denominators.  Costs are then integers
+    scaled by the common factor M, so sums and ``<`` decide exactly as in
+    Fraction arithmetic, and ``value`` turns a sum of load times cost back
+    into ``Fraction(total, L * M)``.  Otherwise loads are the demands
+    themselves, each table evaluates its polynomial, exactly (Fraction) or
+    in floating point, and ``value`` is the identity.
+    """
+
+    zero: Number  # load of an empty arc
+    load: Callable  # user demand -> load that user puts on an arc
+    tables: list  # per arc: load -> cost, by indexing
+    value: Callable  # sum of load * cost -> total cost in the game's units
+
+    def deviation_cost(self, loads, costs, here, path, step) -> Number:
+        """Cost of ``path`` to a user of load ``step`` now on the arc set ``here``.
+
+        Arcs of ``path`` in ``here`` keep their cost ``costs[a]``; the others
+        carry the user's load on top of ``loads[a]``.
+        """
+        tables = self.tables
+        total = 0
+        for a in path:
+            total += costs[a] if a in here else tables[a][loads[a] + step]
+        return total
+
+
+def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str],
+               reads: int) -> _ArcCosts:
+    """Integer cost tables for ``arc_ids`` over the users of ``classes``.
+
+    An arc's table covers every load the users can put on it: K = 0 .. the
+    units of the users whose group has a path through the arc.  That covers
+    deviations too, since a user moving onto an arc was not on it.  Falls
+    back to evaluating the polynomials when the game is not rational, or
+    when the tables would hold more than LATTICE_MAX_ROWS rows, or more than
+    LATTICE_ROWS_PER_READ rows per arc cost the caller is sure to read
+    (``reads``): a row costs a small fraction of one polynomial evaluation,
+    so tables never cost much more than the evaluations they replace.  The
+    row count is computed before any table is built.
+    """
+    arcs = game.arcs
+    polys = [arcs[aid] for aid in arc_ids]
+    evaluated = _ArcCosts(Fraction(0), lambda d: d, [_Evaluated(p) for p in polys],
+                          lambda total: total)
+    if not game.is_rational:
+        return evaluated
+    scale = math.lcm(*(Fraction(cls.demand).denominator for cls in classes))
+    units = {cls.demand: int(cls.demand * scale) for cls in classes}
+    reach = dict.fromkeys(arc_ids, 0)
+    for cls in classes:
+        for aid in {aid for path in game.groups[cls.gi].paths for aid in path}:
+            reach[aid] += units[cls.demand] * cls.size
+    rows = sum(reach.values()) + len(arc_ids)
+    if rows > min(LATTICE_MAX_ROWS, LATTICE_ROWS_PER_READ * reads):
+        return evaluated
+
+    degree = max(p.degree for p in polys)
+    common = math.lcm(*(c.denominator for p in polys for c in p.coefficients))
+    tables = []
+    for aid, poly in zip(arc_ids, polys):
+        coeffs = poly.coefficients
+        # The coefficient of K**e, scaled by common * scale**(degree - e).
+        scaled = [int(c * common) * scale ** (degree - len(coeffs) + 1 + i)
+                  for i, c in enumerate(coeffs)]
+        table = [0] * (reach[aid] + 1)
+        for s in scaled:  # Horner's rule, one coefficient at a time over all rows
+            table = [acc * k + s for k, acc in enumerate(table)]
+        tables.append(table)
+    denominator = scale * common * scale ** degree
+    return _ArcCosts(0, units.__getitem__, tables, lambda total: Fraction(total, denominator))
+
+
+def _numbered_paths(paths: Sequence[tuple], arc_ids: Sequence[str]) -> tuple:
+    """``paths`` with each arc id replaced by its position in ``arc_ids``."""
+    position = {aid: a for a, aid in enumerate(arc_ids)}
+    return tuple(tuple(position[aid] for aid in path) for path in paths)
+
+
 class _ComponentScan:
     """Exhaustive scan over count-based atomic states of one component."""
 
@@ -385,67 +498,77 @@ class _ComponentScan:
         self.arc_ids = sorted({aid for gi in group_indices
                                for path in game.groups[gi].paths for aid in path})
 
+    @cached_property
+    def arcs(self) -> _ArcCosts:
+        """Built on first use, so a state space past the budget builds no table.
+
+        Each state reads every arc's cost.
+        """
+        return _arc_costs(self.game, self.classes, self.arc_ids,
+                          self.state_count() * len(self.arc_ids))
+
+    @cached_property
+    def moves(self) -> list:
+        """Per class: its group's numbered paths, their arc sets, the other
+        paths of each path, and one user's load."""
+        moves = []
+        for cls in self.classes:
+            paths = _numbered_paths(self.game.groups[cls.gi].paths, self.arc_ids)
+            others = [paths[:pi] + paths[pi + 1:] for pi in range(len(paths))]
+            moves.append((paths, [set(path) for path in paths], others,
+                          self.arcs.load(cls.demand)))
+        return moves
+
     def state_count(self) -> int:
         return _class_state_count(self.game, self.classes)
 
     def scan(self, visit: Callable):
-        """Call ``visit(assignment, arc_flow)`` for every count state.
+        """Call ``visit(assignment, loads)`` for every count state.
 
-        ``assignment`` maps class position to its per-path count tuple.
+        ``assignment`` maps class position to its per-path count tuple, and
+        ``loads`` lists the arcs' loads in ``arc_ids`` order (see ``_ArcCosts``).
         """
-        game = self.game
-        arc_flow = {aid: Fraction(0) for aid in self.arc_ids}
+        loads = [self.arcs.zero] * len(self.arc_ids)
         assignment: list = [None] * len(self.classes)
+        moves = self.moves
 
         def rec(ci: int):
-            if ci == len(self.classes):
-                visit(assignment, arc_flow)
-                return
-            cls = self.classes[ci]
-            g = game.groups[cls.gi]
-            for counts in _compositions(cls.size, g.n_paths):
-                for pi, c in enumerate(counts):
+            paths, _, _, load = moves[ci]
+            last = ci == len(moves) - 1
+            for counts in _compositions(self.classes[ci].size, len(paths)):
+                for path, c in zip(paths, counts):
                     if c:
-                        add = cls.demand * c
-                        for aid in g.paths[pi]:
-                            arc_flow[aid] += add
+                        add = load * c
+                        for a in path:
+                            loads[a] += add
                 assignment[ci] = counts
-                rec(ci + 1)
-                for pi, c in enumerate(counts):
+                if last:
+                    visit(assignment, loads)
+                else:
+                    rec(ci + 1)
+                for path, c in zip(paths, counts):
                     if c:
-                        add = cls.demand * c
-                        for aid in g.paths[pi]:
-                            arc_flow[aid] -= add
+                        add = load * c
+                        for a in path:
+                            loads[a] -= add
             assignment[ci] = None
 
         rec(0)
 
-    def arc_costs(self, arc_flow) -> dict:
-        return {aid: self.game.arcs[aid].value(arc_flow[aid]) for aid in self.arc_ids}
-
-    def is_equilibrium(self, assignment, arc_flow, costs) -> bool:
+    def is_equilibrium(self, assignment, loads, costs) -> bool:
         """No user class can strictly improve by a unilateral path change.
 
-        ``costs`` is the state's arc-cost map (``arc_costs(arc_flow)``).
+        ``costs`` lists the state's arc costs, in the order of ``loads``.
         """
-        game = self.game
-        for ci, cls in enumerate(self.classes):
-            g = game.groups[cls.gi]
-            counts = assignment[ci]
-            d = cls.demand
-            for pi in range(g.n_paths):
-                if counts[pi] == 0:
-                    continue
-                here = set(g.paths[pi])
-                stay_cost = sum(costs[aid] for aid in g.paths[pi])
-                for qi in range(g.n_paths):
-                    if qi == pi:
-                        continue
-                    move_cost = 0
-                    for aid in g.paths[qi]:
-                        move_cost += costs[aid] if aid in here else game.arcs[aid].value(arc_flow[aid] + d)
-                    if move_cost < stay_cost:
-                        return False
+        deviation_cost = self.arcs.deviation_cost
+        for counts, (paths, arc_sets, others, load) in zip(assignment, self.moves):
+            for pi, c in enumerate(counts):
+                if c:
+                    here = arc_sets[pi]
+                    stay_cost = sum(map(costs.__getitem__, paths[pi]))
+                    for path in others[pi]:
+                        if deviation_cost(loads, costs, here, path, load) < stay_cost:
+                            return False
         return True
 
     def representative(self, assignment) -> dict:
@@ -514,21 +637,21 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
         found: list = []
         cheapest = None
 
-        def visit(assignment, arc_flow, comp=comp, found=found):
+        def visit(assignment, loads, comp=comp, found=found):
             nonlocal cheapest
-            costs = comp.arc_costs(arc_flow)
-            cost = sum(v * costs[aid] for aid, v in arc_flow.items())
+            costs = list(map(getitem, comp.arcs.tables, loads))
+            cost = sum(map(mul, loads, costs))
             if cheapest is None or cost < cheapest[1]:
                 cheapest = (list(assignment), cost)
-            if comp.is_equilibrium(assignment, arc_flow, costs):
-                found.append((comp.representative(assignment), cost,
+            if comp.is_equilibrium(assignment, loads, costs):
+                found.append((comp.representative(assignment), comp.arcs.value(cost),
                               comp.assignment_multiplicity(assignment)))
 
         comp.scan(visit)
         scanned += comp.state_count()
         per_comp.append(found)
         so_picks.update(comp.representative(cheapest[0]))
-        so_cost += cheapest[1]
+        so_cost += comp.arcs.value(cheapest[1])
 
     def profile_of(picks) -> AtomicProfile:
         return AtomicProfile(tuple(tuple(picks[gi]) for gi in range(len(game.groups))))
@@ -592,37 +715,46 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
         initial = AtomicProfile(tuple(tuple(0 for _ in g.demands) for g in game.groups))
     initial.validate(game)
 
+    classes = _user_classes(game, range(len(game.groups)))
+    # A first round reads every arc's cost, then one deviation per user and other path.
+    arcs = _arc_costs(game, classes, game.arc_ids,
+                      game.n_arcs + sum(g.n_users * (g.n_paths - 1) for g in game.groups))
+    user_loads = [[None] * g.n_users for g in game.groups]
+    for cls in classes:
+        for ui in cls.user_slots:
+            user_loads[cls.gi][ui] = arcs.load(cls.demand)
+    paths = [_numbered_paths(g.paths, game.arc_ids) for g in game.groups]
+    arc_sets = [[set(path) for path in group_paths] for group_paths in paths]
     choices = [list(picks) for picks in initial.choices]
-    arc_flow = {aid: Fraction(0) for aid in game.arc_ids}
-    for gi, g in enumerate(game.groups):
-        for ui, d in enumerate(g.demands):
-            for aid in g.paths[choices[gi][ui]]:
-                arc_flow[aid] += d
+    loads = [arcs.zero] * game.n_arcs
+    for gi, group_paths in enumerate(paths):
+        for ui, d in enumerate(user_loads[gi]):
+            for a in group_paths[choices[gi][ui]]:
+                loads[a] += d
+    costs = list(map(getitem, arcs.tables, loads))
 
     moves = 0
     converged = False
     while moves <= config.max_iterations:
         improved = False
-        for gi, g in enumerate(game.groups):
-            for ui, d in enumerate(g.demands):
+        for gi, group_paths in enumerate(paths):
+            for ui, d in enumerate(user_loads[gi]):
                 cur = choices[gi][ui]
-                cur_arcs = set(g.paths[cur])
-                cur_cost = sum(game.arcs[aid].value(arc_flow[aid]) for aid in g.paths[cur])
-                best_pi, best_cost = cur, cur_cost
-                for pi in range(g.n_paths):
-                    if pi == cur:
-                        continue
-                    cost = 0
-                    for aid in g.paths[pi]:
-                        x = arc_flow[aid] if aid in cur_arcs else arc_flow[aid] + d
-                        cost += game.arcs[aid].value(x)
-                    if cost < best_cost:
-                        best_pi, best_cost = pi, cost
+                cur_arcs = arc_sets[gi][cur]
+                best_pi, best_cost = cur, sum(map(costs.__getitem__, group_paths[cur]))
+                for pi, path in enumerate(group_paths):
+                    if pi != cur:
+                        cost = arcs.deviation_cost(loads, costs, cur_arcs, path, d)
+                        if cost < best_cost:
+                            best_pi, best_cost = pi, cost
                 if best_pi != cur:
-                    for aid in cur_arcs - set(g.paths[best_pi]):
-                        arc_flow[aid] -= d
-                    for aid in set(g.paths[best_pi]) - cur_arcs:
-                        arc_flow[aid] += d
+                    new_arcs = arc_sets[gi][best_pi]
+                    for a in cur_arcs - new_arcs:
+                        loads[a] -= d
+                        costs[a] = arcs.tables[a][loads[a]]
+                    for a in new_arcs - cur_arcs:
+                        loads[a] += d
+                        costs[a] = arcs.tables[a][loads[a]]
                     choices[gi][ui] = best_pi
                     moves += 1
                     improved = True
@@ -635,7 +767,7 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
             break
 
     profile = AtomicProfile(tuple(tuple(row) for row in choices))
-    cost = sum(v * game.arcs[aid].value(v) for aid, v in arc_flow.items())
+    cost = arcs.value(sum(map(mul, loads, costs)))
     return EquilibriumResult(flow=profile, kind="atomic-ne", residual=0.0 if converged else math.inf,
                              iterations=moves, exact=game.is_rational and converged,
                              converged=converged, cost=cost,

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -306,9 +308,44 @@ class TestCli:
     def test_input_error_exit_code(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "missing.json")]) == EXIT_INPUT
 
-    def test_grid_parsing(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--family", "x.json", "--grid", "3,2,1"])
+    def test_grid_parsing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--family", "x.json", "--grid", "3,2,1",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] usage: argument --grid: grid must be strictly increasing"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_INPUT
+        assert doc["config"] == {"mode": "sweep"}
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy is imported where samples are drawn, not on every start.
+        import poakit
+
+        code = "import sys, poakit.cli; sys.exit('numpy' in sys.modules)"
+        src = str(Path(poakit.__file__).resolve().parent.parent)
+        assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: poakit" in capsys.readouterr().out
+
+    def test_usage_error_with_out_equals_and_no_mode(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([f"--out={out}"]) == EXIT_INPUT
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_INPUT and doc["config"] == {"mode": None}
+        assert main([]) == EXIT_INPUT  # nothing to write a report into
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] usage: the following arguments are required: mode"] * 2
+        # Options take their full names only: an abbreviated --out is no --out.
+        assert main(["reproduce", "--ou", str(tmp_path / "abbreviated")]) == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [
+            f"[FAIL] usage: unrecognized arguments: --ou {tmp_path / 'abbreviated'}"]
+        assert not (tmp_path / "abbreviated").exists()
 
     @pytest.mark.parametrize("env, args", [
         ({"POAKIT_TOLERANCE": "abc"}, ["solve", "--game", "{asset}"]),
@@ -331,11 +368,19 @@ class TestCli:
         ({}, ["decompose", "--family", "{user_count_number}", "--grid", "3"]),
         ({}, ["sweep", "--family", "{gamma_null}", "--grid", "3"]),
         ({}, ["sweep", "--family", "{family}", "--grid", "0,5"]),
+        ({"POAKIT_TOLERANCE": "nan"}, ["solve", "--game", "{asset}"]),
+        ({"POAKIT_TOLERANCE": "inf"}, ["sweep", "--family", "{family}", "--grid", "3"]),
+        ({}, ["sweep", "--family", "{family}", "--grid", "3,2,1"]),
+        ({}, ["decompose", "--family", "{family}", "--grid", "x"]),
+        ({}, ["solve"]),
+        ({}, ["sample", "--game", "{asset}", "--n", "many"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
             "negative-seed", "missing-profile", "flat-profile",
             "solve-directory", "sample-directory", "sweep-directory", "decompose-directory",
             "solve-not-utf8", "sample-not-utf8", "groups-item", "paths-number", "arcs-item",
-            "laws-list", "user-count-number", "gamma-null", "sweep-grid-zero"])
+            "laws-list", "user-count-number", "gamma-null", "sweep-grid-zero",
+            "tolerance-nan", "tolerance-inf", "grid-decreasing", "grid-not-integers",
+            "missing-game", "samples-not-integer"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -370,8 +415,9 @@ class TestCli:
         assert doc["exit_code"] == EXIT_ASSERTION
         assert [v["passed"] for v in doc["verdicts"]] == [False]
 
-    @pytest.mark.parametrize("mode", ["solve", "sample"])
+    @pytest.mark.parametrize("mode", ["solve", "sample", "decompose"])
     def test_unconverged_nonatomic_solve_exits_four(self, tmp_path, monkeypatch, mode):
+        import poakit.decomposition
         import poakit.poa
 
         solve = poakit.poa.solve_nonatomic_ne
@@ -382,11 +428,15 @@ class TestCli:
             return result
 
         monkeypatch.setattr(poakit.poa, "solve_nonatomic_ne", unconverged)
+        monkeypatch.setattr(poakit.decomposition, "solve_nonatomic_ne", unconverged)
         out = tmp_path / "out"
         game = str(asset_path("two_commodity_mixed_degree.json"))
         profile = write_family(tmp_path, "profile.json", [[[0.5, 0.5]] * 2] * 2)
-        args = ["--profile", profile, "--n", "1000"] if mode == "sample" else []
-        assert main([mode, "--game", game, *args, "--out", str(out)]) == EXIT_NONCONVERGED
+        args = {"solve": ["--game", game],
+                "sample": ["--game", game, "--profile", profile, "--n", "1000"],
+                "decompose": ["--family", write_family(tmp_path, "family.json", UNIT_USER_FAMILY),
+                              "--grid", "1,2"]}[mode]
+        assert main([mode, *args, "--out", str(out)]) == EXIT_NONCONVERGED
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_NONCONVERGED
         assert [v["passed"] for v in doc["verdicts"]] == [False]

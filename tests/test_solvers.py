@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from poakit import solvers
 from poakit import (
     AtomicProfile,
     BudgetExceededError,
@@ -44,8 +46,9 @@ CFG = SolverConfig()
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tolerance=0)
+        for tolerance in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(tolerance=tolerance)
         with pytest.raises(ValueError):
             SolverConfig(enumeration_budget=0)
         cfg = SolverConfig(tolerance=1e-6, max_iterations=10, rng_seed=42,
@@ -341,6 +344,123 @@ class TestAtomicSo:
         game = parallel_game([(2,), (2,)], [1])
         so = solve_atomic_so(game, CFG)
         assert so.cost == 2
+
+
+@st.composite
+def small_rational_games(draw):
+    """One to three groups of one to three users with fractional demands, on
+    one to three paths of one to three arcs each; the three to five arcs
+    (degree 0 to 3, fractional coefficients) may be shared by any paths."""
+    fractions = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3, 5]))
+    lower = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)])
+    arcs = {f"a{i}": poly(draw(fractions), *draw(st.lists(lower, max_size=3)))
+            for i in range(draw(st.integers(3, 5)))}
+    path_st = st.lists(st.sampled_from(sorted(arcs)), min_size=1, max_size=3,
+                       unique=True).map(lambda arcs: tuple(sorted(arcs)))
+    groups = []
+    taken = set()
+    for gi in range(draw(st.integers(1, 3))):
+        paths = tuple(draw(st.lists(path_st, min_size=1, max_size=3, unique=True)))
+        assume(not taken & set(paths))
+        taken.update(paths)
+        groups.append(Group(f"g{gi}", paths, tuple(draw(st.lists(fractions, min_size=1,
+                                                                 max_size=3)))))
+    return Game(arcs, groups)
+
+
+def _atomic_outcome(game, max_iterations, start):
+    """Everything enumeration and best response report but wall times."""
+    def fields(r):
+        return None if r is None else (r.flow, r.kind, r.cost, type(r.cost), r.multiplicity,
+                                       r.iterations, r.converged, r.exact, r.residual, r.note)
+
+    try:
+        eq = enumerate_atomic_equilibria(game, SolverConfig(enumeration_budget=2000))
+        scan = (eq.states_scanned, eq.exact, fields(eq.optimum), fields(eq.worst),
+                fields(eq.best), [fields(e) for e in eq.equilibria])
+    except BudgetExceededError as exc:
+        scan = str(exc)
+    config = SolverConfig(max_iterations=max_iterations)
+    return (scan, fields(best_response_atomic(game, config, start)),
+            fields(best_response_atomic(game, config)))
+
+
+def _takes_lattice(game, reads=1) -> bool:
+    classes = solvers._user_classes(game, range(len(game.groups)))
+    return isinstance(solvers._arc_costs(game, classes, game.arc_ids, reads).tables[0], list)
+
+
+class TestLattice:
+    """Integer cost tables give exactly what evaluating the polynomials gives."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(game=small_rational_games(), max_iterations=st.sampled_from([1, 3, 50]),
+           rng=st.randoms(use_true_random=False))
+    @example(game=no_equilibrium_game(), max_iterations=3, rng=random.Random(0))
+    @example(game=no_equilibrium_game(), max_iterations=50, rng=random.Random(1))
+    def test_lattice_matches_evaluated_costs(self, game, max_iterations, rng):
+        start = AtomicProfile(tuple(tuple(rng.randrange(g.n_paths) for _ in g.demands)
+                                    for g in game.groups))
+        with pytest.MonkeyPatch.context() as mp:  # small games, tables however few the reads
+            mp.setattr(solvers, "LATTICE_ROWS_PER_READ", solvers.LATTICE_MAX_ROWS)
+            assert _takes_lattice(game)
+            on_lattice = _atomic_outcome(game, max_iterations, start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "LATTICE_MAX_ROWS", 0)
+            assert not _takes_lattice(game)
+            evaluated = _atomic_outcome(game, max_iterations, start)
+        assert on_lattice == evaluated
+        scan, *responses = on_lattice
+        costs = [r[2] for r in responses] + ([] if isinstance(scan, str) else [scan[2][2]])
+        assert all(type(c) is Fraction for c in costs)
+
+    def test_float_demands_are_evaluated(self):
+        game = Game({"u": poly(1, 0), "l": poly(1, 1)},
+                    [Group("od", (("u",), ("l",)), (0.5, 0.5, 1.7320508075688772))])
+        assert not game.is_rational and not _takes_lattice(game)
+        eq = enumerate_atomic_equilibria(game, CFG)
+        got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
+        assert got == {f for f, _ in _bruteforce_equilibrium_flows(game)}
+        assert eq.optimum.cost == _bruteforce_optimum_cost(game)
+        result = best_response_atomic(game, CFG)
+        assert result.converged and isinstance(result.cost, float)
+
+    def test_tables_past_the_row_cap_are_evaluated(self):
+        # One unit user and one of 10^9 units: the tables would need 2 * 10^9 rows.
+        game = Game({"u": poly(1, 0), "l": poly(2, 1)},
+                    [Group("od", (("u",), ("l",)), (Fraction(1), Fraction(10**9)))])
+        assert game.is_rational and not _takes_lattice(game, reads=10**9)
+        eq = enumerate_atomic_equilibria(game, CFG)
+        got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
+        assert got == {f for f, _ in _bruteforce_equilibrium_flows(game)}
+        assert eq.optimum.cost == _bruteforce_optimum_cost(game)
+        assert type(eq.optimum.cost) is Fraction
+        result = best_response_atomic(game, CFG)
+        assert result.converged and type(result.cost) is Fraction
+
+    def test_tables_larger_than_the_reads_are_evaluated(self, monkeypatch):
+        # One unit user and one of 10^5 units: 2 * 10^5 rows fit under the row
+        # cap, but the scan reads 8 arc costs (4 states) and best response a
+        # few per round, so building the tables would cost far more than it saves.
+        game = Game({"u": poly(1, 0), "l": poly(2, 1)},
+                    [Group("od", (("u",), ("l",)), (Fraction(1), Fraction(10**5)))])
+        assert _takes_lattice(game, reads=10**5)
+        built = []
+        arc_costs = solvers._arc_costs
+
+        def spy(*args):
+            arcs = arc_costs(*args)
+            built.append(isinstance(arcs.tables[0], list))
+            return arcs
+
+        monkeypatch.setattr(solvers, "_arc_costs", spy)
+        eq = enumerate_atomic_equilibria(game, CFG)
+        assert eq.states_scanned == 4
+        assert eq.optimum.cost == _bruteforce_optimum_cost(game)
+        assert type(eq.optimum.cost) is Fraction
+        result = best_response_atomic(game, CFG)
+        assert result.converged and type(result.cost) is Fraction
+        assert built == [False, False]
 
 
 class TestMixedSolver:
