@@ -12,6 +12,8 @@ toward 1, not equality at any finite n.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -29,6 +31,15 @@ from .solvers import (
 )
 
 WORST_CASE_RESTARTS = 32
+# Most users one group of a family instance may hold: far above the grids the
+# paper's families use, and an instance this large can still be built.
+MAX_INSTANCE_USERS = 1_000_000
+
+
+def _log(x: Number) -> float:
+    """Natural log of a positive number, huge Fractions included."""
+    x = Fraction(x)
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,26 @@ class DemandFamily:
             users.append(remainder)
         return tuple(users)
 
+    def check_scale(self, n: int) -> None:
+        """ValueError if a group's demand at n is not a finite float or passes
+        MAX_INSTANCE_USERS users.  Judged in logs, so gamma = 1e300 never forms
+        n^gamma; both grow with n, so the grid's largest n covers the grid."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        for gid, law in self.laws.items():
+            log_demand = _log(law.c) + law.gamma * math.log(n)
+            if law.user_count is None:
+                log_users = log_demand - _log(law.user_demand)
+            else:
+                log_users = _log(law.user_count[0]) + law.user_count[1] * math.log(n)
+            if log_demand >= math.log(sys.float_info.max):
+                raise ValueError(f"demand_laws[{gid}]: demand is not finite at n = {n}")
+            if log_users > math.log(MAX_INSTANCE_USERS):
+                raise ValueError(f"demand_laws[{gid}]: more than MAX_INSTANCE_USERS = "
+                                 f"{MAX_INSTANCE_USERS} users at n = {n}")
+
     def instantiate(self, n: int) -> Game:
+        self.check_scale(n)
         groups = [Group(g.gid, g.paths, self.users_at(g.gid, n)) for g in self.base.groups]
         return Game(self.base.arcs, groups)
 
@@ -269,10 +299,8 @@ def _random_profile(game: Game, seed: int) -> AtomicProfile:
     import numpy as np
 
     gen = np.random.Generator(np.random.Philox(key=seed))
-    picks = []
-    for g in game.groups:
-        picks.append(tuple(int(x) for x in gen.integers(0, g.n_paths, size=g.n_users)))
-    return AtomicProfile(tuple(picks))
+    return AtomicProfile(tuple(tuple(int(x) for x in gen.integers(0, g.n_paths, size=g.n_users))
+                               for g in game.groups))
 
 
 def worst_atomic_cost(game: Game, config: SolverConfig):
@@ -312,6 +340,7 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
         raise ValueError("family has no group with growing demand")
     if not n_grid or list(n_grid) != sorted(set(n_grid)):
         raise ValueError("n grid must be nonempty and strictly increasing")
+    family.check_scale(n_grid[-1])
 
     classes = []
     for gids in ordered_partition(family):

@@ -82,21 +82,9 @@ class CostPolynomial:
             if c < 0:
                 raise GameSchemaError(f"coeffs[{i}]", "coefficient must be >= 0")
 
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[Number], *, allow_zero: bool = False) -> "CostPolynomial":
-        vals = tuple(Fraction(c) for c in coeffs)
-        poly = CostPolynomial(vals)
-        if not allow_zero and vals[0] <= 0:
-            raise GameSchemaError("coeffs[0]", "leading coefficient must be > 0")
-        return poly
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
 
     def value(self, x: Number) -> Number:
         # Horner evaluation; stays exact for Fraction inputs.
@@ -142,7 +130,7 @@ class Group:
     paths: tuple  # tuple of tuples of arc ids; identity is positional
     demands: tuple  # per-user demand, all > 0
 
-    @property
+    @cached_property
     def total_demand(self) -> Number:
         return sum(self.demands)
 
@@ -251,11 +239,6 @@ class Game:
     def d_max(self) -> Number:
         return max(max(g.demands) for g in self._groups)
 
-    @property
-    def is_unweighted(self) -> bool:
-        demands = {d for g in self._groups for d in g.demands}
-        return len(demands) == 1
-
     @cached_property
     def is_rational(self) -> bool:
         ok = all(isinstance(c, Fraction) for p in self._arcs.values() for c in p.coefficients)
@@ -296,9 +279,6 @@ class Game:
 
     def total_cost(self, flow: "PathFlow") -> Number:
         fa = self.arc_flow(flow)
-        return sum(v * self._arcs[aid].value(v) for aid, v in fa.items())
-
-    def total_cost_of_arc_flow(self, fa: Mapping[str, Number]) -> Number:
         return sum(v * self._arcs[aid].value(v) for aid, v in fa.items())
 
     def joint_total_cost(self, flow: "PathFlow", group_ids: Iterable[str]) -> Number:
@@ -345,14 +325,6 @@ class PathFlow:
         self.game = game
         self._values = tuple(values)
 
-    @staticmethod
-    def from_dict(game: Game, mapping: Mapping) -> "PathFlow":
-        values = [mapping.get(key, 0) for key in game.path_keys]
-        unknown = set(mapping) - set(game.path_keys)
-        if unknown:
-            raise ValueError(f"unknown path keys: {sorted(unknown)}")
-        return PathFlow(game, values)
-
     def items(self):
         return zip(self.game.path_keys, self._values)
 
@@ -367,9 +339,6 @@ class PathFlow:
 
     def as_float(self) -> "PathFlow":
         return PathFlow(self.game, [float(v) for v in self._values])
-
-    def scaled_by(self, factor: Number) -> "PathFlow":
-        return PathFlow(self.game, [v * factor for v in self._values])
 
     def __repr__(self):
         return f"PathFlow({self.as_dict()})"
@@ -436,11 +405,6 @@ class MixedProfile:
                     if p:
                         acc[(gi, pi)] = acc[(gi, pi)] + d * p
         return PathFlow(game, [acc[key] for key in game.path_keys])
-
-    def arc_use_probability(self, game: Game, gi: int, ui: int, arc_id: str) -> Number:
-        g = game.groups[gi]
-        return sum(self.probabilities[gi][ui][pi]
-                   for pi in range(g.n_paths) if arc_id in g.paths[pi])
 
     @staticmethod
     def uniform(game: Game) -> "MixedProfile":

@@ -280,40 +280,42 @@ class RandomPoaDistribution:
 
 
 def _sample_total_costs(game: Game, profile: MixedProfile, plan: SamplingPlan) -> np.ndarray:
-    """Vectorized realized total costs; sample i depends only on (seed, i)."""
+    """Vectorized realized total costs; sample i depends only on (seed, i).
+
+    Works one user column at a time.  A user takes the first path whose
+    cumulative probability exceeds its uniform, else the last, as
+    ``draw_atomic_profile`` does; after a running maximum (which moves no
+    first crossing) that is the count of cut points at or below the uniform.
+    A path adds its demand to its arcs' load rows where taken, else 0.0.
+    """
     import numpy as np
 
-    users = []  # (demand, cumulative probs, incidence rows per path)
-    arc_index = {aid: i for i, aid in enumerate(game.arc_ids)}
-    for gi, g in enumerate(game.groups):
-        for ui, d in enumerate(g.demands):
-            probs = np.array([float(p) for p in profile.probabilities[gi][ui]])
-            cum = np.cumsum(probs)
-            cum[-1] = 1.0 + 1e-12
-            inc = np.zeros((g.n_paths, len(arc_index)))
-            for pi, path in enumerate(g.paths):
-                for aid in path:
-                    inc[pi, arc_index[aid]] = 1.0
-            users.append((float(d), cum, inc))
+    from .game import SAMPLE_CHUNK, sample_uniforms
 
-    n_users = len(users)
+    arc_index = {aid: i for i, aid in enumerate(game.arc_ids)}
+    users = []  # (demand, cut points, arc rows per path)
+    for gi, g in enumerate(game.groups):
+        rows = [[arc_index[aid] for aid in path] for path in g.paths]
+        for ui, d in enumerate(g.demands):
+            cum = np.cumsum([float(p) for p in profile.probabilities[gi][ui]])
+            users.append((float(d), np.maximum.accumulate(cum[:-1]), rows))
     coeff_rows = [np.array([float(c) for c in game.arcs[aid].coefficients])
                   for aid in game.arc_ids]
-
-    from .game import SAMPLE_CHUNK, sample_uniforms
 
     out = np.empty(plan.n_samples)
     for start in range(0, plan.n_samples, SAMPLE_CHUNK):  # bounded memory whatever n is
         count = min(SAMPLE_CHUNK, plan.n_samples - start)
-        draws = sample_uniforms(plan.rng_seed, start, count, n_users)
-        flows = np.zeros((count, len(arc_index)))
-        for u, (d, cum, inc) in enumerate(users):
-            choice = np.searchsorted(cum, draws[:, u], side="right")
-            np.clip(choice, 0, inc.shape[0] - 1, out=choice)
-            flows += d * inc[choice]
+        draws = sample_uniforms(plan.rng_seed, start, count, len(users))
+        flows = np.zeros((len(arc_index), count))
+        for u, (d, cuts, rows) in enumerate(users):
+            col = draws[:, u]
+            choice = sum(col >= cut for cut in cuts)  # 0 (an int) when there is one path
+            for pi, arcs in enumerate(rows):
+                load = (choice == pi) * d
+                for a in arcs:
+                    flows[a] += load
         total = np.zeros(count)
-        for ai, coeffs in enumerate(coeff_rows):
-            fa = flows[:, ai]
+        for fa, coeffs in zip(flows, coeff_rows):
             total += fa * np.polyval(coeffs, fa)
         out[start:start + count] = total
     return out
@@ -331,32 +333,26 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile,
     comp_dists = []
     for indices in _group_components(game):
         arc_ids = sorted({aid for gi in indices for path in game.groups[gi].paths for aid in path})
-        users = []
+        states = {tuple(0 for _ in arc_ids): 1.0}
         for gi in indices:
             g = game.groups[gi]
-            for ui, d in enumerate(g.demands):
-                users.append((gi, ui, d))
-        states = {tuple(0 for _ in arc_ids): 1.0}
-        for gi, ui, d in users:
-            g = game.groups[gi]
-            rows = profile.probabilities[gi][ui]
-            new: dict = {}
-            for state, p in states.items():
-                for pi, q in enumerate(rows):
-                    q = float(q)
-                    if q == 0.0:
-                        continue
-                    arcs = set(g.paths[pi])
-                    nxt = tuple(v + d if aid in arcs else v
-                                for v, aid in zip(state, arc_ids))
-                    new[nxt] = new.get(nxt, 0.0) + p * q
-            states = new
-            if len(states) > max_states:
-                raise BudgetExceededError("state space too large for exact enumeration")
+            for d, rows in zip(g.demands, profile.probabilities[gi]):
+                new: dict = {}
+                for state, p in states.items():
+                    for pi, q in enumerate(rows):
+                        q = float(q)
+                        if q == 0.0:
+                            continue
+                        arcs = set(g.paths[pi])
+                        nxt = tuple(v + d if aid in arcs else v
+                                    for v, aid in zip(state, arc_ids))
+                        new[nxt] = new.get(nxt, 0.0) + p * q
+                states = new
+                if len(states) > max_states:
+                    raise BudgetExceededError("state space too large for exact enumeration")
         dist: dict = {}
         for state, p in states.items():
-            cost = sum(v * game.arcs[aid].value(v) for v, aid in zip(state, arc_ids))
-            cost = float(cost)
+            cost = float(sum(v * game.arcs[aid].value(v) for v, aid in zip(state, arc_ids)))
             dist[cost] = dist.get(cost, 0.0) + p
         comp_dists.append(dist)
 

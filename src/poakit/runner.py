@@ -174,6 +174,12 @@ def _read(path: str, parse: Callable, step: str = "load"):
         raise RunFailure(step, str(exc), EXIT_INPUT) from None
 
 
+def _out_of_range(exc: Exception) -> str:
+    """An input error's detail; ArithmeticError means costs left the float range."""
+    kind = "costs outside the float range: " if isinstance(exc, ArithmeticError) else ""
+    return kind + str(exc)
+
+
 def _write_table(config: ExperimentConfig, name: str, header: list, rows: list) -> None:
     """CSV ``name`` under the output directory; every row ends in seed and version."""
     if config.out_dir:
@@ -260,13 +266,17 @@ def _sweep(config: ExperimentConfig, report: RunReport) -> None:
         raise RunFailure("grid", "sweep needs a nonempty increasing grid of n >= 1", EXIT_INPUT)
 
     solver = config.solver_config()
-    for n in config.grid:
-        game = family.instantiate(n)
-        worst, is_lb, so_cost = worst_atomic_cost(game, solver)
-        poa = None if worst is None or so_cost is None else worst / so_cost
-        report.rows.append({"n": n, "T": float(game.total_demand), "d_max": float(game.d_max),
-                            "poa_measured": poa, **_bound_columns(game),
-                            "atomic_lower_bound_only": is_lb})
+    try:
+        family.check_scale(config.grid[-1])  # before any instance is built
+        for n in config.grid:
+            game = family.instantiate(n)
+            worst, is_lb, so_cost = worst_atomic_cost(game, solver)
+            poa = None if worst is None or so_cost is None else worst / so_cost
+            report.rows.append({"n": n, "T": float(game.total_demand),
+                                "d_max": float(game.d_max), "poa_measured": poa,
+                                **_bound_columns(game), "atomic_lower_bound_only": is_lb})
+    except (ArithmeticError, ValueError) as exc:
+        raise RunFailure("sweep", _out_of_range(exc), EXIT_INPUT) from None
 
     # Decay toward 1 is only promised when the total demand grows while the
     # top user share shrinks; families violating either side are reported
@@ -374,8 +384,8 @@ def _decompose(config: ExperimentConfig, report: RunReport) -> None:
         result = decomposition_prediction(family, list(config.grid), config.solver_config())
     except RuntimeError as exc:
         raise RunFailure("decompose", str(exc), EXIT_NONCONVERGED) from None
-    except ValueError as exc:
-        raise RunFailure("decompose", str(exc), EXIT_INPUT) from None
+    except (ArithmeticError, ValueError) as exc:
+        raise RunFailure("decompose", _out_of_range(exc), EXIT_INPUT) from None
 
     for row in result.rows:
         report.rows.append({

@@ -21,6 +21,8 @@ from poakit import (
     tight_paths,
 )
 
+from poakit.decomposition import MAX_INSTANCE_USERS
+
 from conftest import poly, two_commodity_game
 
 CFG = SolverConfig()
@@ -150,7 +152,7 @@ class TestLimitGame:
         family = DemandFamily(base=game, laws={
             "g": DemandLaw(c=Fraction(1), gamma=1.0, user_demand=Fraction(1))})
         lim = limit_game(game, ["g"], 2, family)
-        assert lim.arcs["a"].is_zero
+        assert set(lim.arcs["a"].coefficients) == {0}
         assert lim.arcs["b"].coefficients[0] == 2
 
     def test_class_demands_normalized(self):
@@ -288,3 +290,33 @@ class TestFamilyDocuments:
         game = family.instantiate(1)
         assert game.groups[0].demands == (1, 1, Fraction(1, 2))
         assert game.d_max <= 1
+
+
+class TestInstanceScale:
+    BASE = Game({"a": poly(1, 0)}, [Group("g", (("a",),), (Fraction(1),))])
+
+    def family(self, **law) -> DemandFamily:
+        return DemandFamily(base=self.BASE, laws={"g": DemandLaw(**law)})
+
+    def test_user_cap_is_inclusive(self):
+        family = self.family(c=Fraction(1), gamma=1.0, user_demand=Fraction(1))
+        family.check_scale(MAX_INSTANCE_USERS)
+        with pytest.raises(ValueError, match="MAX_INSTANCE_USERS"):
+            family.instantiate(MAX_INSTANCE_USERS + 1)
+
+    @pytest.mark.parametrize("law, message", [
+        (dict(c=Fraction(1), gamma=1e300, user_demand=Fraction(1)), "not finite"),
+        (dict(c=Fraction(10) ** 400, gamma=1.0, user_demand=Fraction(10) ** 400), "not finite"),
+        (dict(c=Fraction(1), gamma=1.0, user_demand=Fraction(1e-300)), "MAX_INSTANCE_USERS"),
+        (dict(c=Fraction(1), gamma=1.0, user_count=(Fraction(1), 1e300)), "MAX_INSTANCE_USERS"),
+    ], ids=["huge-gamma", "huge-c", "tiny-user-demand", "huge-count-gamma"])
+    def test_refused_before_any_instance_is_built(self, law, message):
+        # Judged in logs: none of these forms n^gamma or a user tuple.
+        with pytest.raises(ValueError, match=message):
+            self.family(**law).instantiate(2)
+        with pytest.raises(ValueError, match=message):
+            decomposition_prediction(self.family(**law), [1, 2], CFG)
+
+    def test_tiny_scales_within_bounds_are_built(self):
+        family = self.family(c=Fraction(1e-300), gamma=1.0, user_demand=Fraction(1e-300))
+        assert family.instantiate(2).groups[0].n_users == 2

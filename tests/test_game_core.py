@@ -155,6 +155,12 @@ class TestFlowsAndCosts:
         flow = PathFlow(game, [Fraction(2), Fraction(0)])
         assert game.total_cost(flow) == 4
 
+    def test_cached_total_demand_leaves_equality(self):
+        group = Group("g", (("a",),), (Fraction(1, 3), Fraction(2, 3)))
+        assert group.total_demand == 1
+        twin = Group("g", (("a",),), (Fraction(1, 3), Fraction(2, 3)))
+        assert group == twin and hash(group) == hash(twin)
+
     def test_total_cost_zero_flow(self):
         game = linear_double_game()
         assert game.total_cost(PathFlow(game, [0, 0])) == 0

@@ -1,12 +1,13 @@
 """Inefficiency ratios and random-cost sampling."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poakit import (
@@ -27,8 +28,10 @@ from poakit import (
     solve_atomic_so,
     solve_mixed_ne_small,
 )
-from poakit.game import SAMPLE_CHUNK, sample_uniforms
-from poakit.poa import _worst_on_equilibrium_set
+import poakit.game
+from poakit.game import PROB_TOL, SAMPLE_CHUNK, draw_atomic_profile, sample_uniforms
+from poakit.poa import _sample_total_costs, _worst_on_equilibrium_set
+from poakit.runner import load_asset
 
 from conftest import (
     affine_offset_game,
@@ -306,6 +309,122 @@ class TestRandomPoa:
         profile = MixedProfile((((1.0,),), ((1.0,),)))
         dist = exact_random_cost_distribution(game, profile)
         assert dist == [(2.0, 1.0)]
+
+
+@st.composite
+def _profile_row(draw, k):
+    """k path probabilities summing to 1, with exact zeros and, at times, a
+    zero replaced by -PROB_TOL (the most negative entry a profile may hold)."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    if not any(weights):
+        weights[draw(st.integers(0, k - 1))] = 1
+    row = [w / sum(weights) for w in weights]
+    zeros = [i for i, p in enumerate(row) if p == 0]
+    if zeros and draw(st.booleans()):
+        row[draw(st.sampled_from(zeros))] = -PROB_TOL
+        row[row.index(max(row))] += PROB_TOL
+    return tuple(row)
+
+
+@st.composite
+def sampled_games(draw):
+    """A game of one or two groups with 1-4 paths each, and a mixed profile.
+
+    Paths are nonempty subsets of up to four arcs, so a path may span several
+    arcs and paths of one group may share an arc.
+    """
+    arcs = {f"a{i}": CostPolynomial((draw(_LEAD), *draw(st.lists(_COEFF, max_size=2))))
+            for i in range(draw(st.integers(1, 4)))}
+    subsets = [s for r in range(1, len(arcs) + 1) for s in itertools.combinations(arcs, r)]
+    groups, rows = [], []
+    for gi in range(draw(st.integers(1, 2))):
+        free = [s for s in subsets if all(s not in g.paths for g in groups)]
+        if not free:
+            break
+        paths = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+        demands = tuple(draw(st.lists(_DEMAND, min_size=1, max_size=3)))
+        groups.append(Group(f"g{gi}", tuple(paths), demands))
+        rows.append(tuple(draw(_profile_row(len(paths))) for _ in demands))
+    return Game(arcs, groups), MixedProfile(tuple(rows))
+
+
+def uniforms_on_cuts(profile: MixedProfile):
+    """A stand-in for ``sample_uniforms`` whose draws sit on the profile's
+    cumulative sums, as the scalar oracle accumulates them, and on the floats
+    either side of each; row i is still a pure function of (seed, i).  Any
+    run of len(pool) samples puts every pool value in every column."""
+    points = {0.0, 1.0 - 2.0 ** -53}
+    for rows in profile.probabilities:
+        for row in rows:
+            acc = 0.0
+            for p in row:
+                acc += float(p)
+                points.update((acc, float(np.nextafter(acc, -1.0)), float(np.nextafter(acc, 2.0))))
+    pool = np.array(sorted(u for u in points if 0.0 <= u < 1.0))
+
+    def uniforms(seed, start, count, width):
+        i = np.arange(start, start + count)[:, None]
+        return pool[(i * 7919 + np.arange(width) * 104729 + seed) % len(pool)]
+    return uniforms
+
+
+def decreasing_cumulative_case():
+    """Three paths with probabilities (1/2 + PROB_TOL, -PROB_TOL, 1/2): the
+    cumulative sums fall at the second path, and the first path holds every
+    draw below the first sum."""
+    game = parallel_game([(1, 0), (2, 0), (3, 0)], [1])
+    return game, MixedProfile((((0.5 + PROB_TOL, -PROB_TOL, 0.5),),))
+
+
+class TestSampler:
+    """The vectorized sampler against the scalar oracle, and its pinned bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sampled_games(), seed=st.integers(0, 2**32), on_cuts=st.booleans())
+    @example(case=decreasing_cumulative_case(), seed=0, on_cuts=True)
+    def test_sampler_matches_scalar_oracle(self, case, seed, on_cuts):
+        # on_cuts puts draws on the cut points, where a path choice that
+        # compares against a decreasing cumulative row would go astray.
+        game, profile = case
+        profile.validate(game)
+        n = SAMPLE_CHUNK + 3
+        indices = [*range(200), SAMPLE_CHUNK - 1, SAMPLE_CHUNK, n - 1]
+        with pytest.MonkeyPatch.context() as mp:
+            if on_cuts:
+                mp.setattr(poakit.game, "sample_uniforms", uniforms_on_cuts(profile))
+            costs = _sample_total_costs(game, profile, SamplingPlan(n, seed))
+            for i in indices:
+                drawn = draw_atomic_profile(game, profile, seed, i).profile
+                want = float(game.total_cost(drawn.induced_flow(game)))
+                assert math.isclose(costs[i], want, rel_tol=1e-12), (i, drawn)
+
+    def test_pinned_bytes(self):
+        """sha256 of the realized costs, seed 7, n = 3 * SAMPLE_CHUNK + 5.
+
+        A change to the (seed, chunk) stream, to the path choice or to the
+        order in which loads and costs are summed changes these bytes.  The
+        hashes assume numpy's Philox generator and float64 ``np.polyval``
+        as in numpy 2.4.
+        """
+        plan = SamplingPlan(3 * SAMPLE_CHUNK + 5, 7)
+        asset = load_asset("two_commodity_mixed_degree.json")
+        at_ne = solve_mixed_ne_small(asset, CFG).flow
+        three_path = Game({"a": poly(1, 0), "b": poly(2, 0, 1), "c": poly(1, 1, 0, 0),
+                           "d": poly(3)},
+                          [Group("od", (("a", "b"), ("b", "c"), ("d",)),
+                                 (Fraction(1), Fraction(2), Fraction(1, 2)))])
+        mixed = MixedProfile(((
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            (Fraction(1, 5), Fraction(0), Fraction(4, 5)),
+            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))),))
+
+        def digest(game, profile):
+            return hashlib.sha256(_sample_total_costs(game, profile, plan).tobytes()).hexdigest()
+
+        assert digest(asset, at_ne) == \
+            "7587647683593331fb1117c1907eba36ab73456a8130474c1daba5a41dfd3df7"
+        assert digest(three_path, mixed) == \
+            "fa4c43230b4ea79b6f3be739bf6b1fac7f11ec80abb83797ecd4d9df13aa29a2"
 
 
 class TestReports:

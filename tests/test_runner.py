@@ -73,6 +73,13 @@ MALFORMED = {
                               demand_laws={"od": {"c": 1, "gamma": 1, "user_count": 5}}),
     "gamma_null": dict(UNIT_USER_FAMILY,
                        demand_laws={"od": {"c": 1, "gamma": None, "user_demand": 1}}),
+    # Past the scale bounds: 2e300 users, a demand of 2^1e300, costs of 1e-600.
+    "tiny_user_demand": dict(UNIT_USER_FAMILY,
+                             demand_laws={"od": {"c": 1, "gamma": 1, "user_demand": 1e-300}}),
+    "huge_gamma": dict(UNIT_USER_FAMILY,
+                       demand_laws={"od": {"c": 1, "gamma": 1e300, "user_demand": 1}}),
+    "tiny_c": dict(UNIT_USER_FAMILY,
+                   demand_laws={"od": {"c": 1e-300, "gamma": 1, "user_demand": 1}}),
 }
 
 # Offset keeps two equilibria alive at every scale, so the measured gap is
@@ -374,13 +381,21 @@ class TestCli:
         ({}, ["decompose", "--family", "{family}", "--grid", "x"]),
         ({}, ["solve"]),
         ({}, ["sample", "--game", "{asset}", "--n", "many"]),
+        ({}, ["sweep", "--family", "{tiny_user_demand}", "--grid", "1,2"]),
+        ({}, ["decompose", "--family", "{tiny_user_demand}", "--grid", "1,2"]),
+        ({}, ["sweep", "--family", "{huge_gamma}", "--grid", "1,2"]),
+        ({}, ["decompose", "--family", "{huge_gamma}", "--grid", "1,2"]),
+        ({}, ["sweep", "--family", "{tiny_c}", "--grid", "1,2"]),
+        ({}, ["decompose", "--family", "{tiny_c}", "--grid", "1,2"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
             "negative-seed", "missing-profile", "flat-profile",
             "solve-directory", "sample-directory", "sweep-directory", "decompose-directory",
             "solve-not-utf8", "sample-not-utf8", "groups-item", "paths-number", "arcs-item",
             "laws-list", "user-count-number", "gamma-null", "sweep-grid-zero",
             "tolerance-nan", "tolerance-inf", "grid-decreasing", "grid-not-integers",
-            "missing-game", "samples-not-integer"])
+            "missing-game", "samples-not-integer", "sweep-tiny-user-demand",
+            "decompose-tiny-user-demand", "sweep-huge-gamma", "decompose-huge-gamma",
+            "sweep-tiny-c", "decompose-tiny-c"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -534,6 +549,32 @@ class TestCliProperty:
                     "decompose": ["--family", str(document), "--grid", "1,2"]}[mode]
             with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = main([mode, *args, "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_INPUT, EXIT_NONCONVERGED)
+            assert json.loads((out / "report.json").read_text())["exit_code"] == code
+            assert all(line.startswith(("[PASS] ", "[FAIL] "))
+                       for line in stdout.getvalue().splitlines())
+
+    # Demand scales far from 1, each drawn for the law's c, gamma and user
+    # granularity: instances too large, costs past the float range, or fine.
+    SCALE = st.sampled_from([1e-300, 1e-30, 1, 3.5, 1e30, 1e300])
+    GROWTH = st.sampled_from([0, 1e-300, 0.5, 1, 2, 30, 1e300])
+
+    @settings(max_examples=60, deadline=5000)
+    @given(mode=st.sampled_from(["sweep", "decompose"]), c=SCALE, gamma=GROWTH,
+           granularity=st.one_of(st.builds(lambda v: {"user_demand": v}, SCALE),
+                                 st.builds(lambda c, g: {"user_count": {"c": c, "gamma": g}},
+                                           SCALE, GROWTH)))
+    def test_any_demand_scale_ends_in_a_documented_code_with_report(self, mode, c, gamma,
+                                                                     granularity):
+        law = {"c": c, "gamma": gamma, **granularity}
+        with tempfile.TemporaryDirectory() as tmp:
+            document = Path(tmp) / "family.json"
+            document.write_text(json.dumps(dict(OFFSET_UNIT_FAMILY, demand_laws={"od": law})),
+                                encoding="utf-8")
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main([mode, "--family", str(document), "--grid", "1,2",
+                             "--out", str(out)])
             assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_INPUT, EXIT_NONCONVERGED)
             assert json.loads((out / "report.json").read_text())["exit_code"] == code
             assert all(line.startswith(("[PASS] ", "[FAIL] "))
