@@ -10,7 +10,6 @@ from .game import (
     Group,
     MixedProfile,
     PathFlow,
-    RandomFlowSample,
     draw_atomic_profile,
     dump_game,
     expected_arc_flow_and_variance,
@@ -46,7 +45,6 @@ from .poa import (
 )
 from .bounds import (
     BoundInputs,
-    ScaledGame,
     TailBound,
     TailVariant,
     arc_deviation_probability_bound,
@@ -64,7 +62,6 @@ from .decomposition import (
     classify_groups,
     decomposition_prediction,
     limit_game,
-    limit_ne,
     load_family,
     ordered_partition,
     scaling_exponent,

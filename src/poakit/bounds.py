@@ -14,30 +14,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .game import Game, Number
+from .game import Game, Group, Number
 
 
-@dataclass(frozen=True)
-class ScaledGame:
-    """Game with costs x -> tau(x * T) / g and demands divided by T."""
-
-    game: Game
-    base: Game
-    factor: Number
-    base_total_demand: Number
-
-
-def scale_game(base: Game, g: Number) -> ScaledGame:
-    """Scaled game with factor g: evaluation satisfies tau_scaled(x) * g = tau(x * T)."""
+def scale_game(base: Game, g: Number) -> Game:
+    """Game with costs x -> tau(x * T) / g and demands divided by T, the base
+    game's total demand: evaluation satisfies tau_scaled(x) * g = tau(x * T)."""
     if g <= 0:
         raise ValueError("scaling factor must be > 0")
     total = base.total_demand
     arcs = {aid: poly.scaled(total, g) for aid, poly in base.arcs.items()}
-    from .game import Group
     groups = [Group(grp.gid, grp.paths, tuple(d / total for d in grp.demands))
               for grp in base.groups]
-    scaled = Game(arcs, groups)
-    return ScaledGame(game=scaled, base=base, factor=g, base_total_demand=total)
+    return Game(arcs, groups)
 
 
 @dataclass(frozen=True)

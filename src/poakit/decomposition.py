@@ -96,10 +96,6 @@ class DemandFamily:
             if g.gid not in self.laws:
                 raise ValueError(f"missing demand law for group {g.gid!r}")
 
-    @property
-    def has_regular_group(self) -> bool:
-        return any(law.gamma > 0 for law in self.laws.values())
-
     def users_at(self, gid: str, n: int) -> tuple:
         """User demand vector realizing d(n) under the group's granularity."""
         law = self.laws[gid]
@@ -224,18 +220,15 @@ def tight_paths(game: Game, class_gids: Sequence[str], lam: int) -> dict:
 def limit_game(game: Game, class_gids: Sequence[str], lam: int,
                family: DemandFamily) -> Game:
     """Per-class limit: degree-lambda arcs keep their leading monomial,
-    lower-degree arcs become free, and paths through higher-degree arcs are
-    dropped.  Group demands are the class-normalized coefficients (total 1).
+    lower-degree arcs become free, and only the ``tight_paths`` are kept.
+    Group demands are the class-normalized coefficients (total 1).
     """
     class_total = sum(family.laws[gid].c for gid in class_gids)
     groups = []
     used_arcs: set = set()
-    for gid in class_gids:
+    for gid, flags in tight_paths(game, class_gids, lam).items():
         g = game.groups[game.group_index(gid)]
-        keep = [path for path in g.paths
-                if max(game.arcs[aid].degree for aid in path) <= lam]
-        if not keep:
-            raise ValueError(f"group {gid!r} loses all paths in the limit")
+        keep = [path for path, tight in zip(g.paths, flags) if tight]
         demand = family.laws[gid].c / class_total
         groups.append(Group(g.gid, tuple(keep), (demand,)))
         for path in keep:
@@ -252,15 +245,6 @@ def limit_game(game: Game, class_gids: Sequence[str], lam: int,
     return Game(arcs, groups, allow_zero_costs=True)
 
 
-def limit_ne(game: Game, config: SolverConfig = SolverConfig()):
-    """Non-atomic equilibrium of a limit game and its total cost.
-
-    RuntimeError if the solve did not converge.
-    """
-    result = require_converged(solve_nonatomic_ne(game, config))
-    return result, float(result.cost)
-
-
 # ---------------------------------------------------------------------------
 # Prediction vs. measurement
 # ---------------------------------------------------------------------------
@@ -272,7 +256,6 @@ class ClassSummary:
     lam: int
     demand_coefficient: float  # T_u(n) = coefficient * n^gamma
     limit_cost: float
-    limit_flow: dict
 
 
 @dataclass
@@ -336,26 +319,23 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
     ratios against the prediction; the ratios approaching 1 along the grid
     is the property of interest.
     """
-    if not family.has_regular_group:
+    partition = ordered_partition(family)
+    if not partition:
         raise ValueError("family has no group with growing demand")
     if not n_grid or list(n_grid) != sorted(set(n_grid)):
         raise ValueError("n grid must be nonempty and strictly increasing")
     family.check_scale(n_grid[-1])
 
     classes = []
-    for gids in ordered_partition(family):
+    for gids in partition:
         lam = scaling_exponent(family.base, gids)
-        tight_paths(family.base, gids, lam)  # asserts every group keeps a path
         lim = limit_game(family.base, gids, lam, family)
-        result, cost = limit_ne(lim, config)
         classes.append(ClassSummary(
             gids=gids,
             gamma=float(family.laws[gids[0]].gamma),
             lam=lam,
             demand_coefficient=float(sum(family.laws[gid].c for gid in gids)),
-            limit_cost=cost,
-            limit_flow={f"{lim.groups[gi].gid}/{pi}": float(v)
-                        for (gi, pi), v in result.flow.items()},
+            limit_cost=float(require_converged(solve_nonatomic_ne(lim, config)).cost),
         ))
     _, irregular = classify_groups(family)
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -248,9 +248,6 @@ class Game:
     def degrees(self) -> tuple:
         return tuple(p.degree for p in self._arcs.values())
 
-    def path_arcs(self, gi: int, pi: int) -> tuple:
-        return self._groups[gi].paths[pi]
-
     def group_index(self, gid: str) -> int:
         for gi, g in enumerate(self._groups):
             if g.gid == gid:
@@ -280,35 +277,6 @@ class Game:
     def total_cost(self, flow: "PathFlow") -> Number:
         fa = self.arc_flow(flow)
         return sum(v * self._arcs[aid].value(v) for aid, v in fa.items())
-
-    def joint_total_cost(self, flow: "PathFlow", group_ids: Iterable[str]) -> Number:
-        """Cost attributed to the chosen groups, with arc costs from the full flow."""
-        indices = {self.group_index(gid) for gid in group_ids}
-        arc_costs = self.arc_cost_map(flow)
-        total = 0
-        for (gi, pi), v in flow.items():
-            if gi in indices and v != 0:
-                total += v * self.path_cost(flow, gi, pi, arc_costs)
-        return total
-
-    def subgame(self, group_ids: Sequence[str]) -> "Game":
-        """Restriction to a nonempty subset of groups; the arc set is kept."""
-        ids = list(group_ids)
-        if not ids:
-            raise GameSchemaError("groups", "subgame needs a nonempty group subset")
-        indices = sorted({self.group_index(gid) for gid in ids})
-        return Game(self._arcs, [self._groups[i] for i in indices],
-                    allow_zero_costs=self._allow_zero_costs)
-
-    def feasible_flow_residual(self, flow: "PathFlow") -> Number:
-        """Largest per-group demand-conservation violation."""
-        worst = 0
-        for gi, g in enumerate(self._groups):
-            s = sum(flow.value(gi, pi) for pi in range(g.n_paths))
-            gap = abs(s - g.total_demand)
-            if gap > worst:
-                worst = gap
-        return worst
 
 
 class PathFlow:
@@ -415,13 +383,14 @@ class MixedProfile:
         return MixedProfile(tuple(rows))
 
 
-@dataclass(frozen=True)
-class RandomFlowSample:
-    """A single atomic realization of a mixed profile and its stream position."""
-
-    profile: AtomicProfile
-    seed: int
-    index: int
+def arc_users(game: Game, profile: MixedProfile, aid: str):
+    """(demand, probability its path crosses ``aid``) for each user whose group
+    has a path through ``aid``, in group and user order."""
+    for gi, g in enumerate(game.groups):
+        touching = [pi for pi in range(g.n_paths) if aid in g.paths[pi]]
+        if touching:
+            for d, row in zip(g.demands, profile.probabilities[gi]):
+                yield d, sum(row[pi] for pi in touching)
 
 
 def expected_arc_flow_and_variance(game: Game, profile: MixedProfile) -> dict:
@@ -436,14 +405,9 @@ def expected_arc_flow_and_variance(game: Game, profile: MixedProfile) -> dict:
     for aid in game.arc_ids:
         mean = 0
         var = 0
-        for gi, g in enumerate(game.groups):
-            touching = [pi for pi in range(g.n_paths) if aid in g.paths[pi]]
-            if not touching:
-                continue
-            for ui, d in enumerate(g.demands):
-                q = sum(profile.probabilities[gi][ui][pi] for pi in touching)
-                mean += d * q
-                var += d * d * q * (1 - q)
+        for d, q in arc_users(game, profile, aid):
+            mean += d * q
+            var += d * d * q * (1 - q)
         out[aid] = (mean, var)
     return out
 
@@ -476,7 +440,7 @@ def sample_uniforms(seed: int, start: int, count: int, width: int):
     return out
 
 
-def draw_atomic_profile(game: Game, profile: MixedProfile, seed: int, index: int) -> RandomFlowSample:
+def draw_atomic_profile(game: Game, profile: MixedProfile, seed: int, index: int) -> AtomicProfile:
     """Draw realization ``index`` of a mixed profile; pure in (seed, index)."""
     draws = sample_uniforms(seed, index, 1, game.n_users)[0]
     picks = []
@@ -495,7 +459,7 @@ def draw_atomic_profile(game: Game, profile: MixedProfile, seed: int, index: int
                     break
             row.append(choice)
         picks.append(tuple(row))
-    return RandomFlowSample(AtomicProfile(tuple(picks)), seed, index)
+    return AtomicProfile(tuple(picks))
 
 
 # -- document loading ----------------------------------------------------

@@ -11,14 +11,12 @@ computed exactly by state enumeration.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .game import Game, MixedProfile, Number
 from .solvers import (
-    MIXED_MAX_USERS,
     AtomicEquilibria,
     BudgetExceededError,
     EquilibriumResult,
@@ -63,7 +61,6 @@ class PoaReport:
     atomic_status: str = "ok"
     mixed_status: str = "ok"
     mixed_certified: bool = False
-    random_poa_samples: list = field(default_factory=list)  # (value, weight, source)
     nonatomic_ne: Optional[EquilibriumResult] = None  # the solves behind nonatomic_poa
     nonatomic_so: Optional[EquilibriumResult] = None
     mixed_ne: Optional[EquilibriumResult] = None  # set when the game is in mixed scope
@@ -252,8 +249,6 @@ class RandomPoaDistribution:
 
     samples: np.ndarray  # empirical ratio per sample
     exact: list  # (ratio, probability) pairs; empty when not enumerated
-    so_cost: float
-    seed: int
 
     @property
     def empirical_mean(self) -> float:
@@ -321,8 +316,10 @@ def _sample_total_costs(game: Game, profile: MixedProfile, plan: SamplingPlan) -
     return out
 
 
-def exact_random_cost_distribution(game: Game, profile: MixedProfile,
-                                   max_states: int = 2_000_000) -> list:
+EXACT_DISTRIBUTION_MAX_STATES = 2_000_000
+
+
+def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
     """Exact distribution of the realized total cost, by state enumeration.
 
     Groups that share no arcs have independent realized costs, so their cost
@@ -348,7 +345,7 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile,
                                     for v, aid in zip(state, arc_ids))
                         new[nxt] = new.get(nxt, 0.0) + p * q
                 states = new
-                if len(states) > max_states:
+                if len(states) > EXACT_DISTRIBUTION_MAX_STATES:
                     raise BudgetExceededError("state space too large for exact enumeration")
         dist: dict = {}
         for state, p in states.items():
@@ -363,7 +360,7 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile,
             for v2, p2 in dist.items():
                 new[v1 + v2] = new.get(v1 + v2, 0.0) + p1 * p2
         total = new
-        if len(total) > max_states:
+        if len(total) > EXACT_DISTRIBUTION_MAX_STATES:
             raise BudgetExceededError("cost support too large for exact convolution")
     return sorted(total.items())
 
@@ -372,32 +369,24 @@ EXACT_DISTRIBUTION_MAX_USERS = 20
 
 
 def sample_random_poa(game: Game, profile: MixedProfile, plan: SamplingPlan,
-                      config: SolverConfig = SolverConfig(),
-                      optimum: Optional[EquilibriumResult] = None) -> RandomPoaDistribution:
-    """Distribution of realized total cost over the atomic optimum cost.
-
-    ``optimum`` reuses an atomic optimum the caller already holds.
-    """
+                      config: SolverConfig = SolverConfig()) -> RandomPoaDistribution:
+    """Distribution of realized total cost over the atomic optimum cost."""
     profile.validate(game)
-    if optimum is None:
-        optimum = enumerate_atomic_equilibria(game, config).optimum
-    so_cost = float(optimum.cost)
+    so_cost = float(enumerate_atomic_equilibria(game, config).optimum.cost)
     if so_cost <= 0:
         raise ValueError("atomic optimum cost must be positive")
     costs = _sample_total_costs(game, profile, plan)
     exact = []
     if game.n_users <= EXACT_DISTRIBUTION_MAX_USERS:
         exact = [(v / so_cost, p) for v, p in exact_random_cost_distribution(game, profile)]
-    return RandomPoaDistribution(samples=costs / so_cost, exact=exact,
-                                 so_cost=so_cost, seed=plan.rng_seed)
+    return RandomPoaDistribution(samples=costs / so_cost, exact=exact)
 
 
 # ---------------------------------------------------------------------------
 # Full report
 # ---------------------------------------------------------------------------
 
-def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
-                       plan: Optional[SamplingPlan] = None) -> PoaReport:
+def compute_poa_report(game: Game, config: SolverConfig = SolverConfig()) -> PoaReport:
     """All applicable ratios for one game, with solver fallbacks recorded."""
     rho_nat, nonat_ne, nonat_so = nonatomic_pair(game, config)
 
@@ -414,34 +403,30 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig(),
         br = best_response_atomic(game, config)
         atomic_status = ("unavailable: enumeration budget exceeded; best-response "
                          f"cost {float(br.cost):.6g} is a lower-bound witness")
-    atomic_so = None if equilibria is None else equilibria.optimum
 
     mixed_value = None
     mixed_certified = False
-    mixed_status = "ok"
-    samples: list = []
-    small = all(g.n_paths <= 2 for g in game.groups) and game.n_users <= MIXED_MAX_USERS
-    mixed_ne = solve_mixed_ne_small(game, config) if small else None
-    if not small:
+    try:
+        mixed_ne = solve_mixed_ne_small(game, config)
+    except ValueError:  # outside the mixed solver's scope
+        mixed_ne = None
+    if mixed_ne is None:
         mixed_status = "unavailable: game outside small-solver scope"
     elif equilibria is None:
         mixed_status = "unavailable: enumeration budget exceeded; no atomic optimum"
     else:
         mixed_value, mixed_certified, mixed_status = mixed_poa_small(
             game, config, equilibria, mixed_ne)
-    if plan is not None and small and mixed_ne.converged:
-        samples = sample_random_poa(game, mixed_ne.flow, plan, config, atomic_so).table()
 
     report = PoaReport(
         atomic_poa=atomic_value,
         nonatomic_poa=rho_nat,
         mixed_poa=mixed_value,
-        atomic_so_cost=None if atomic_so is None else atomic_so.cost,
+        atomic_so_cost=None if equilibria is None else equilibria.optimum.cost,
         nonatomic_so_cost=float(nonat_so.cost),
         atomic_status=atomic_status,
         mixed_status=mixed_status,
         mixed_certified=mixed_certified,
-        random_poa_samples=samples,
         nonatomic_ne=nonat_ne,
         nonatomic_so=nonat_so,
         mixed_ne=mixed_ne,

@@ -139,8 +139,9 @@ def _run(fields: dict, out_dir: Optional[str],
 
     ``body`` fills the report's rows and verdicts, and may return the exit
     code of its failed verdicts.  A ``RunFailure`` it raises becomes one more
-    failed verdict with that failure's code.  Failed verdicts without a code
-    end in EXIT_ASSERTION.
+    failed verdict with that failure's code.  An ``ArithmeticError`` means the
+    input's costs left the float range: an input error, named after the mode.
+    Failed verdicts without a code end in EXIT_ASSERTION.
     """
     t0 = time.perf_counter()
     report = RunReport(config=fields)
@@ -149,6 +150,9 @@ def _run(fields: dict, out_dir: Optional[str],
     except RunFailure as failure:
         report.verdicts.append((failure.step, False, failure.detail))
         code = failure.exit_code
+    except ArithmeticError as exc:
+        report.verdicts.append((fields["mode"], False, f"costs outside the float range: {exc}"))
+        code = EXIT_INPUT
     report.exit_code = EXIT_OK if report.passed else code or EXIT_ASSERTION
     report.wall_time = time.perf_counter() - t0
     if out_dir is not None:
@@ -172,12 +176,6 @@ def _read(path: str, parse: Callable, step: str = "load"):
         return parse(Path(path).read_text(encoding="utf-8"))
     except (OSError, OverflowError, TypeError, ValueError) as exc:
         raise RunFailure(step, str(exc), EXIT_INPUT) from None
-
-
-def _out_of_range(exc: Exception) -> str:
-    """An input error's detail; ArithmeticError means costs left the float range."""
-    kind = "costs outside the float range: " if isinstance(exc, ArithmeticError) else ""
-    return kind + str(exc)
 
 
 def _write_table(config: ExperimentConfig, name: str, header: list, rows: list) -> None:
@@ -275,8 +273,8 @@ def _sweep(config: ExperimentConfig, report: RunReport) -> None:
             report.rows.append({"n": n, "T": float(game.total_demand),
                                 "d_max": float(game.d_max), "poa_measured": poa,
                                 **_bound_columns(game), "atomic_lower_bound_only": is_lb})
-    except (ArithmeticError, ValueError) as exc:
-        raise RunFailure("sweep", _out_of_range(exc), EXIT_INPUT) from None
+    except ValueError as exc:
+        raise RunFailure("sweep", str(exc), EXIT_INPUT) from None
 
     # Decay toward 1 is only promised when the total demand grows while the
     # top user share shrinks; families violating either side are reported
@@ -384,8 +382,8 @@ def _decompose(config: ExperimentConfig, report: RunReport) -> None:
         result = decomposition_prediction(family, list(config.grid), config.solver_config())
     except RuntimeError as exc:
         raise RunFailure("decompose", str(exc), EXIT_NONCONVERGED) from None
-    except (ArithmeticError, ValueError) as exc:
-        raise RunFailure("decompose", _out_of_range(exc), EXIT_INPUT) from None
+    except ValueError as exc:
+        raise RunFailure("decompose", str(exc), EXIT_INPUT) from None
 
     for row in result.rows:
         report.rows.append({

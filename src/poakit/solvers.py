@@ -35,6 +35,7 @@ from .game import (
     MixedProfile,
     Number,
     PathFlow,
+    arc_users,
 )
 
 USED_PATH_REL_TOL = Fraction(1, 10**12)  # f_p > 1e-12 * d_k counts as used
@@ -70,6 +71,10 @@ class EquilibriumResult:
     multiplicity: int = 1
     note: str = ""
     wall_time: float = 0.0
+
+    def __post_init__(self):
+        if isinstance(self.cost, float) and not math.isfinite(self.cost):
+            raise OverflowError(f"{self.kind} cost {self.cost} is not a finite float")
 
     def to_document(self, game: Game) -> dict:
         if isinstance(self.flow, PathFlow):
@@ -178,7 +183,7 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
     t0 = time.perf_counter()
     keys = game.path_keys
     n = len(keys)
-    gpaths = {key: game.path_arcs(*key) for key in keys}
+    gpaths = {(gi, pi): game.groups[gi].paths[pi] for gi, pi in keys}
     group_slots = [[i for i, key in enumerate(keys) if key[0] == gi]
                    for gi in range(len(game.groups))]
 
@@ -204,7 +209,6 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
     converged = False
     budget = config.max_iterations
     while moves < budget:
-        worst_violation = 0.0
         for gi, g in enumerate(game.groups):
             slots = group_slots[gi]
             if len(slots) == 1:
@@ -241,7 +245,6 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
             for j, i in enumerate(slots):
                 if flows[i] > used_thresh and costs[j] - cheapest > config.tolerance * (1.0 + abs(cheapest)):
                     all_ok = False
-                    worst_violation = max(worst_violation, costs[j] - cheapest)
         if all_ok:
             converged = True
             break
@@ -270,7 +273,10 @@ def _segment_step(src_arcs, dst_arcs, arc_flow, dir_cost, available: float) -> f
                 - sum(dir_cost(a, arc_flow[a] - m) for a in src_only))
 
     hi = available
-    if slope(hi) <= 0.0:
+    top = slope(hi)
+    if not math.isfinite(top):
+        raise OverflowError(f"path cost gap {top} of a full move is not a finite float")
+    if top <= 0.0:
         return hi
     lo = 0.0
     for _ in range(80):
@@ -603,7 +609,6 @@ class AtomicEquilibria:
     worst: Optional[EquilibriumResult]
     best: Optional[EquilibriumResult]
     states_scanned: int
-    exact: bool
     optimum: EquilibriumResult
 
 
@@ -661,7 +666,7 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
                                 iterations=scanned, exact=exact, cost=so_cost,
                                 wall_time=time.perf_counter() - t0)
     if any(not found for found in per_comp):
-        return AtomicEquilibria([], None, None, scanned, True, optimum)
+        return AtomicEquilibria([], None, None, scanned, optimum)
 
     def combine(combo, note=""):
         # Component costs add and multiplicities multiply (disjoint arc sets).
@@ -685,7 +690,7 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
     results = []
     if combo_count <= 100_000:
         results = [combine(combo) for combo in itertools.product(*per_comp)]
-    return AtomicEquilibria(results, worst, best, scanned, exact, optimum)
+    return AtomicEquilibria(results, worst, best, scanned, optimum)
 
 
 def solve_atomic_so(game: Game, config: SolverConfig = SolverConfig()) -> EquilibriumResult:
@@ -802,12 +807,7 @@ def _bernoulli_convolution(pairs, zero, one) -> dict:
 
 def arc_flow_distribution(game: Game, profile: MixedProfile, arc_id: str) -> dict:
     """Exact distribution of one arc's random flow under a mixed profile."""
-    pairs = []
-    for gi, g in enumerate(game.groups):
-        touching = [pi for pi in range(g.n_paths) if arc_id in g.paths[pi]]
-        if touching:
-            pairs.extend((d, sum(profile.probabilities[gi][ui][pi] for pi in touching))
-                         for ui, d in enumerate(g.demands))
+    pairs = arc_users(game, profile, arc_id)
     if game.is_rational:
         return _bernoulli_convolution(pairs, Fraction(0), Fraction(1))
     return _bernoulli_convolution(pairs, 0, 1.0)
@@ -920,6 +920,8 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
                                               0.0, 1.0)
                 poly = game.arcs[aid]
                 total += sign * sum(p * float(poly.value(v)) for v, p in dist.items())
+        if not math.isfinite(total):
+            raise OverflowError(f"expected path cost gap {total} is not a finite float")
         return total
 
     sweeps = 0

@@ -79,7 +79,7 @@ def test_criterion_1_affine_offset_exact_ratio():
         so = solve_atomic_so(game, CFG)
         value = eq.worst.cost / so.cost
         elapsed = time.perf_counter() - t0
-        assert eq.exact and so.exact
+        assert eq.optimum.exact and so.exact
         assert value == Fraction(8, 7)
         assert elapsed < 1.0
     verdict("criterion 1", "atomic ratio exactly 8/7 at n in {1, 2, 5}, each under 1s")
@@ -172,11 +172,11 @@ def test_criterion_6_scaling_invariance(pool_solutions):
         degree = game.degrees[0]
         for factor in (game.total_demand ** degree, Fraction(1), Fraction(7, 3)):
             scaled = scale_game(game, factor)
-            eq = enumerate_atomic_equilibria(scaled.game, CFG)
-            so = solve_atomic_so(scaled.game, CFG)
+            eq = enumerate_atomic_equilibria(scaled, CFG)
+            so = solve_atomic_so(scaled, CFG)
             assert eq.worst.cost / so.cost == sol["atomic_poa"]
-            ne = solve_nonatomic_ne(scaled.game, CFG)
-            so_nat = solve_nonatomic_so(scaled.game, CFG)
+            ne = solve_nonatomic_ne(scaled, CFG)
+            so_nat = solve_nonatomic_so(scaled, CFG)
             assert abs(float(ne.cost) / float(so_nat.cost) - sol["nonatomic_poa"]) <= 1e-8
             checked += 1
     verdict("criterion 6", f"atomic ratio exact-equal and splittable ratio within 1e-8 "
@@ -193,14 +193,14 @@ def test_criterion_7_epsilon_conformance(pool_solutions):
         t = game.total_demand
         scaled = scale_game(game, t ** game.degrees[0])
         eps, gap_bound = atomic_ne_approximation_bound(inputs)
-        scaled_ne = solve_nonatomic_ne(scaled.game, CFG)
-        scaled_ne_costs = scaled.game.arc_cost_map(scaled_ne.flow)
-        for entry in enumerate_atomic_equilibria(scaled.game, CFG).equilibria:
-            flow = entry.flow.induced_flow(scaled.game)
-            assert float(epsilon_ne_residual(scaled.game, flow)) <= eps + 1e-9
+        scaled_ne = solve_nonatomic_ne(scaled, CFG)
+        scaled_ne_costs = scaled.arc_cost_map(scaled_ne.flow)
+        for entry in enumerate_atomic_equilibria(scaled, CFG).equilibria:
+            flow = entry.flow.induced_flow(scaled)
+            assert float(epsilon_ne_residual(scaled, flow)) <= eps + 1e-9
             residual_checks += 1
-            arc_costs = scaled.game.arc_cost_map(flow)
-            for aid in scaled.game.arc_ids:
+            arc_costs = scaled.arc_cost_map(flow)
+            for aid in scaled.arc_ids:
                 assert abs(float(arc_costs[aid] - scaled_ne_costs[aid])) <= gap_bound + 1e-7
                 gap_checks += 1
         if all(g.n_paths <= 2 for g in game.groups) and game.n_users <= 12:
@@ -209,9 +209,9 @@ def test_criterion_7_epsilon_conformance(pool_solutions):
                 continue
             approx = expected_flow_approximation(inputs, 1.0 / 3.0)
             expected = mixed.flow.expected_flow(game)
-            scaled_expected = PathFlow(scaled.game, [float(v) / float(t)
-                                                     for v in expected.values()])
-            residual = float(epsilon_ne_residual(scaled.game, scaled_expected))
+            scaled_expected = PathFlow(scaled, [float(v) / float(t)
+                                                for v in expected.values()])
+            residual = float(epsilon_ne_residual(scaled, scaled_expected))
             assert residual <= approx.eps_expected + 1e-9
             mixed_checks += 1
     assert residual_checks > 50 and mixed_checks > 10
@@ -252,16 +252,16 @@ def test_criterion_8_concentration_dominance(pool_solutions):
             continue
         t = game.total_demand
         scaled = scale_game(game, t ** game.degrees[0])
-        profiles = [MixedProfile.uniform(scaled.game)]
+        profiles = [MixedProfile.uniform(scaled)]
         if all(g.n_paths <= 2 for g in game.groups):
-            mixed = solve_mixed_ne_small(scaled.game, CFG)
+            mixed = solve_mixed_ne_small(scaled, CFG)
             profiles.append(mixed.flow)
         for profile in profiles:
             for delta in (0.1, 0.25, 0.4):
                 thresh = (float(game.d_max) / float(t)) ** delta
                 ceiling = arc_deviation_probability_bound(sol["inputs"], delta)
-                for aid in scaled.game.arc_ids:
-                    dist = arc_flow_distribution(scaled.game, profile, aid)
+                for aid in scaled.arc_ids:
+                    dist = arc_flow_distribution(scaled, profile, aid)
                     mean = sum(v * p for v, p in dist.items())
                     exact = sum(p for v, p in dist.items()
                                 if abs(float(v - mean)) > thresh)

@@ -45,20 +45,20 @@ class TestScaleGame:
     def test_linear_double_form_preserved(self):
         game = linear_double_game()  # T = 2
         scaled = scale_game(game, Fraction(2))
-        assert scaled.game.arcs["u"].coefficients == (Fraction(1), Fraction(0))
-        assert scaled.game.arcs["l"].coefficients == (Fraction(2), Fraction(0))
-        assert scaled.game.total_demand == 1
+        assert scaled.arcs["u"].coefficients == (Fraction(1), Fraction(0))
+        assert scaled.arcs["l"].coefficients == (Fraction(2), Fraction(0))
+        assert scaled.total_demand == 1
 
     def test_identity_when_unit(self):
         game = parallel_game([(1, 0)], [1])
         scaled = scale_game(game, 1)
-        assert scaled.game.arcs["a0"].coefficients == game.arcs["a0"].coefficients
+        assert scaled.arcs["a0"].coefficients == game.arcs["a0"].coefficients
 
     def test_quadratic_constant_with_square_factor(self):
         game = quadratic_constant_game()
         scaled = scale_game(game, Fraction(16))
-        assert scaled.game.arcs["u"].coefficients == (Fraction(1), Fraction(0), Fraction(0))
-        assert scaled.game.arcs["l"].coefficients == (Fraction(1, 8),)
+        assert scaled.arcs["u"].coefficients == (Fraction(1), Fraction(0), Fraction(0))
+        assert scaled.arcs["l"].coefficients == (Fraction(1, 8),)
 
     def test_evaluation_identity(self):
         game = quadratic_constant_game()
@@ -68,7 +68,7 @@ class TestScaleGame:
             for aid in game.arc_ids:
                 for i in range(11):
                     x = Fraction(i, 10)
-                    assert scaled.game.arcs[aid].value(x) * g == game.arcs[aid].value(x * t)
+                    assert scaled.arcs[aid].value(x) * g == game.arcs[aid].value(x * t)
 
     def test_total_cost_identity_on_random_flows(self):
         # C(f) = C(f/T, scaled) * g * T: the scaled flow is f/T and the
@@ -83,9 +83,9 @@ class TestScaleGame:
             for _ in range(50):
                 w = Fraction(rng.randint(0, 100), 100)
                 flow = PathFlow(game, [w * 4, (1 - w) * 4])
-                down = PathFlow(scaled.game, [v / t for v in flow.values()])
+                down = PathFlow(scaled, [v / t for v in flow.values()])
                 lhs = float(game.total_cost(flow))
-                rhs = float(scaled.game.total_cost(down) * g * t)
+                rhs = float(scaled.total_cost(down) * g * t)
                 assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
     def test_nonpositive_factor_rejected(self):
@@ -269,8 +269,8 @@ class TestScalingInvariance:
             scaled = scale_game(game, g)
             base_eq = enumerate_atomic_equilibria(game, CFG)
             base_so = solve_atomic_so(game, CFG)
-            scaled_eq = enumerate_atomic_equilibria(scaled.game, CFG)
-            scaled_so = solve_atomic_so(scaled.game, CFG)
+            scaled_eq = enumerate_atomic_equilibria(scaled, CFG)
+            scaled_so = solve_atomic_so(scaled, CFG)
             assert base_eq.worst.cost / base_so.cost == scaled_eq.worst.cost / scaled_so.cost
 
     @pytest.mark.parametrize("factor", ["power", 1, Fraction(7, 3)])
@@ -280,8 +280,8 @@ class TestScalingInvariance:
             scaled = scale_game(game, g)
             rho = (float(solve_nonatomic_ne(game, CFG).cost)
                    / float(solve_nonatomic_so(game, CFG).cost))
-            rho_scaled = (float(solve_nonatomic_ne(scaled.game, CFG).cost)
-                          / float(solve_nonatomic_so(scaled.game, CFG).cost))
+            rho_scaled = (float(solve_nonatomic_ne(scaled, CFG).cost)
+                          / float(solve_nonatomic_so(scaled, CFG).cost))
             assert abs(rho - rho_scaled) <= 1e-8
 
     def test_equilibrium_bijection(self):
@@ -291,8 +291,8 @@ class TestScalingInvariance:
         base = {tuple(e.flow.induced_flow(game).values())
                 for e in enumerate_atomic_equilibria(game, CFG).equilibria}
         image = {tuple(v / t for v in flow) for flow in base}
-        scaled_set = {tuple(e.flow.induced_flow(scaled.game).values())
-                      for e in enumerate_atomic_equilibria(scaled.game, CFG).equilibria}
+        scaled_set = {tuple(e.flow.induced_flow(scaled).values())
+                      for e in enumerate_atomic_equilibria(scaled, CFG).equilibria}
         assert image == scaled_set
 
     def test_mixed_profile_carries_over(self):
@@ -300,7 +300,7 @@ class TestScalingInvariance:
         mixed = solve_mixed_ne_small(game, CFG)
         for g in (Fraction(16), Fraction(1), Fraction(7, 3)):
             scaled = scale_game(game, g)
-            assert mixed_ne_residual(scaled.game, mixed.flow) <= CFG.tolerance
+            assert mixed_ne_residual(scaled, mixed.flow) <= CFG.tolerance
 
 
 class TestComposedRandomBound:

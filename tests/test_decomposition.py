@@ -14,14 +14,15 @@ from poakit import (
     classify_groups,
     decomposition_prediction,
     limit_game,
-    limit_ne,
     load_family,
     ordered_partition,
     scaling_exponent,
+    solve_nonatomic_ne,
     tight_paths,
 )
 
 from poakit.decomposition import MAX_INSTANCE_USERS
+from poakit.solvers import require_converged
 
 from conftest import poly, two_commodity_game
 
@@ -170,7 +171,8 @@ class TestLimitEquilibrium:
     def test_cubic_limit_split(self):
         family = two_commodity_family()
         lim = limit_game(family.base, ["od2"], 3, family)
-        result, cost = limit_ne(lim, CFG)
+        result = require_converged(solve_nonatomic_ne(lim, CFG))
+        cost = float(result.cost)
         flow = [float(v) for v in result.flow.values()]
         assert flow[0] == pytest.approx(2 / 3, abs=1e-8)
         assert flow[1] == pytest.approx(1 / 3, abs=1e-8)
@@ -179,7 +181,8 @@ class TestLimitEquilibrium:
     def test_linear_limit_even_split(self):
         family = two_commodity_family()
         lim = limit_game(family.base, ["od1"], 1, family)
-        result, cost = limit_ne(lim, CFG)
+        result = require_converged(solve_nonatomic_ne(lim, CFG))
+        cost = float(result.cost)
         flow = [float(v) for v in result.flow.values()]
         assert flow == pytest.approx([0.5, 0.5], abs=1e-8)
         assert cost == pytest.approx(0.5, abs=1e-9)
@@ -189,7 +192,8 @@ class TestLimitEquilibrium:
         family = DemandFamily(base=game, laws={
             "g": DemandLaw(c=Fraction(1), gamma=1.0, user_demand=Fraction(1))})
         lim = limit_game(game, ["g"], 1, family)
-        result, cost = limit_ne(lim, CFG)
+        result = require_converged(solve_nonatomic_ne(lim, CFG))
+        cost = float(result.cost)
         assert float(result.flow.values()[0]) == pytest.approx(1.0)
         assert cost == pytest.approx(1.0)
 

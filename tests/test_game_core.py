@@ -75,6 +75,12 @@ class TestLoadGame:
         }))
         assert game.total_demand == 1
 
+    def test_group_lookup_by_id(self):
+        game = two_commodity_game(Fraction(1), Fraction(1))
+        assert game.group_index("od2") == 1
+        with pytest.raises(GameSchemaError):
+            game.group_index("nope")
+
     def test_cross_group_path_reuse_rejected(self):
         doc = {
             "arcs": [{"id": "u", "coeffs": [1, 0]}, {"id": "l", "coeffs": [2]}],
@@ -184,77 +190,6 @@ class TestFlowsAndCosts:
         assert game.path_cost(flow, 0, 0) == 2
 
 
-class TestSubgames:
-    def test_restriction_keeps_arcs(self):
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        sub = game.subgame(["od2"])
-        assert len(sub.groups) == 1
-        assert sub.groups[0].n_users == 2
-        assert set(sub.arc_ids) == {"a1", "a2", "b1", "b2"}
-
-    def test_restriction_to_all_is_identity(self):
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        sub = game.subgame(["od1", "od2"])
-        assert [g.gid for g in sub.groups] == ["od1", "od2"]
-        assert sub.groups[0].demands == game.groups[0].demands
-
-    def test_empty_restriction_rejected(self):
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        with pytest.raises(GameSchemaError):
-            game.subgame([])
-
-    def test_unknown_group_rejected(self):
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        with pytest.raises(GameSchemaError):
-            game.subgame(["nope"])
-
-
-class TestJointCost:
-    def test_worst_equilibrium_second_commodity(self):
-        # Oracle: brute-force all second-commodity assignments, find the
-        # worst equilibrium, and evaluate its share of the joint cost.
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        from itertools import product
-        worst = None
-        for picks in product(range(2), repeat=2):
-            profile = AtomicProfile(((0, 1), picks))  # od1 split (an equilibrium)
-            flow = profile.induced_flow(game)
-            arc_costs = game.arc_cost_map(flow)
-            stable = True
-            for ui in range(2):
-                d = game.groups[1].demands[ui]
-                cur = picks[ui]
-                stay = game.path_cost(flow, 1, cur, arc_costs)
-                alt_arc = game.groups[1].paths[1 - cur][0]
-                fa = game.arc_flow(flow)
-                move = game.arcs[alt_arc].value(fa[alt_arc] + d)
-                if move < stay:
-                    stable = False
-            if stable:
-                cost = game.joint_total_cost(flow, ["od2"])
-                if worst is None or cost > worst:
-                    worst = cost
-        assert worst == 16
-
-    def test_all_groups_matches_total(self):
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        flow = AtomicProfile(((0, 1), (0, 1))).induced_flow(game)
-        assert game.joint_total_cost(flow, ["od1", "od2"]) == game.total_cost(flow)
-
-    def test_groups_without_flow_cost_zero(self):
-        # The attribution formula sums over the chosen groups' paths only,
-        # so a flow carrying nothing there is attributed nothing.
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        flow = PathFlow(game, [2, 0, 0, 0])
-        assert game.joint_total_cost(flow, ["od2"]) == 0
-
-    def test_unknown_group_in_attribution(self):
-        game = two_commodity_game(Fraction(1), Fraction(1))
-        flow = AtomicProfile(((0, 1), (0, 1))).induced_flow(game)
-        with pytest.raises(GameSchemaError):
-            game.joint_total_cost(flow, ["nope"])
-
-
 class TestMixedExpectations:
     def test_symmetric_profile_moments(self):
         game = quadratic_constant_game()
@@ -325,7 +260,8 @@ class TestInvariants:
     def test_flow_conservation(self, data):
         game = two_commodity_game(Fraction(2), Fraction(1))
         flow = data.draw(feasible_flow(game))
-        assert float(game.feasible_flow_residual(flow)) <= 1e-12
+        for gi, g in enumerate(game.groups):
+            assert sum(flow.value(gi, pi) for pi in range(g.n_paths)) == g.total_demand
 
     def test_atomic_arc_flows_within_total_demand(self):
         game = two_commodity_game(Fraction(2), Fraction(3))
@@ -403,8 +339,7 @@ class TestInvariants:
         profile = MixedProfile((((0.25, 0.75), (0.5, 0.5)),))
         seen = set()
         for i in range(64):
-            sample = draw_atomic_profile(game, profile, 13, i)
-            flow = sample.profile.induced_flow(game)
+            flow = draw_atomic_profile(game, profile, 13, i).induced_flow(game)
             seen.add(tuple(flow.values()))
         assert seen <= {(0, 4), (2, 2), (4, 0)}
         assert len(seen) > 1

@@ -394,7 +394,7 @@ class TestSampler:
                 mp.setattr(poakit.game, "sample_uniforms", uniforms_on_cuts(profile))
             costs = _sample_total_costs(game, profile, SamplingPlan(n, seed))
             for i in indices:
-                drawn = draw_atomic_profile(game, profile, seed, i).profile
+                drawn = draw_atomic_profile(game, profile, seed, i)
                 want = float(game.total_cost(drawn.induced_flow(game)))
                 assert math.isclose(costs[i], want, rel_tol=1e-12), (i, drawn)
 

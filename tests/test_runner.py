@@ -82,6 +82,20 @@ MALFORMED = {
                    demand_laws={"od": {"c": 1e-300, "gamma": 1, "user_demand": 1}}),
 }
 
+# Finite inputs whose costs leave the float range: x * tau(x) near 1e600 on a
+# family instance and 4e400 on two users of 1e200, and an arc of slope 1e300
+# that the non-atomic line search and the mixed solver meet at a load of 2e10.
+FLOAT_RANGE = {
+    "huge_cost_family": dict(AFFINE_OFFSET_FAMILY, demand_laws={
+        "od": {"c": 1e300, "gamma": 0.5, "user_count": {"c": 1, "gamma": 1}}}),
+    "huge_demands": dict(AFFINE_OFFSET_FAMILY, groups=[
+        {"id": "od", "paths": [["u"], ["l"]], "users": [{"demand": 1e200}] * 2}]),
+    "steep_arc": dict(AFFINE_OFFSET_FAMILY,
+                      arcs=[{"id": "u", "coeffs": [1, 0]}, {"id": "l", "coeffs": [1e300, 1]}],
+                      groups=[{"id": "od", "paths": [["u"], ["l"]],
+                               "users": [{"demand": 1e10}] * 2}]),
+}
+
 # Offset keeps two equilibria alive at every scale, so the measured gap is
 # strictly positive and its decay is informative rather than 0 == 0.
 OFFSET_UNIT_FAMILY = {
@@ -387,6 +401,12 @@ class TestCli:
         ({}, ["decompose", "--family", "{huge_gamma}", "--grid", "1,2"]),
         ({}, ["sweep", "--family", "{tiny_c}", "--grid", "1,2"]),
         ({}, ["decompose", "--family", "{tiny_c}", "--grid", "1,2"]),
+        ({}, ["sweep", "--family", "{huge_cost_family}", "--grid", "1,2"]),
+        ({}, ["decompose", "--family", "{huge_cost_family}", "--grid", "1,2"]),
+        ({}, ["solve", "--game", "{huge_demands}"]),
+        ({}, ["sample", "--game", "{huge_demands}"]),
+        ({}, ["solve", "--game", "{steep_arc}"]),
+        ({}, ["sample", "--game", "{steep_arc}"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
             "negative-seed", "missing-profile", "flat-profile",
             "solve-directory", "sample-directory", "sweep-directory", "decompose-directory",
@@ -395,14 +415,16 @@ class TestCli:
             "tolerance-nan", "tolerance-inf", "grid-decreasing", "grid-not-integers",
             "missing-game", "samples-not-integer", "sweep-tiny-user-demand",
             "decompose-tiny-user-demand", "sweep-huge-gamma", "decompose-huge-gamma",
-            "sweep-tiny-c", "decompose-tiny-c"])
+            "sweep-tiny-c", "decompose-tiny-c", "sweep-huge-costs", "decompose-huge-costs",
+            "solve-huge-demands", "sample-huge-demands", "solve-steep-arc",
+            "sample-steep-arc"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{}")
         paths = {name: write_family(tmp_path, f"{name}.json", doc)
-                 for name, doc in MALFORMED.items()}
+                 for name, doc in {**MALFORMED, **FLOAT_RANGE}.items()}
         out = tmp_path / "out"
         argv = [a.format(asset=str(asset_path("parallel_linear_double.json")),
                          missing=str(tmp_path / "missing.json"),
@@ -414,6 +436,8 @@ class TestCli:
         assert main(argv) == EXIT_INPUT
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("[FAIL] ")
+        if any(f"{{{name}}}" in args for name in FLOAT_RANGE):
+            assert "costs outside the float range" in lines[0]
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_INPUT
         assert [v["passed"] for v in doc["verdicts"]] == [False]
@@ -579,3 +603,32 @@ class TestCliProperty:
             assert json.loads((out / "report.json").read_text())["exit_code"] == code
             assert all(line.startswith(("[PASS] ", "[FAIL] "))
                        for line in stdout.getvalue().splitlines())
+
+
+class TestBenchmarkTracer:
+    def test_every_wrapped_name_resolves(self, monkeypatch):
+        # bench/run.py --trace 1 wraps these names, found with getattr, in
+        # every poakit module that binds them; a deleted one breaks the trace.
+        import importlib
+
+        import poakit
+        from poakit.bounds import BoundInputs
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        from tracing import Tracer
+
+        tracer = Tracer()
+        homes = {(home, name) for home, name, *_ in tracer.specs()}
+        originals = {key: getattr(importlib.import_module(f"poakit.{key[0]}"), key[1], None)
+                     for key in homes}
+        assert [key for key, fn in originals.items() if not callable(fn)] == []
+        from_game = vars(BoundInputs)["from_game"]
+        tracer.install(poakit)
+        try:
+            for (home, name), fn in originals.items():
+                assert getattr(importlib.import_module(f"poakit.{home}"), name) is not fn
+        finally:
+            tracer.uninstall()
+        for (home, name), fn in originals.items():
+            assert getattr(importlib.import_module(f"poakit.{home}"), name) is fn
+        assert vars(BoundInputs)["from_game"] is from_game

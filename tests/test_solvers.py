@@ -22,6 +22,7 @@ from poakit import (
     best_response_atomic,
     enumerate_atomic_equilibria,
     epsilon_ne_residual,
+    expected_arc_flow_and_variance,
     expected_total_cost,
     mixed_ne_residual,
     solve_atomic_so,
@@ -145,7 +146,7 @@ class TestEnumeration:
         assert by_cost == [(3, 2), (4, 1)]
         assert eq.worst.cost == 4
         assert eq.best.cost == 3
-        assert eq.exact
+        assert eq.optimum.exact
 
     def test_affine_offset_unique(self):
         game = affine_offset_game()
@@ -376,7 +377,7 @@ def _atomic_outcome(game, max_iterations, start):
 
     try:
         eq = enumerate_atomic_equilibria(game, SolverConfig(enumeration_budget=2000))
-        scan = (eq.states_scanned, eq.exact, fields(eq.optimum), fields(eq.worst),
+        scan = (eq.states_scanned, eq.optimum.exact, fields(eq.optimum), fields(eq.worst),
                 fields(eq.best), [fields(e) for e in eq.equilibria])
     except BudgetExceededError as exc:
         scan = str(exc)
@@ -461,6 +462,38 @@ class TestLattice:
         result = best_response_atomic(game, CFG)
         assert result.converged and type(result.cost) is Fraction
         assert built == [False, False]
+
+
+@st.composite
+def rational_mixed_profiles(draw, game):
+    """A mixed profile of Fraction rows over ``game``, exact zeros included."""
+    rows = []
+    for g in game.groups:
+        group_rows = []
+        for _ in g.demands:
+            weights = draw(st.lists(st.integers(0, 3), min_size=g.n_paths, max_size=g.n_paths))
+            if not any(weights):
+                weights[0] = 1
+            group_rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+        rows.append(tuple(group_rows))
+    return MixedProfile(tuple(rows))
+
+
+class TestArcUsers:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_moments_are_those_of_the_flow_distribution(self, data):
+        # Both read each arc's users from one fold; the mean and variance must
+        # be, exactly, the first two moments of the convolved distribution.
+        game = data.draw(small_rational_games())
+        profile = data.draw(rational_mixed_profiles(game))
+        moments = expected_arc_flow_and_variance(game, profile)
+        for aid in game.arc_ids:
+            dist = solvers.arc_flow_distribution(game, profile, aid)
+            assert sum(dist.values()) == 1
+            mean = sum(p * v for v, p in dist.items())
+            variance = sum(p * (v - mean) ** 2 for v, p in dist.items())
+            assert moments[aid] == (mean, variance)
 
 
 class TestMixedSolver:
