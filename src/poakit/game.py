@@ -464,7 +464,7 @@ def draw_atomic_profile(game: Game, profile: MixedProfile, seed: int, index: int
 
 # -- document loading ----------------------------------------------------
 
-def load_game(document: Union[str, Mapping], *, allow_zero_costs: bool = False) -> Game:
+def load_game(document: Union[str, Mapping]) -> Game:
     """Build a validated game from a JSON document (text or parsed mapping).
 
     Schema: ``{"arcs": [{"id", "coeffs": [highest degree first]}],
@@ -496,7 +496,7 @@ def load_game(document: Union[str, Mapping], *, allow_zero_costs: bool = False) 
         if not coeffs:
             raise GameSchemaError(where + ".coeffs", "expected a nonempty list")
         vals = [_as_number(c, f"{where}.coeffs[{j}]") for j, c in enumerate(coeffs)]
-        if not allow_zero_costs and vals[0] <= 0:
+        if vals[0] <= 0:
             raise GameSchemaError(where + ".coeffs[0]", "leading coefficient must be > 0")
         for j, v in enumerate(vals):
             if v < 0:
@@ -528,7 +528,7 @@ def load_game(document: Union[str, Mapping], *, allow_zero_costs: bool = False) 
             demands.append(d)
         groups.append(Group(str(entry["id"]), tuple(path_tuples), tuple(demands)))
 
-    return Game(arcs, groups, allow_zero_costs=allow_zero_costs)
+    return Game(arcs, groups)
 
 
 def dump_game(game: Game) -> dict:

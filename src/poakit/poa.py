@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import TYPE_CHECKING, Optional
 
 from .game import Game, MixedProfile, Number
@@ -22,6 +23,7 @@ from .solvers import (
     EquilibriumResult,
     SolverConfig,
     best_response_atomic,
+    check_seed,
     enumerate_atomic_equilibria,
     expected_arc_statistics,
     expected_path_costs,
@@ -47,8 +49,7 @@ class SamplingPlan:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        check_seed(self.rng_seed)
 
 
 @dataclass
@@ -325,26 +326,18 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
     Groups that share no arcs have independent realized costs, so their cost
     distributions are enumerated separately and convolved.
     """
-    from .solvers import _group_components
+    from .solvers import _convolve, _group_components
 
     comp_dists = []
     for indices in _group_components(game):
         arc_ids = sorted({aid for gi in indices for path in game.groups[gi].paths for aid in path})
-        states = {tuple(0 for _ in arc_ids): 1.0}
+        states = {tuple(0 for _ in arc_ids): 1.0}  # arc loads -> probability
         for gi in indices:
             g = game.groups[gi]
             for d, rows in zip(g.demands, profile.probabilities[gi]):
-                new: dict = {}
-                for state, p in states.items():
-                    for pi, q in enumerate(rows):
-                        q = float(q)
-                        if q == 0.0:
-                            continue
-                        arcs = set(g.paths[pi])
-                        nxt = tuple(v + d if aid in arcs else v
-                                    for v, aid in zip(state, arc_ids))
-                        new[nxt] = new.get(nxt, 0.0) + p * q
-                states = new
+                steps = [(tuple(d if aid in path else 0 for aid in arc_ids), q)
+                         for path, q in zip(g.paths, map(float, rows)) if q != 0.0]
+                states = _convolve(states, steps, lambda state, step: tuple(map(add, state, step)))
                 if len(states) > EXACT_DISTRIBUTION_MAX_STATES:
                     raise BudgetExceededError("state space too large for exact enumeration")
         dist: dict = {}
@@ -355,11 +348,7 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
 
     total = {0.0: 1.0}
     for dist in comp_dists:
-        new: dict = {}
-        for v1, p1 in total.items():
-            for v2, p2 in dist.items():
-                new[v1 + v2] = new.get(v1 + v2, 0.0) + p1 * p2
-        total = new
+        total = _convolve(total, dist.items())
         if len(total) > EXACT_DISTRIBUTION_MAX_STATES:
             raise BudgetExceededError("cost support too large for exact convolution")
     return sorted(total.items())

@@ -39,6 +39,7 @@ from .poa import (
 from .solvers import (
     BudgetExceededError,
     SolverConfig,
+    check_seed,
     enumerate_atomic_equilibria,
     mixed_ne_residual,
     solve_mixed_ne_small,
@@ -70,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("grid must be strictly increasing")
 
     def solver_config(self) -> SolverConfig:
+        try:
+            check_seed(self.seed)
+        except ValueError as exc:
+            raise RunFailure("seed", str(exc), EXIT_INPUT) from None
         return SolverConfig(tolerance=self.tolerance, rng_seed=self.seed,
                             enumeration_budget=self.enumeration_budget)
 
@@ -213,9 +218,10 @@ def run_solve(config: ExperimentConfig) -> RunReport:
 
 
 def _solve(config: ExperimentConfig, report: RunReport) -> None:
+    solver = config.solver_config()
     game = _read(config.game_path, load_game)
     try:
-        poa = compute_poa_report(game, config.solver_config())
+        poa = compute_poa_report(game, solver)
     except RuntimeError as exc:
         raise RunFailure("solve", str(exc), EXIT_NONCONVERGED) from None
     except ValueError as exc:  # PoaReport.validate: a ratio below 1 or optima out of order
@@ -259,11 +265,11 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
 
 
 def _sweep(config: ExperimentConfig, report: RunReport) -> None:
+    solver = config.solver_config()
     family = _read(config.family_path, load_family)
     if not config.grid or config.grid[0] < 1:
         raise RunFailure("grid", "sweep needs a nonempty increasing grid of n >= 1", EXIT_INPUT)
 
-    solver = config.solver_config()
     try:
         family.check_scale(config.grid[-1])  # before any instance is built
         for n in config.grid:
@@ -319,13 +325,13 @@ def _mixed_profile(text: str, game: Game) -> MixedProfile:
 
 
 def _sample(config: ExperimentConfig, report: RunReport) -> None:
+    solver = config.solver_config()
     try:
         plan = config.sampling_plan()
     except ValueError as exc:
         raise RunFailure("plan", str(exc), EXIT_INPUT) from None
     game = _read(config.game_path, load_game)
 
-    solver = config.solver_config()
     if config.profile_path:
         profile = _read(config.profile_path, lambda text: _mixed_profile(text, game), "profile")
     else:
@@ -377,9 +383,10 @@ def run_decompose(config: ExperimentConfig) -> RunReport:
 
 
 def _decompose(config: ExperimentConfig, report: RunReport) -> None:
+    solver = config.solver_config()
     family = _read(config.family_path, load_family)
     try:
-        result = decomposition_prediction(family, list(config.grid), config.solver_config())
+        result = decomposition_prediction(family, list(config.grid), solver)
     except RuntimeError as exc:
         raise RunFailure("decompose", str(exc), EXIT_NONCONVERGED) from None
     except ValueError as exc:

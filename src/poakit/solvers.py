@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from operator import getitem, mul
+from operator import add, getitem, mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from .game import (
@@ -39,6 +39,12 @@ from .game import (
 )
 
 USED_PATH_REL_TOL = Fraction(1, 10**12)  # f_p > 1e-12 * d_k counts as used
+
+
+def check_seed(seed: int) -> None:
+    """ValueError unless 0 <= seed < 2**64, so seed + restart is a Philox key (< 2**128)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
 
 
 class BudgetExceededError(RuntimeError):
@@ -57,6 +63,7 @@ class SolverConfig:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.enumeration_budget < 1:
             raise ValueError("enumeration budget must be >= 1")
+        check_seed(self.rng_seed)
 
 
 @dataclass
@@ -129,15 +136,16 @@ def verify_wardrop(game: Game, flow: PathFlow) -> float:
     used path is a cheapest path of its group.
     """
     arc_costs = game.arc_cost_map(flow)
-    return _worst_used_gap(game, flow, lambda gi, pi: game.path_cost(flow, gi, pi, arc_costs))
+    return _worst_used_gap(game, flow, {(gi, pi): game.path_cost(flow, gi, pi, arc_costs)
+                                        for gi, pi in game.path_keys})
 
 
-def _worst_used_gap(game: Game, flow: PathFlow, path_cost: Callable) -> float:
-    """Largest ``path_cost(gi, pi)`` of a used path above its group's cheapest."""
+def _worst_used_gap(game: Game, flow: PathFlow, path_costs: Mapping) -> float:
+    """Largest ``path_costs[gi, pi]`` of a used path above its group's cheapest."""
     worst = 0.0
     for gi, g in enumerate(game.groups):
         used_thresh = g.total_demand * USED_PATH_REL_TOL
-        costs = [path_cost(gi, pi) for pi in range(g.n_paths)]
+        costs = [path_costs[gi, pi] for pi in range(g.n_paths)]
         cheapest = min(costs)
         for pi, c in enumerate(costs):
             if flow.value(gi, pi) > used_thresh:
@@ -182,13 +190,12 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
     """
     t0 = time.perf_counter()
     keys = game.path_keys
-    n = len(keys)
     gpaths = {(gi, pi): game.groups[gi].paths[pi] for gi, pi in keys}
     group_slots = [[i for i, key in enumerate(keys) if key[0] == gi]
                    for gi in range(len(game.groups))]
 
     if start is None:
-        flows = [0.0] * n
+        flows = [0.0] * len(keys)
         for gi, g in enumerate(game.groups):
             flows[group_slots[gi][0]] = float(g.total_demand)
     else:
@@ -199,78 +206,68 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
         for aid in gpaths[key]:
             arc_flow[aid] += flows[i]
 
-    def dir_cost(aid: str, x: float) -> float:
-        return _horner(direction_polys[aid], x)
+    def group_move(slots: list, used_thresh: float) -> Optional[tuple]:
+        """The group's (costliest used, cheapest) path slots, or None when
+        their cost gap is within tolerance of the cheapest cost."""
+        costs = [sum(_horner(direction_polys[aid], arc_flow[aid]) for aid in gpaths[keys[i]])
+                 for i in slots]
+        cheap_pos = min(range(len(slots)), key=lambda j: (costs[j], j))
+        used = [j for j in range(len(slots)) if flows[slots[j]] > used_thresh]
+        exp_pos = max(used, key=lambda j: (costs[j], -j))
+        if costs[exp_pos] - costs[cheap_pos] <= config.tolerance * (1.0 + abs(costs[cheap_pos])):
+            return None
+        return slots[exp_pos], slots[cheap_pos]
 
-    def path_dir_cost(i: int) -> float:
-        return sum(dir_cost(aid, arc_flow[aid]) for aid in gpaths[keys[i]])
-
+    movable = [(slots, float(g.total_demand) * 1e-12)
+               for g, slots in zip(game.groups, group_slots) if len(slots) > 1]
     moves = 0
     converged = False
     budget = config.max_iterations
     while moves < budget:
-        for gi, g in enumerate(game.groups):
-            slots = group_slots[gi]
-            if len(slots) == 1:
-                continue
-            used_thresh = float(g.total_demand) * 1e-12
-            inner = 0
-            while inner < len(slots) * 8 and moves < budget:
-                costs = [path_dir_cost(i) for i in slots]
-                cheap_pos = min(range(len(slots)), key=lambda j: (costs[j], j))
-                used = [j for j in range(len(slots)) if flows[slots[j]] > used_thresh]
-                exp_pos = max(used, key=lambda j: (costs[j], -j))
-                gap = costs[exp_pos] - costs[cheap_pos]
-                if gap <= config.tolerance * (1.0 + abs(costs[cheap_pos])):
+        for slots, used_thresh in movable:
+            for _ in range(len(slots) * 8):
+                move = moves < budget and group_move(slots, used_thresh)
+                if not move:
                     break
-                src, dst = slots[exp_pos], slots[cheap_pos]
-                amount = _segment_step(gpaths[keys[src]], gpaths[keys[dst]],
-                                       arc_flow, dir_cost, flows[src])
+                src, dst = move
+                src_arcs, dst_arcs = gpaths[keys[src]], gpaths[keys[dst]]
+                src_only = [aid for aid in src_arcs if aid not in dst_arcs]
+                dst_only = [aid for aid in dst_arcs if aid not in src_arcs]
+                amount = _segment_step(src_only, dst_only, arc_flow, direction_polys, flows[src])
                 flows[src] -= amount
                 flows[dst] += amount
-                src_set, dst_set = set(gpaths[keys[src]]), set(gpaths[keys[dst]])
-                for aid in src_set - dst_set:
+                for aid in src_only:
                     arc_flow[aid] -= amount
-                for aid in dst_set - src_set:
+                for aid in dst_only:
                     arc_flow[aid] += amount
                 moves += 1
-                inner += 1
-        # convergence check across all groups
-        all_ok = True
-        for gi, g in enumerate(game.groups):
-            slots = group_slots[gi]
-            used_thresh = float(g.total_demand) * 1e-12
-            costs = [path_dir_cost(i) for i in slots]
-            cheapest = min(costs)
-            for j, i in enumerate(slots):
-                if flows[i] > used_thresh and costs[j] - cheapest > config.tolerance * (1.0 + abs(cheapest)):
-                    all_ok = False
-        if all_ok:
+        if all(group_move(*group) is None for group in movable):
             converged = True
             break
 
     flow = PathFlow(game, [max(v, 0.0) for v in flows])
-    if kind == "nonatomic-ne":
-        residual = verify_wardrop(game, flow)
-    else:
-        fa = game.arc_flow(flow)
-        dir_costs = {aid: _horner(direction_polys[aid], float(fa[aid])) for aid in game.arc_ids}
-        residual = _worst_used_gap(game, flow, lambda gi, pi: sum(
-            dir_costs[aid] for aid in game.groups[gi].paths[pi]))
+    fa = game.arc_flow(flow)
+    dir_costs = {aid: _horner(direction_polys[aid], float(fa[aid])) for aid in game.arc_ids}
+    path_costs = {key: sum(dir_costs[aid] for aid in gpaths[key]) for key in keys}
+    residual = _worst_used_gap(game, flow, path_costs)
     cost = game.total_cost(flow.as_float())
+    # The line search can strand costly flow on a steep arc below the used threshold.
+    for slots, used_thresh in movable:
+        cheapest = min(path_costs[keys[i]] for i in slots)
+        converged = converged and all(
+            flows[i] * (path_costs[keys[i]] - cheapest) <= config.tolerance * cost
+            for i in slots if flows[i] <= used_thresh)
     return EquilibriumResult(flow=flow, kind=kind, residual=float(residual),
                              iterations=moves, exact=False, converged=converged,
                              cost=cost, wall_time=time.perf_counter() - t0)
 
 
-def _segment_step(src_arcs, dst_arcs, arc_flow, dir_cost, available: float) -> float:
+def _segment_step(src_only, dst_only, arc_flow, polys, available: float) -> float:
     """Exact line search: bisect the derivative of the objective along the move."""
-    src_only = [a for a in src_arcs if a not in set(dst_arcs)]
-    dst_only = [a for a in dst_arcs if a not in set(src_arcs)]
 
     def slope(m: float) -> float:
-        return (sum(dir_cost(a, arc_flow[a] + m) for a in dst_only)
-                - sum(dir_cost(a, arc_flow[a] - m) for a in src_only))
+        return (sum(_horner(polys[a], arc_flow[a] + m) for a in dst_only)
+                - sum(_horner(polys[a], arc_flow[a] - m) for a in src_only))
 
     hi = available
     top = slope(hi)
@@ -784,6 +781,17 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
 # Exact expectations for mixed profiles
 # ---------------------------------------------------------------------------
 
+def _convolve(dist: dict, outcomes, add: Callable = add) -> dict:
+    """Distribution of add(v, x), v ~ ``dist`` and x ~ ``outcomes`` ((x, w) pairs)
+    independent; each value sums its products p * w in the order they arrive."""
+    new: dict = {}
+    for v, p in dist.items():
+        for x, w in outcomes:
+            key = add(v, x)
+            new[key] = new.get(key, 0) + p * w
+    return new
+
+
 def _bernoulli_convolution(pairs, zero, one) -> dict:
     """Distribution of the sum of independent d * Bernoulli(q) over (d, q) pairs.
 
@@ -792,16 +800,10 @@ def _bernoulli_convolution(pairs, zero, one) -> dict:
     """
     dist = {zero: one}
     for d, q in pairs:
-        if q == 0:
-            continue
-        new: dict = {}
-        for v, p in dist.items():
-            if q == 1:
-                new[v + d] = new.get(v + d, 0) + p
-            else:
-                new[v] = new.get(v, 0) + p * (1 - q)
-                new[v + d] = new.get(v + d, 0) + p * q
-        dist = new
+        if q == 1:
+            dist = _convolve(dist, ((d, 1),))
+        elif q != 0:
+            dist = _convolve(dist, ((0, 1 - q), (d, q)))
     return dist
 
 
@@ -816,12 +818,9 @@ def arc_flow_distribution(game: Game, profile: MixedProfile, arc_id: str) -> dic
 def expected_arc_statistics(game: Game, profile: MixedProfile) -> dict:
     """Per-arc (E[cost], E[flow * cost]) from the exact flow distribution."""
     out = {}
-    for aid in game.arc_ids:
-        dist = arc_flow_distribution(game, profile, aid)
-        poly = game.arcs[aid]
-        e_cost = sum(p * poly.value(v) for v, p in dist.items())
-        e_flow_cost = sum(p * v * poly.value(v) for v, p in dist.items())
-        out[aid] = (e_cost, e_flow_cost)
+    for aid, poly in game.arcs.items():
+        terms = [(p, v, poly.value(v)) for v, p in arc_flow_distribution(game, profile, aid).items()]
+        out[aid] = (sum(p * c for p, _, c in terms), sum(p * v * c for p, v, c in terms))
     return out
 
 
@@ -849,8 +848,7 @@ def mixed_ne_residual(game: Game, profile: MixedProfile) -> float:
     mixed profiles (and, on degenerate profiles, the first principle).
     """
     profile.validate(game)
-    path_costs = expected_path_costs(game, profile)
-    return _worst_used_gap(game, profile.expected_flow(game), lambda gi, pi: path_costs[gi, pi])
+    return _worst_used_gap(game, profile.expected_flow(game), expected_path_costs(game, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -897,27 +895,23 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
             touching = [pi for pi in range(g.n_paths) if aid in g.paths[pi]]
             if not touching:
                 continue
-            if g.n_paths == 1:
-                q = 1.0
-            else:
-                q = sum((trial[gj] if pi == 0 else 1.0 - trial[gj]) for pi in touching)
+            q = sum((trial[gj] if pi == 0 else 1.0 - trial[gj]) for pi in touching)
             for d in g.demands:
                 yield d, q
 
+    # Each two-path group's arcs on one path only, in path order: arcs on
+    # both paths cancel from the gap, and a fixed order fixes its float sum.
+    only = {gi: [[aid for aid in g.paths[k] if aid not in g.paths[1 - k]] for k in (0, 1)]
+            for gi, g in enumerate(game.groups) if g.n_paths == 2}
+
     def gap(gi: int, x: float) -> float:
-        # Expected cost difference between the group's two paths; arcs on
-        # both paths cancel, so only the symmetric difference matters.
+        """Expected cost of the group's first path minus its second."""
         g = game.groups[gi]
-        arcs0 = set(g.paths[0]) - set(g.paths[1])
-        arcs1 = set(g.paths[1]) - set(g.paths[0])
         total = 0.0
-        for sign, arcs in ((1.0, arcs0), (-1.0, arcs1)):
+        for sign, q_own, arcs in ((1.0, x, only[gi][0]), (-1.0, 1.0 - x, only[gi][1])):
             for aid in arcs:
-                q_own = x if aid in arcs0 else 1.0 - x
-                contributions = list(user_arc_probs(aid, gi, xs))
-                contributions.extend((d, q_own) for d in g.demands)
-                dist = _bernoulli_convolution(((float(d), q) for d, q in contributions),
-                                              0.0, 1.0)
+                pairs = [*user_arc_probs(aid, gi, xs), *((d, q_own) for d in g.demands)]
+                dist = _bernoulli_convolution(((float(d), q) for d, q in pairs), 0.0, 1.0)
                 poly = game.arcs[aid]
                 total += sign * sum(p * float(poly.value(v)) for v, p in dist.items())
         if not math.isfinite(total):
@@ -954,11 +948,12 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
             break
 
     profile = _uniform_group_profile(game, xs)
-    residual = mixed_ne_residual(game, profile)
-    path_costs = expected_path_costs(game, profile)
+    stats = expected_arc_statistics(game, profile)
+    path_costs = expected_path_costs(game, profile, stats)
+    residual = _worst_used_gap(game, profile.expected_flow(game), path_costs)
     min_cost = min(float(c) for c in path_costs.values())
     converged = residual <= config.tolerance * (1.0 + abs(min_cost))
-    cost = expected_total_cost(game, profile)
+    cost = expected_total_cost(game, profile, stats)
     return EquilibriumResult(flow=profile, kind="mixed-ne", residual=residual,
                              iterations=sweeps, exact=False, converged=converged,
                              cost=float(cost),

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poakit import (
+    AtomicProfile,
     CostPolynomial,
     Game,
     Group,
@@ -425,6 +426,65 @@ class TestSampler:
             "7587647683593331fb1117c1907eba36ab73456a8130474c1daba5a41dfd3df7"
         assert digest(three_path, mixed) == \
             "fa4c43230b4ea79b6f3be739bf6b1fac7f11ec80abb83797ecd4d9df13aa29a2"
+
+
+@st.composite
+def exact_distribution_cases(draw):
+    """A ``sampled_games`` case of at most six users; at times its first group
+    sits beside the first group of a second case, on arcs of its own."""
+    game, profile = draw(sampled_games())
+    if draw(st.booleans()):
+        other, other_profile = draw(sampled_games())
+        g, h = game.groups[0], other.groups[0]
+        renamed = Group("h", tuple(tuple(f"b{aid}" for aid in path) for path in h.paths),
+                        h.demands)
+        game = Game({**game.arcs, **{f"b{aid}": p for aid, p in other.arcs.items()}},
+                    [g, renamed])
+        profile = MixedProfile((profile.probabilities[0], other_profile.probabilities[0]))
+    return game, profile
+
+
+def enumerated_cost_distribution(game: Game, profile: MixedProfile) -> list:
+    """The realized-cost distribution by brute force: every pure profile with
+    no zero-probability choice, weighted by the product of its users' choice
+    probabilities and costed by ``game.total_cost``."""
+    users = [(gi, row) for gi, rows in enumerate(profile.probabilities) for row in rows]
+    dist: dict = {}
+    for picks in itertools.product(*(range(len(row)) for _, row in users)):
+        weights = [float(row[pi]) for (_, row), pi in zip(users, picks)]
+        if 0.0 in weights:
+            continue
+        choices = tuple(tuple(pi for (gj, _), pi in zip(users, picks) if gj == gi)
+                        for gi in range(len(game.groups)))
+        cost = float(game.total_cost(AtomicProfile(choices).induced_flow(game)))
+        dist[cost] = dist.get(cost, 0.0) + math.prod(weights)
+    return merged_support(dist.items())
+
+
+def merged_support(pairs) -> list:
+    """``pairs`` sorted by value, each value within 1e-12 (relative) of the
+    one before merged into it, so float sums in another order compare."""
+    merged = []
+    for value, prob in sorted(pairs):
+        if merged and value - merged[-1][0] <= 1e-12 * max(1.0, abs(value)):
+            merged[-1][1] += prob
+        else:
+            merged.append([value, prob])
+    return merged
+
+
+class TestExactDistribution:
+    @settings(max_examples=80, deadline=None)
+    @given(case=exact_distribution_cases())
+    def test_matches_enumerated_pure_profiles(self, case):
+        game, profile = case
+        profile.validate(game)
+        got = merged_support(exact_random_cost_distribution(game, profile))
+        want = enumerated_cost_distribution(game, profile)
+        assert len(got) == len(want)
+        for (value, prob), (want_value, want_prob) in zip(got, want):
+            assert math.isclose(value, want_value, rel_tol=1e-12)
+            assert prob == pytest.approx(want_prob, abs=1e-12)
 
 
 class TestReports:

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -95,6 +96,26 @@ FLOAT_RANGE = {
                       groups=[{"id": "od", "paths": [["u"], ["l"]],
                                "users": [{"demand": 1e10}] * 2}]),
 }
+
+# Both groups' paths differ in two arcs, so the mixed solver's expected cost
+# gap adds two arc terms per path, in an order that must not follow hashing.
+TWO_ARC_DIFFERENCE_GAME = {
+    "arcs": [{"id": "a0", "coeffs": [1, 2, 4, 1]}, {"id": "a1", "coeffs": [1, 2]},
+             {"id": "a2", "coeffs": [4, 0, 3, 3]}, {"id": "a3", "coeffs": [2, 3, 3, 3]}],
+    "groups": [{"id": "g0", "paths": [["a1", "a2"], ["a0", "a1", "a3"]],
+                "users": [{"demand": 3}]},
+               {"id": "g1", "paths": [["a1", "a2", "a3"], ["a0", "a2", "a3"]],
+                "users": [{"demand": 1}, {"demand": 2}]}],
+}
+
+# The non-atomic line search leaves about 0.009 units on l, below the used
+# threshold, carrying nearly all of the total cost (8e245 against 4e20).
+STRANDED_FLOW_GAME = {
+    "arcs": [{"id": "u", "coeffs": [1, 0]}, {"id": "l", "coeffs": [1e250, 1]}],
+    "groups": [{"id": "od", "paths": [["u"], ["l"]], "users": [{"demand": 1e10}] * 2}],
+}
+
+LARGEST_SEED = str(2**64 - 1)
 
 # Offset keeps two equilibria alive at every scale, so the measured gap is
 # strictly positive and its decay is informative rather than 0 == 0.
@@ -302,6 +323,21 @@ class TestDeterminism:
             texts.append((out / "sweep.csv").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_mixed_equilibrium_ignores_hash_seed(self, tmp_path):
+        import poakit
+
+        game = write_family(tmp_path, "game.json", TWO_ARC_DIFFERENCE_GAME)
+        src = str(Path(poakit.__file__).resolve().parent.parent)
+        texts = []
+        for hash_seed in ("1", "3"):
+            out = tmp_path / hash_seed
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            argv = ["sample", "--game", game, "--n", "20000", "--seed", "3", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "poakit.cli", *argv], env=env,
+                           capture_output=True, check=True)
+            texts.append((out / "distribution.csv").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_seed_and_version_in_rows(self, tmp_path):
         path = write_family(tmp_path, "fam.json", UNIT_USER_FAMILY)
         out = tmp_path / "out"
@@ -374,6 +410,13 @@ class TestCli:
         ({"POAKIT_TOLERANCE": "-1"}, ["solve", "--game", "{asset}"]),
         ({}, ["sample", "--game", "{asset}", "--n", "0"]),
         ({}, ["sample", "--game", "{asset}", "--seed", "-1"]),
+        ({}, ["sample", "--game", "{asset}", "--seed", str(2**64)]),
+        ({}, ["solve", "--game", "{asset}", "--seed", "-5"]),
+        ({}, ["sweep", "--family", "{family}", "--grid", "3", "--seed", "-1"]),
+        ({"POAKIT_BUDGET": "1"}, ["decompose", "--family", "{family}", "--grid", "3",
+                                  "--seed", "-1"]),
+        ({"POAKIT_BUDGET": "1"}, ["decompose", "--family", "{family}", "--grid", "3",
+                                  "--seed", str(2**128 - 1)]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{missing}"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{flat}"]),
         ({}, ["solve", "--game", "{directory}"]),
@@ -408,7 +451,9 @@ class TestCli:
         ({}, ["solve", "--game", "{steep_arc}"]),
         ({}, ["sample", "--game", "{steep_arc}"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
-            "negative-seed", "missing-profile", "flat-profile",
+            "negative-seed", "sample-seed-past-range", "solve-negative-seed",
+            "sweep-negative-seed", "decompose-fallback-negative-seed",
+            "decompose-fallback-seed-past-key-range", "missing-profile", "flat-profile",
             "solve-directory", "sample-directory", "sweep-directory", "decompose-directory",
             "solve-not-utf8", "sample-not-utf8", "groups-item", "paths-number", "arcs-item",
             "laws-list", "user-count-number", "gamma-null", "sweep-grid-zero",
@@ -438,6 +483,8 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("[FAIL] ")
         if any(f"{{{name}}}" in args for name in FLOAT_RANGE):
             assert "costs outside the float range" in lines[0]
+        if "--seed" in args:
+            assert lines[0].startswith("[FAIL] seed: seed must be in 0 .. 2**64 - 1")
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_INPUT
         assert [v["passed"] for v in doc["verdicts"]] == [False]
@@ -453,6 +500,24 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_ASSERTION
         assert [v["passed"] for v in doc["verdicts"]] == [False]
+
+    def test_largest_seed_runs_on_every_seeded_path(self, tmp_path, monkeypatch):
+        family = write_family(tmp_path, "family.json", UNIT_USER_FAMILY)
+        game = str(asset_path("parallel_quadratic_constant.json"))
+        assert main(["sample", "--game", game, "--n", "100", "--seed", LARGEST_SEED,
+                     "--out", str(tmp_path / "sample")]) == EXIT_OK
+        monkeypatch.setenv("POAKIT_BUDGET", "1")  # every grid point takes the restarts
+        assert main(["decompose", "--family", family, "--grid", "2,3", "--seed", LARGEST_SEED,
+                     "--out", str(tmp_path / "decompose")]) == EXIT_OK
+
+    def test_stranded_flow_solve_exits_four(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        game = write_family(tmp_path, "game.json", STRANDED_FLOW_GAME)
+        assert main(["solve", "--game", game, "--out", str(out)]) == EXIT_NONCONVERGED
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] solve: non-atomic solver did not converge within budget"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_NONCONVERGED
 
     @pytest.mark.parametrize("mode", ["solve", "sample", "decompose"])
     def test_unconverged_nonatomic_solve_exits_four(self, tmp_path, monkeypatch, mode):

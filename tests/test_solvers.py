@@ -79,6 +79,18 @@ class TestNonatomicNe:
         costs = game.arc_cost_map(result.flow)
         assert float(costs["a0"]) == pytest.approx(4 / 3, abs=1e-8)
 
+    @pytest.mark.parametrize("solve", [solve_nonatomic_ne, solve_nonatomic_so])
+    def test_flow_stranded_on_steep_arc_is_not_converged(self, solve):
+        # The line search's last bracket leaves about 0.009 units on l, below
+        # the used threshold of 0.02 where the solution has about 2e-240.  At
+        # that load l costs about 1e248, so the flow the residual cannot see
+        # carries nearly all of the total cost.
+        game = Game({"u": poly(1, 0), "l": poly(1e250, 1)},
+                    [Group("od", (("u",), ("l",)), (Fraction(10**10),) * 2)])
+        result = solve(game, CFG)
+        assert result.residual == 0.0
+        assert not result.converged
+
     def test_initialization_invariance(self):
         game = two_commodity_game(Fraction(2), Fraction(1))
         starts = [None, PathFlow(game, [0, 4, 0, 2])]
