@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -153,7 +154,7 @@ class Game:
 
     def __init__(self, arcs: Mapping[str, CostPolynomial], groups: Sequence[Group], *,
                  allow_zero_costs: bool = False):
-        self._arcs = dict(arcs)
+        self._arcs = MappingProxyType(dict(arcs))
         self._groups = tuple(groups)
         self._allow_zero_costs = allow_zero_costs
         self._validate()
@@ -204,7 +205,8 @@ class Game:
     # -- basic accessors -------------------------------------------------
     @property
     def arcs(self) -> Mapping[str, CostPolynomial]:
-        return dict(self._arcs)
+        """Arc id -> cost polynomial, as one read-only view of the game's map."""
+        return self._arcs
 
     @property
     def groups(self) -> tuple:
@@ -360,8 +362,9 @@ class MixedProfile:
             for ui, row in enumerate(rows):
                 if len(row) != g.n_paths:
                     raise ValueError(f"groups[{gi}].users[{ui}]: expected {g.n_paths} entries")
-                if any(p < -PROB_TOL for p in row):
-                    raise ValueError(f"groups[{gi}].users[{ui}]: negative probability")
+                if any(isinstance(p, bool) or not -PROB_TOL <= p < math.inf for p in row):
+                    raise ValueError(f"groups[{gi}].users[{ui}]: probabilities must be "
+                                     "finite numbers >= 0")
                 if abs(sum(row) - 1) > PROB_TOL:
                     raise ValueError(f"groups[{gi}].users[{ui}]: probabilities sum to {sum(row)}")
 
@@ -384,13 +387,13 @@ class MixedProfile:
 
 
 def arc_users(game: Game, profile: MixedProfile, aid: str):
-    """(demand, probability its path crosses ``aid``) for each user whose group
-    has a path through ``aid``, in group and user order."""
+    """(group index, demand, probability its path crosses ``aid``) for each
+    user whose group has a path through ``aid``, in group and user order."""
     for gi, g in enumerate(game.groups):
         touching = [pi for pi in range(g.n_paths) if aid in g.paths[pi]]
         if touching:
             for d, row in zip(g.demands, profile.probabilities[gi]):
-                yield d, sum(row[pi] for pi in touching)
+                yield gi, d, sum(row[pi] for pi in touching)
 
 
 def expected_arc_flow_and_variance(game: Game, profile: MixedProfile) -> dict:
@@ -405,7 +408,7 @@ def expected_arc_flow_and_variance(game: Game, profile: MixedProfile) -> dict:
     for aid in game.arc_ids:
         mean = 0
         var = 0
-        for d, q in arc_users(game, profile, aid):
+        for _, d, q in arc_users(game, profile, aid):
             mean += d * q
             var += d * d * q * (1 - q)
         out[aid] = (mean, var)

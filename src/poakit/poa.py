@@ -22,13 +22,13 @@ from .solvers import (
     BudgetExceededError,
     EquilibriumResult,
     SolverConfig,
+    _mixed_summary,
     best_response_atomic,
     check_seed,
     enumerate_atomic_equilibria,
     expected_arc_statistics,
     expected_path_costs,
     expected_total_cost,
-    mixed_ne_residual,
     require_converged,
     solve_mixed_ne_small,
     solve_nonatomic_ne,
@@ -231,9 +231,9 @@ def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig(),
         if result.converged:
             candidates.append(float(result.cost))
         for entry in equilibria.equilibria:
-            profile = entry.flow.as_mixed(game)
-            if mixed_ne_residual(game, profile) <= config.tolerance:
-                candidates.append(float(expected_total_cost(game, profile)))
+            _, residual, cost = _mixed_summary(game, entry.flow.as_mixed(game))
+            if residual <= config.tolerance:
+                candidates.append(float(cost))
 
     if not candidates:
         return None, False, "no mixed equilibrium found (solver failure)"

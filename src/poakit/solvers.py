@@ -453,8 +453,7 @@ def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str]
     so tables never cost much more than the evaluations they replace.  The
     row count is computed before any table is built.
     """
-    arcs = game.arcs
-    polys = [arcs[aid] for aid in arc_ids]
+    polys = [game.arcs[aid] for aid in arc_ids]
     evaluated = _ArcCosts(Fraction(0), lambda d: d, [_Evaluated(p) for p in polys],
                           lambda total: total)
     if not game.is_rational:
@@ -792,13 +791,12 @@ def _convolve(dist: dict, outcomes, add: Callable = add) -> dict:
     return new
 
 
-def _bernoulli_convolution(pairs, zero, one) -> dict:
-    """Distribution of the sum of independent d * Bernoulli(q) over (d, q) pairs.
-
-    Starts from the point mass ``{zero: one}``; values and weights keep the
-    number types of the inputs, so Fraction inputs give an exact result.
+def _bernoulli_convolution(pairs, dist: dict) -> dict:
+    """Distribution of v plus the sum of independent d * Bernoulli(q) over
+    (d, q) pairs, v ~ ``dist`` (left unmodified; a point mass at zero gives
+    the sum alone).  Values and weights keep the number types of the inputs,
+    so Fraction inputs give an exact result.
     """
-    dist = {zero: one}
     for d, q in pairs:
         if q == 1:
             dist = _convolve(dist, ((d, 1),))
@@ -809,10 +807,10 @@ def _bernoulli_convolution(pairs, zero, one) -> dict:
 
 def arc_flow_distribution(game: Game, profile: MixedProfile, arc_id: str) -> dict:
     """Exact distribution of one arc's random flow under a mixed profile."""
-    pairs = arc_users(game, profile, arc_id)
+    pairs = ((d, q) for _, d, q in arc_users(game, profile, arc_id))
     if game.is_rational:
-        return _bernoulli_convolution(pairs, Fraction(0), Fraction(1))
-    return _bernoulli_convolution(pairs, 0, 1.0)
+        return _bernoulli_convolution(pairs, {Fraction(0): Fraction(1)})
+    return _bernoulli_convolution(pairs, {0: 1.0})
 
 
 def expected_arc_statistics(game: Game, profile: MixedProfile) -> dict:
@@ -840,6 +838,16 @@ def expected_total_cost(game: Game, profile: MixedProfile,
     return sum(stats[1] for stats in arc_stats.values())
 
 
+def _mixed_summary(game: Game, profile: MixedProfile) -> tuple:
+    """(expected path costs, ``mixed_ne_residual``, expected total cost) of a
+    profile, from one ``expected_arc_statistics`` pass."""
+    profile.validate(game)
+    stats = expected_arc_statistics(game, profile)
+    path_costs = expected_path_costs(game, profile, stats)
+    residual = _worst_used_gap(game, profile.expected_flow(game), path_costs)
+    return path_costs, residual, expected_total_cost(game, profile, stats)
+
+
 def mixed_ne_residual(game: Game, profile: MixedProfile) -> float:
     """Worst per-group gap between used-path and cheapest expected costs.
 
@@ -847,8 +855,7 @@ def mixed_ne_residual(game: Game, profile: MixedProfile) -> float:
     expected cost within its group, which is the equilibrium predicate for
     mixed profiles (and, on degenerate profiles, the first principle).
     """
-    profile.validate(game)
-    return _worst_used_gap(game, profile.expected_flow(game), expected_path_costs(game, profile))
+    return _mixed_summary(game, profile)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -888,31 +895,13 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
 
     xs = [1.0 if g.n_paths == 1 else 0.5 for g in game.groups]
 
-    def user_arc_probs(aid: str, skip_gi: int, trial: Sequence[float]):
-        for gj, g in enumerate(game.groups):
-            if gj == skip_gi:
-                continue
-            touching = [pi for pi in range(g.n_paths) if aid in g.paths[pi]]
-            if not touching:
-                continue
-            q = sum((trial[gj] if pi == 0 else 1.0 - trial[gj]) for pi in touching)
-            for d in g.demands:
-                yield d, q
-
-    # Each two-path group's arcs on one path only, in path order: arcs on
-    # both paths cancel from the gap, and a fixed order fixes its float sum.
-    only = {gi: [[aid for aid in g.paths[k] if aid not in g.paths[1 - k]] for k in (0, 1)]
-            for gi, g in enumerate(game.groups) if g.n_paths == 2}
-
-    def gap(gi: int, x: float) -> float:
-        """Expected cost of the group's first path minus its second."""
-        g = game.groups[gi]
+    def gap(terms: list, demands: list, x: float) -> float:
+        """Expected cost of a group's first path minus its second, its users
+        taking the first with probability x; ``terms`` are ``arc_terms``."""
         total = 0.0
-        for sign, q_own, arcs in ((1.0, x, only[gi][0]), (-1.0, 1.0 - x, only[gi][1])):
-            for aid in arcs:
-                pairs = [*user_arc_probs(aid, gi, xs), *((d, q_own) for d in g.demands)]
-                dist = _bernoulli_convolution(((float(d), q) for d, q in pairs), 0.0, 1.0)
-                poly = game.arcs[aid]
+        for sign, q_own, path_terms in ((1.0, x, terms[0]), (-1.0, 1.0 - x, terms[1])):
+            for others, poly in path_terms:
+                dist = _bernoulli_convolution(((d, q_own) for d in demands), others)
                 total += sign * sum(p * float(poly.value(v)) for v, p in dist.items())
         if not math.isfinite(total):
             raise OverflowError(f"expected path cost gap {total} is not a finite float")
@@ -926,7 +915,17 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         for gi, g in enumerate(game.groups):
             if g.n_paths == 1:
                 continue
-            g0, g1 = gap(gi, 0.0), gap(gi, 1.0)
+            # Per path, its arcs not on the other path, in path order (shared
+            # arcs cancel from the gap, and a fixed order fixes its float sum),
+            # each with the flow distribution of the other groups' users,
+            # which stay fixed while this group settles.
+            profile = _uniform_group_profile(game, xs)
+            arc_terms = [[(_bernoulli_convolution(
+                ((float(d), q) for gj, d, q in arc_users(game, profile, aid) if gj != gi),
+                {0.0: 1.0}), game.arcs[aid])
+                for aid in g.paths[k] if aid not in g.paths[1 - k]] for k in (0, 1)]
+            demands = [float(d) for d in g.demands]
+            g0, g1 = gap(arc_terms, demands, 0.0), gap(arc_terms, demands, 1.0)
             if g0 == 0.0 and g1 == 0.0:
                 new_x = 0.5  # total indifference: report the uniform profile
             elif g0 >= 0.0:
@@ -937,7 +936,7 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
                 lo, hi = 0.0, 1.0
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
-                    if gap(gi, mid) <= 0.0:
+                    if gap(arc_terms, demands, mid) <= 0.0:
                         lo = mid
                     else:
                         hi = mid
@@ -948,12 +947,9 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
             break
 
     profile = _uniform_group_profile(game, xs)
-    stats = expected_arc_statistics(game, profile)
-    path_costs = expected_path_costs(game, profile, stats)
-    residual = _worst_used_gap(game, profile.expected_flow(game), path_costs)
+    path_costs, residual, cost = _mixed_summary(game, profile)
     min_cost = min(float(c) for c in path_costs.values())
     converged = residual <= config.tolerance * (1.0 + abs(min_cost))
-    cost = expected_total_cost(game, profile, stats)
     return EquilibriumResult(flow=profile, kind="mixed-ne", residual=residual,
                              iterations=sweeps, exact=False, converged=converged,
                              cost=float(cost),

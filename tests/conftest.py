@@ -61,6 +61,18 @@ def no_equilibrium_game() -> Game:
                  Group("heavy", (("s11", "s21"), ("s12", "s22")), (Fraction(2),))])
 
 
+# Both groups' paths differ in two arcs, so the mixed solver's expected cost
+# gap adds two arc terms per path, in an order that must not follow hashing.
+TWO_ARC_DIFFERENCE_GAME = {
+    "arcs": [{"id": "a0", "coeffs": [1, 2, 4, 1]}, {"id": "a1", "coeffs": [1, 2]},
+             {"id": "a2", "coeffs": [4, 0, 3, 3]}, {"id": "a3", "coeffs": [2, 3, 3, 3]}],
+    "groups": [{"id": "g0", "paths": [["a1", "a2"], ["a0", "a1", "a3"]],
+                "users": [{"demand": 3}]},
+               {"id": "g1", "paths": [["a1", "a2", "a3"], ["a0", "a2", "a3"]],
+                "users": [{"demand": 1}, {"demand": 2}]}],
+}
+
+
 def asset_text(name: str) -> str:
     return asset_path(name).read_text(encoding="utf-8")
 

@@ -21,7 +21,7 @@ from poakit import (
     expected_arc_flow_and_variance,
     load_game,
 )
-from poakit.game import sample_uniforms
+from poakit.game import dump_game, sample_uniforms
 
 from conftest import (
     affine_offset_game,
@@ -129,6 +129,14 @@ class TestLoadGame:
         game = load_game(doc)
         assert game.arcs["a"].coefficients == (Fraction(3, 2), Fraction(1, 4))
         assert game.total_demand == Fraction(2, 3)
+
+    def test_arcs_is_one_read_only_view(self):
+        game = two_commodity_game(1, 2)
+        assert game.arcs is game.arcs
+        with pytest.raises(TypeError):
+            game.arcs["s11"] = poly(1)
+        rebuilt = Game(game.arcs, game.groups)
+        assert dump_game(rebuilt) == dump_game(game)
 
 
 class TestFlowsAndCosts:

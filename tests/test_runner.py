@@ -31,6 +31,8 @@ from poakit.runner import (
     run_sweep,
 )
 
+from conftest import TWO_ARC_DIFFERENCE_GAME
+
 
 def write_family(tmp_path, name, doc):
     path = tmp_path / name
@@ -97,15 +99,11 @@ FLOAT_RANGE = {
                                "users": [{"demand": 1e10}] * 2}]),
 }
 
-# Both groups' paths differ in two arcs, so the mixed solver's expected cost
-# gap adds two arc terms per path, in an order that must not follow hashing.
-TWO_ARC_DIFFERENCE_GAME = {
-    "arcs": [{"id": "a0", "coeffs": [1, 2, 4, 1]}, {"id": "a1", "coeffs": [1, 2]},
-             {"id": "a2", "coeffs": [4, 0, 3, 3]}, {"id": "a3", "coeffs": [2, 3, 3, 3]}],
-    "groups": [{"id": "g0", "paths": [["a1", "a2"], ["a0", "a1", "a3"]],
-                "users": [{"demand": 3}]},
-               {"id": "g1", "paths": [["a1", "a2", "a3"], ["a0", "a2", "a3"]],
-                "users": [{"demand": 1}, {"demand": 2}]}],
+# Profiles for parallel_linear_double.json (one group, two users, two
+# paths) with a row that sums to 1 but holds a NaN or booleans.
+BAD_PROFILES = {
+    "nan_profile": [[[math.nan, 1.0], [0.5, 0.5]]],
+    "bool_profile": [[[True, False], [0.5, 0.5]]],
 }
 
 # The non-atomic line search leaves about 0.009 units on l, below the used
@@ -450,6 +448,8 @@ class TestCli:
         ({}, ["sample", "--game", "{huge_demands}"]),
         ({}, ["solve", "--game", "{steep_arc}"]),
         ({}, ["sample", "--game", "{steep_arc}"]),
+        ({}, ["sample", "--game", "{asset}", "--profile", "{nan_profile}"]),
+        ({}, ["sample", "--game", "{asset}", "--profile", "{bool_profile}"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
             "negative-seed", "sample-seed-past-range", "solve-negative-seed",
             "sweep-negative-seed", "decompose-fallback-negative-seed",
@@ -462,14 +462,14 @@ class TestCli:
             "decompose-tiny-user-demand", "sweep-huge-gamma", "decompose-huge-gamma",
             "sweep-tiny-c", "decompose-tiny-c", "sweep-huge-costs", "decompose-huge-costs",
             "solve-huge-demands", "sample-huge-demands", "solve-steep-arc",
-            "sample-steep-arc"])
+            "sample-steep-arc", "nan-probability", "boolean-probability"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{}")
         paths = {name: write_family(tmp_path, f"{name}.json", doc)
-                 for name, doc in {**MALFORMED, **FLOAT_RANGE}.items()}
+                 for name, doc in {**MALFORMED, **FLOAT_RANGE, **BAD_PROFILES}.items()}
         out = tmp_path / "out"
         argv = [a.format(asset=str(asset_path("parallel_linear_double.json")),
                          missing=str(tmp_path / "missing.json"),
@@ -483,6 +483,8 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("[FAIL] ")
         if any(f"{{{name}}}" in args for name in FLOAT_RANGE):
             assert "costs outside the float range" in lines[0]
+        if any(f"{{{name}}}" in args for name in BAD_PROFILES):
+            assert lines[0].startswith("[FAIL] profile: ")
         if "--seed" in args:
             assert lines[0].startswith("[FAIL] seed: seed must be in 0 .. 2**64 - 1")
         doc = json.loads((out / "report.json").read_text())

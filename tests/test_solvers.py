@@ -1,5 +1,6 @@
 """Equilibrium solvers: splittable, atomic, and mixed."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from poakit import solvers
 from poakit import (
     AtomicProfile,
     BudgetExceededError,
+    CostPolynomial,
     Game,
     Group,
     MixedProfile,
@@ -24,15 +26,19 @@ from poakit import (
     epsilon_ne_residual,
     expected_arc_flow_and_variance,
     expected_total_cost,
+    load_game,
     mixed_ne_residual,
+    mixed_poa_small,
     solve_atomic_so,
     solve_mixed_ne_small,
     solve_nonatomic_ne,
     solve_nonatomic_so,
     verify_wardrop,
 )
+from poakit.runner import load_asset
 
 from conftest import (
+    TWO_ARC_DIFFERENCE_GAME,
     affine_offset_game,
     linear_double_game,
     no_equilibrium_game,
@@ -508,6 +514,44 @@ class TestArcUsers:
             assert moments[aid] == (mean, variance)
 
 
+ASSETS = ("parallel_affine_offset.json", "parallel_linear_double.json",
+          "parallel_quadratic_constant.json", "two_commodity_mixed_degree.json")
+
+
+def shared_arc_two_path_games(count: int = 60, seed: int = 4242) -> list:
+    """Seeded games of one to three groups with at most two paths each, drawn
+    from one small arc set so that groups share arcs; coefficients and
+    demands mix Fractions and floats."""
+    rng = random.Random(seed)
+
+    def number(low, high):
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(low * 4, high * 4), 4)
+        return rng.uniform(low, high)
+
+    games = []
+    while len(games) < count:
+        ids = [f"a{i}" for i in range(rng.randint(3, 5))]
+        arcs = {aid: CostPolynomial((number(1, 4), *(number(0, 3)
+                                                     for _ in range(rng.randint(0, 3)))))
+                for aid in ids}
+        taken, groups = set(), []
+        for gi in range(rng.randint(1, 3)):
+            paths, n_paths = [], rng.choice((1, 2, 2, 2))
+            while len(paths) < n_paths:
+                path = tuple(sorted(rng.sample(ids, rng.randint(1, 3))))
+                if frozenset(path) in taken:
+                    break
+                taken.add(frozenset(path))
+                paths.append(path)
+            if paths:
+                demands = tuple(number(1, 3) for _ in range(rng.randint(1, 3)))
+                groups.append(Group(f"g{gi}", tuple(paths), demands))
+        if groups:
+            games.append(Game(arcs, groups))
+    return games
+
+
 class TestMixedSolver:
     def test_symmetric_indifference_point(self):
         game = quadratic_constant_game()
@@ -558,6 +602,40 @@ class TestMixedSolver:
         too_many_users = affine_offset_game(4)  # 16 users
         with pytest.raises(ValueError):
             solve_mixed_ne_small(too_many_users, CFG)
+
+    def test_pinned_bits(self):
+        """sha256 of repr((probabilities, residual, cost, sweeps)) per solve.
+
+        A change to the order in which the exact expectations fold users in,
+        or to any float operation of the bisection, changes these bytes.
+        """
+        games = [load_asset(name) for name in ASSETS]
+        games += [load_game(TWO_ARC_DIFFERENCE_GAME), *shared_arc_two_path_games()]
+        digest = hashlib.sha256()
+        for game in games:
+            result = solve_mixed_ne_small(game, CFG)
+            digest.update(repr((result.flow.probabilities, result.residual, result.cost,
+                                result.iterations)).encode())
+        assert digest.hexdigest() == \
+            "999b26392fe195b7ea9d5edf57b69d038ed8f9d29ab502531750f5fef3897b1e"
+
+    def test_one_exact_pass_per_profile(self, monkeypatch):
+        # Three users on a constant arc against x + 2: the pure equilibrium
+        # (all on the constant arc) also meets the mixed predicate.
+        game = parallel_game([(1,), (1, 2)], [1, 1, 1])
+        equilibria = enumerate_atomic_equilibria(game, CFG)
+        passes = []
+        exact = solvers.expected_arc_statistics
+        monkeypatch.setattr(solvers, "expected_arc_statistics",
+                            lambda *args: passes.append(1) or exact(*args))
+        mixed_ne = solve_mixed_ne_small(game, CFG)
+        assert len(passes) == 1  # the solved profile's residual and cost
+        passes.clear()
+        _, certified, _ = mixed_poa_small(game, CFG, equilibria, mixed_ne)
+        assert not certified and len(passes) == len(equilibria.equilibria) == 1
+        # Its expected cost is read too, from the same pass.
+        profile = equilibria.equilibria[0].flow.as_mixed(game)
+        assert mixed_ne_residual(game, profile) <= CFG.tolerance
 
 
 class TestPredicates:
