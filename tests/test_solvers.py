@@ -63,7 +63,101 @@ class TestSolverConfig:
         assert cfg.tolerance == 1e-6
 
 
+def shared_arc_multi_path_games(count: int = 40, seed: int = 1111) -> list:
+    """Seeded rational games of one to four groups with one to four paths of
+    one to four arcs each, drawn from one arc set (degree 0 to 4) so that
+    paths of one group and of different groups share arcs."""
+    rng = random.Random(seed)
+    games = []
+    while len(games) < count:
+        ids = [f"a{i}" for i in range(rng.randint(4, 7))]
+        arcs = {aid: poly(rng.randint(1, 4), *(Fraction(rng.randint(0, 8), 4)
+                                               for _ in range(rng.randint(0, 4))))
+                for aid in ids}
+        taken, groups = set(), []
+        for gi in range(rng.randint(1, 4)):
+            paths = []
+            for _ in range(rng.randint(1, 4)):
+                path = tuple(sorted(rng.sample(ids, rng.randint(1, 4))))
+                if path not in taken:
+                    taken.add(path)
+                    paths.append(path)
+            if paths:
+                demands = tuple(Fraction(rng.randint(1, 12), 4)
+                                for _ in range(rng.randint(1, 3)))
+                groups.append(Group(f"g{gi}", tuple(paths), demands))
+        if groups:
+            games.append(Game(arcs, groups))
+    return games
+
+
+def seeded_links_game(links: int = 300, seed: int = 300) -> Game:
+    """One group of four distinct unit demands on ``links`` affine parallel links."""
+    rng = random.Random(seed)
+    coeffs = [(rng.randint(1, 5), rng.randint(0, 9)) for _ in range(links)]
+    return parallel_game(coeffs, rng.sample(range(1, 7), 4))
+
+
+@st.composite
+def shared_multi_arc_games(draw):
+    """One to three groups of one to three users with fractional demands, on
+    one to four paths of one to four arcs each; the paths are drawn from four
+    to six arcs (degree 0 to 4, fractional coefficients) that any may share."""
+    fractions = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3, 5]))
+    lower = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)])
+    arcs = {f"a{i}": poly(draw(fractions), *draw(st.lists(lower, max_size=4)))
+            for i in range(draw(st.integers(4, 6)))}
+    path_st = st.lists(st.sampled_from(sorted(arcs)), min_size=1, max_size=4,
+                       unique=True).map(lambda arcs: tuple(sorted(arcs)))
+    groups = []
+    taken = set()
+    for gi in range(draw(st.integers(1, 3))):
+        paths = tuple(draw(st.lists(path_st, min_size=1, max_size=4, unique=True)))
+        assume(not taken & set(paths))
+        taken.update(paths)
+        groups.append(Group(f"g{gi}", paths, tuple(draw(st.lists(fractions, min_size=1,
+                                                                 max_size=3)))))
+    return Game(arcs, groups)
+
+
 class TestNonatomicNe:
+    def test_pinned_bits(self):
+        """sha256 of repr((flow, residual, moves, converged, cost)) per solve.
+
+        A change to any float operation of a move, to the order in which a
+        path's arc costs are summed, or to which path a tie picks, changes
+        these bytes.
+        """
+        games = [load_asset(name) for name in ASSETS]
+        games += [load_game(TWO_ARC_DIFFERENCE_GAME), *shared_arc_multi_path_games(),
+                  seeded_links_game()]
+        digest = hashlib.sha256()
+        for game in games:
+            for solve in (solve_nonatomic_ne, solve_nonatomic_so):
+                result = solve(game, CFG)
+                digest.update(repr((result.flow.values(), result.residual, result.iterations,
+                                    result.converged, result.cost)).encode())
+        assert digest.hexdigest() == \
+            "e4bee9faca5e1e1b0b72bdd681a134d4745901aef7b8b28e7aa756764db9da11"
+
+    @settings(max_examples=150, deadline=None)
+    @given(game=shared_multi_arc_games(),
+           solve=st.sampled_from([solve_nonatomic_ne, solve_nonatomic_so]))
+    def test_converged_solve_is_a_fixed_point(self, game, solve):
+        # A path cost left stale after a move would stop the solve early: the
+        # restart, which costs every path afresh, would then move again.
+        result = solve(game, CFG)
+        if not result.converged:
+            return
+        again = solve(game, CFG, start=result.flow)
+        assert again.iterations == 0
+        assert again.flow.values() == result.flow.values()
+        if solve is solve_nonatomic_ne:
+            arc_costs = game.arc_cost_map(result.flow)
+            highest = max(game.path_cost(result.flow, gi, pi, arc_costs)
+                          for gi, pi in game.path_keys)
+            assert verify_wardrop(game, result.flow) <= CFG.tolerance * (1 + highest)
+
     def test_quadratic_constant_split(self):
         game = quadratic_constant_game()
         result = solve_nonatomic_ne(game, CFG)
