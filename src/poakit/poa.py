@@ -250,6 +250,7 @@ class RandomPoaDistribution:
 
     samples: np.ndarray  # empirical ratio per sample
     exact: list  # (ratio, probability) pairs; empty when not enumerated
+    exact_status: str  # "ok", or why ``exact`` was not enumerated
 
     @property
     def empirical_mean(self) -> float:
@@ -359,16 +360,25 @@ EXACT_DISTRIBUTION_MAX_USERS = 20
 
 def sample_random_poa(game: Game, profile: MixedProfile, plan: SamplingPlan,
                       config: SolverConfig = SolverConfig()) -> RandomPoaDistribution:
-    """Distribution of realized total cost over the atomic optimum cost."""
+    """Distribution of realized total cost over the atomic optimum cost.
+
+    The exact distribution only cross-checks the sampled one, so a game past
+    ``EXACT_DISTRIBUTION_MAX_USERS`` or the state budget gets no exact rows,
+    and ``exact_status`` says why.
+    """
     profile.validate(game)
     so_cost = float(enumerate_atomic_equilibria(game, config).optimum.cost)
     if so_cost <= 0:
         raise ValueError("atomic optimum cost must be positive")
-    costs = _sample_total_costs(game, profile, plan)
-    exact = []
-    if game.n_users <= EXACT_DISTRIBUTION_MAX_USERS:
-        exact = [(v / so_cost, p) for v, p in exact_random_cost_distribution(game, profile)]
-    return RandomPoaDistribution(samples=costs / so_cost, exact=exact)
+    samples = _sample_total_costs(game, profile, plan) / so_cost
+    if game.n_users > EXACT_DISTRIBUTION_MAX_USERS:
+        return RandomPoaDistribution(
+            samples, [], f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users")
+    try:
+        exact = exact_random_cost_distribution(game, profile)
+    except BudgetExceededError as exc:
+        return RandomPoaDistribution(samples, [], f"skipped: {exc}")
+    return RandomPoaDistribution(samples, [(v / so_cost, p) for v, p in exact], "ok")
 
 
 # ---------------------------------------------------------------------------

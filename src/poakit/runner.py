@@ -361,6 +361,7 @@ def _sample(config: ExperimentConfig, report: RunReport) -> None:
     report.rows.append({
         "empirical_mean": dist.empirical_mean,
         "exact_mean": dist.exact_mean,
+        "exact_status": dist.exact_status,
         "threshold": bound.threshold,
         "p_delta": bound.p_delta,
         "exceedance_frequency": exceed,

@@ -202,16 +202,22 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
         flows = [float(v) for v in start.values()]
 
     arc_flow = {aid: 0.0 for aid in game.arc_ids}
+    arc_slots = {aid: [] for aid in game.arc_ids}  # the slots whose path crosses an arc
     for i, key in enumerate(keys):
         for aid in gpaths[key]:
             arc_flow[aid] += flows[i]
+            arc_slots[aid].append(i)
+
+    def path_cost(i: int) -> float:
+        return sum(_horner(direction_polys[aid], arc_flow[aid]) for aid in gpaths[keys[i]])
+
+    slot_costs = [path_cost(i) for i in range(len(keys))]  # kept current by every move
 
     def group_move(slots: list, used_thresh: float) -> Optional[tuple]:
         """The group's (costliest used, cheapest) path slots, or None when
         their cost gap is within tolerance of the cheapest cost."""
-        costs = [sum(_horner(direction_polys[aid], arc_flow[aid]) for aid in gpaths[keys[i]])
-                 for i in slots]
-        cheap_pos = min(range(len(slots)), key=lambda j: (costs[j], j))
+        costs = [slot_costs[i] for i in slots]
+        cheap_pos = costs.index(min(costs))  # the first cheapest: costs are never NaN
         used = [j for j in range(len(slots)) if flows[slots[j]] > used_thresh]
         exp_pos = max(used, key=lambda j: (costs[j], -j))
         if costs[exp_pos] - costs[cheap_pos] <= config.tolerance * (1.0 + abs(costs[cheap_pos])):
@@ -240,6 +246,9 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
                     arc_flow[aid] -= amount
                 for aid in dst_only:
                     arc_flow[aid] += amount
+                # Only the paths crossing a moved arc change cost; recost them in arc order.
+                for i in dict.fromkeys(i for aid in src_only + dst_only for i in arc_slots[aid]):
+                    slot_costs[i] = path_cost(i)
                 moves += 1
         if all(group_move(*group) is None for group in movable):
             converged = True

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poakit import poa
 from poakit.cli import main
 from poakit.runner import (
     EXIT_ASSERTION,
@@ -243,6 +244,7 @@ class TestSample:
         assert report.exit_code == EXIT_OK
         row = report.rows[0]
         assert row["exact_mean"] == pytest.approx(5 - 2.5 * math.sqrt(2), abs=1e-9)
+        assert row["exact_status"] == "ok"
         se = 1.5 / math.sqrt(50_000)
         assert abs(row["empirical_mean"] - row["exact_mean"]) <= 3 * se
         csv_text = (tmp_path / "out" / "distribution.csv").read_text(encoding="utf-8")
@@ -257,6 +259,39 @@ class TestSample:
                                   profile_path=str(ppath), n_samples=1000, seed=1)
         report = run_sample(config)
         assert report.exit_code == EXIT_OK
+
+    def test_exact_rows_past_the_state_budget_are_skipped(self, tmp_path, monkeypatch, capsys):
+        # Six users of distinct demands on three paths reach more than 100
+        # arc-load states; the exact rows only cross-check the samples.
+        monkeypatch.setattr(poa, "EXACT_DISTRIBUTION_MAX_STATES", 100)
+        game = {"arcs": [{"id": "a", "coeffs": [1, 0]}, {"id": "b", "coeffs": [1, 2]},
+                         {"id": "c", "coeffs": [2, 1]}],
+                "groups": [{"id": "od", "paths": [["a"], ["b"], ["c"]],
+                            "users": [{"demand": d} for d in (1, 2, 3, 5, 7, 11)]}]}
+        profile = [[[0.5, 0.25, 0.25]] * 6]
+        out = tmp_path / "out"
+        code = main(["sample", "--game", write_family(tmp_path, "game.json", game),
+                     "--profile", write_family(tmp_path, "profile.json", profile),
+                     "--n", "2000", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_OK and "Traceback" not in capsys.readouterr().err
+        row = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"][0]
+        assert row["exact_mean"] is None
+        assert row["exact_status"] == "skipped: state space too large for exact enumeration"
+        sources = {line.split(",")[2] for line in
+                   (out / "distribution.csv").read_text(encoding="utf-8").splitlines()[1:]}
+        assert sources == {"monte-carlo"}
+
+    def test_exact_rows_past_the_user_cap_are_skipped(self, tmp_path):
+        game = {"arcs": [{"id": "u", "coeffs": [1, 0]}, {"id": "l", "coeffs": [1, 1]}],
+                "groups": [{"id": "od", "paths": [["u"], ["l"]],
+                            "users": [{"demand": 1}] * 21}]}
+        report = run_sample(ExperimentConfig(
+            mode="sample", game_path=write_family(tmp_path, "game.json", game),
+            profile_path=write_family(tmp_path, "profile.json", [[[0.5, 0.5]] * 21]),
+            n_samples=1000, seed=1))
+        assert report.exit_code == EXIT_OK
+        row = report.rows[0]
+        assert row["exact_mean"] is None and row["exact_status"] == "skipped: more than 20 users"
 
 
 class TestReproduce:
