@@ -99,20 +99,20 @@ def seeded_links_game(links: int = 300, seed: int = 300) -> Game:
 
 
 @st.composite
-def shared_multi_arc_games(draw):
+def small_rational_games(draw, most: int = 3):
     """One to three groups of one to three users with fractional demands, on
-    one to four paths of one to four arcs each; the paths are drawn from four
-    to six arcs (degree 0 to 4, fractional coefficients) that any may share."""
+    one to ``most`` paths of one to ``most`` arcs each; the three to five arcs
+    (degree 0 to ``most``, fractional coefficients) may be shared by any paths."""
     fractions = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3, 5]))
     lower = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)])
-    arcs = {f"a{i}": poly(draw(fractions), *draw(st.lists(lower, max_size=4)))
-            for i in range(draw(st.integers(4, 6)))}
-    path_st = st.lists(st.sampled_from(sorted(arcs)), min_size=1, max_size=4,
+    arcs = {f"a{i}": poly(draw(fractions), *draw(st.lists(lower, max_size=most)))
+            for i in range(draw(st.integers(3, 5)))}
+    path_st = st.lists(st.sampled_from(sorted(arcs)), min_size=1, max_size=most,
                        unique=True).map(lambda arcs: tuple(sorted(arcs)))
     groups = []
     taken = set()
     for gi in range(draw(st.integers(1, 3))):
-        paths = tuple(draw(st.lists(path_st, min_size=1, max_size=4, unique=True)))
+        paths = tuple(draw(st.lists(path_st, min_size=1, max_size=most, unique=True)))
         assume(not taken & set(paths))
         taken.update(paths)
         groups.append(Group(f"g{gi}", paths, tuple(draw(st.lists(fractions, min_size=1,
@@ -141,7 +141,7 @@ class TestNonatomicNe:
             "e4bee9faca5e1e1b0b72bdd681a134d4745901aef7b8b28e7aa756764db9da11"
 
     @settings(max_examples=150, deadline=None)
-    @given(game=shared_multi_arc_games(),
+    @given(game=small_rational_games(most=4),
            solve=st.sampled_from([solve_nonatomic_ne, solve_nonatomic_so]))
     def test_converged_solve_is_a_fixed_point(self, game, solve):
         # A path cost left stale after a move would stop the solve early: the
@@ -457,28 +457,6 @@ class TestAtomicSo:
         game = parallel_game([(2,), (2,)], [1])
         so = solve_atomic_so(game, CFG)
         assert so.cost == 2
-
-
-@st.composite
-def small_rational_games(draw):
-    """One to three groups of one to three users with fractional demands, on
-    one to three paths of one to three arcs each; the three to five arcs
-    (degree 0 to 3, fractional coefficients) may be shared by any paths."""
-    fractions = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3, 5]))
-    lower = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)])
-    arcs = {f"a{i}": poly(draw(fractions), *draw(st.lists(lower, max_size=3)))
-            for i in range(draw(st.integers(3, 5)))}
-    path_st = st.lists(st.sampled_from(sorted(arcs)), min_size=1, max_size=3,
-                       unique=True).map(lambda arcs: tuple(sorted(arcs)))
-    groups = []
-    taken = set()
-    for gi in range(draw(st.integers(1, 3))):
-        paths = tuple(draw(st.lists(path_st, min_size=1, max_size=3, unique=True)))
-        assume(not taken & set(paths))
-        taken.update(paths)
-        groups.append(Group(f"g{gi}", paths, tuple(draw(st.lists(fractions, min_size=1,
-                                                                 max_size=3)))))
-    return Game(arcs, groups)
 
 
 def _atomic_outcome(game, max_iterations, start):
