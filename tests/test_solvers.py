@@ -24,6 +24,7 @@ from poakit import (
     best_response_atomic,
     enumerate_atomic_equilibria,
     epsilon_ne_residual,
+    exact_random_cost_distribution,
     expected_arc_flow_and_variance,
     expected_total_cost,
     load_game,
@@ -459,21 +460,24 @@ class TestAtomicSo:
         assert so.cost == 2
 
 
+def atomic_fields(r):
+    """Everything an atomic result reports but its wall time."""
+    return None if r is None else (r.flow, r.kind, r.cost, type(r.cost), r.multiplicity,
+                                   r.iterations, r.converged, r.exact, r.residual, r.note)
+
+
 def _atomic_outcome(game, max_iterations, start):
     """Everything enumeration and best response report but wall times."""
-    def fields(r):
-        return None if r is None else (r.flow, r.kind, r.cost, type(r.cost), r.multiplicity,
-                                       r.iterations, r.converged, r.exact, r.residual, r.note)
-
     try:
         eq = enumerate_atomic_equilibria(game, SolverConfig(enumeration_budget=2000))
-        scan = (eq.states_scanned, eq.optimum.exact, fields(eq.optimum), fields(eq.worst),
-                fields(eq.best), [fields(e) for e in eq.equilibria])
+        scan = (eq.states_scanned, eq.optimum.exact, atomic_fields(eq.optimum),
+                atomic_fields(eq.worst), atomic_fields(eq.best),
+                [atomic_fields(e) for e in eq.equilibria])
     except BudgetExceededError as exc:
         scan = str(exc)
     config = SolverConfig(max_iterations=max_iterations)
-    return (scan, fields(best_response_atomic(game, config, start)),
-            fields(best_response_atomic(game, config)))
+    return (scan, atomic_fields(best_response_atomic(game, config, start)),
+            atomic_fields(best_response_atomic(game, config)))
 
 
 def _takes_lattice(game, reads=1) -> bool:
@@ -481,8 +485,55 @@ def _takes_lattice(game, reads=1) -> bool:
     return isinstance(solvers._arc_costs(game, classes, game.arc_ids, reads).tables[0], list)
 
 
+def seeded_profile(game, rng) -> MixedProfile:
+    """Per user, Fraction path probabilities from small weights, exact zeros included."""
+    rows = []
+    for g in game.groups:
+        group_rows = []
+        for _ in g.demands:
+            weights = [rng.randint(0, 3) for _ in g.paths]
+            if not any(weights):
+                weights[0] = 1
+            group_rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+        rows.append(tuple(group_rows))
+    return MixedProfile(tuple(rows))
+
+
 class TestLattice:
     """Integer cost tables give exactly what evaluating the polynomials gives."""
+
+    @pytest.mark.parametrize("max_rows", [solvers.LATTICE_MAX_ROWS, 0])
+    def test_pinned_bits(self, monkeypatch, max_rows):
+        """sha256 of repr of every exact atomic result and exact distribution.
+
+        The pool holds the four assets, 40 seeded rational games, 60 seeded
+        games with float coefficients or demands, a weighted game with no
+        pure equilibrium, and games whose users are too large for tables.
+        The digest is the same whether the rational games' cost rows are
+        tabulated (default caps) or computed per read (no rows allowed): a
+        change to how an exact cost is computed, to a tie, or to the order in
+        which a float cost or probability is summed changes these bytes.
+        """
+        monkeypatch.setattr(solvers, "LATTICE_MAX_ROWS", max_rows)
+        games = [load_asset(name) for name in ASSETS]
+        games += [*shared_arc_multi_path_games(), *shared_arc_two_path_games(),
+                  no_equilibrium_game(),
+                  parallel_game([(1, 0), (2, 1)], [1, 10**5]),
+                  parallel_game([(1, 0, 0, 0), (2, 1, 0, 3)], [Fraction(1, 3), 2, 2, 131071]),
+                  Game({"u": poly(1, 0), "l": poly(1, 1)},
+                       [Group("od", (("u",), ("l",)), (0.5, 0.5, 1.7320508075688772))])]
+        rng = random.Random(12)
+        digest = hashlib.sha256()
+        for game in games:
+            eq = enumerate_atomic_equilibria(game, CFG)
+            outcome = [eq.states_scanned, atomic_fields(eq.worst), atomic_fields(eq.best),
+                       atomic_fields(eq.optimum), [atomic_fields(e) for e in eq.equilibria]]
+            for config in (SolverConfig(max_iterations=3), CFG):
+                outcome.append(atomic_fields(best_response_atomic(game, config)))
+            outcome.append(exact_random_cost_distribution(game, seeded_profile(game, rng)))
+            digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == \
+            "85121c7feac122d24d063fa67cd1962a4603634049e607ccb4d025f616c8b5fa"
 
     @settings(max_examples=120, deadline=None)
     @given(game=small_rational_games(), max_iterations=st.sampled_from([1, 3, 50]),
