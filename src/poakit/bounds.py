@@ -188,40 +188,31 @@ def weighted_bernoulli_tail_bound(weights: Sequence[float], probs: Sequence[floa
     total = math.fsum(weights)
     mean = math.fsum(v * q for v, q in zip(weights, probs))
 
-    if variant is TailVariant.UPPER:
+    if not isinstance(variant, TailVariant):
+        raise ValueError(f"unknown variant {variant!r}")
+    asymptotic = variant in (TailVariant.UPPER_FIXED, TailVariant.LOWER_SHIFTED)
+    level = mean
+    if variant in (TailVariant.UPPER, TailVariant.UPPER_FIXED):
         if delta <= 0:
             raise ValueError("delta must be > 0")
-        exponent = (delta + 1.0) * mean / upsilon * (math.log(delta + 1.0) - delta / (delta + 1.0))
-        return TailBound(math.exp(-exponent), False)
+        if asymptotic:  # UPPER_FIXED is UPPER at level 1
+            if total <= 1:
+                raise ValueError("the fixed-threshold variant needs total weight > 1")
+            level = 1.0
+        exponent = (delta + 1.0) * level / upsilon * (math.log(delta + 1.0) - delta / (delta + 1.0))
+        return TailBound(math.exp(-exponent), asymptotic)
 
-    if variant is TailVariant.LOWER:
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if mean == total:
-            return TailBound(0.0, False)  # Y == total almost surely
-        num = total - (1.0 - delta) * mean
-        exponent = num / upsilon * (math.log(num / (total - mean)) - delta * mean / num)
-        return TailBound(math.exp(-exponent), False)
-
-    if variant is TailVariant.UPPER_FIXED:
-        if delta <= 0:
-            raise ValueError("delta must be > 0")
-        if total <= 1:
-            raise ValueError("the fixed-threshold variant needs total weight > 1")
-        exponent = (delta + 1.0) / upsilon * (math.log(delta + 1.0) - delta / (delta + 1.0))
-        return TailBound(math.exp(-exponent), True)
-
-    if variant is TailVariant.LOWER_SHIFTED:
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    if asymptotic:  # LOWER_SHIFTED is LOWER at level E(Y) - c
         if c is None or not 0 < c < mean:
             raise ValueError("shift c must lie in (0, E(Y))")
-        shifted = mean - c
-        num = total - (1.0 - delta) * shifted
-        exponent = num / upsilon * (math.log(num / (total - shifted)) - delta * shifted / num)
-        return TailBound(math.exp(-exponent), True)
-
-    raise ValueError(f"unknown variant {variant!r}")
+        level = mean - c
+    elif mean == total:
+        return TailBound(0.0, False)  # Y == total almost surely
+    num = total - (1.0 - delta) * level
+    exponent = num / upsilon * (math.log(num / (total - level)) - delta * level / num)
+    return TailBound(math.exp(-exponent), asymptotic)
 
 
 # ---------------------------------------------------------------------------

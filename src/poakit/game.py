@@ -307,9 +307,6 @@ class PathFlow:
     def as_dict(self) -> dict:
         return dict(self.items())
 
-    def as_float(self) -> "PathFlow":
-        return PathFlow(self.game, [float(v) for v in self._values])
-
     def __repr__(self):
         return f"PathFlow({self.as_dict()})"
 

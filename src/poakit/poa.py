@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, getitem, mul
 from typing import TYPE_CHECKING, Optional
 
 from .game import Game, MixedProfile, Number
@@ -325,25 +325,29 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
     """Exact distribution of the realized total cost, by state enumeration.
 
     Groups that share no arcs have independent realized costs, so their cost
-    distributions are enumerated separately and convolved.
+    distributions are enumerated separately and convolved.  A state is the
+    tuple of its arc loads, and its cost is read from the component's
+    ``_ArcCosts``, as the atomic scan reads it (integers on a rational game).
     """
-    from .solvers import _convolve, _group_components
+    from .solvers import _ComponentScan, _convolve, _group_components
 
     comp_dists = []
     for indices in _group_components(game):
-        arc_ids = sorted({aid for gi in indices for path in game.groups[gi].paths for aid in path})
-        states = {tuple(0 for _ in arc_ids): 1.0}  # arc loads -> probability
+        comp = _ComponentScan(game, indices)
+        arcs = comp.arcs
+        states = {(0,) * len(comp.arc_ids): 1.0}  # arc loads -> probability
         for gi in indices:
             g = game.groups[gi]
             for d, rows in zip(g.demands, profile.probabilities[gi]):
-                steps = [(tuple(d if aid in path else 0 for aid in arc_ids), q)
+                load = arcs.load(d)
+                steps = [(tuple(load if aid in path else 0 for aid in comp.arc_ids), q)
                          for path, q in zip(g.paths, map(float, rows)) if q != 0.0]
                 states = _convolve(states, steps, lambda state, step: tuple(map(add, state, step)))
                 if len(states) > EXACT_DISTRIBUTION_MAX_STATES:
                     raise BudgetExceededError("state space too large for exact enumeration")
         dist: dict = {}
         for state, p in states.items():
-            cost = float(sum(v * game.arcs[aid].value(v) for v, aid in zip(state, arc_ids)))
+            cost = float(arcs.value(sum(map(mul, state, map(getitem, arcs.tables, state)))))
             dist[cost] = dist.get(cost, 0.0) + p
         comp_dists.append(dist)
 

@@ -347,6 +347,9 @@ def _sample(config: ExperimentConfig, report: RunReport) -> None:
         dist = sample_random_poa(game, profile, plan, solver)
     except BudgetExceededError as exc:
         raise RunFailure("sample", str(exc), EXIT_INPUT) from None
+    except MemoryError:
+        raise RunFailure("sample", f"--n {plan.n_samples} samples do not fit in memory",
+                         EXIT_INPUT) from None
 
     try:
         rho_nat, _, nonat_so = nonatomic_pair(game, solver)

@@ -7,13 +7,14 @@ toward its cheapest path, with the step length found by bisecting the
 derivative of the 1-D convex restriction.  Atomic problems are solved
 exactly: exhaustive enumeration over user-class assignments when the
 state space fits the budget, best-response dynamics otherwise.  On a
-rational game both run on exact integer cost tables (``_ArcCosts``): arc
-loads are whole numbers of demand units, each arc's scaled cost is
-tabulated once, and a cost becomes a Fraction only when it is recorded.
-Other games evaluate the cost polynomials, with the same scan.  Mixed
-equilibria on small two-path-per-group games are found by per-group
-bisection of the expected-cost indifference condition, with expectations
-computed by exact convolution over the users touching each arc.
+rational game both run on one integer lattice (``_ArcCosts``): arc loads
+are whole numbers of demand units, each arc's scaled cost is an integer,
+tabulated once or computed per read, and a cost becomes a Fraction only
+when it is recorded.  Other games evaluate the cost polynomials, with the
+same scan.  Mixed equilibria on small two-path-per-group games are found
+by per-group bisection of the expected-cost indifference condition, with
+expectations computed by exact convolution over the users touching each
+arc.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
     dir_costs = {aid: _horner(direction_polys[aid], float(fa[aid])) for aid in game.arc_ids}
     path_costs = {key: sum(dir_costs[aid] for aid in gpaths[key]) for key in keys}
     residual = _worst_used_gap(game, flow, path_costs)
-    cost = game.total_cost(flow.as_float())
+    cost = game.total_cost(flow)
     # The line search can strand costly flow on a steep arc below the used threshold.
     for slots, used_thresh in movable:
         cheapest = min(path_costs[keys[i]] for i in slots)
@@ -405,32 +406,32 @@ LATTICE_ROWS_PER_READ = 16  # and rows per cost its solver is sure to read
 
 
 class _Evaluated:
-    """A cost polynomial read like a cost table: ``self[x]`` is its value at x."""
+    """Coefficients read like a cost table: ``self[x]`` is Horner's rule at x."""
 
-    def __init__(self, poly: CostPolynomial):
-        self.value = poly.value
+    def __init__(self, coeffs: Sequence):
+        self.coeffs = coeffs
 
     def __getitem__(self, x: Number) -> Number:
-        return self.value(x)
+        return _horner(self.coeffs, x)
 
 
 @dataclass(frozen=True)
 class _ArcCosts:
     """Arc loads and arc costs as the atomic solvers add and compare them.
 
-    Arcs are numbered; ``tables[a][K]`` is the cost of arc a at load K.  On
-    the integer lattice of a rational game, a load is a whole number K of
-    units 1/L, where L is the LCM of the users' demand denominators, and the
-    table holds the integers ``tau_a(K / L) * M``, with M = D * L**maxdeg
-    and D the LCM of the coefficient denominators.  Costs are then integers
-    scaled by the common factor M, so sums and ``<`` decide exactly as in
-    Fraction arithmetic, and ``value`` turns a sum of load times cost back
-    into ``Fraction(total, L * M)``.  Otherwise loads are the demands
-    themselves, each table evaluates its polynomial, exactly (Fraction) or
-    in floating point, and ``value`` is the identity.
+    Arcs are numbered; ``tables[a][K]`` is the cost of arc a at load K, and
+    an empty arc's load is 0.  On the integer lattice of a rational game, a
+    load is a whole number K of units 1/L, where L is the LCM of the users'
+    demand denominators, and the table holds the integers
+    ``tau_a(K / L) * M``, with M = D * L**maxdeg and D the LCM of the
+    coefficient denominators.  Costs are then integers scaled by the common
+    factor M, so sums and ``<`` decide exactly as in Fraction arithmetic,
+    and ``value`` turns a sum of load times cost back into
+    ``Fraction(total, L * M)``.  Otherwise loads are the demands themselves,
+    each table evaluates its polynomial in the game's own numbers, and
+    ``value`` is the identity.
     """
 
-    zero: Number  # load of an empty arc
     load: Callable  # user demand -> load that user puts on an arc
     tables: list  # per arc: load -> cost, by indexing
     value: Callable  # sum of load * cost -> total cost in the game's units
@@ -450,47 +451,45 @@ class _ArcCosts:
 
 def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str],
                reads: int) -> _ArcCosts:
-    """Integer cost tables for ``arc_ids`` over the users of ``classes``.
+    """The integer lattice of ``arc_ids`` over the users of ``classes``.
 
     An arc's table covers every load the users can put on it: K = 0 .. the
     units of the users whose group has a path through the arc.  That covers
-    deviations too, since a user moving onto an arc was not on it.  Falls
-    back to evaluating the polynomials when the game is not rational, or
-    when the tables would hold more than LATTICE_MAX_ROWS rows, or more than
-    LATTICE_ROWS_PER_READ rows per arc cost the caller is sure to read
-    (``reads``): a row costs a small fraction of one polynomial evaluation,
-    so tables never cost much more than the evaluations they replace.  The
-    row count is computed before any table is built.
+    deviations too, since a user moving onto an arc was not on it.  The rows
+    are computed on each read, by Horner's rule on the same scaled integer
+    coefficients, when the tables would hold more than LATTICE_MAX_ROWS
+    rows, or more than LATTICE_ROWS_PER_READ rows per arc cost the caller is
+    sure to read (``reads``): a row costs a small fraction of one read, so
+    tables never cost much more than the reads they replace.  The row count
+    is computed before any table is built.  A game that is not rational
+    evaluates its polynomials instead.
     """
     polys = [game.arcs[aid] for aid in arc_ids]
-    evaluated = _ArcCosts(Fraction(0), lambda d: d, [_Evaluated(p) for p in polys],
-                          lambda total: total)
     if not game.is_rational:
-        return evaluated
+        return _ArcCosts(lambda d: d, [_Evaluated(p.coefficients) for p in polys],
+                         lambda total: total)
     scale = math.lcm(*(Fraction(cls.demand).denominator for cls in classes))
     units = {cls.demand: int(cls.demand * scale) for cls in classes}
+    degree = max(p.degree for p in polys)
+    common = math.lcm(*(c.denominator for p in polys for c in p.coefficients))
+    # Per arc, the coefficient of K**e, scaled by common * scale**(degree - e).
+    scaled = [[int(c * common) * scale ** (degree - p.degree + i)
+               for i, c in enumerate(p.coefficients)] for p in polys]
     reach = dict.fromkeys(arc_ids, 0)
     for cls in classes:
         for aid in {aid for path in game.groups[cls.gi].paths for aid in path}:
             reach[aid] += units[cls.demand] * cls.size
-    rows = sum(reach.values()) + len(arc_ids)
-    if rows > min(LATTICE_MAX_ROWS, LATTICE_ROWS_PER_READ * reads):
-        return evaluated
-
-    degree = max(p.degree for p in polys)
-    common = math.lcm(*(c.denominator for p in polys for c in p.coefficients))
-    tables = []
-    for aid, poly in zip(arc_ids, polys):
-        coeffs = poly.coefficients
-        # The coefficient of K**e, scaled by common * scale**(degree - e).
-        scaled = [int(c * common) * scale ** (degree - len(coeffs) + 1 + i)
-                  for i, c in enumerate(coeffs)]
-        table = [0] * (reach[aid] + 1)
-        for s in scaled:  # Horner's rule, one coefficient at a time over all rows
-            table = [acc * k + s for k, acc in enumerate(table)]
-        tables.append(table)
+    if sum(reach.values()) + len(arc_ids) > min(LATTICE_MAX_ROWS, LATTICE_ROWS_PER_READ * reads):
+        tables = [_Evaluated(coeffs) for coeffs in scaled]
+    else:
+        tables = []
+        for aid, coeffs in zip(arc_ids, scaled):
+            table = [0] * (reach[aid] + 1)
+            for c in coeffs:  # Horner's rule, one coefficient at a time over all rows
+                table = [acc * k + c for k, acc in enumerate(table)]
+            tables.append(table)
     denominator = scale * common * scale ** degree
-    return _ArcCosts(0, units.__getitem__, tables, lambda total: Fraction(total, denominator))
+    return _ArcCosts(units.__getitem__, tables, lambda total: Fraction(total, denominator))
 
 
 def _numbered_paths(paths: Sequence[tuple], arc_ids: Sequence[str]) -> tuple:
@@ -539,7 +538,7 @@ class _ComponentScan:
         ``assignment`` maps class position to its per-path count tuple, and
         ``loads`` lists the arcs' loads in ``arc_ids`` order (see ``_ArcCosts``).
         """
-        loads = [self.arcs.zero] * len(self.arc_ids)
+        loads = [0] * len(self.arc_ids)
         assignment: list = [None] * len(self.classes)
         moves = self.moves
 
@@ -736,7 +735,7 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
     paths = [_numbered_paths(g.paths, game.arc_ids) for g in game.groups]
     arc_sets = [[set(path) for path in group_paths] for group_paths in paths]
     choices = [list(picks) for picks in initial.choices]
-    loads = [arcs.zero] * game.n_arcs
+    loads = [0] * game.n_arcs
     for gi, group_paths in enumerate(paths):
         for ui, d in enumerate(user_loads[gi]):
             for a in group_paths[choices[gi][ui]]:

@@ -408,6 +408,18 @@ class TestCli:
         assert doc["exit_code"] == EXIT_INPUT
         assert doc["config"] == {"mode": "sweep"}
 
+    def test_samples_past_memory_are_an_input_error(self, tmp_path, capsys):
+        # 8 * 10**15 bytes of samples lie past a 2**47-byte address space, so
+        # the allocation is refused at once, before any sample is drawn.
+        out = tmp_path / "out"
+        game_path = str(asset_path("parallel_affine_offset.json"))
+        assert main(["sample", "--game", game_path, "--n", "1000000000000000",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] sample: --n 1000000000000000 samples do not fit in memory"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_INPUT
+
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy is imported where samples are drawn, not on every start.
         import poakit
@@ -734,3 +746,38 @@ class TestBenchmarkTracer:
         for (home, name), fn in originals.items():
             assert getattr(importlib.import_module(f"poakit.{home}"), name) is fn
         assert vars(BoundInputs)["from_game"] is from_game
+
+    def test_a_traced_run_counts_every_layer(self, monkeypatch, tmp_path):
+        # The tracer's hooks read .samples, .states_scanned, .iterations and
+        # .kind from what the wrapped functions return; a renamed field would
+        # end bench/run.py --trace 1 in an AttributeError or count nothing.
+        import poakit
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        from tracing import Tracer
+
+        game = str(asset_path("parallel_linear_double.json"))  # two users
+        family = write_family(tmp_path, "family.json", OFFSET_UNIT_FAMILY)
+        runs = {"solve": ["--game", game], "sample": ["--game", game, "--n", "100"],
+                "sweep": ["--family", family, "--grid", "10,100"],
+                "decompose": ["--family", family, "--grid", "1,2"]}
+        tracer = Tracer()
+        tracer.install(poakit)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [main([mode, *args, "--out", str(tmp_path / mode)])
+                         for mode, args in runs.items()]
+        finally:
+            tracer.uninstall()
+        assert codes == [EXIT_OK] * 4
+        counts = tracer.values
+        assert counts["poa.samples"] == 100
+        assert counts["game.uniforms_drawn"] == 200
+        assert counts["poa.exact_support"] > 0
+        assert counts["solvers.enumerate_states"] > 0
+        assert counts["solvers.nonatomic_calls"] > 0 and counts["solvers.nonatomic_moves"] > 0
+        assert counts["solvers.mixed_ne_calls"] > 0 and counts["solvers.mixed_ne_sweeps"] > 0
+        assert counts["bounds.calls"] > 0
+        assert counts["runner.csv_bytes"] > 0
+        assert all(counts[span] > 0 for span in ("runner.solve_s", "runner.sample_s",
+                                                 "runner.sweep_s", "runner.decompose_s"))

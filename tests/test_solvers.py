@@ -480,9 +480,20 @@ def _atomic_outcome(game, max_iterations, start):
             atomic_fields(best_response_atomic(game, config)))
 
 
-def _takes_lattice(game, reads=1) -> bool:
+def _lattice(game, reads=1):
     classes = solvers._user_classes(game, range(len(game.groups)))
-    return isinstance(solvers._arc_costs(game, classes, game.arc_ids, reads).tables[0], list)
+    return solvers._arc_costs(game, classes, game.arc_ids, reads)
+
+
+def _takes_lattice(game, reads=1) -> bool:
+    """Whether the cost rows are tabulated up front."""
+    return isinstance(_lattice(game, reads).tables[0], list)
+
+
+def _cost_rows(game) -> list:
+    """Every tabulated cost row, or the rows of loads 0 .. 3 read one at a time."""
+    return [row for table in _lattice(game).tables
+            for row in (table if isinstance(table, list) else map(table.__getitem__, range(4)))]
 
 
 def seeded_profile(game, rng) -> MixedProfile:
@@ -500,7 +511,8 @@ def seeded_profile(game, rng) -> MixedProfile:
 
 
 class TestLattice:
-    """Integer cost tables give exactly what evaluating the polynomials gives."""
+    """Integer cost rows, tabulated or read one at a time, give exactly the
+    costs of evaluating the polynomials on Fraction loads."""
 
     @pytest.mark.parametrize("max_rows", [solvers.LATTICE_MAX_ROWS, 0])
     def test_pinned_bits(self, monkeypatch, max_rows):
@@ -546,15 +558,28 @@ class TestLattice:
         with pytest.MonkeyPatch.context() as mp:  # small games, tables however few the reads
             mp.setattr(solvers, "LATTICE_ROWS_PER_READ", solvers.LATTICE_MAX_ROWS)
             assert _takes_lattice(game)
-            on_lattice = _atomic_outcome(game, max_iterations, start)
+            assert all(type(row) is int for row in _cost_rows(game))
+            tabulated = _atomic_outcome(game, max_iterations, start)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "LATTICE_MAX_ROWS", 0)
             assert not _takes_lattice(game)
-            evaluated = _atomic_outcome(game, max_iterations, start)
-        assert on_lattice == evaluated
-        scan, *responses = on_lattice
-        costs = [r[2] for r in responses] + ([] if isinstance(scan, str) else [scan[2][2]])
-        assert all(type(c) is Fraction for c in costs)
+            assert all(type(row) is int for row in _cost_rows(game))
+            per_read = _atomic_outcome(game, max_iterations, start)
+        assert tabulated == per_read
+        # Both sides run on the lattice; check them against Fraction evaluation.
+        scan, *responses = tabulated
+        for profile, _, cost, cost_type, *_ in responses:
+            assert cost_type is Fraction
+            assert cost == game.total_cost(profile.induced_flow(game))
+        if isinstance(scan, str) or math.prod(g.n_paths ** g.n_users for g in game.groups) > 729:
+            return
+        _, _, optimum, worst, *_ = scan
+        assert optimum[3] is Fraction and optimum[2] == _bruteforce_optimum_cost(game)
+        flows = [PathFlow(game, flow) for flow, _ in _bruteforce_equilibrium_flows(game)]
+        if worst is None:
+            assert flows == []
+        else:
+            assert worst[2] == max(game.total_cost(flow) for flow in flows)
 
     def test_float_demands_are_evaluated(self):
         game = Game({"u": poly(1, 0), "l": poly(1, 1)},
@@ -572,6 +597,7 @@ class TestLattice:
         game = Game({"u": poly(1, 0), "l": poly(2, 1)},
                     [Group("od", (("u",), ("l",)), (Fraction(1), Fraction(10**9)))])
         assert game.is_rational and not _takes_lattice(game, reads=10**9)
+        assert all(type(row) is int for row in _cost_rows(game))
         eq = enumerate_atomic_equilibria(game, CFG)
         got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
         assert got == {f for f, _ in _bruteforce_equilibrium_flows(game)}
