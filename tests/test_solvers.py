@@ -571,10 +571,13 @@ class TestLattice:
         for profile, _, cost, cost_type, *_ in responses:
             assert cost_type is Fraction
             assert cost == game.total_cost(profile.induced_flow(game))
-        if isinstance(scan, str) or math.prod(g.n_paths ** g.n_users for g in game.groups) > 729:
+        if isinstance(scan, str):
             return
         _, _, optimum, worst, *_ = scan
-        assert optimum[3] is Fraction and optimum[2] == _bruteforce_optimum_cost(game)
+        assert optimum[3] is Fraction
+        if math.prod(g.n_paths ** g.n_users for g in game.groups) > 729:
+            return
+        assert optimum[2] == _bruteforce_optimum_cost(game)
         flows = [PathFlow(game, flow) for flow, _ in _bruteforce_equilibrium_flows(game)]
         if worst is None:
             assert flows == []
