@@ -670,15 +670,15 @@ ASSETS = ("parallel_affine_offset.json", "parallel_linear_double.json",
           "parallel_quadratic_constant.json", "two_commodity_mixed_degree.json")
 
 
-def shared_arc_two_path_games(count: int = 60, seed: int = 4242) -> list:
+def shared_arc_two_path_games(count: int = 60, seed: int = 4242, denominator: int = 4) -> list:
     """Seeded games of one to three groups with at most two paths each, drawn
     from one small arc set so that groups share arcs; coefficients and
-    demands mix Fractions and floats."""
+    demands mix Fractions (multiples of 1 / ``denominator``) and floats."""
     rng = random.Random(seed)
 
     def number(low, high):
         if rng.random() < 0.5:
-            return Fraction(rng.randint(low * 4, high * 4), 4)
+            return Fraction(rng.randint(low * denominator, high * denominator), denominator)
         return rng.uniform(low, high)
 
     games = []
@@ -770,6 +770,23 @@ class TestMixedSolver:
                                 result.iterations)).encode())
         assert digest.hexdigest() == \
             "999b26392fe195b7ea9d5edf57b69d038ed8f9d29ab502531750f5fef3897b1e"
+
+    def test_pinned_bits_over_a_seeded_pool(self):
+        """sha256 of repr of every reported field of a solve but its wall time.
+
+        The pool holds 60 seeded games whose groups share arcs, with float
+        coefficients and demands and non-dyadic Fractions (multiples of
+        1/21); some need up to 18 sweeps.  Each is solved with the default
+        budget and with two sweeps, which leaves those unconverged.
+        """
+        digest = hashlib.sha256()
+        for game in shared_arc_two_path_games(60, seed=2026, denominator=21):
+            for config in (CFG, SolverConfig(max_iterations=2)):
+                r = solve_mixed_ne_small(game, config)
+                digest.update(repr((r.flow.probabilities, r.residual, r.iterations,
+                                    r.converged, r.cost, r.note)).encode())
+        assert digest.hexdigest() == \
+            "c106ce320edc5d85f12a1e8a904190e449ce240e17c425f6a53b19a0145e0892"
 
     def test_one_exact_pass_per_profile(self, monkeypatch):
         # Three users on a constant arc against x + 2: the pure equilibrium
