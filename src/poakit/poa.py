@@ -342,7 +342,8 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
                 load = arcs.load(d)
                 steps = [(tuple(load if aid in path else 0 for aid in comp.arc_ids), q)
                          for path, q in zip(g.paths, map(float, rows)) if q != 0.0]
-                states = _convolve(states, steps, lambda state, step: tuple(map(add, state, step)))
+                states = _convolve(states, steps, lambda state, step: tuple(map(add, state, step)),
+                                   limit=EXACT_DISTRIBUTION_MAX_STATES)
                 if len(states) > EXACT_DISTRIBUTION_MAX_STATES:
                     raise BudgetExceededError("state space too large for exact enumeration")
         dist: dict = {}
@@ -353,7 +354,7 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
 
     total = {0.0: 1.0}
     for dist in comp_dists:
-        total = _convolve(total, dist.items())
+        total = _convolve(total, dist.items(), limit=EXACT_DISTRIBUTION_MAX_STATES)
         if len(total) > EXACT_DISTRIBUTION_MAX_STATES:
             raise BudgetExceededError("cost support too large for exact convolution")
     return sorted(total.items())

@@ -788,11 +788,16 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
 # Exact expectations for mixed profiles
 # ---------------------------------------------------------------------------
 
-def _convolve(dist: dict, outcomes, add: Callable = add) -> dict:
+def _convolve(dist: dict, outcomes, add: Callable = add, limit: Optional[int] = None) -> dict:
     """Distribution of add(v, x), v ~ ``dist`` and x ~ ``outcomes`` ((x, w) pairs)
-    independent; each value sums its products p * w in the order they arrive."""
+    independent; each value sums its products p * w in the order they arrive.
+    With a ``limit``, the fold stops at the first v that finds more than
+    ``limit`` values, so the caller can refuse a result of that size."""
     new: dict = {}
-    for v, p in dist.items():
+    items = dist.items()
+    if limit is not None:
+        items = itertools.takewhile(lambda _: len(new) <= limit, items)
+    for v, p in items:
         for x, w in outcomes:
             key = add(v, x)
             new[key] = new.get(key, 0) + p * w
@@ -893,6 +898,13 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
     so each group is settled by bisection given the others, and groups are
     swept Gauss-Seidel style.  Expectations are exact convolutions, so the
     returned residual is limited only by the bisection width.
+
+    A gap runs ``_horner`` over float coefficients, converted once per solve
+    for the arcs a gap reads; Python does Fraction-float arithmetic on
+    ``float(fraction)``, so at float loads that gives the bits of
+    ``float(poly.value(v))``.  A group is settled again only once another
+    group's x has moved (the sweep still counts), and the bisection stops
+    once its midpoint equals an end, after which no step would move one.
     """
     t0 = time.perf_counter()
     for g in game.groups:
@@ -902,15 +914,17 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         raise ValueError(f"{game.n_users} users exceed the exact-expectation cap {MIXED_MAX_USERS}")
 
     xs = [1.0 if g.n_paths == 1 else 0.5 for g in game.groups]
+    coeffs: dict = {}  # float coefficients of the arcs a gap reads
+    settled: dict = {}  # group index -> the other groups' xs when it last settled
 
     def gap(terms: list, demands: list, x: float) -> float:
         """Expected cost of a group's first path minus its second, its users
         taking the first with probability x; ``terms`` are ``arc_terms``."""
         total = 0.0
         for sign, q_own, path_terms in ((1.0, x, terms[0]), (-1.0, 1.0 - x, terms[1])):
-            for others, poly in path_terms:
+            for others, cs in path_terms:
                 dist = _bernoulli_convolution(((d, q_own) for d in demands), others)
-                total += sign * sum(p * float(poly.value(v)) for v, p in dist.items())
+                total += sign * sum(p * _horner(cs, v) for v, p in dist.items())
         if not math.isfinite(total):
             raise OverflowError(f"expected path cost gap {total} is not a finite float")
         return total
@@ -923,6 +937,9 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         for gi, g in enumerate(game.groups):
             if g.n_paths == 1:
                 continue
+            others_xs = xs[:gi] + xs[gi + 1:]
+            if settled.get(gi) == others_xs:
+                continue  # its gap reads only the others' xs: its x stands
             # Per path, its arcs not on the other path, in path order (shared
             # arcs cancel from the gap, and a fixed order fixes its float sum),
             # each with the flow distribution of the other groups' users,
@@ -930,7 +947,8 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
             profile = _uniform_group_profile(game, xs)
             arc_terms = [[(_bernoulli_convolution(
                 ((float(d), q) for gj, d, q in arc_users(game, profile, aid) if gj != gi),
-                {0.0: 1.0}), game.arcs[aid])
+                {0.0: 1.0}), coeffs.get(aid) or coeffs.setdefault(
+                    aid, [float(c) for c in game.arcs[aid].coefficients]))
                 for aid in g.paths[k] if aid not in g.paths[1 - k]] for k in (0, 1)]
             demands = [float(d) for d in g.demands]
             g0, g1 = gap(arc_terms, demands, 0.0), gap(arc_terms, demands, 1.0)
@@ -944,6 +962,8 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
                 lo, hi = 0.0, 1.0
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
+                    if mid == lo or mid == hi:
+                        break
                     if gap(arc_terms, demands, mid) <= 0.0:
                         lo = mid
                     else:
@@ -951,6 +971,7 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
                 new_x = 0.5 * (lo + hi)
             delta = max(delta, abs(new_x - xs[gi]))
             xs[gi] = new_x
+            settled[gi] = others_xs
         if delta <= 1e-15:
             break
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poakit import solvers
 from poakit import (
     AtomicProfile,
+    BudgetExceededError,
     CostPolynomial,
     Game,
     Group,
@@ -485,6 +487,35 @@ class TestExactDistribution:
         for (value, prob), (want_value, want_prob) in zip(got, want):
             assert math.isclose(value, want_value, rel_tol=1e-12)
             assert prob == pytest.approx(want_prob, abs=1e-12)
+
+    def test_the_state_caps_hold_inside_the_fold(self, monkeypatch):
+        # Users of demands 2^k on three paths: every assignment of the first
+        # k users has its own loads, 3^k states in all.  Each fold stops at
+        # the first source state past the cap, not after the whole user.
+        import poakit.poa
+        monkeypatch.setattr(poakit.poa, "EXACT_DISTRIBUTION_MAX_STATES", 10_000)
+        sizes = []
+        convolve = solvers._convolve
+        monkeypatch.setattr(solvers, "_convolve", lambda *args, **kwargs: sizes.append(
+            len(out := convolve(*args, **kwargs))) or out)
+        paths = [(1, 0), (1, 2), (2, 1)]
+        game = parallel_game(paths, [2**k for k in range(14)])
+        profile = MixedProfile((((0.5, 0.25, 0.25),) * 14,))
+        with pytest.raises(BudgetExceededError, match="state space too large"):
+            exact_random_cost_distribution(game, profile)
+        assert 10_000 < max(sizes) <= 10_000 + len(paths)
+        # Two components of 3^6 states each: their costs convolve past the
+        # cap, and that fold stops at the first cost of the first component
+        # that takes it past the cap.
+        sizes.clear()
+        game = Game({f"{c}{i}": poly(*cs) for c in "ab" for i, cs in enumerate(paths)},
+                    [Group(c, ((f"{c}0",), (f"{c}1",), (f"{c}2",)),
+                           tuple(Fraction(base**k) for k in range(6)))
+                     for c, base in (("a", 2), ("b", 3))])
+        profile = MixedProfile((((0.5, 0.25, 0.25),) * 6,) * 2)
+        with pytest.raises(BudgetExceededError, match="cost support too large"):
+            exact_random_cost_distribution(game, profile)
+        assert 10_000 < sizes[-1] <= 10_000 + 3**6  # each adds at most 3^6 costs
 
 
 class TestReports:

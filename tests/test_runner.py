@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poakit import poa
+from poakit import poa, solvers
 from poakit.cli import main
 from poakit.runner import (
     EXIT_ASSERTION,
@@ -262,8 +262,13 @@ class TestSample:
 
     def test_exact_rows_past_the_state_budget_are_skipped(self, tmp_path, monkeypatch, capsys):
         # Six users of distinct demands on three paths reach more than 100
-        # arc-load states; the exact rows only cross-check the samples.
+        # arc-load states; the exact rows only cross-check the samples.  The
+        # fold stops at the first source state that passes the cap.
         monkeypatch.setattr(poa, "EXACT_DISTRIBUTION_MAX_STATES", 100)
+        sizes = []
+        convolve = solvers._convolve
+        monkeypatch.setattr(solvers, "_convolve", lambda *args, **kwargs: sizes.append(
+            len(out := convolve(*args, **kwargs))) or out)
         game = {"arcs": [{"id": "a", "coeffs": [1, 0]}, {"id": "b", "coeffs": [1, 2]},
                          {"id": "c", "coeffs": [2, 1]}],
                 "groups": [{"id": "od", "paths": [["a"], ["b"], ["c"]],
@@ -274,6 +279,7 @@ class TestSample:
                      "--profile", write_family(tmp_path, "profile.json", profile),
                      "--n", "2000", "--seed", "1", "--out", str(out)])
         assert code == EXIT_OK and "Traceback" not in capsys.readouterr().err
+        assert 100 < max(sizes) <= 103
         row = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"][0]
         assert row["exact_mean"] is None
         assert row["exact_status"] == "skipped: state space too large for exact enumeration"

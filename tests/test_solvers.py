@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -788,6 +789,38 @@ class TestMixedSolver:
         assert digest.hexdigest() == \
             "c106ce320edc5d85f12a1e8a904190e449ce240e17c425f6a53b19a0145e0892"
 
+    def test_a_settled_group_is_not_bisected_again(self, monkeypatch):
+        # One movable group: the second sweep finds the other groups' xs (there
+        # are none) as they were when it settled, and evaluates no gap, so
+        # the solve folds users in exactly as often as a one-sweep solve.
+        game = load_asset("parallel_quadratic_constant.json")
+        calls = []
+        convolution = solvers._bernoulli_convolution
+        monkeypatch.setattr(solvers, "_bernoulli_convolution",
+                            lambda *args: calls.append(1) or convolution(*args))
+        one_sweep = solve_mixed_ne_small(game, SolverConfig(max_iterations=1))
+        one_sweep_calls = len(calls)
+        calls.clear()
+        result = solve_mixed_ne_small(game, CFG)
+        assert (one_sweep.iterations, result.iterations) == (1, 2)
+        assert len(calls) == one_sweep_calls
+        assert result.flow == one_sweep.flow and result.converged
+
+    def test_an_arc_no_gap_reads_may_pass_the_float_range(self):
+        # Only the arcs a gap reads are converted to floats: an arc on no path
+        # with a coefficient past 1.8e308 changes nothing, and a gap that
+        # reads such an arc raises OverflowError, as Fraction Horner does.
+        huge = Fraction(10**400, 3)
+        game = quadratic_constant_game()
+        spare = Game({**game.arcs, "x": poly(huge)}, game.groups)
+        result, want = solve_mixed_ne_small(spare, CFG), solve_mixed_ne_small(game, CFG)
+        assert (result.flow, result.residual, result.iterations, result.converged,
+                result.cost) == (want.flow, want.residual, want.iterations,
+                                 want.converged, want.cost)
+        steep = Game({**game.arcs, "l": poly(1, huge)}, game.groups)
+        with pytest.raises(OverflowError):
+            solve_mixed_ne_small(steep, CFG)
+
     def test_one_exact_pass_per_profile(self, monkeypatch):
         # Three users on a constant arc against x + 2: the pure equilibrium
         # (all on the constant arc) also meets the mixed predicate.
@@ -805,6 +838,32 @@ class TestMixedSolver:
         # Its expected cost is read too, from the same pass.
         profile = equilibria.equilibria[0].flow.as_mixed(game)
         assert mixed_ne_residual(game, profile) <= CFG.tolerance
+
+
+fraction_coefficients = (st.fractions(min_value=0)
+                         | st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(10**400, 3)])
+                         | st.builds(Fraction, st.integers(0, 10**330), st.integers(1, 10**12)))
+
+
+class TestFloatHorner:
+    @settings(max_examples=400, deadline=None)
+    @given(coeffs=st.lists(fraction_coefficients, min_size=1, max_size=5),
+           v=st.floats(min_value=0.0, allow_infinity=False))
+    @example(coeffs=[Fraction(1, 3), Fraction(2, 7), Fraction(0)], v=0.1)
+    @example(coeffs=[Fraction(1), Fraction(10**400, 3)], v=0.0)
+    def test_float_coefficients_give_the_bits_of_fraction_horner(self, coeffs, v):
+        """The mixed solver's gaps rest on this: at a float load, Horner over
+        the coefficients converted once gives the bits of ``float(poly.value(v))``,
+        and both raise OverflowError on the same coefficients."""
+        def bits(evaluate):
+            try:
+                return struct.pack("<d", evaluate())
+            except OverflowError:
+                return OverflowError
+
+        poly_value = CostPolynomial(tuple(coeffs)).value
+        assert bits(lambda: solvers._horner([float(c) for c in coeffs], v)) == \
+            bits(lambda: float(poly_value(v)))
 
 
 class TestPredicates:
