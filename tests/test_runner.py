@@ -540,6 +540,8 @@ class TestCli:
             assert lines[0].startswith("[FAIL] profile: ")
         if "--seed" in args:
             assert lines[0].startswith("[FAIL] seed: seed must be in 0 .. 2**64 - 1")
+        if args[-2:] == ["--n", "0"]:
+            assert lines == ["[FAIL] plan: n_samples must be >= 1"]
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_INPUT
         assert [v["passed"] for v in doc["verdicts"]] == [False]
