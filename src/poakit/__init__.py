@@ -35,7 +35,6 @@ from .solvers import (
 from .poa import (
     PoaReport,
     RandomPoaDistribution,
-    SamplingPlan,
     atomic_poa,
     compute_poa_report,
     exact_random_cost_distribution,

@@ -69,8 +69,8 @@ class BoundInputs:
         degrees = set(game.degrees)
         if len(degrees) != 1:
             raise ValueError(f"bound evaluators need one common degree, got {sorted(degrees)}")
-        eta_max = max(float(c) for p in game.arcs.values() for c in p.coefficients)
-        eta0_min = min(float(p.coefficients[0]) for p in game.arcs.values())
+        eta_max = max(c for p in game.arcs.values() for c in p.float_coefficients)
+        eta0_min = min(p.float_coefficients[0] for p in game.arcs.values())
         return BoundInputs(degree=degrees.pop(), eta_max=eta_max, eta0_min=eta0_min,
                            n_arcs=game.n_arcs, n_paths=game.n_paths,
                            total_demand=float(game.total_demand), d_max=float(game.d_max))

@@ -42,6 +42,13 @@ def _log(x: Number) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _power_law(c: Number, gamma: Number, n: int) -> Number:
+    """c * n^gamma: exact when gamma is whole, else a float."""
+    if float(gamma).is_integer():
+        return c * Fraction(n) ** int(gamma)
+    return float(c) * float(n) ** float(gamma)
+
+
 @dataclass(frozen=True)
 class DemandLaw:
     """Per-group demand schedule d(n) = c * n^gamma plus a user granularity.
@@ -74,16 +81,10 @@ class DemandLaw:
     def demand_at(self, n: int) -> Number:
         if n < 1:
             raise ValueError("n must be >= 1")
-        if float(self.gamma).is_integer():
-            return self.c * Fraction(n) ** int(self.gamma)
-        return float(self.c) * float(n) ** float(self.gamma)
+        return _power_law(self.c, self.gamma, n)
 
     def count_at(self, n: int) -> int:
-        cc, cg = self.user_count
-        if float(cg).is_integer():
-            exact = cc * Fraction(n) ** int(cg)
-            return max(1, round(exact))
-        return max(1, round(float(cc) * float(n) ** float(cg)))
+        return max(1, round(_power_law(*self.user_count, n)))
 
 
 @dataclass(frozen=True)

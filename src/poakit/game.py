@@ -65,6 +65,14 @@ def _as_object(value, path: str) -> Mapping:
     return value
 
 
+def _horner(coeffs: Sequence, x: Number) -> Number:
+    """Horner's rule, highest-degree coefficient first; exact on Fractions."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class CostPolynomial:
     """Nonnegative-coefficient polynomial cost, highest-degree term first.
@@ -87,12 +95,14 @@ class CostPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    @cached_property
+    def float_coefficients(self) -> tuple:
+        """``coefficients`` as floats, converted on first read; OverflowError
+        on every read while one is past the float range."""
+        return tuple(float(c) for c in self.coefficients)
+
     def value(self, x: Number) -> Number:
-        # Horner evaluation; stays exact for Fraction inputs.
-        acc = self.coefficients[0]
-        for c in self.coefficients[1:]:
-            acc = acc * x + c
-        return acc
+        return _horner(self.coefficients, x)
 
     __call__ = value
 

@@ -24,7 +24,6 @@ from .solvers import (
     SolverConfig,
     _mixed_summary,
     best_response_atomic,
-    check_seed,
     enumerate_atomic_equilibria,
     expected_arc_statistics,
     expected_path_costs,
@@ -39,17 +38,6 @@ if TYPE_CHECKING:  # numpy is imported where samples are drawn, not on every sta
     import numpy as np
 
 POA_FLOOR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    n_samples: int = 100_000
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        check_seed(self.rng_seed)
 
 
 @dataclass
@@ -276,7 +264,8 @@ class RandomPoaDistribution:
         return rows
 
 
-def _sample_total_costs(game: Game, profile: MixedProfile, plan: SamplingPlan) -> np.ndarray:
+def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
+                        seed: int) -> np.ndarray:
     """Vectorized realized total costs; sample i depends only on (seed, i).
 
     Works one user column at a time.  A user takes the first path whose
@@ -296,13 +285,12 @@ def _sample_total_costs(game: Game, profile: MixedProfile, plan: SamplingPlan) -
         for ui, d in enumerate(g.demands):
             cum = np.cumsum([float(p) for p in profile.probabilities[gi][ui]])
             users.append((float(d), np.maximum.accumulate(cum[:-1]), rows))
-    coeff_rows = [np.array([float(c) for c in game.arcs[aid].coefficients])
-                  for aid in game.arc_ids]
+    coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
-    out = np.empty(plan.n_samples)
-    for start in range(0, plan.n_samples, SAMPLE_CHUNK):  # bounded memory whatever n is
-        count = min(SAMPLE_CHUNK, plan.n_samples - start)
-        draws = sample_uniforms(plan.rng_seed, start, count, len(users))
+    out = np.empty(n_samples)
+    for start in range(0, n_samples, SAMPLE_CHUNK):  # bounded memory whatever n is
+        count = min(SAMPLE_CHUNK, n_samples - start)
+        draws = sample_uniforms(seed, start, count, len(users))
         flows = np.zeros((len(arc_index), count))
         for u, (d, cuts, rows) in enumerate(users):
             col = draws[:, u]
@@ -363,19 +351,23 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
 EXACT_DISTRIBUTION_MAX_USERS = 20
 
 
-def sample_random_poa(game: Game, profile: MixedProfile, plan: SamplingPlan,
+def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
                       config: SolverConfig = SolverConfig()) -> RandomPoaDistribution:
     """Distribution of realized total cost over the atomic optimum cost.
 
-    The exact distribution only cross-checks the sampled one, so a game past
+    ``n_samples`` draws (ValueError below 1), keyed by ``config.rng_seed``:
+    draw i is a pure function of the seed and i.  The exact distribution
+    only cross-checks the sampled one, so a game past
     ``EXACT_DISTRIBUTION_MAX_USERS`` or the state budget gets no exact rows,
     and ``exact_status`` says why.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     profile.validate(game)
     so_cost = float(enumerate_atomic_equilibria(game, config).optimum.cost)
     if so_cost <= 0:
         raise ValueError("atomic optimum cost must be positive")
-    samples = _sample_total_costs(game, profile, plan) / so_cost
+    samples = _sample_total_costs(game, profile, n_samples, config.rng_seed) / so_cost
     if game.n_users > EXACT_DISTRIBUTION_MAX_USERS:
         return RandomPoaDistribution(
             samples, [], f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users")

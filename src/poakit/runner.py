@@ -30,7 +30,6 @@ from .bounds import (
 from .decomposition import decomposition_prediction, load_family, worst_atomic_cost
 from .game import Game, Group, MixedProfile, load_game
 from .poa import (
-    SamplingPlan,
     compute_poa_report,
     mixed_poa_small,
     nonatomic_pair,
@@ -41,7 +40,6 @@ from .solvers import (
     SolverConfig,
     check_seed,
     enumerate_atomic_equilibria,
-    mixed_ne_residual,
     solve_mixed_ne_small,
     solve_nonatomic_ne,
     solve_nonatomic_so,
@@ -51,6 +49,8 @@ EXIT_OK = 0
 EXIT_ASSERTION = 2
 EXIT_INPUT = 3
 EXIT_NONCONVERGED = 4
+
+DELTA = 1.0 / 3.0  # concentration exponent of the p_delta columns and the sample ceiling
 
 
 @dataclass
@@ -77,9 +77,6 @@ class ExperimentConfig:
             raise RunFailure("seed", str(exc), EXIT_INPUT) from None
         return SolverConfig(tolerance=self.tolerance, rng_seed=self.seed,
                             enumeration_budget=self.enumeration_budget)
-
-    def sampling_plan(self) -> SamplingPlan:
-        return SamplingPlan(n_samples=self.n_samples, rng_seed=self.seed)
 
 
 @dataclass
@@ -190,7 +187,7 @@ def _write_table(config: ExperimentConfig, name: str, header: list, rows: list) 
                   [[*row, config.seed, __version__] for row in rows])
 
 
-def _bound_columns(game: Game, delta: float = 1.0 / 3.0) -> dict:
+def _bound_columns(game: Game) -> dict:
     """Closed-form bound values when the game has one common degree."""
     try:
         inputs = BoundInputs.from_game(game)
@@ -198,7 +195,7 @@ def _bound_columns(game: Game, delta: float = 1.0 / 3.0) -> dict:
         return {"atomic_poa_bound": None, "nonatomic_poa_bound": None,
                 "ne_residual_bound": None, "p_delta": None}
     eps, _ = atomic_ne_approximation_bound(inputs)
-    approx = expected_flow_approximation(inputs, delta)
+    approx = expected_flow_approximation(inputs, DELTA)
     return {
         "atomic_poa_bound": atomic_poa_upper_bound(inputs),
         "nonatomic_poa_bound": nonatomic_poa_upper_bound(inputs),
@@ -326,10 +323,8 @@ def _mixed_profile(text: str, game: Game) -> MixedProfile:
 
 def _sample(config: ExperimentConfig, report: RunReport) -> None:
     solver = config.solver_config()
-    try:
-        plan = config.sampling_plan()
-    except ValueError as exc:
-        raise RunFailure("plan", str(exc), EXIT_INPUT) from None
+    if config.n_samples < 1:
+        raise RunFailure("plan", "n_samples must be >= 1", EXIT_INPUT)
     game = _read(config.game_path, load_game)
 
     if config.profile_path:
@@ -344,19 +339,18 @@ def _sample(config: ExperimentConfig, report: RunReport) -> None:
         profile = result.flow
 
     try:
-        dist = sample_random_poa(game, profile, plan, solver)
+        dist = sample_random_poa(game, profile, config.n_samples, solver)
     except BudgetExceededError as exc:
         raise RunFailure("sample", str(exc), EXIT_INPUT) from None
     except MemoryError:
-        raise RunFailure("sample", f"--n {plan.n_samples} samples do not fit in memory",
+        raise RunFailure("sample", f"--n {config.n_samples} samples do not fit in memory",
                          EXIT_INPUT) from None
 
     try:
         rho_nat, _, nonat_so = nonatomic_pair(game, solver)
     except RuntimeError as exc:
         raise RunFailure("nonatomic", str(exc), EXIT_NONCONVERGED) from None
-    delta = 1.0 / 3.0
-    bound = random_poa_probability_bound(game, delta, rho_nat, float(nonat_so.cost))
+    bound = random_poa_probability_bound(game, DELTA, rho_nat, float(nonat_so.cost))
     exceed = float((dist.samples > bound.threshold).mean())
     n = len(dist.samples)
     slack = 3.0 * math.sqrt(max(bound.p_delta * (1 - bound.p_delta), 1e-12) / n)
@@ -471,8 +465,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         x = float(mixed.flow.probabilities[0][0][0])
         want_x = (math.sqrt(2.0) - 1.0) / 2.0
         assert abs(x - want_x) <= 1e-8, f"expected symmetric probability {want_x}, got {x}"
-        residual = mixed_ne_residual(game, mixed.flow)
-        assert residual <= 1e-9, f"indifference residual {residual} above 1e-9"
+        assert mixed.residual <= 1e-9, f"indifference residual {mixed.residual} above 1e-9"
         value, certified, _ = mixed_poa_small(game, solver, eq, mixed)
         want_mixed = 5.0 - 2.5 * math.sqrt(2.0)
         assert certified, "expected a certified sweep of the equilibrium set"

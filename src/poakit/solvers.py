@@ -36,6 +36,7 @@ from .game import (
     MixedProfile,
     Number,
     PathFlow,
+    _horner,
     arc_users,
 )
 
@@ -111,18 +112,6 @@ class EquilibriumResult:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _float_polys(game: Game, polys: Optional[Mapping[str, CostPolynomial]] = None) -> dict:
-    src = polys if polys is not None else game.arcs
-    return {aid: [float(c) for c in p.coefficients] for aid, p in src.items()}
-
-
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def beckmann_potential(game: Game, flow: PathFlow) -> Number:
     """Sum over arcs of the integral of the arc cost from 0 to the arc flow."""
     fa = game.arc_flow(flow)
@@ -180,9 +169,9 @@ def epsilon_ne_residual(game: Game, flow: PathFlow) -> Number:
 # Non-atomic solvers (conditional gradient with exact line search)
 # ---------------------------------------------------------------------------
 
-def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
+def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolynomial],
                  start: Optional[PathFlow], kind: str) -> EquilibriumResult:
-    """Drive every group's path costs (w.r.t. ``direction_polys``) to equality.
+    """Drive every group's path costs (w.r.t. ``polys``) to equality.
 
     Each move is a conditional-gradient step restricted to one group: shift
     mass from the group's costliest used path toward its cheapest path, the
@@ -190,6 +179,7 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
     convex objective along that segment.
     """
     t0 = time.perf_counter()
+    direction_polys = {aid: p.float_coefficients for aid, p in polys.items()}
     keys = game.path_keys
     gpaths = {(gi, pi): game.groups[gi].paths[pi] for gi, pi in keys}
     group_slots = [[i for i, key in enumerate(keys) if key[0] == gi]
@@ -225,7 +215,7 @@ def _equilibrate(game: Game, config: SolverConfig, direction_polys: dict,
             return None
         return slots[exp_pos], slots[cheap_pos]
 
-    movable = [(slots, float(g.total_demand) * 1e-12)
+    movable = [(slots, float(g.total_demand) * float(USED_PATH_REL_TOL))
                for g, slots in zip(game.groups, group_slots) if len(slots) > 1]
     moves = 0
     converged = False
@@ -300,14 +290,14 @@ def _segment_step(src_only, dst_only, arc_flow, polys, available: float) -> floa
 def solve_nonatomic_ne(game: Game, config: SolverConfig = SolverConfig(),
                        start: Optional[PathFlow] = None) -> EquilibriumResult:
     """Non-atomic equilibrium: minimize the Beckmann potential over feasible flows."""
-    return _equilibrate(game, config, _float_polys(game), start, "nonatomic-ne")
+    return _equilibrate(game, config, game.arcs, start, "nonatomic-ne")
 
 
 def solve_nonatomic_so(game: Game, config: SolverConfig = SolverConfig(),
                        start: Optional[PathFlow] = None) -> EquilibriumResult:
     """Non-atomic optimum: minimize total cost, i.e. equilibrate marginal costs."""
     marginals = {aid: p.marginal() for aid, p in game.arcs.items()}
-    return _equilibrate(game, config, _float_polys(game, marginals), start, "nonatomic-so")
+    return _equilibrate(game, config, marginals, start, "nonatomic-so")
 
 
 def require_converged(result: EquilibriumResult) -> EquilibriumResult:
@@ -899,12 +889,13 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
     swept Gauss-Seidel style.  Expectations are exact convolutions, so the
     returned residual is limited only by the bisection width.
 
-    A gap runs ``_horner`` over float coefficients, converted once per solve
-    for the arcs a gap reads; Python does Fraction-float arithmetic on
-    ``float(fraction)``, so at float loads that gives the bits of
-    ``float(poly.value(v))``.  A group is settled again only once another
-    group's x has moved (the sweep still counts), and the bisection stops
-    once its midpoint equals an end, after which no step would move one.
+    A gap runs ``_horner`` over ``CostPolynomial.float_coefficients``,
+    converted once per polynomial on first use, so only for the arcs a gap
+    reads; Python does Fraction-float arithmetic on ``float(fraction)``, so
+    at float loads that gives the bits of ``float(poly.value(v))``.  A group
+    is settled again only once another group's x has moved (the sweep still
+    counts), and the bisection stops once its midpoint equals an end, after
+    which no step would move one.
     """
     t0 = time.perf_counter()
     for g in game.groups:
@@ -914,7 +905,6 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         raise ValueError(f"{game.n_users} users exceed the exact-expectation cap {MIXED_MAX_USERS}")
 
     xs = [1.0 if g.n_paths == 1 else 0.5 for g in game.groups]
-    coeffs: dict = {}  # float coefficients of the arcs a gap reads
     settled: dict = {}  # group index -> the other groups' xs when it last settled
 
     def gap(terms: list, demands: list, x: float) -> float:
@@ -947,8 +937,7 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
             profile = _uniform_group_profile(game, xs)
             arc_terms = [[(_bernoulli_convolution(
                 ((float(d), q) for gj, d, q in arc_users(game, profile, aid) if gj != gi),
-                {0.0: 1.0}), coeffs.get(aid) or coeffs.setdefault(
-                    aid, [float(c) for c in game.arcs[aid].coefficients]))
+                {0.0: 1.0}), game.arcs[aid].float_coefficients)
                 for aid in g.paths[k] if aid not in g.paths[1 - k]] for k in (0, 1)]
             demands = [float(d) for d in g.demands]
             g0, g1 = gap(arc_terms, demands, 0.0), gap(arc_terms, demands, 1.0)

@@ -14,7 +14,6 @@ import pytest
 from poakit import (
     BoundInputs,
     MixedProfile,
-    SamplingPlan,
     SolverConfig,
     arc_deviation_probability_bound,
     atomic_ne_approximation_bound,
@@ -275,8 +274,7 @@ def test_criterion_8_concentration_dominance(pool_solutions):
 def test_criterion_9_random_ratio_probability():
     game = quadratic_constant_game()
     mixed = solve_mixed_ne_small(game, CFG)
-    plan = SamplingPlan(n_samples=1_000_000, rng_seed=7)
-    dist = sample_random_poa(game, mixed.flow, plan, CFG)
+    dist = sample_random_poa(game, mixed.flow, 1_000_000, SolverConfig(rng_seed=7))
 
     ne = solve_nonatomic_ne(game, CFG)
     so = solve_nonatomic_so(game, CFG)

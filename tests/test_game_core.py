@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from conftest import (
     affine_offset_game,
     asset_text,
     linear_double_game,
+    parallel_game,
     poly,
     quadratic_constant_game,
     two_commodity_game,
@@ -38,6 +40,29 @@ class TestCostPolynomial:
         p = poly(2, 3, 1)  # 2x^2 + 3x + 1
         assert p.value(Fraction(1, 2)) == Fraction(3)
         assert p.value(0) == 1
+
+    def test_float_coefficients(self):
+        p = CostPolynomial((Fraction(1, 3), Fraction(0), Fraction(7, 2)))
+        assert p.float_coefficients == tuple(float(c) for c in p.coefficients)
+        assert isinstance(p.float_coefficients, tuple)
+        assert p.float_coefficients is p.float_coefficients  # converted once
+        huge = CostPolynomial((Fraction(10**400, 3), Fraction(1)))
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                huge.float_coefficients
+        assert huge.value(Fraction(3)) == 10**400 + 1
+
+    def test_value_is_the_solvers_horner(self):
+        from poakit import solvers
+
+        rng = random.Random(5)
+        game = parallel_game([[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+                              for _ in range(3)], [Fraction(1), Fraction(2)])
+        for p in game.arcs.values():
+            for x in (Fraction(0), Fraction(5, 7), Fraction(3)):
+                assert p.value(x) == solvers._horner(p.coefficients, x)
+            for x in (0.0, 0.3, 2.5):
+                assert p.value(x) == solvers._horner(p.float_coefficients, x)
 
     def test_monotone_nonnegative_on_grid(self):
         p = poly(1, 0, 2)

@@ -19,7 +19,6 @@ from poakit import (
     Group,
     MixedProfile,
     PoaReport,
-    SamplingPlan,
     SolverConfig,
     atomic_poa,
     compute_poa_report,
@@ -232,7 +231,7 @@ class TestRandomPoa:
     def test_exact_distribution_support(self):
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
-        dist = sample_random_poa(game, mixed.flow, SamplingPlan(10_000, 3), CFG)
+        dist = sample_random_poa(game, mixed.flow, 10_000, SolverConfig(rng_seed=3))
         a = (math.sqrt(2) - 1) / 2
         want = {1.0: (1 - a) ** 2, 1.5: 2 * a * (1 - a), 8.0: a * a}
         assert len(dist.exact) == 3
@@ -243,34 +242,40 @@ class TestRandomPoa:
     def test_degenerate_profile_point_mass(self):
         game = quadratic_constant_game()
         so = solve_atomic_so(game, CFG)
-        dist = sample_random_poa(game, so.flow.as_mixed(game), SamplingPlan(100, 0), CFG)
+        dist = sample_random_poa(game, so.flow.as_mixed(game), 100, SolverConfig(rng_seed=0))
         assert dist.exact == [(1.0, 1.0)]
         assert set(dist.samples) == {1.0}
 
     def test_exact_mean_matches_expected_ratio(self):
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
-        dist = sample_random_poa(game, mixed.flow, SamplingPlan(10_000, 3), CFG)
+        dist = sample_random_poa(game, mixed.flow, 10_000, SolverConfig(rng_seed=3))
         assert dist.exact_mean == pytest.approx(5 - 2.5 * math.sqrt(2), abs=1e-9)
 
     def test_monte_carlo_mean_within_three_se(self):
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
-        dist = sample_random_poa(game, mixed.flow, SamplingPlan(150_000, 11), CFG)
+        dist = sample_random_poa(game, mixed.flow, 150_000, SolverConfig(rng_seed=11))
         se = dist.empirical_std / math.sqrt(len(dist.samples))
         assert abs(dist.empirical_mean - dist.exact_mean) <= 3 * se
 
     def test_sample_in_support(self):
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
-        dist = sample_random_poa(game, mixed.flow, SamplingPlan(1, 5), CFG)
+        dist = sample_random_poa(game, mixed.flow, 1, SolverConfig(rng_seed=5))
         assert dist.samples[0] in {1.0, 1.5, 8.0}
+
+    def test_zero_samples_refused(self):
+        game = quadratic_constant_game()
+        mixed = solve_mixed_ne_small(game, CFG)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sample_random_poa(game, mixed.flow, 0, CFG)
 
     def test_two_seeds_distinct_streams_same_exact_table(self):
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
-        d1 = sample_random_poa(game, mixed.flow, SamplingPlan(20_000, 1), CFG)
-        d2 = sample_random_poa(game, mixed.flow, SamplingPlan(20_000, 2), CFG)
+        d1 = sample_random_poa(game, mixed.flow, 20_000, SolverConfig(rng_seed=1))
+        d2 = sample_random_poa(game, mixed.flow, 20_000, SolverConfig(rng_seed=2))
         assert not np.array_equal(d1.samples, d2.samples)
         assert d1.exact == d2.exact
 
@@ -301,7 +306,7 @@ class TestRandomPoa:
         monkeypatch.setattr(poakit.game, "sample_uniforms", recording)
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
-        sample_random_poa(game, mixed.flow, SamplingPlan(3 * SAMPLE_CHUNK + 5, 1), CFG)
+        sample_random_poa(game, mixed.flow, 3 * SAMPLE_CHUNK + 5, SolverConfig(rng_seed=1))
         assert sum(counts) == 3 * SAMPLE_CHUNK + 5
         assert max(counts) <= SAMPLE_CHUNK
 
@@ -395,7 +400,7 @@ class TestSampler:
         with pytest.MonkeyPatch.context() as mp:
             if on_cuts:
                 mp.setattr(poakit.game, "sample_uniforms", uniforms_on_cuts(profile))
-            costs = _sample_total_costs(game, profile, SamplingPlan(n, seed))
+            costs = _sample_total_costs(game, profile, n, seed)
             for i in indices:
                 drawn = draw_atomic_profile(game, profile, seed, i)
                 want = float(game.total_cost(drawn.induced_flow(game)))
@@ -409,7 +414,6 @@ class TestSampler:
         hashes assume numpy's Philox generator and float64 ``np.polyval``
         as in numpy 2.4.
         """
-        plan = SamplingPlan(3 * SAMPLE_CHUNK + 5, 7)
         asset = load_asset("two_commodity_mixed_degree.json")
         at_ne = solve_mixed_ne_small(asset, CFG).flow
         three_path = Game({"a": poly(1, 0), "b": poly(2, 0, 1), "c": poly(1, 1, 0, 0),
@@ -422,7 +426,8 @@ class TestSampler:
             (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))),))
 
         def digest(game, profile):
-            return hashlib.sha256(_sample_total_costs(game, profile, plan).tobytes()).hexdigest()
+            return hashlib.sha256(
+                _sample_total_costs(game, profile, 3 * SAMPLE_CHUNK + 5, 7).tobytes()).hexdigest()
 
         assert digest(asset, at_ne) == \
             "7587647683593331fb1117c1907eba36ab73456a8130474c1daba5a41dfd3df7"
