@@ -226,9 +226,6 @@ class RandomPoaBound:
 
     threshold: float
     p_delta: float
-    eps_expected: float
-    lipschitz: float
-    cost_ceiling: float
 
 
 def random_poa_probability_bound(game: Game, delta: float, nonatomic_poa_value: float,
@@ -264,5 +261,4 @@ def random_poa_probability_bound(game: Game, delta: float, nonatomic_poa_value: 
     gap_realized = n_arcs * (lipschitz + ceiling) * ratio ** delta
     so_scaled = nonatomic_so_cost / (total * g)
     threshold = nonatomic_poa_value + (gap_expected + gap_realized) / so_scaled
-    return RandomPoaBound(threshold=threshold, p_delta=p_delta, eps_expected=eps,
-                          lipschitz=lipschitz, cost_ceiling=ceiling)
+    return RandomPoaBound(threshold=threshold, p_delta=p_delta)

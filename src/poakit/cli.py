@@ -44,10 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
     Options are matched by their full names only, so a refused command line's
     --out is always the literal ``--out`` that ``_mode_and_out`` looks for.
+    An omitted option sets nothing, so it takes ExperimentConfig's default.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
+        super().__init__(*args, allow_abbrev=False, argument_default=argparse.SUPPRESS,
+                         **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -71,39 +73,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one game and report all ratios")
     solve.add_argument("--game", required=True)
-    solve.add_argument("--out", default=None)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--out")
+    solve.add_argument("--seed", type=int)
 
     sweep = sub.add_parser("sweep", help="instantiate a family along a grid")
     sweep.add_argument("--family", required=True)
     sweep.add_argument("--grid", type=_grid, required=True)
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--out")
+    sweep.add_argument("--seed", type=int)
 
     sample = sub.add_parser("sample", help="sample the random cost ratio")
     sample.add_argument("--game", required=True)
-    sample.add_argument("--profile", default=None,
+    sample.add_argument("--profile",
                         help="JSON mixed profile; default solves the mixed equilibrium")
-    sample.add_argument("--n", type=int, default=100_000)
-    sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--out", default=None)
+    sample.add_argument("--n", type=int)
+    sample.add_argument("--seed", type=int)
+    sample.add_argument("--out")
 
     rep = sub.add_parser("reproduce", help="check the bundled example games")
-    rep.add_argument("--out", default=None)
+    rep.add_argument("--out")
 
     dec = sub.add_parser("decompose", help="limit prediction vs measured costs")
     dec.add_argument("--family", required=True)
     dec.add_argument("--grid", type=_grid, required=True)
-    dec.add_argument("--out", default=None)
-    dec.add_argument("--seed", type=int, default=0)
+    dec.add_argument("--out")
+    dec.add_argument("--seed", type=int)
     return parser
 
 
 def _environment() -> dict:
     """Solver settings from POAKIT_TOLERANCE and POAKIT_BUDGET; ValueError if invalid."""
     try:
-        settings = dict(tolerance=float(os.environ.get("POAKIT_TOLERANCE", "1e-9")),
-                        enumeration_budget=int(os.environ.get("POAKIT_BUDGET", "10000000")))
+        settings = dict(
+            tolerance=float(os.environ.get("POAKIT_TOLERANCE", SolverConfig.tolerance)),
+            enumeration_budget=int(os.environ.get("POAKIT_BUDGET", SolverConfig.enumeration_budget)))
         SolverConfig(**settings)
     except ValueError as exc:
         raise ValueError(f"POAKIT_TOLERANCE / POAKIT_BUDGET: {exc}") from None
@@ -140,7 +143,8 @@ def main(argv=None) -> int:
         mode, out = _mode_and_out(argv)
     else:
         usage = None
-        mode, out = args.mode, args.out
+        fields = {_CONFIG_FIELDS.get(k, k): v for k, v in vars(args).items()}
+        mode, out = fields.pop("mode"), fields.get("out_dir")
     try:
         if out is not None:  # before any work, so an unusable --out fails at once
             Path(out).mkdir(parents=True, exist_ok=True)
@@ -154,9 +158,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         report = refuse(mode, "environment", str(exc), out)
     else:
-        fields = {_CONFIG_FIELDS.get(k, k): v for k, v in vars(args).items()}
         run = {"solve": run_solve, "sweep": run_sweep, "sample": run_sample,
-               "reproduce": run_reproduce, "decompose": run_decompose}[args.mode]
+               "reproduce": run_reproduce, "decompose": run_decompose}[mode]
         report = run(ExperimentConfig(**fields, **settings))
     _print_verdicts(report)
     return report.exit_code

@@ -79,8 +79,6 @@ class DemandLaw:
                 raise ValueError("user-count law needs c > 0 and gamma >= 0")
 
     def demand_at(self, n: int) -> Number:
-        if n < 1:
-            raise ValueError("n must be >= 1")
         return _power_law(self.c, self.gamma, n)
 
     def count_at(self, n: int) -> int:
@@ -116,12 +114,14 @@ class DemandFamily:
             users.append(remainder)
         return tuple(users)
 
-    def check_scale(self, n: int) -> None:
-        """ValueError if a group's demand at n is not a finite float or passes
+    def check_scale(self, grid: Sequence[int]) -> None:
+        """ValueError unless ``grid`` is a nonempty increasing list of n >= 1
+        and each group's demand at its largest n is a finite float of at most
         MAX_INSTANCE_USERS users.  Judged in logs, so gamma = 1e300 never forms
         n^gamma; both grow with n, so the grid's largest n covers the grid."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        if not grid or grid[0] < 1 or list(grid) != sorted(set(grid)):
+            raise ValueError("grid must be a nonempty increasing list of n >= 1")
+        n = grid[-1]
         for gid, law in self.laws.items():
             log_demand = _log(law.c) + law.gamma * math.log(n)
             if law.user_count is None:
@@ -135,7 +135,7 @@ class DemandFamily:
                                  f"{MAX_INSTANCE_USERS} users at n = {n}")
 
     def instantiate(self, n: int) -> Game:
-        self.check_scale(n)
+        self.check_scale((n,))
         groups = [Group(g.gid, g.paths, self.users_at(g.gid, n)) for g in self.base.groups]
         return Game(self.base.arcs, groups)
 
@@ -153,13 +153,15 @@ def load_family(document: Union[str, Mapping]) -> DemandFamily:
         where = f"demand_laws[{gid}]"
         c, gamma = _growth(law, where)
         if "user_demand" in law:
-            user_demand = _as_number(law["user_demand"], where + ".user_demand")
-            laws[gid] = DemandLaw(c, gamma, user_demand=user_demand)
+            granularity = {"user_demand": _as_number(law["user_demand"], where + ".user_demand")}
         elif "user_count" in law:
-            laws[gid] = DemandLaw(c, gamma, user_count=_growth(law["user_count"],
-                                                                where + ".user_count"))
+            granularity = {"user_count": _growth(law["user_count"], where + ".user_count")}
         else:
             raise GameSchemaError(where, "needs 'user_demand' or 'user_count'")
+        try:
+            laws[gid] = DemandLaw(c, gamma, **granularity)
+        except ValueError as exc:
+            raise GameSchemaError(where, str(exc)) from None
     return DemandFamily(base=base, laws=laws)
 
 
@@ -323,9 +325,7 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
     partition = ordered_partition(family)
     if not partition:
         raise ValueError("family has no group with growing demand")
-    if not n_grid or list(n_grid) != sorted(set(n_grid)):
-        raise ValueError("n grid must be nonempty and strictly increasing")
-    family.check_scale(n_grid[-1])
+    family.check_scale(n_grid)
 
     classes = []
     for gids in partition:

@@ -86,7 +86,7 @@ class CostPolynomial:
 
     def __post_init__(self):
         if not self.coefficients:
-            raise GameSchemaError("coeffs", "empty coefficient list")
+            raise GameSchemaError("coeffs", "expected a nonempty list")
         for i, c in enumerate(self.coefficients):
             if c < 0:
                 raise GameSchemaError(f"coeffs[{i}]", "coefficient must be >= 0")
@@ -179,9 +179,9 @@ class Game:
             raise GameSchemaError("arcs", "game needs at least one arc")
         if not self._groups:
             raise GameSchemaError("groups", "game needs at least one group")
-        for aid, poly in self._arcs.items():
+        for i, poly in enumerate(self._arcs.values()):  # arcs[i]: the document's position
             if not self._allow_zero_costs and poly.coefficients[0] <= 0:
-                raise GameSchemaError(f"arcs[{aid}].coeffs[0]", "leading coefficient must be > 0")
+                raise GameSchemaError(f"arcs[{i}].coeffs[0]", "leading coefficient must be > 0")
         seen_ids = set()
         seen_paths: dict[frozenset, str] = {}
         for gi, g in enumerate(self._groups):
@@ -479,7 +479,9 @@ def load_game(document: Union[str, Mapping]) -> Game:
 
     Schema: ``{"arcs": [{"id", "coeffs": [highest degree first]}],
     "groups": [{"id", "paths": [[arc ids]], "users": [{"demand"}]}]}``.
-    Rational values may be written as numbers or "num/den" strings.
+    Rational values may be written as numbers or "num/den" strings.  Only
+    the document's shape is checked here; ``CostPolynomial`` and ``Game``
+    hold the value rules, and a polynomial's error names its arc's path.
     """
     if isinstance(document, str):
         try:
@@ -503,39 +505,26 @@ def load_game(document: Union[str, Mapping]) -> Game:
         if aid in arcs:
             raise GameSchemaError(where + ".id", f"duplicate arc id {aid!r}")
         coeffs = _as_list(entry["coeffs"], where + ".coeffs")
-        if not coeffs:
-            raise GameSchemaError(where + ".coeffs", "expected a nonempty list")
-        vals = [_as_number(c, f"{where}.coeffs[{j}]") for j, c in enumerate(coeffs)]
-        if vals[0] <= 0:
-            raise GameSchemaError(where + ".coeffs[0]", "leading coefficient must be > 0")
-        for j, v in enumerate(vals):
-            if v < 0:
-                raise GameSchemaError(f"{where}.coeffs[{j}]", "coefficient must be >= 0")
-        arcs[aid] = CostPolynomial(tuple(vals))
+        vals = tuple(_as_number(c, f"{where}.coeffs[{j}]") for j, c in enumerate(coeffs))
+        try:
+            arcs[aid] = CostPolynomial(vals)
+        except GameSchemaError as exc:
+            raise GameSchemaError(f"{where}.{exc.path}", exc.message) from None
 
     groups = []
     for i, entry in enumerate(_as_list(doc["groups"], "groups")):
         where = f"groups[{i}]"
         if "id" not in _as_object(entry, where):
             raise GameSchemaError(where, "group needs an 'id'")
-        paths = entry.get("paths")
-        users = entry.get("users")
-        if not paths:
-            raise GameSchemaError(where + ".paths", "group needs at least one path")
-        if not users:
-            raise GameSchemaError(where + ".users", "group needs at least one user")
-        path_tuples = []
-        for pi, path in enumerate(_as_list(paths, where + ".paths")):
+        path_tuples = []  # missing, null or falsy paths and users read as empty: Game refuses
+        for pi, path in enumerate(_as_list(entry.get("paths") or (), where + ".paths")):
             path = _as_list(path, f"{where}.paths[{pi}]")
             path_tuples.append(tuple(str(a) for a in path))
         demands = []
-        for ui, user in enumerate(_as_list(users, where + ".users")):
+        for ui, user in enumerate(_as_list(entry.get("users") or (), where + ".users")):
             if not isinstance(user, Mapping) or "demand" not in user:
                 raise GameSchemaError(f"{where}.users[{ui}]", "user needs a 'demand'")
-            d = _as_number(user["demand"], f"{where}.users[{ui}].demand")
-            if not d > 0:
-                raise GameSchemaError(f"{where}.users[{ui}].demand", "demand must be > 0")
-            demands.append(d)
+            demands.append(_as_number(user["demand"], f"{where}.users[{ui}].demand"))
         groups.append(Group(str(entry["id"]), tuple(path_tuples), tuple(demands)))
 
     return Game(arcs, groups)

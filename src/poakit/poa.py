@@ -287,7 +287,10 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
             users.append((float(d), np.maximum.accumulate(cum[:-1]), rows))
     coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
-    out = np.empty(n_samples)
+    try:
+        out = np.empty(n_samples)
+    except ValueError as exc:  # past numpy's largest array: an allocation that cannot succeed
+        raise MemoryError(str(exc)) from None
     for start in range(0, n_samples, SAMPLE_CHUNK):  # bounded memory whatever n is
         count = min(SAMPLE_CHUNK, n_samples - start)
         draws = sample_uniforms(seed, start, count, len(users))

@@ -55,7 +55,6 @@ DELTA = 1.0 / 3.0  # concentration exponent of the p_delta columns and the sampl
 
 @dataclass
 class ExperimentConfig:
-    mode: str  # solve | sweep | sample | reproduce | decompose
     game_path: Optional[str] = None
     family_path: Optional[str] = None
     profile_path: Optional[str] = None
@@ -63,12 +62,8 @@ class ExperimentConfig:
     n_samples: int = 100_000
     seed: int = 0
     out_dir: Optional[str] = None
-    tolerance: float = 1e-9
-    enumeration_budget: int = 10_000_000
-
-    def __post_init__(self):
-        if self.grid and list(self.grid) != sorted(set(self.grid)):
-            raise ValueError("grid must be strictly increasing")
+    tolerance: float = SolverConfig.tolerance
+    enumeration_budget: int = SolverConfig.enumeration_budget
 
     def solver_config(self) -> SolverConfig:
         try:
@@ -264,11 +259,8 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
 def _sweep(config: ExperimentConfig, report: RunReport) -> None:
     solver = config.solver_config()
     family = _read(config.family_path, load_family)
-    if not config.grid or config.grid[0] < 1:
-        raise RunFailure("grid", "sweep needs a nonempty increasing grid of n >= 1", EXIT_INPUT)
-
     try:
-        family.check_scale(config.grid[-1])  # before any instance is built
+        family.check_scale(config.grid)  # before any instance is built
         for n in config.grid:
             game = family.instantiate(n)
             worst, is_lb, so_cost = worst_atomic_cost(game, solver)
@@ -527,9 +519,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
     return checks
 
 
-def run_reproduce(config: Optional[ExperimentConfig] = None) -> RunReport:
-    if config is None:
-        config = ExperimentConfig(mode="reproduce")
+def run_reproduce(config: ExperimentConfig) -> RunReport:
     return _run({"mode": "reproduce", "seed": config.seed}, config.out_dir,
                 lambda report: _reproduce(config, report))
 

@@ -594,9 +594,12 @@ class AtomicEquilibria:
     """All pure equilibria of a game and its atomic optimum, from one exact scan.
 
     ``equilibria`` lists one representative per user-symmetry class with its
-    multiplicity; ``worst`` and ``best`` are by total cost.  Empty when the
-    game (necessarily weighted) has no pure equilibrium.  ``optimum`` is the
-    cheapest state (kind ``atomic-so``), set whether or not equilibria exist.
+    multiplicity; ``worst`` and ``best`` are by total cost.  ``equilibria``
+    is empty, and ``worst`` and ``best`` are None, when the game (necessarily
+    weighted) has no pure equilibrium.  ``equilibria`` is also left empty
+    when the components' equilibria combine in more than 100,000 ways, with
+    ``worst`` and ``best`` still set.  ``optimum`` is the cheapest state
+    (kind ``atomic-so``), set whether or not equilibria exist.
     """
 
     equilibria: list

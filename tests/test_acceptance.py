@@ -303,7 +303,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     sweeps = []
     for run in ("a", "b"):
         out = tmp_path / f"sweep-{run}"
-        run_sweep(ExperimentConfig(mode="sweep", family_path=str(fam_path),
+        run_sweep(ExperimentConfig(family_path=str(fam_path),
                                    grid=[4, 16, 64], seed=21, out_dir=str(out)))
         sweeps.append((out / "sweep.csv").read_bytes())
     assert sweeps[0] == sweeps[1]
@@ -313,7 +313,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     for run in ("a", "b"):
         out = tmp_path / f"sample-{run}"
         run_sample(ExperimentConfig(
-            mode="sample", game_path=str(asset_path("parallel_quadratic_constant.json")),
+            game_path=str(asset_path("parallel_quadratic_constant.json")),
             n_samples=30_000, seed=13, out_dir=str(out)))
         samples.append((out / "distribution.csv").read_bytes())
     assert samples[0] == samples[1]

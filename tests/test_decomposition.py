@@ -304,7 +304,7 @@ class TestInstanceScale:
 
     def test_user_cap_is_inclusive(self):
         family = self.family(c=Fraction(1), gamma=1.0, user_demand=Fraction(1))
-        family.check_scale(MAX_INSTANCE_USERS)
+        family.check_scale((MAX_INSTANCE_USERS,))
         with pytest.raises(ValueError, match="MAX_INSTANCE_USERS"):
             family.instantiate(MAX_INSTANCE_USERS + 1)
 
@@ -320,6 +320,23 @@ class TestInstanceScale:
             self.family(**law).instantiate(2)
         with pytest.raises(ValueError, match=message):
             decomposition_prediction(self.family(**law), [1, 2], CFG)
+
+    @pytest.mark.parametrize("grid", [[], [0, 5], [-1], [3, 2], [2, 2]],
+                             ids=["empty", "zero", "negative", "decreasing", "repeated"])
+    def test_bad_grid_refused_before_any_solve(self, grid, monkeypatch):
+        import poakit.decomposition
+
+        monkeypatch.setattr(poakit.decomposition, "solve_nonatomic_ne",
+                            lambda *args: pytest.fail("a limit game was solved"))
+        family = self.family(c=Fraction(1), gamma=1.0, user_demand=Fraction(1))
+        message = "grid must be a nonempty increasing list of n >= 1"
+        with pytest.raises(ValueError, match=message):
+            family.check_scale(grid)
+        with pytest.raises(ValueError, match=message):
+            decomposition_prediction(family, grid, CFG)
+        if grid and grid[0] < 1:
+            with pytest.raises(ValueError, match=message):
+                family.instantiate(grid[0])
 
     def test_tiny_scales_within_bounds_are_built(self):
         family = self.family(c=Fraction(1e-300), gamma=1.0, user_demand=Fraction(1e-300))

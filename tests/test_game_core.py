@@ -84,6 +84,9 @@ class TestCostPolynomial:
         assert p.derivative().value(Fraction(3)) == 6
 
 
+_DELETE = object()  # a key the document leaves out
+
+
 class TestLoadGame:
     def test_example_document(self):
         game = load_game(asset_text("parallel_quadratic_constant.json"))
@@ -135,6 +138,32 @@ class TestLoadGame:
         with pytest.raises(GameSchemaError) as err:
             load_game(doc)
         assert "coeffs[0]" in str(err.value)
+
+    @pytest.mark.parametrize("arc, group, message", [
+        ({"coeffs": []}, {}, "arcs[1].coeffs: expected a nonempty list"),
+        ({"coeffs": [1, -1]}, {}, "arcs[1].coeffs[1]: coefficient must be >= 0"),
+        ({"coeffs": [0, 1]}, {}, "arcs[1].coeffs[0]: leading coefficient must be > 0"),
+        ({"coeffs": [-1, 1]}, {}, "arcs[1].coeffs[0]: coefficient must be >= 0"),
+        ({}, {"paths": None}, "groups[0].paths: group needs at least one path"),
+        ({}, {"paths": []}, "groups[0].paths: group needs at least one path"),
+        ({}, {"users": []}, "groups[0].users: group needs at least one user"),
+        ({}, {"users": [{"demand": 0}]}, "groups[0].users[0].demand: demand must be > 0"),
+        ({}, {"users": [{"demand": "-1/2"}]}, "groups[0].users[0].demand: demand must be > 0"),
+        ({}, {"paths": _DELETE}, "groups[0].paths: group needs at least one path"),
+        ({}, {"users": _DELETE}, "groups[0].users: group needs at least one user"),
+    ], ids=["empty-coeffs", "negative-coeff", "zero-leading", "negative-leading",
+            "null-paths", "empty-paths", "empty-users", "zero-demand", "negative-demand",
+            "missing-paths", "missing-users"])
+    def test_value_rules_name_their_field(self, arc, group, message):
+        # load_game checks only the shape: each rule below lives in
+        # CostPolynomial or Game, and its message names the document field.
+        doc = {"arcs": [{"id": "a", "coeffs": [1, 0]}, {"id": "b", "coeffs": [2], **arc}],
+               "groups": [{"id": "g", "paths": [["a"], ["b"]], "users": [{"demand": 1}],
+                           **group}]}
+        doc["groups"][0] = {k: v for k, v in doc["groups"][0].items() if v is not _DELETE}
+        with pytest.raises(GameSchemaError) as err:
+            load_game(doc)
+        assert str(err.value) == message
 
     def test_unknown_arc_rejected(self):
         doc = {

@@ -1,7 +1,9 @@
-"""Every name a poakit module imports is read in that module.
+"""Every name a poakit module imports is read, and every run default has one home.
 
-No linter ships with the project, so this ast scan stands in for the
-unused-import check: code that deletes a caller must delete its import too.
+No linter ships with the project, so these ast scans stand in for lint
+rules: code that deletes a caller must delete its import too, no CLI
+option restates a default of ``ExperimentConfig``, and no field of it
+goes unread.
 """
 
 import ast
@@ -46,3 +48,23 @@ def test_every_import_is_read(path):
     read = _read(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in read}
     assert not unused, f"{path.name}: imported but never read: {unused}"
+
+
+def test_no_cli_option_restates_a_default():
+    # An omitted option sets nothing and takes ExperimentConfig's default.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    restated = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+                and any(keyword.arg == "default" for keyword in node.keywords)]
+    assert not restated, f"cli.py: add_argument passes default= on lines {restated}"
+
+
+def test_every_experiment_config_field_is_read():
+    tree = ast.parse((SRC / "runner.py").read_text())
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    fields = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert fields - read == set(), f"ExperimentConfig fields never read: {fields - read}"

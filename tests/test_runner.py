@@ -77,6 +77,9 @@ MALFORMED = {
                               demand_laws={"od": {"c": 1, "gamma": 1, "user_count": 5}}),
     "gamma_null": dict(UNIT_USER_FAMILY,
                        demand_laws={"od": {"c": 1, "gamma": None, "user_demand": 1}}),
+    # A law value DemandLaw refuses; load_family names the law's path.
+    "negative_c": dict(UNIT_USER_FAMILY,
+                       demand_laws={"od": {"c": -1, "gamma": 1, "user_demand": 1}}),
     # Past the scale bounds: 2e300 users, a demand of 2^1e300, costs of 1e-600.
     "tiny_user_demand": dict(UNIT_USER_FAMILY,
                              demand_laws={"od": {"c": 1, "gamma": 1, "user_demand": 1e-300}}),
@@ -114,6 +117,12 @@ STRANDED_FLOW_GAME = {
     "groups": [{"id": "od", "paths": [["u"], ["l"]], "users": [{"demand": 1e10}] * 2}],
 }
 
+# Two users on three paths: outside the mixed solver's two-path scope.
+THREE_PATH_GAME = {
+    "arcs": THREE_PATH_UNIT_FAMILY["arcs"],
+    "groups": [{"id": "od", "paths": [["a"], ["b"], ["c"]], "users": [{"demand": 1}] * 2}],
+}
+
 LARGEST_SEED = str(2**64 - 1)
 
 # Offset keeps two equilibria alive at every scale, so the measured gap is
@@ -128,7 +137,7 @@ OFFSET_UNIT_FAMILY = {
 class TestSolve:
     def test_quadratic_constant_report(self, tmp_path):
         game_path = str(asset_path("parallel_quadratic_constant.json"))
-        config = ExperimentConfig(mode="solve", game_path=game_path,
+        config = ExperimentConfig(game_path=game_path,
                                   out_dir=str(tmp_path / "out"))
         report = run_solve(config)
         assert report.exit_code == EXIT_OK
@@ -140,13 +149,13 @@ class TestSolve:
         assert (tmp_path / "out" / "report.json").exists()
 
     def test_missing_game_is_input_error(self, tmp_path):
-        config = ExperimentConfig(mode="solve", game_path=str(tmp_path / "nope.json"))
+        config = ExperimentConfig(game_path=str(tmp_path / "nope.json"))
         assert run_solve(config).exit_code == EXIT_INPUT
 
     def test_schema_error_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"arcs": [], "groups": []}), encoding="utf-8")
-        config = ExperimentConfig(mode="solve", game_path=str(bad))
+        config = ExperimentConfig(game_path=str(bad))
         assert run_solve(config).exit_code == EXIT_INPUT
 
     def test_weighted_game_without_equilibrium_reported(self, tmp_path):
@@ -154,16 +163,24 @@ class TestSolve:
         from poakit import dump_game
         doc = dump_game(no_equilibrium_game())
         path = write_family(tmp_path, "noeq.json", doc)
-        report = run_solve(ExperimentConfig(mode="solve", game_path=path))
+        report = run_solve(ExperimentConfig(game_path=path))
         row = report.rows[0]
         assert row["atomic_poa"] is None
         assert "no atomic equilibrium" in row["atomic_status"]
+
+    def test_three_path_game_has_no_mixed_ratio(self, tmp_path):
+        path = write_family(tmp_path, "three.json", THREE_PATH_GAME)
+        report = run_solve(ExperimentConfig(game_path=path))
+        assert report.exit_code == EXIT_OK
+        row = report.rows[0]
+        assert row["mixed_status"] == "unavailable: game outside small-solver scope"
+        assert row["mixed_poa"] is None
 
     def test_minimal_single_path_game_all_ratios_one(self, tmp_path):
         doc = {"arcs": [{"id": "a", "coeffs": [1, 0]}],
                "groups": [{"id": "g", "paths": [["a"]], "users": [{"demand": 1}]}]}
         path = write_family(tmp_path, "one.json", doc)
-        report = run_solve(ExperimentConfig(mode="solve", game_path=path))
+        report = run_solve(ExperimentConfig(game_path=path))
         row = report.rows[0]
         assert row["atomic_poa"] == 1
         assert row["nonatomic_poa"] == pytest.approx(1.0, abs=1e-10)
@@ -173,7 +190,7 @@ class TestSolve:
 class TestSweep:
     def test_fixed_total_demand_family_stays_at_eight_sevenths(self, tmp_path):
         path = write_family(tmp_path, "fam.json", AFFINE_OFFSET_FAMILY)
-        config = ExperimentConfig(mode="sweep", family_path=path, grid=[1, 3, 9],
+        config = ExperimentConfig(family_path=path, grid=[1, 3, 9],
                                   out_dir=str(tmp_path / "out"))
         report = run_sweep(config)
         assert report.exit_code == EXIT_OK
@@ -184,7 +201,7 @@ class TestSweep:
 
     def test_fixed_share_family_stays_at_four_thirds(self, tmp_path):
         path = write_family(tmp_path, "fam.json", LINEAR_DOUBLE_FAMILY)
-        config = ExperimentConfig(mode="sweep", family_path=path, grid=[1, 2, 4])
+        config = ExperimentConfig(family_path=path, grid=[1, 2, 4])
         report = run_sweep(config)
         assert report.exit_code == EXIT_OK
         values = [row["poa_measured"] for row in report.rows]
@@ -192,7 +209,7 @@ class TestSweep:
 
     def test_unit_user_family_decays(self, tmp_path):
         path = write_family(tmp_path, "fam.json", OFFSET_UNIT_FAMILY)
-        config = ExperimentConfig(mode="sweep", family_path=path,
+        config = ExperimentConfig(family_path=path,
                                   grid=[10, 100, 1000], out_dir=str(tmp_path / "out"))
         report = run_sweep(config)
         assert report.exit_code == EXIT_OK
@@ -204,14 +221,14 @@ class TestSweep:
         assert bounds[0] > bounds[1] > bounds[2]
 
     def test_missing_family_is_input_error(self, tmp_path):
-        config = ExperimentConfig(mode="sweep", family_path=str(tmp_path / "no.json"),
+        config = ExperimentConfig(family_path=str(tmp_path / "no.json"),
                                   grid=[1, 2])
         assert run_sweep(config).exit_code == EXIT_INPUT
 
     def test_empty_grid_is_input_error_with_report(self, tmp_path):
         path = write_family(tmp_path, "fam.json", UNIT_USER_FAMILY)
         out = tmp_path / "out"
-        report = run_sweep(ExperimentConfig(mode="sweep", family_path=path, grid=[],
+        report = run_sweep(ExperimentConfig(family_path=path, grid=[],
                                             out_dir=str(out)))
         assert report.exit_code == EXIT_INPUT
         assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_INPUT
@@ -238,7 +255,7 @@ class TestSweep:
 class TestSample:
     def test_sample_report_and_distribution(self, tmp_path):
         game_path = str(asset_path("parallel_quadratic_constant.json"))
-        config = ExperimentConfig(mode="sample", game_path=game_path, n_samples=50_000,
+        config = ExperimentConfig(game_path=game_path, n_samples=50_000,
                                   seed=7, out_dir=str(tmp_path / "out"))
         report = run_sample(config)
         assert report.exit_code == EXIT_OK
@@ -255,7 +272,7 @@ class TestSample:
         profile = [[[0.25, 0.75], [0.25, 0.75]]]
         ppath = tmp_path / "profile.json"
         ppath.write_text(json.dumps(profile), encoding="utf-8")
-        config = ExperimentConfig(mode="sample", game_path=game_path,
+        config = ExperimentConfig(game_path=game_path,
                                   profile_path=str(ppath), n_samples=1000, seed=1)
         report = run_sample(config)
         assert report.exit_code == EXIT_OK
@@ -292,7 +309,7 @@ class TestSample:
                 "groups": [{"id": "od", "paths": [["u"], ["l"]],
                             "users": [{"demand": 1}] * 21}]}
         report = run_sample(ExperimentConfig(
-            mode="sample", game_path=write_family(tmp_path, "game.json", game),
+            game_path=write_family(tmp_path, "game.json", game),
             profile_path=write_family(tmp_path, "profile.json", [[[0.5, 0.5]] * 21]),
             n_samples=1000, seed=1))
         assert report.exit_code == EXIT_OK
@@ -302,7 +319,7 @@ class TestSample:
 
 class TestReproduce:
     def test_full_pass(self):
-        report = run_reproduce(ExperimentConfig(mode="reproduce"))
+        report = run_reproduce(ExperimentConfig())
         assert report.exit_code == EXIT_OK
         assert len(report.verdicts) == 4
         assert all(ok for _, ok, _ in report.verdicts)
@@ -320,14 +337,14 @@ class TestReproduce:
         doc["arcs"][1]["coeffs"] = [1, "9/10"]
         (assets / "parallel_affine_offset.json").write_text(json.dumps(doc))
         monkeypatch.setattr("poakit.runner.asset_path", lambda name: assets / name)
-        report = run_reproduce(ExperimentConfig(mode="reproduce"))
+        report = run_reproduce(ExperimentConfig())
         assert report.exit_code == EXIT_ASSERTION
         failed = {name for name, ok, _ in report.verdicts if not ok}
         assert failed == {"parallel_affine_offset"}
 
     def test_missing_asset_reported(self, tmp_path, monkeypatch):
         monkeypatch.setattr("poakit.runner.asset_path", lambda name: tmp_path / name)
-        report = run_reproduce(ExperimentConfig(mode="reproduce"))
+        report = run_reproduce(ExperimentConfig())
         assert report.exit_code == EXIT_INPUT
         assert all("asset not found" in detail for _, ok, detail in report.verdicts)
 
@@ -343,7 +360,7 @@ class TestDecomposeRun:
                             "od2": {"c": 2, "gamma": 0.5, "user_demand": 1}},
         }
         path = write_family(tmp_path, "fam.json", doc)
-        config = ExperimentConfig(mode="decompose", family_path=path, grid=[100, 1000],
+        config = ExperimentConfig(family_path=path, grid=[100, 1000],
                                   out_dir=str(tmp_path / "out"))
         report = run_decompose(config)
         assert report.exit_code == EXIT_OK
@@ -356,7 +373,7 @@ class TestDeterminism:
         texts = []
         for run in ("a", "b"):
             out = tmp_path / run
-            config = ExperimentConfig(mode="sweep", family_path=path, grid=[5, 25],
+            config = ExperimentConfig(family_path=path, grid=[5, 25],
                                       seed=3, out_dir=str(out))
             run_sweep(config)
             texts.append((out / "sweep.csv").read_bytes())
@@ -380,7 +397,7 @@ class TestDeterminism:
     def test_seed_and_version_in_rows(self, tmp_path):
         path = write_family(tmp_path, "fam.json", UNIT_USER_FAMILY)
         out = tmp_path / "out"
-        run_sweep(ExperimentConfig(mode="sweep", family_path=path, grid=[5], seed=9,
+        run_sweep(ExperimentConfig(family_path=path, grid=[5], seed=9,
                                    out_dir=str(out)))
         lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
@@ -416,15 +433,17 @@ class TestCli:
 
     def test_samples_past_memory_are_an_input_error(self, tmp_path, capsys):
         # 8 * 10**15 bytes of samples lie past a 2**47-byte address space, so
-        # the allocation is refused at once, before any sample is drawn.
-        out = tmp_path / "out"
+        # the allocation is refused at once, before any sample is drawn; 10**20
+        # samples pass numpy's largest array dimension, refused the same way.
         game_path = str(asset_path("parallel_affine_offset.json"))
-        assert main(["sample", "--game", game_path, "--n", "1000000000000000",
-                     "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().out.splitlines() == [
-            "[FAIL] sample: --n 1000000000000000 samples do not fit in memory"]
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["exit_code"] == EXIT_INPUT
+        for n in ("1000000000000000", "100000000000000000000"):
+            out = tmp_path / n
+            assert main(["sample", "--game", game_path, "--n", n,
+                         "--out", str(out)]) == EXIT_INPUT
+            assert capsys.readouterr().out.splitlines() == [
+                f"[FAIL] sample: --n {n} samples do not fit in memory"]
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["exit_code"] == EXIT_INPUT
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy is imported where samples are drawn, not on every start.
@@ -482,7 +501,11 @@ class TestCli:
         ({}, ["sweep", "--family", "{laws_list}", "--grid", "3"]),
         ({}, ["decompose", "--family", "{user_count_number}", "--grid", "3"]),
         ({}, ["sweep", "--family", "{gamma_null}", "--grid", "3"]),
+        ({}, ["sweep", "--family", "{negative_c}", "--grid", "3"]),
         ({}, ["sweep", "--family", "{family}", "--grid", "0,5"]),
+        ({}, ["decompose", "--family", "{family}", "--grid", "0,5"]),
+        ({}, ["sample", "--game", "{three_path}"]),
+        ({"POAKIT_BUDGET": "1"}, ["sample", "--game", "{asset}"]),
         ({"POAKIT_TOLERANCE": "nan"}, ["solve", "--game", "{asset}"]),
         ({"POAKIT_TOLERANCE": "inf"}, ["sweep", "--family", "{family}", "--grid", "3"]),
         ({}, ["sweep", "--family", "{family}", "--grid", "3,2,1"]),
@@ -509,7 +532,8 @@ class TestCli:
             "decompose-fallback-seed-past-key-range", "missing-profile", "flat-profile",
             "solve-directory", "sample-directory", "sweep-directory", "decompose-directory",
             "solve-not-utf8", "sample-not-utf8", "groups-item", "paths-number", "arcs-item",
-            "laws-list", "user-count-number", "gamma-null", "sweep-grid-zero",
+            "laws-list", "user-count-number", "gamma-null", "negative-c", "sweep-grid-zero",
+            "decompose-grid-zero", "sample-three-paths", "sample-past-budget",
             "tolerance-nan", "tolerance-inf", "grid-decreasing", "grid-not-integers",
             "missing-game", "samples-not-integer", "sweep-tiny-user-demand",
             "decompose-tiny-user-demand", "sweep-huge-gamma", "decompose-huge-gamma",
@@ -528,6 +552,7 @@ class TestCli:
                          missing=str(tmp_path / "missing.json"),
                          flat=write_family(tmp_path, "flat.json", [1]),
                          family=write_family(tmp_path, "family.json", UNIT_USER_FAMILY),
+                         three_path=write_family(tmp_path, "three.json", THREE_PATH_GAME),
                          directory=str(tmp_path), binary=str(binary), **paths)
                 for a in args]
         argv += ["--out", str(out)]
@@ -542,6 +567,14 @@ class TestCli:
             assert lines[0].startswith("[FAIL] seed: seed must be in 0 .. 2**64 - 1")
         if args[-2:] == ["--n", "0"]:
             assert lines == ["[FAIL] plan: n_samples must be >= 1"]
+        if "{negative_c}" in args:
+            assert lines == ["[FAIL] load: demand_laws[od]: demand coefficient c must be > 0"]
+        if args[-2:] == ["--grid", "0,5"]:
+            assert lines == [f"[FAIL] {args[0]}: grid must be a nonempty increasing list of n >= 1"]
+        if "{three_path}" in args:
+            assert lines == ["[FAIL] profile: group 'od' has 3 paths; solver handles <= 2"]
+        if env.get("POAKIT_BUDGET") == "1" and args[0] == "sample":
+            assert lines == ["[FAIL] sample: state space needs 3+ states, budget is 1"]
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_INPUT
         assert [v["passed"] for v in doc["verdicts"]] == [False]
@@ -601,6 +634,25 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_NONCONVERGED
         assert [v["passed"] for v in doc["verdicts"]] == [False]
+
+    def test_unconverged_mixed_solve_exits_four(self, tmp_path, monkeypatch, capsys):
+        import poakit.runner
+
+        solve = poakit.runner.solve_mixed_ne_small
+
+        def unconverged(game, config):
+            result = solve(game, config)
+            result.converged = False
+            return result
+
+        monkeypatch.setattr(poakit.runner, "solve_mixed_ne_small", unconverged)
+        out = tmp_path / "out"
+        game = str(asset_path("parallel_linear_double.json"))
+        assert main(["sample", "--game", game, "--out", str(out)]) == EXIT_NONCONVERGED
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[FAIL] mixed-ne")
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_NONCONVERGED
 
     @pytest.mark.parametrize("mode", ["solve", "sample", "reproduce"])
     def test_unwritable_out_exits_three_before_any_work(self, tmp_path, monkeypatch, capsys,
