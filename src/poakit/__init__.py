@@ -24,6 +24,7 @@ from .solvers import (
     best_response_atomic,
     enumerate_atomic_equilibria,
     epsilon_ne_residual,
+    expected_arc_statistics,
     expected_total_cost,
     mixed_ne_residual,
     solve_atomic_so,

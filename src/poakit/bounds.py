@@ -77,19 +77,15 @@ class BoundInputs:
 
 
 def atomic_poa_upper_bound(inputs: BoundInputs) -> float:
-    """Closed-form ceiling for the atomic ratio of a same-degree game.
-
-    1 + (b eta_max |P|^b / eta0_min) sum_l T^-l
-      + (|A| kappa |P|^b / eta0_min) sqrt(|P| |A| kappa d_max / T)
-      + (|A| kappa |P|^(b+1) / eta0_min) (d_max / T).
-    """
+    """Closed-form ceiling for the atomic ratio of a same-degree game: the
+    non-atomic ceiling + (|A| kappa |P|^b / eta0_min) sqrt(epsilon)
+    + (|A| kappa |P|^(b+1) / eta0_min) (d_max / T), with the epsilon of
+    ``atomic_ne_approximation_bound``."""
     b, k = inputs.degree, inputs.kappa
-    pb = inputs.n_paths ** b
-    lead = b * inputs.eta_max * pb / inputs.eta0_min * inputs.geometric_tail
-    mid = (inputs.n_arcs * k * pb / inputs.eta0_min) * math.sqrt(
-        inputs.n_paths * inputs.n_arcs * k * inputs.demand_ratio)
-    tail = (inputs.n_arcs * k * inputs.n_paths ** (b + 1) / inputs.eta0_min) * inputs.demand_ratio
-    return 1.0 + lead + mid + tail
+    eps, _ = atomic_ne_approximation_bound(inputs)
+    mid = inputs.n_arcs * k * inputs.n_paths ** b / inputs.eta0_min * math.sqrt(eps)
+    tail = inputs.n_arcs * k * inputs.n_paths ** (b + 1) / inputs.eta0_min * inputs.demand_ratio
+    return nonatomic_poa_upper_bound(inputs) + mid + tail
 
 
 def nonatomic_poa_upper_bound(inputs: BoundInputs) -> float:
@@ -128,7 +124,7 @@ def expected_flow_approximation(inputs: BoundInputs, delta: float) -> ExpectedFl
     """
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    p_delta = inputs.n_arcs / 4.0 * inputs.demand_ratio ** (1.0 - 2.0 * delta)
+    p_delta = _p_delta(inputs.n_arcs, inputs.demand_ratio, delta)
     if inputs.degree == 0:
         return ExpectedFlowApproximation(0.0, p_delta, True)
     eps = (2.0 * inputs.n_paths * inputs.kappa * inputs.n_arcs
@@ -145,7 +141,12 @@ def arc_deviation_probability_bound(inputs: BoundInputs, delta: float) -> float:
     """
     if not 0.0 <= delta < 0.5:
         raise ValueError("delta must lie in [0, 1/2)")
-    return 0.25 * inputs.demand_ratio ** (1.0 - 2.0 * delta)
+    return _p_delta(1, inputs.demand_ratio, delta)
+
+
+def _p_delta(n_arcs: int, ratio: float, delta: float) -> float:
+    """p_delta = (|A|/4) (d_max/T)^(1 - 2 delta), the per-arc bound summed over arcs."""
+    return n_arcs / 4.0 * ratio ** (1.0 - 2.0 * delta)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,7 @@ def random_poa_probability_bound(game: Game, delta: float, nonatomic_poa_value: 
         ceiling = max(ceiling, float(scaled.value(1.0)))
     ratio = float(game.d_max) / total
     n_arcs, n_paths = game.n_arcs, game.n_paths
-    p_delta = n_arcs / 4.0 * ratio ** (1.0 - 2.0 * delta)
+    p_delta = _p_delta(n_arcs, ratio, delta)
     eps = (2.0 * n_paths * n_arcs * (lipschitz + n_arcs / 4.0 * ceiling) * ratio ** (1.0 / 3.0))
     gap_expected = n_arcs * lipschitz * math.sqrt(eps) + eps
     gap_realized = n_arcs * (lipschitz + ceiling) * ratio ** delta

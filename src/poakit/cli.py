@@ -13,6 +13,7 @@ POAKIT_TOLERANCE and POAKIT_BUDGET.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -66,6 +67,7 @@ def _grid(text: str) -> list:
     return values
 
 
+@functools.cache  # parse_args leaves a parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="poakit",
                      description="Congestion-game equilibria and inefficiency-ratio experiments")
@@ -101,16 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _environment() -> dict:
+def _environment() -> SolverConfig:
     """Solver settings from POAKIT_TOLERANCE and POAKIT_BUDGET; ValueError if invalid."""
     try:
-        settings = dict(
+        return SolverConfig(
             tolerance=float(os.environ.get("POAKIT_TOLERANCE", SolverConfig.tolerance)),
             enumeration_budget=int(os.environ.get("POAKIT_BUDGET", SolverConfig.enumeration_budget)))
-        SolverConfig(**settings)
     except ValueError as exc:
         raise ValueError(f"POAKIT_TOLERANCE / POAKIT_BUDGET: {exc}") from None
-    return settings
 
 
 def _print_verdicts(report: RunReport) -> None:
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
             Path(out).mkdir(parents=True, exist_ok=True)
         if usage is not None:
             raise usage
-        settings = _environment()
+        solver = _environment()
     except OSError as exc:  # no report.json can be written there
         report = refuse(mode, "out", f"cannot create output directory: {exc}", None)
     except _UsageError as exc:
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     else:
         run = {"solve": run_solve, "sweep": run_sweep, "sample": run_sample,
                "reproduce": run_reproduce, "decompose": run_decompose}[mode]
-        report = run(ExperimentConfig(**fields, **settings))
+        report = run(ExperimentConfig(**fields, solver=solver))
     _print_verdicts(report)
     return report.exit_code
 

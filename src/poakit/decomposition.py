@@ -91,9 +91,13 @@ class DemandFamily:
     laws: Mapping[str, DemandLaw]
 
     def __post_init__(self):
-        for g in self.base.groups:
-            if g.gid not in self.laws:
-                raise ValueError(f"missing demand law for group {g.gid!r}")
+        gids = [g.gid for g in self.base.groups]
+        for gid in self.laws:
+            if gid not in gids:
+                raise GameSchemaError(f"demand_laws[{gid}]", f"the game has no group {gid!r}")
+        for gid in gids:
+            if gid not in self.laws:
+                raise GameSchemaError("demand_laws", f"missing demand law for group {gid!r}")
 
     def users_at(self, gid: str, n: int) -> tuple:
         """User demand vector realizing d(n) under the group's granularity."""

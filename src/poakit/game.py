@@ -32,15 +32,13 @@ class GameSchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _as_number(value, path: str, *, allow_float: bool = True) -> Number:
+def _as_number(value, path: str) -> Number:
     """Parse a scalar that may be an int, float, or a "num/den" string."""
     if isinstance(value, bool):
         raise GameSchemaError(path, "expected a number")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        if not allow_float:
-            raise GameSchemaError(path, "expected an exact rational")
         if not math.isfinite(value):
             raise GameSchemaError(path, f"expected a finite number, got {value}")
         return Fraction(value)
@@ -516,12 +514,14 @@ def load_game(document: Union[str, Mapping]) -> Game:
         where = f"groups[{i}]"
         if "id" not in _as_object(entry, where):
             raise GameSchemaError(where, "group needs an 'id'")
-        path_tuples = []  # missing, null or falsy paths and users read as empty: Game refuses
-        for pi, path in enumerate(_as_list(entry.get("paths") or (), where + ".paths")):
+        # A missing or null list of paths or users reads as empty, which Game refuses.
+        lists = {key: () if entry.get(key) is None else entry[key] for key in ("paths", "users")}
+        path_tuples = []
+        for pi, path in enumerate(_as_list(lists["paths"], where + ".paths")):
             path = _as_list(path, f"{where}.paths[{pi}]")
             path_tuples.append(tuple(str(a) for a in path))
         demands = []
-        for ui, user in enumerate(_as_list(entry.get("users") or (), where + ".users")):
+        for ui, user in enumerate(_as_list(lists["users"], where + ".users")):
             if not isinstance(user, Mapping) or "demand" not in user:
                 raise GameSchemaError(f"{where}.users[{ui}]", "user needs a 'demand'")
             demands.append(_as_number(user["demand"], f"{where}.users[{ui}].demand"))

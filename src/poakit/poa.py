@@ -23,6 +23,7 @@ from .solvers import (
     EquilibriumResult,
     SolverConfig,
     _mixed_summary,
+    _numbered_paths,
     best_response_atomic,
     enumerate_atomic_equilibria,
     expected_arc_statistics,
@@ -184,9 +185,9 @@ def _two_user_two_path_worst(game: Game) -> Optional[Number]:
             profile = MixedProfile((((Fraction(x), Fraction(1 - x)),
                                      (Fraction(y), Fraction(1 - y))),))
             stats = expected_arc_statistics(game, profile)
-            costs = expected_path_costs(game, profile, stats)
+            costs = expected_path_costs(game, stats)
             gaps[x, y] = costs[(0, 0)] - costs[(0, 1)]
-            totals[x, y] = expected_total_cost(game, profile, stats)
+            totals[x, y] = expected_total_cost(stats)
     return _worst_on_equilibrium_set(gaps, totals)
 
 
@@ -278,10 +279,9 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
 
     from .game import SAMPLE_CHUNK, sample_uniforms
 
-    arc_index = {aid: i for i, aid in enumerate(game.arc_ids)}
     users = []  # (demand, cut points, arc rows per path)
     for gi, g in enumerate(game.groups):
-        rows = [[arc_index[aid] for aid in path] for path in g.paths]
+        rows = _numbered_paths(g.paths, game.arc_ids)
         for ui, d in enumerate(g.demands):
             cum = np.cumsum([float(p) for p in profile.probabilities[gi][ui]])
             users.append((float(d), np.maximum.accumulate(cum[:-1]), rows))
@@ -294,7 +294,7 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
     for start in range(0, n_samples, SAMPLE_CHUNK):  # bounded memory whatever n is
         count = min(SAMPLE_CHUNK, n_samples - start)
         draws = sample_uniforms(seed, start, count, len(users))
-        flows = np.zeros((len(arc_index), count))
+        flows = np.zeros((game.n_arcs, count))
         for u, (d, cuts, rows) in enumerate(users):
             col = draws[:, u]
             choice = sum(col >= cut for cut in cuts)  # 0 (an int) when there is one path

@@ -43,12 +43,6 @@ from .game import (
 USED_PATH_REL_TOL = Fraction(1, 10**12)  # f_p > 1e-12 * d_k counts as used
 
 
-def check_seed(seed: int) -> None:
-    """ValueError unless 0 <= seed < 2**64, so seed + restart is a Philox key (< 2**128)."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
-
-
 class BudgetExceededError(RuntimeError):
     """The exact state space is larger than the configured enumeration budget."""
 
@@ -65,7 +59,8 @@ class SolverConfig:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.enumeration_budget < 1:
             raise ValueError("enumeration budget must be >= 1")
-        check_seed(self.rng_seed)
+        if not 0 <= self.rng_seed < 2**64:  # so seed + restart is a Philox key (< 2**128)
+            raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {self.rng_seed}")
 
 
 @dataclass
@@ -86,15 +81,12 @@ class EquilibriumResult:
             raise OverflowError(f"{self.kind} cost {self.cost} is not a finite float")
 
     def to_document(self, game: Game) -> dict:
+        """The result of a non-atomic or a mixed solve, as report.json records it."""
         if isinstance(self.flow, PathFlow):
             flow_doc = {f"{game.groups[gi].gid}/{pi}": float(v) for (gi, pi), v in self.flow.items()}
-        elif isinstance(self.flow, AtomicProfile):
-            flow_doc = {game.groups[gi].gid: list(picks) for gi, picks in enumerate(self.flow.choices)}
-        elif isinstance(self.flow, MixedProfile):
+        else:
             flow_doc = {game.groups[gi].gid: [[float(p) for p in row] for row in rows]
                         for gi, rows in enumerate(self.flow.probabilities)}
-        else:
-            flow_doc = None
         return {
             "kind": self.kind,
             "flow": flow_doc,
@@ -721,10 +713,7 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
     # A first round reads every arc's cost, then one deviation per user and other path.
     arcs = _arc_costs(game, classes, game.arc_ids,
                       game.n_arcs + sum(g.n_users * (g.n_paths - 1) for g in game.groups))
-    user_loads = [[None] * g.n_users for g in game.groups]
-    for cls in classes:
-        for ui in cls.user_slots:
-            user_loads[cls.gi][ui] = arcs.load(cls.demand)
+    user_loads = [[arcs.load(d) for d in g.demands] for g in game.groups]
     paths = [_numbered_paths(g.paths, game.arc_ids) for g in game.groups]
     arc_sets = [[set(path) for path in group_paths] for group_paths in paths]
     choices = [list(picks) for picks in initial.choices]
@@ -828,19 +817,14 @@ def expected_arc_statistics(game: Game, profile: MixedProfile) -> dict:
     return out
 
 
-def expected_path_costs(game: Game, profile: MixedProfile,
-                        arc_stats: Optional[dict] = None) -> dict:
-    if arc_stats is None:
-        arc_stats = expected_arc_statistics(game, profile)
+def expected_path_costs(game: Game, arc_stats: dict) -> dict:
+    """Per path, the sum of its arcs' E[cost] in ``expected_arc_statistics``."""
     return {(gi, pi): sum(arc_stats[aid][0] for aid in game.groups[gi].paths[pi])
             for (gi, pi) in game.path_keys}
 
 
-def expected_total_cost(game: Game, profile: MixedProfile,
-                        arc_stats: Optional[dict] = None) -> Number:
-    """Exact expected total cost sum_a E[f_a tau_a(f_a)] of the random flow."""
-    if arc_stats is None:
-        arc_stats = expected_arc_statistics(game, profile)
+def expected_total_cost(arc_stats: dict) -> Number:
+    """Expected total cost sum_a E[f_a tau_a(f_a)] from ``expected_arc_statistics``."""
     return sum(stats[1] for stats in arc_stats.values())
 
 
@@ -849,9 +833,9 @@ def _mixed_summary(game: Game, profile: MixedProfile) -> tuple:
     profile, from one ``expected_arc_statistics`` pass."""
     profile.validate(game)
     stats = expected_arc_statistics(game, profile)
-    path_costs = expected_path_costs(game, profile, stats)
+    path_costs = expected_path_costs(game, stats)
     residual = _worst_used_gap(game, profile.expected_flow(game), path_costs)
-    return path_costs, residual, expected_total_cost(game, profile, stats)
+    return path_costs, residual, expected_total_cost(stats)
 
 
 def mixed_ne_residual(game: Game, profile: MixedProfile) -> float:

@@ -33,7 +33,7 @@ from poakit import (
     TailVariant,
 )
 from poakit.game import PathFlow
-from poakit.solvers import arc_flow_distribution, expected_path_costs
+from poakit.solvers import arc_flow_distribution, expected_arc_statistics, expected_path_costs
 from poakit.runner import ExperimentConfig, run_sample, run_sweep
 
 from conftest import (
@@ -116,7 +116,7 @@ def test_criterion_3_quadratic_constant_full_reproduction():
     x = float(mixed.flow.probabilities[0][0][0])
     assert abs(x - (math.sqrt(2) - 1) / 2) <= 1e-8
     # indifference condition: both paths' expected costs agree to 1e-9
-    costs = expected_path_costs(game, mixed.flow)
+    costs = expected_path_costs(game, expected_arc_statistics(game, mixed.flow))
     assert abs(float(costs[(0, 0)] - costs[(0, 1)])) <= 1e-9
 
     from poakit import mixed_poa_small

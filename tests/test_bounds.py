@@ -1,5 +1,6 @@
 """Scaled games, closed-form bounds, and tail inequalities."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -333,3 +334,28 @@ class TestComposedRandomBound:
         game = quadratic_constant_game()
         with pytest.raises(ValueError):
             random_poa_probability_bound(game, 0.5, 1.2, 6.9)
+
+
+class TestPinnedBits:
+    def test_bound_columns_and_random_threshold(self, instance_pool):
+        """sha256 of repr of every bound column, the random-ratio threshold and
+        p_delta, the expected-flow pair and the per-arc deviation bound, over
+        the four bundled assets and the instance pool."""
+        from poakit.runner import DELTA, _bound_columns, load_asset
+
+        assets = [load_asset(name) for name in (
+            "parallel_quadratic_constant.json", "parallel_affine_offset.json",
+            "parallel_linear_double.json", "two_commodity_mixed_degree.json")]
+        digest = hashlib.sha256()
+        for game in assets + instance_pool:
+            random_bound = random_poa_probability_bound(game, DELTA, 1.25,
+                                                        float(game.total_demand))
+            outcome = [_bound_columns(game), random_bound.threshold, random_bound.p_delta]
+            if len(set(game.degrees)) == 1:
+                inputs = BoundInputs.from_game(game)
+                approx = expected_flow_approximation(inputs, DELTA)
+                outcome += [atomic_ne_approximation_bound(inputs), approx.eps_expected,
+                            approx.p_delta, arc_deviation_probability_bound(inputs, DELTA)]
+            digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == \
+            "8c43de097f642547776349f9201211e7b15799f1e1671d277a90e5c927673139"

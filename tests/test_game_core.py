@@ -151,9 +151,10 @@ class TestLoadGame:
         ({}, {"users": [{"demand": "-1/2"}]}, "groups[0].users[0].demand: demand must be > 0"),
         ({}, {"paths": _DELETE}, "groups[0].paths: group needs at least one path"),
         ({}, {"users": _DELETE}, "groups[0].users: group needs at least one user"),
+        ({}, {"users": None}, "groups[0].users: group needs at least one user"),
     ], ids=["empty-coeffs", "negative-coeff", "zero-leading", "negative-leading",
             "null-paths", "empty-paths", "empty-users", "zero-demand", "negative-demand",
-            "missing-paths", "missing-users"])
+            "missing-paths", "missing-users", "null-users"])
     def test_value_rules_name_their_field(self, arc, group, message):
         # load_game checks only the shape: each rule below lives in
         # CostPolynomial or Game, and its message names the document field.

@@ -1,9 +1,11 @@
-"""Every name a poakit module imports is read, and every run default has one home.
+"""Every name a poakit module imports is read, every run default has one
+home, and no check can be stripped.
 
 No linter ships with the project, so these ast scans stand in for lint
 rules: code that deletes a caller must delete its import too, no CLI
-option restates a default of ``ExperimentConfig``, and no field of it
-goes unread.
+option restates a default of ``ExperimentConfig``, no field of it goes
+unread, and no ``assert`` statement, which ``python -O`` removes, guards
+the program.
 """
 
 import ast
@@ -68,3 +70,10 @@ def test_every_experiment_config_field_is_read():
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert fields - read == set(), f"ExperimentConfig fields never read: {fields - read}"
+
+
+def test_no_assert_statement():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements, stripped under python -O: {found}"

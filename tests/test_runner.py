@@ -87,6 +87,29 @@ MALFORMED = {
                        demand_laws={"od": {"c": 1, "gamma": 1e300, "user_demand": 1}}),
     "tiny_c": dict(UNIT_USER_FAMILY,
                    demand_laws={"od": {"c": 1e-300, "gamma": 1, "user_demand": 1}}),
+    # A law for a group the game lacks, and a group without a law.
+    "ghost_law": dict(UNIT_USER_FAMILY, demand_laws={
+        **UNIT_USER_FAMILY["demand_laws"], "ghost": {"c": 1, "gamma": 1e300, "user_demand": 1}}),
+    "missing_law": dict(UNIT_USER_FAMILY, demand_laws={}),
+    # Falsy values that are no list: only a missing or null list reads as empty.
+    "paths_false": dict(UNIT_USER_FAMILY,
+                        groups=[{"id": "od", "paths": False, "users": [{"demand": 1}]}]),
+    "paths_empty_text": dict(UNIT_USER_FAMILY,
+                             groups=[{"id": "od", "paths": "", "users": [{"demand": 1}]}]),
+    "users_zero": dict(UNIT_USER_FAMILY, groups=[{"id": "od", "paths": [["u"]], "users": 0}]),
+    "users_empty_object": dict(UNIT_USER_FAMILY,
+                               groups=[{"id": "od", "paths": [["u"]], "users": {}}]),
+}
+
+# The one line each MALFORMED document's run prints.
+MALFORMED_LINES = {
+    "negative_c": "[FAIL] load: demand_laws[od]: demand coefficient c must be > 0",
+    "ghost_law": "[FAIL] load: demand_laws[ghost]: the game has no group 'ghost'",
+    "missing_law": "[FAIL] load: demand_laws: missing demand law for group 'od'",
+    "paths_false": "[FAIL] load: groups[0].paths: expected a list, got bool",
+    "paths_empty_text": "[FAIL] load: groups[0].paths: expected a list, got str",
+    "users_zero": "[FAIL] load: groups[0].users: expected a list, got int",
+    "users_empty_object": "[FAIL] load: groups[0].users: expected a list, got dict",
 }
 
 # Finite inputs whose costs leave the float range: x * tau(x) near 1e600 on a
@@ -101,6 +124,9 @@ FLOAT_RANGE = {
                       arcs=[{"id": "u", "coeffs": [1, 0]}, {"id": "l", "coeffs": [1e300, 1]}],
                       groups=[{"id": "od", "paths": [["u"], ["l"]],
                                "users": [{"demand": 1e10}] * 2}]),
+    # Every cost stays finite, but the closed-form atomic bound is inf.
+    "infinite_bound_family": dict(UNIT_USER_FAMILY, arcs=[
+        {"id": "u", "coeffs": [1e308, 0]}, {"id": "l", "coeffs": [1, 1]}]),
 }
 
 # Profiles for parallel_linear_double.json (one group, two users, two
@@ -342,6 +368,24 @@ class TestReproduce:
         failed = {name for name, ok, _ in report.verdicts if not ok}
         assert failed == {"parallel_affine_offset"}
 
+    def test_perturbed_asset_fails_under_optimize(self, tmp_path):
+        # python -O strips assert statements; the checks must still fail.
+        import poakit
+
+        package = tmp_path / "poakit"
+        shutil.copytree(Path(poakit.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        asset = package / "assets" / "parallel_linear_double.json"
+        doc = json.loads(asset.read_text())
+        doc["arcs"][1]["coeffs"] = [3, 0]
+        asset.write_text(json.dumps(doc))
+        run = subprocess.run([sys.executable, "-O", "-m", "poakit.cli", "reproduce"],
+                             cwd=tmp_path, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(tmp_path)})
+        assert run.returncode == EXIT_ASSERTION
+        failed = [line for line in run.stdout.splitlines() if line.startswith("[FAIL]")]
+        assert failed == ["[FAIL] parallel_linear_double: expected optimum cost 3, got 4"]
+
     def test_missing_asset_reported(self, tmp_path, monkeypatch):
         monkeypatch.setattr("poakit.runner.asset_path", lambda name: tmp_path / name)
         report = run_reproduce(ExperimentConfig())
@@ -430,6 +474,26 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_INPUT
         assert doc["config"] == {"mode": "sweep"}
+
+    def test_infinite_random_ratio_threshold_is_an_input_error(self, tmp_path, monkeypatch,
+                                                               capsys):
+        from poakit.bounds import RandomPoaBound
+
+        monkeypatch.setattr("poakit.runner.random_poa_probability_bound",
+                            lambda *args: RandomPoaBound(threshold=math.inf, p_delta=0.5))
+        game_path = str(asset_path("parallel_linear_double.json"))
+        assert main(["sample", "--game", game_path, "--n", "100",
+                     "--out", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] sample: costs outside the float range: threshold inf is not a finite float"]
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        from poakit.cli import build_parser
+
+        build_parser.cache_clear()
+        assert main(["reproduce", "--out", str(tmp_path / "first")]) == EXIT_OK
+        assert main(["solve", "--game", str(tmp_path / "missing.json")]) == EXIT_INPUT
+        assert build_parser.cache_info().misses == 1
 
     def test_samples_past_memory_are_an_input_error(self, tmp_path, capsys):
         # 8 * 10**15 bytes of samples lie past a 2**47-byte address space, so
@@ -526,6 +590,13 @@ class TestCli:
         ({}, ["sample", "--game", "{steep_arc}"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{nan_profile}"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{bool_profile}"]),
+        ({}, ["sweep", "--family", "{ghost_law}", "--grid", "1,2"]),
+        ({}, ["decompose", "--family", "{missing_law}", "--grid", "1,2"]),
+        ({}, ["solve", "--game", "{paths_false}"]),
+        ({}, ["sample", "--game", "{paths_empty_text}"]),
+        ({}, ["solve", "--game", "{users_zero}"]),
+        ({}, ["sweep", "--family", "{users_empty_object}", "--grid", "1,2"]),
+        ({}, ["sweep", "--family", "{infinite_bound_family}", "--grid", "1,2"]),
     ], ids=["tolerance-text", "budget-fraction", "tolerance-negative", "zero-samples",
             "negative-seed", "sample-seed-past-range", "solve-negative-seed",
             "sweep-negative-seed", "decompose-fallback-negative-seed",
@@ -539,7 +610,9 @@ class TestCli:
             "decompose-tiny-user-demand", "sweep-huge-gamma", "decompose-huge-gamma",
             "sweep-tiny-c", "decompose-tiny-c", "sweep-huge-costs", "decompose-huge-costs",
             "solve-huge-demands", "sample-huge-demands", "solve-steep-arc",
-            "sample-steep-arc", "nan-probability", "boolean-probability"])
+            "sample-steep-arc", "nan-probability", "boolean-probability", "ghost-law",
+            "missing-law", "paths-false", "paths-empty-text", "users-zero",
+            "users-empty-object", "sweep-infinite-bound"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -567,8 +640,12 @@ class TestCli:
             assert lines[0].startswith("[FAIL] seed: seed must be in 0 .. 2**64 - 1")
         if args[-2:] == ["--n", "0"]:
             assert lines == ["[FAIL] plan: n_samples must be >= 1"]
-        if "{negative_c}" in args:
-            assert lines == ["[FAIL] load: demand_laws[od]: demand coefficient c must be > 0"]
+        for name, line in MALFORMED_LINES.items():
+            if f"{{{name}}}" in args:
+                assert lines == [line]
+        if "{infinite_bound_family}" in args:
+            assert lines == ["[FAIL] sweep: costs outside the float range: "
+                             "atomic_poa_bound inf is not a finite float"]
         if args[-2:] == ["--grid", "0,5"]:
             assert lines == [f"[FAIL] {args[0]}: grid must be a nonempty increasing list of n >= 1"]
         if "{three_path}" in args:

@@ -27,6 +27,7 @@ from poakit import (
     epsilon_ne_residual,
     exact_random_cost_distribution,
     expected_arc_flow_and_variance,
+    expected_arc_statistics,
     expected_total_cost,
     load_game,
     mixed_ne_residual,
@@ -724,11 +725,12 @@ class TestMixedSolver:
         # The convolution expectations are the solver's backbone; check the
         # headline value E[tau_u] = 2 at the solved profile by sampling.
         from poakit.game import sample_uniforms
-        from poakit.solvers import expected_path_costs
+        from poakit.solvers import expected_arc_statistics, expected_path_costs
         game = quadratic_constant_game()
         result = solve_mixed_ne_small(game, CFG)
         a = float(result.flow.probabilities[0][0][0])
-        exact = float(expected_path_costs(game, result.flow)[(0, 0)])
+        stats = expected_arc_statistics(game, result.flow)
+        exact = float(expected_path_costs(game, stats)[(0, 0)])
         n = 400_000
         draws = sample_uniforms(17, 0, n, 2)
         f_u = 2.0 * (draws[:, 0] < a) + 2.0 * (draws[:, 1] < a)
@@ -941,11 +943,12 @@ class TestPredicates:
             so_nat = solve_nonatomic_so(game, CFG)
             assert float(so_at.cost) >= float(so_nat.cost) - CFG.tolerance * (1 + float(so_at.cost))
             degenerate = so_at.flow.as_mixed(game)
-            assert float(expected_total_cost(game, degenerate)) == pytest.approx(
-                float(so_at.cost), rel=1e-12)
+            expected = expected_total_cost(expected_arc_statistics(game, degenerate))
+            assert float(expected) == pytest.approx(float(so_at.cost), rel=1e-12)
             # any strictly mixed profile cannot do better than the atomic optimum
             uniform = MixedProfile.uniform(game)
-            assert float(expected_total_cost(game, uniform)) >= float(so_at.cost) - 1e-12
+            expected = expected_total_cost(expected_arc_statistics(game, uniform))
+            assert float(expected) >= float(so_at.cost) - 1e-12
 
 
 def _random_feasible(game, rng):
