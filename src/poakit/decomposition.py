@@ -340,7 +340,8 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
             gamma=float(family.laws[gids[0]].gamma),
             lam=lam,
             demand_coefficient=float(sum(family.laws[gid].c for gid in gids)),
-            limit_cost=float(require_converged(solve_nonatomic_ne(lim, config)).cost),
+            limit_cost=float(require_converged(solve_nonatomic_ne(lim, config),
+                                               f"limit game of {', '.join(gids)}").cost),
         ))
     _, irregular = classify_groups(family)
 
@@ -353,7 +354,8 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
             g_n = t_u ** cls.lam
             class_costs.append(t_u * g_n * cls.limit_cost)
         predicted = sum(class_costs)
-        measured_nonatomic = float(require_converged(solve_nonatomic_ne(game, config)).cost)
+        measured_nonatomic = float(require_converged(solve_nonatomic_ne(game, config),
+                                                     f"n={n}").cost)
         measured_atomic, is_lb, _ = worst_atomic_cost(game, config)
         rows.append(PredictionRow(
             n=n,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,8 +33,14 @@ class GameSchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+# A number string: ASCII [+-]digits, [+-]digits/digits or a plain decimal.
+_NUMBER_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
 def _as_number(value, path: str) -> Number:
-    """Parse a scalar that may be an int, float, or a "num/den" string."""
+    """Parse a scalar that may be an int, float, or a number string (see
+    ``_NUMBER_STRING``; ``Fraction`` alone would also take spaces, ``_``,
+    exponents and non-ASCII digits)."""
     if isinstance(value, bool):
         raise GameSchemaError(path, "expected a number")
     if isinstance(value, int):
@@ -43,9 +50,12 @@ def _as_number(value, path: str) -> Number:
             raise GameSchemaError(path, f"expected a finite number, got {value}")
         return Fraction(value)
     if isinstance(value, str):
+        if not _NUMBER_STRING.fullmatch(value):
+            raise GameSchemaError(path, f"cannot parse rational {value!r}: expected "
+                                        "[+-]digits, [+-]digits/digits or a plain decimal")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise GameSchemaError(path, f"cannot parse rational {value!r}") from None
     raise GameSchemaError(path, f"expected a number, got {type(value).__name__}")
 

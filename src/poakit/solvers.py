@@ -10,11 +10,12 @@ state space fits the budget, best-response dynamics otherwise.  On a
 rational game both run on one integer lattice (``_ArcCosts``): arc loads
 are whole numbers of demand units, each arc's scaled cost is an integer,
 tabulated once or computed per read, and a cost becomes a Fraction only
-when it is recorded.  Other games evaluate the cost polynomials, with the
-same scan.  Mixed equilibria on small two-path-per-group games are found
-by per-group bisection of the expected-cost indifference condition, with
-expectations computed by exact convolution over the users touching each
-arc.
+when it is recorded.  A large rational component is scanned in numpy
+blocks (``blockscan``), with the same results.  Other games evaluate the
+cost polynomials, state by state.  Mixed equilibria on small
+two-path-per-group games are found by per-group bisection of the
+expected-cost indifference condition, with expectations computed by exact
+convolution over the users touching each arc.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import add, getitem, mul
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .game import (
     AtomicProfile,
@@ -243,15 +244,18 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
     path_costs = {key: sum(dir_costs[aid] for aid in gpaths[key]) for key in keys}
     residual = _worst_used_gap(game, flow, path_costs)
     cost = game.total_cost(flow)
+    note = "" if converged else f"move budget {budget} spent"
     # The line search can strand costly flow on a steep arc below the used threshold.
     for slots, used_thresh in movable:
         cheapest = min(path_costs[keys[i]] for i in slots)
-        converged = converged and all(
-            flows[i] * (path_costs[keys[i]] - cheapest) <= config.tolerance * cost
-            for i in slots if flows[i] <= used_thresh)
+        if converged and not all(
+                flows[i] * (path_costs[keys[i]] - cheapest) <= config.tolerance * cost
+                for i in slots if flows[i] <= used_thresh):
+            converged = False
+            note = "flow stranded below the used threshold on a costlier path"
     return EquilibriumResult(flow=flow, kind=kind, residual=float(residual),
                              iterations=moves, exact=False, converged=converged,
-                             cost=cost, wall_time=time.perf_counter() - t0)
+                             cost=cost, note=note, wall_time=time.perf_counter() - t0)
 
 
 def _segment_step(src_only, dst_only, arc_flow, polys, available: float) -> float:
@@ -292,10 +296,13 @@ def solve_nonatomic_so(game: Game, config: SolverConfig = SolverConfig(),
     return _equilibrate(game, config, marginals, start, "nonatomic-so")
 
 
-def require_converged(result: EquilibriumResult) -> EquilibriumResult:
-    """``result`` of a non-atomic solve; RuntimeError if it did not converge."""
+def require_converged(result: EquilibriumResult, where: str = "") -> EquilibriumResult:
+    """``result`` of a non-atomic solve; RuntimeError if it did not converge,
+    naming its kind, moves, residual and note, after ``where`` if given."""
     if not result.converged:
-        raise RuntimeError("non-atomic solver did not converge within budget")
+        detail = (f"{result.kind} did not converge (iterations {result.iterations}, "
+                  f"residual {result.residual:.3g})" + (f": {result.note}" if result.note else ""))
+        raise RuntimeError(f"{where}: {detail}" if where else detail)
     return result
 
 
@@ -337,22 +344,26 @@ def _group_components(game: Game) -> list:
 class _UserClass:
     gi: int
     demand: Number
-    user_slots: tuple  # indices of users in the group sharing this demand
-
-    @property
-    def size(self) -> int:
-        return len(self.user_slots)
+    user_slots: tuple  # runs (ranges) of the indices of the group's users of this demand
+    size: int
 
 
 def _user_classes(game: Game, group_indices: Sequence[int]) -> list:
+    """Per group, one class per distinct demand, in order of first use.
+
+    Consecutive users of one demand are taken as one run, so a group of equal
+    users costs one comparison per user and holds no index per user.
+    """
     classes = []
     for gi in group_indices:
-        g = game.groups[gi]
         by_demand: dict = {}
-        for ui, d in enumerate(g.demands):
-            by_demand.setdefault(d, []).append(ui)
-        for d, slots in by_demand.items():
-            classes.append(_UserClass(gi, d, tuple(slots)))
+        start = 0
+        for d, run in itertools.groupby(game.groups[gi].demands):
+            stop = start + sum(1 for _ in run)
+            by_demand.setdefault(d, []).append(range(start, stop))
+            start = stop
+        for d, runs in by_demand.items():
+            classes.append(_UserClass(gi, d, tuple(runs), sum(map(len, runs))))
     return classes
 
 
@@ -374,13 +385,41 @@ def _class_state_count(game: Game, classes: Sequence[_UserClass]) -> int:
     return count
 
 
+MULTIPLICITY_PRIMES_FROM = 1 << 15  # users from which a multiplicity is built from primes
+
+
 def _multiplicity(counts: Sequence[int]) -> int:
+    """total! / prod(c!) over ``counts``: the ways to split their users so.
+
+    A product of binomials below MULTIPLICITY_PRIMES_FROM users.  From there
+    on, binomials divide big integers, which CPython does in quadratic time,
+    so the product of each prime's power (Legendre's formula), multiplied
+    pairwise, is faster: 0.4 s against 6.4 s at a million users.
+    """
     total = sum(counts)
-    m = 1
-    for c in counts:
-        m *= comb(total, c)
-        total -= c
-    return m
+    if total < MULTIPLICITY_PRIMES_FROM:
+        m = 1
+        for c in counts:
+            m *= comb(total, c)
+            total -= c
+        return m
+    sieve = bytearray([1]) * (total + 1)
+    sieve[:2] = bytes(min(2, total + 1))
+    for p in range(2, math.isqrt(total) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, total + 1, p)))
+    powers = []
+    for p in itertools.compress(range(total + 1), sieve):
+        exponent = 0
+        for n, sign in ((total, 1), *((c, -1) for c in counts)):
+            while n:
+                n //= p
+                exponent += sign * n
+        if exponent:
+            powers.append(p ** exponent)
+    while len(powers) > 1:
+        powers = [math.prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0] if powers else 1
 
 
 LATTICE_MAX_ROWS = 1 << 18  # cost-table rows one lattice may hold, summed over its arcs
@@ -431,25 +470,21 @@ class _ArcCosts:
         return total
 
 
-def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str],
-               reads: int) -> _ArcCosts:
-    """The integer lattice of ``arc_ids`` over the users of ``classes``.
+class _Lattice(NamedTuple):
+    """The integers of a rational game's lattice over some users' classes and
+    arcs (see ``_ArcCosts``): each demand's units, each arc's scaled integer
+    coefficients (highest degree first) and reach (the most units the users
+    can put on it), and the denominator L * M that turns a sum of load times
+    scaled cost into the total cost."""
 
-    An arc's table covers every load the users can put on it: K = 0 .. the
-    units of the users whose group has a path through the arc.  That covers
-    deviations too, since a user moving onto an arc was not on it.  The rows
-    are computed on each read, by Horner's rule on the same scaled integer
-    coefficients, when the tables would hold more than LATTICE_MAX_ROWS
-    rows, or more than LATTICE_ROWS_PER_READ rows per arc cost the caller is
-    sure to read (``reads``): a row costs a small fraction of one read, so
-    tables never cost much more than the reads they replace.  The row count
-    is computed before any table is built.  A game that is not rational
-    evaluates its polynomials instead.
-    """
+    units: dict  # user demand -> its whole number of units 1/L
+    scaled: list  # per arc
+    reach: list  # per arc
+    denominator: int
+
+
+def _lattice(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str]) -> _Lattice:
     polys = [game.arcs[aid] for aid in arc_ids]
-    if not game.is_rational:
-        return _ArcCosts(lambda d: d, [_Evaluated(p.coefficients) for p in polys],
-                         lambda total: total)
     scale = math.lcm(*(Fraction(cls.demand).denominator for cls in classes))
     units = {cls.demand: int(cls.demand * scale) for cls in classes}
     degree = max(p.degree for p in polys)
@@ -461,17 +496,38 @@ def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str]
     for cls in classes:
         for aid in {aid for path in game.groups[cls.gi].paths for aid in path}:
             reach[aid] += units[cls.demand] * cls.size
-    if sum(reach.values()) + len(arc_ids) > min(LATTICE_MAX_ROWS, LATTICE_ROWS_PER_READ * reads):
-        tables = [_Evaluated(coeffs) for coeffs in scaled]
+    return _Lattice(units, scaled, list(reach.values()), scale * common * scale ** degree)
+
+
+def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str],
+               reads: int) -> _ArcCosts:
+    """The integer lattice of ``arc_ids`` over the users of ``classes``.
+
+    An arc's table covers every load the users can put on it: K = 0 .. the
+    arc's reach.  That covers deviations too, since a user moving onto an
+    arc was not on it.  The rows are computed on each read, by Horner's rule
+    on the same scaled integer coefficients, when the tables would hold more
+    than LATTICE_MAX_ROWS rows, or more than LATTICE_ROWS_PER_READ rows per
+    arc cost the caller is sure to read (``reads``): a row costs a small
+    fraction of one read, so tables never cost much more than the reads they
+    replace.  The row count is computed before any table is built.  A game
+    that is not rational evaluates its polynomials instead.
+    """
+    if not game.is_rational:
+        return _ArcCosts(lambda d: d, [_Evaluated(game.arcs[aid].coefficients) for aid in arc_ids],
+                         lambda total: total)
+    lattice = _lattice(game, classes, arc_ids)
+    if sum(lattice.reach) + len(arc_ids) > min(LATTICE_MAX_ROWS, LATTICE_ROWS_PER_READ * reads):
+        tables = [_Evaluated(coeffs) for coeffs in lattice.scaled]
     else:
         tables = []
-        for aid, coeffs in zip(arc_ids, scaled):
-            table = [0] * (reach[aid] + 1)
+        for reach, coeffs in zip(lattice.reach, lattice.scaled):
+            table = [0] * (reach + 1)
             for c in coeffs:  # Horner's rule, one coefficient at a time over all rows
                 table = [acc * k + c for k, acc in enumerate(table)]
             tables.append(table)
-    denominator = scale * common * scale ** degree
-    return _ArcCosts(units.__getitem__, tables, lambda total: Fraction(total, denominator))
+    return _ArcCosts(lattice.units.__getitem__, tables,
+                     lambda total: Fraction(total, lattice.denominator))
 
 
 def _numbered_paths(paths: Sequence[tuple], arc_ids: Sequence[str]) -> tuple:
@@ -480,8 +536,15 @@ def _numbered_paths(paths: Sequence[tuple], arc_ids: Sequence[str]) -> tuple:
     return tuple(tuple(position[aid] for aid in path) for path in paths)
 
 
+VECTOR_MIN_STATES = 1024  # states from which a rational component is scanned in numpy blocks
+
+
 class _ComponentScan:
-    """Exhaustive scan over count-based atomic states of one component."""
+    """Exhaustive scan over count-based atomic states of one component.
+
+    States run over the classes' per-path counts, class 0 outermost, each
+    class's counts in ``_compositions``' order.
+    """
 
     def __init__(self, game: Game, group_indices: Sequence[int]):
         self.game = game
@@ -489,6 +552,7 @@ class _ComponentScan:
         self.classes = _user_classes(game, group_indices)
         self.arc_ids = sorted({aid for gi in group_indices
                                for path in game.groups[gi].paths for aid in path})
+        self.representatives: dict = {}  # assignment tuple -> ``representative``
 
     @cached_property
     def arcs(self) -> _ArcCosts:
@@ -513,6 +577,39 @@ class _ComponentScan:
 
     def state_count(self) -> int:
         return _class_state_count(self.game, self.classes)
+
+    def search(self) -> tuple:
+        """``(found, cheapest, cheapest_cost)``: the equilibria in state order,
+        each as (representative, cost, multiplicity), and the assignment and
+        cost of the first state of least total cost.
+
+        A rational component of at least VECTOR_MIN_STATES states is scanned
+        in numpy blocks when every load, cost and sum that scan forms fits in
+        int64: each is at most sum_a reach_a * tau_a(reach_a) on the lattice,
+        since coefficients are >= 0.  Any other component is scanned state by
+        state.  Both give the same results.
+        """
+        if self.state_count() >= VECTOR_MIN_STATES and self.game.is_rational:
+            lattice = _lattice(self.game, self.classes, self.arc_ids)
+            if sum(r * _horner(c, r) for r, c in zip(lattice.reach, lattice.scaled)) < 1 << 62:
+                from .blockscan import scan_blocks  # with numpy, loaded for a large scan only
+
+                return scan_blocks(self, lattice)
+        arcs = self.arcs
+        found: list = []
+        cheapest = None
+
+        def visit(assignment, loads):
+            nonlocal cheapest
+            costs = list(map(getitem, arcs.tables, loads))
+            cost = sum(map(mul, loads, costs))
+            if cheapest is None or cost < cheapest[1]:
+                cheapest = (list(assignment), cost)
+            if self.is_equilibrium(assignment, loads, costs):
+                found.append(self.entry(assignment, arcs.value(cost)))
+
+        self.scan(visit)
+        return found, cheapest[0], arcs.value(cheapest[1])
 
     def scan(self, visit: Callable):
         """Call ``visit(assignment, loads)`` for every count state.
@@ -563,22 +660,36 @@ class _ComponentScan:
                             return False
         return True
 
-    def representative(self, assignment) -> dict:
-        """Per-group user choices realizing the counts (users filled in slot order)."""
-        picks: dict[int, list] = {gi: [None] * self.game.groups[gi].n_users for gi in self.groups}
-        for ci, cls in enumerate(self.classes):
-            counts = assignment[ci]
-            it = iter(cls.user_slots)
-            for pi, c in enumerate(counts):
-                for _ in range(c):
-                    picks[cls.gi][next(it)] = pi
-        return picks
+    def entry(self, assignment, cost: Number) -> tuple:
+        """(representative, ``cost``, multiplicity) of an equilibrium state."""
+        multiplicity = 1
+        for counts in assignment:
+            multiplicity *= _multiplicity(counts)
+        return self.representative(assignment), cost, multiplicity
 
-    def assignment_multiplicity(self, assignment) -> int:
-        m = 1
+    @cached_property
+    def slot_runs(self) -> dict:
+        """Per group, its runs of users in slot order, each with its class."""
+        runs: dict = {gi: [] for gi in self.groups}
         for ci, cls in enumerate(self.classes):
-            m *= _multiplicity(assignment[ci])
-        return m
+            runs[cls.gi] += [(run, ci) for run in cls.user_slots]
+        for group_runs in runs.values():
+            group_runs.sort(key=lambda rc: rc[0].start)
+        return runs
+
+    def representative(self, assignment) -> dict:
+        """Per group, the tuple of user choices realizing the counts (each
+        class's users take its paths in slot order).  Built once per state,
+        so results that share a state (the optimum is often an equilibrium)
+        share its tuples."""
+        key = tuple(assignment)
+        if key not in self.representatives:
+            choices = [itertools.chain.from_iterable(map(itertools.repeat, itertools.count(), counts))
+                       for counts in assignment]
+            self.representatives[key] = {gi: tuple(itertools.chain.from_iterable(
+                itertools.islice(choices[ci], len(run)) for run, ci in runs))
+                for gi, runs in self.slot_runs.items()}
+        return self.representatives[key]
 
 
 @dataclass
@@ -624,28 +735,15 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
                 f"{config.enumeration_budget}")
 
     per_comp: list[list] = []
-    so_picks: dict[int, list] = {}
+    so_picks: dict[int, tuple] = {}
     so_cost = 0
     scanned = 0
     for comp in comps:
-        found: list = []
-        cheapest = None
-
-        def visit(assignment, loads, comp=comp, found=found):
-            nonlocal cheapest
-            costs = list(map(getitem, comp.arcs.tables, loads))
-            cost = sum(map(mul, loads, costs))
-            if cheapest is None or cost < cheapest[1]:
-                cheapest = (list(assignment), cost)
-            if comp.is_equilibrium(assignment, loads, costs):
-                found.append((comp.representative(assignment), comp.arcs.value(cost),
-                              comp.assignment_multiplicity(assignment)))
-
-        comp.scan(visit)
+        found, cheapest, cheapest_cost = comp.search()
         scanned += comp.state_count()
         per_comp.append(found)
-        so_picks.update(comp.representative(cheapest[0]))
-        so_cost += comp.arcs.value(cheapest[1])
+        so_picks.update(comp.representative(cheapest))
+        so_cost += cheapest_cost
 
     def profile_of(picks) -> AtomicProfile:
         return AtomicProfile(tuple(tuple(picks[gi]) for gi in range(len(game.groups))))

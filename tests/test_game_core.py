@@ -184,6 +184,28 @@ class TestLoadGame:
         assert game.arcs["a"].coefficients == (Fraction(3, 2), Fraction(1, 4))
         assert game.total_demand == Fraction(2, 3)
 
+    @pytest.mark.parametrize("text", [" 3 ", "1_000", "\u0661", "1e3", ".5"])
+    def test_number_strings_outside_the_syntax_refused(self, text):
+        # Fraction alone reads each of these as a number.
+        doc = {"arcs": [{"id": "a", "coeffs": [1, 0]}],
+               "groups": [{"id": "g", "paths": [["a"]], "users": [{"demand": text}]}]}
+        with pytest.raises(GameSchemaError) as err:
+            load_game(doc)
+        assert err.value.path == "groups[0].users[0].demand"
+        assert str(err.value).endswith(
+            "expected [+-]digits, [+-]digits/digits or a plain decimal")
+
+    @pytest.mark.parametrize("text, value", [("3", 3), ("+2", 2), ("-1/2", Fraction(-1, 2)),
+                                             ("1.25", Fraction(5, 4)), ("007/14", Fraction(1, 2))])
+    def test_number_strings_in_the_syntax_read_exactly(self, text, value):
+        doc = {"arcs": [{"id": "a", "coeffs": [text, 0]}],
+               "groups": [{"id": "g", "paths": [["a"]], "users": [{"demand": 1}]}]}
+        if value > 0:
+            assert load_game(doc).arcs["a"].coefficients[0] == value
+        else:  # parsed, then refused by the value rule
+            with pytest.raises(GameSchemaError, match=r"arcs\[0\]\.coeffs\[0\]: coefficient must be >= 0"):
+                load_game(doc)
+
     def test_arcs_is_one_read_only_view(self):
         game = two_commodity_game(1, 2)
         assert game.arcs is game.arcs

@@ -411,6 +411,45 @@ class TestDecomposeRun:
         assert (tmp_path / "out" / "decompose.csv").exists()
 
 
+STEEP_ARC_FAMILY = {
+    "arcs": [{"id": "s", "coeffs": [1e308, 0]}, {"id": "f", "coeffs": [1, 1]}],
+    "groups": [{"id": "g", "paths": [["s"], ["f"]], "users": [{"demand": 1}]}],
+    "demand_laws": {"g": {"c": 1, "gamma": 1, "user_demand": 1}},
+}
+
+
+class TestDecomposeFailures:
+    def _decompose(self, tmp_path, family, capsys) -> str:
+        out = tmp_path / "out"
+        assert main(["decompose", "--family", write_family(tmp_path, "family.json", family),
+                     "--grid", "1,2", "--out", str(out)]) == EXIT_NONCONVERGED
+        [line] = capsys.readouterr().out.splitlines()
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_NONCONVERGED
+        assert [f"[FAIL] {v['name']}: {v['detail']}" for v in doc["verdicts"]] == [line]
+        return line
+
+    def test_unconverged_limit_game_says_why(self, tmp_path, capsys):
+        # The line search strands flow of order 1e-13 on the 1e308 x arc.
+        assert self._decompose(tmp_path, STEEP_ARC_FAMILY, capsys) == (
+            "[FAIL] decompose: limit game of g: nonatomic-ne did not converge "
+            "(iterations 1, residual 0): flow stranded below the used threshold on a costlier path")
+
+    def test_unconverged_grid_point_is_named(self, tmp_path, monkeypatch, capsys):
+        import poakit.decomposition
+
+        solve = poakit.decomposition.solve_nonatomic_ne
+
+        def unconverged_at_two(game, config):
+            result = solve(game, config)
+            result.converged = result.converged and game.total_demand != 2
+            return result
+
+        monkeypatch.setattr(poakit.decomposition, "solve_nonatomic_ne", unconverged_at_two)
+        line = self._decompose(tmp_path, UNIT_USER_FAMILY, capsys)
+        assert line.startswith("[FAIL] decompose: n=2: nonatomic-ne did not converge (iterations ")
+
+
 class TestDeterminism:
     def test_sweep_csv_byte_identical(self, tmp_path):
         path = write_family(tmp_path, "fam.json", UNIT_USER_FAMILY)
@@ -516,6 +555,25 @@ class TestCli:
         code = "import sys, poakit.cli; sys.exit('numpy' in sys.modules)"
         src = str(Path(poakit.__file__).resolve().parent.parent)
         assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
+
+    def test_solve_on_the_assets_leaves_numpy_unloaded(self, tmp_path):
+        # Their scans hold at most 30 states, below VECTOR_MIN_STATES, so a
+        # solve never needs numpy, whose import costs a fresh process about 0.15 s.
+        import poakit
+
+        code = ("import sys, poakit.cli\n"
+                "out, *games = sys.argv[1:]\n"
+                "codes = [poakit.cli.main(['solve', '--game', game, '--out', f'{out}/{i}'])\n"
+                "         for i, game in enumerate(games)]\n"
+                "print(codes, 'numpy' in sys.modules)")
+        games = [str(asset_path(name)) for name in ("parallel_affine_offset.json",
+                                                    "parallel_linear_double.json",
+                                                    "parallel_quadratic_constant.json",
+                                                    "two_commodity_mixed_degree.json")]
+        src = str(Path(poakit.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path), *games], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
     @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
@@ -682,7 +740,8 @@ class TestCli:
         game = write_family(tmp_path, "game.json", STRANDED_FLOW_GAME)
         assert main(["solve", "--game", game, "--out", str(out)]) == EXIT_NONCONVERGED
         assert capsys.readouterr().out.splitlines() == [
-            "[FAIL] solve: non-atomic solver did not converge within budget"]
+            "[FAIL] solve: nonatomic-so did not converge (iterations 1, residual 0): "
+            "flow stranded below the used threshold on a costlier path"]
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_NONCONVERGED
 

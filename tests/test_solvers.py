@@ -5,13 +5,15 @@ import itertools
 import math
 import random
 import struct
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from poakit import solvers
+from poakit import blockscan, solvers
 from poakit import (
     AtomicProfile,
     BudgetExceededError,
@@ -516,19 +518,26 @@ class TestLattice:
     """Integer cost rows, tabulated or read one at a time, give exactly the
     costs of evaluating the polynomials on Fraction loads."""
 
-    @pytest.mark.parametrize("max_rows", [solvers.LATTICE_MAX_ROWS, 0])
-    def test_pinned_bits(self, monkeypatch, max_rows):
+    @pytest.mark.parametrize("max_rows, vector_min", [
+        (solvers.LATTICE_MAX_ROWS, solvers.VECTOR_MIN_STATES), (0, solvers.VECTOR_MIN_STATES),
+        (solvers.LATTICE_MAX_ROWS, 1), (0, 1)],
+        ids=[str(solvers.LATTICE_MAX_ROWS), "0", f"{solvers.LATTICE_MAX_ROWS}-blocks", "0-blocks"])
+    def test_pinned_bits(self, monkeypatch, max_rows, vector_min):
         """sha256 of repr of every exact atomic result and exact distribution.
 
         The pool holds the four assets, 40 seeded rational games, 60 seeded
         games with float coefficients or demands, a weighted game with no
         pure equilibrium, and games whose users are too large for tables.
         The digest is the same whether the rational games' cost rows are
-        tabulated (default caps) or computed per read (no rows allowed): a
-        change to how an exact cost is computed, to a tie, or to the order in
-        which a float cost or probability is summed changes these bytes.
+        tabulated (default caps) or computed per read (no rows allowed), and
+        whether the scan goes state by state or in numpy blocks wherever it
+        may (``-blocks``; the game of 131071-unit users is past the int64
+        bound and stays on the state scan): a change to how an exact cost is
+        computed, to a tie, or to the order in which a float cost or
+        probability is summed changes these bytes.
         """
         monkeypatch.setattr(solvers, "LATTICE_MAX_ROWS", max_rows)
+        monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", vector_min)
         games = [load_asset(name) for name in ASSETS]
         games += [*shared_arc_multi_path_games(), *shared_arc_two_path_games(),
                   no_equilibrium_game(),
@@ -634,6 +643,128 @@ class TestLattice:
         result = best_response_atomic(game, CFG)
         assert result.converged and type(result.cost) is Fraction
         assert built == [False, False]
+
+
+def _scan_outcome(game, config=CFG) -> tuple:
+    """Everything ``enumerate_atomic_equilibria`` reports but wall times."""
+    eq = enumerate_atomic_equilibria(game, config)
+    return (eq.states_scanned, atomic_fields(eq.optimum), atomic_fields(eq.worst),
+            atomic_fields(eq.best), [atomic_fields(e) for e in eq.equilibria])
+
+
+def _block_scans(monkeypatch, vector_min=1, block=blockscan.VECTOR_BLOCK) -> list:
+    """Scan components of ``vector_min`` states or more in blocks of ``block``
+    states; the returned list gets each block scan's state count."""
+    monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", vector_min)
+    monkeypatch.setattr(blockscan, "VECTOR_BLOCK", block)
+    scans = []
+    scan_blocks = blockscan.scan_blocks
+
+    def spy(comp, lattice):
+        scans.append(comp.state_count())
+        return scan_blocks(comp, lattice)
+
+    monkeypatch.setattr(blockscan, "scan_blocks", spy)
+    return scans
+
+
+class TestBlockScan:
+    """The paths taken for large scans (numpy blocks, multiplicities from
+    primes) give exactly the results of the paths taken for small ones."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(game=small_rational_games(), block=st.sampled_from([1, 2, 3, 7]))
+    @example(game=no_equilibrium_game(), block=2)
+    def test_matches_the_state_scan(self, game, block):
+        # Blocks of 1, 2, 3 and 7 states split the classes' ways at every point.
+        config = SolverConfig(enumeration_budget=2000)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "VECTOR_MIN_STATES", math.inf)
+                by_state = _scan_outcome(game, config)
+        except BudgetExceededError:
+            assume(False)
+        with pytest.MonkeyPatch.context() as mp:
+            scans = _block_scans(mp, block=block)
+            by_block = _scan_outcome(game, config)
+        assert scans  # every component was scanned in blocks
+        assert by_block == by_state
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=4))
+    def test_multiplicity_from_primes_is_the_binomial_product(self, counts):
+        total, expected = sum(counts), 1
+        for c in counts:
+            expected *= math.comb(total, c)
+            total -= c
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "MULTIPLICITY_PRIMES_FROM", 0)
+            assert solvers._multiplicity(counts) == expected
+
+    @pytest.mark.parametrize("coeff, blocks", [((2**62 - 1) // 10, True),
+                                               ((2**62 - 1) // 10 + 1, False)])
+    def test_only_below_the_int64_bound(self, monkeypatch, coeff, blocks):
+        # Two unit users on c x and c x + c: each arc reaches 2 units, so the
+        # bound sum_a reach_a * tau_a(reach_a) is 2 * 2c + 2 * 3c = 10c, just
+        # below 2**62 for the first c and just past it for the second; costs near
+        # 10**18 are summed exactly either way.
+        game = parallel_game([(coeff, 0), (coeff, coeff)], [1, 1])
+        scans = _block_scans(monkeypatch)
+        eq = enumerate_atomic_equilibria(game, CFG)
+        assert bool(scans) is blocks
+        assert eq.optimum.cost == _bruteforce_optimum_cost(game)
+        got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
+        assert got == {f for f, _ in _bruteforce_equilibrium_flows(game)}
+        outcome = _scan_outcome(game)
+        monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", math.inf)
+        assert _scan_outcome(game) == outcome
+
+    def test_a_million_users_in_bounded_memory(self, monkeypatch):
+        """One two-path group of 10**6 unit users on x and 2x + 1.
+
+        Its rows are past LATTICE_MAX_ROWS, so the state scan computes every
+        cost per read.  The block scan holds a few blocks of counts, loads and
+        costs at a time: a table of the class's counts and loads alone would
+        take 32 MB.  It returns one profile of 10**6 choices (8 MB), shared by
+        the optimum and the one equilibrium.
+        """
+        def unit_users(n):
+            game = Game({"x": poly(1, 0), "y": poly(2, 1)},
+                        [Group("od", (("x",), ("y",)), (Fraction(1),) * n)])
+            assert game.is_rational  # computed once per game, before any timing
+            return game
+
+        def total(n, k):  # k users on x, the rest on 2x + 1
+            return k * k + (n - k) * (2 * (n - k) + 1)
+
+        n = 10**6
+        game = unit_users(n)
+        scans = _block_scans(monkeypatch, vector_min=solvers.VECTOR_MIN_STATES)
+        tracemalloc.start()
+        try:
+            eq = enumerate_atomic_equilibria(game, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scans == [n + 1]
+        assert peak < 16 * 2**20
+        # The total is convex in k, least at the integers next to (4n + 1) / 6.
+        k = (4 * n + 1) // 6
+        assert eq.optimum.cost == min(total(n, k), total(n, k + 1))
+        # The optimum is the one equilibrium (k = 666,667), and they share its choices.
+        assert eq.worst.flow.choices[0] is eq.optimum.flow.choices[0]
+
+        start = time.perf_counter()
+        enumerate_atomic_equilibria(game, CFG)
+        blocks_s = time.perf_counter() - start
+        monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", math.inf)
+        fifth = unit_users(n // 5)
+        start = time.perf_counter()
+        enumerate_atomic_equilibria(fifth, CFG)
+        states_s = time.perf_counter() - start
+        # The state scan takes time in proportion to the states: at 10**6
+        # users it would take five times as long as at a fifth of them.
+        assert blocks_s < states_s
 
 
 @st.composite
