@@ -18,7 +18,7 @@ import numpy as np
 from .game import _horner
 from .solvers import _ComponentScan, _Lattice, _numbered_paths
 
-VECTOR_BLOCK = 1 << 12  # states per block
+VECTOR_BLOCK = 1 << 12  # states per block: faster than 2**10, as fast as 2**14 in less memory
 
 
 def scan_blocks(comp: _ComponentScan, lattice: _Lattice) -> tuple:

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import struct
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -340,6 +339,15 @@ class TestEnumeration:
             assert got_flows == {f for f, _ in expected_flows}
             assert total_mult == sum(m for _, m in expected_flows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=4))
+    def test_multiplicity_is_the_binomial_product(self, counts):
+        total, expected = sum(counts), 1
+        for c in counts:
+            expected *= math.comb(total, c)
+            total -= c
+        assert solvers._multiplicity(counts) == expected
+
 
 def _bruteforce_equilibrium_flows(game):
     """Oracle: walk every per-user assignment and apply the deviation test."""
@@ -519,7 +527,7 @@ class TestLattice:
     costs of evaluating the polynomials on Fraction loads."""
 
     @pytest.mark.parametrize("max_rows, vector_min", [
-        (solvers.LATTICE_MAX_ROWS, solvers.VECTOR_MIN_STATES), (0, solvers.VECTOR_MIN_STATES),
+        (solvers.LATTICE_MAX_ROWS, math.inf), (0, math.inf),
         (solvers.LATTICE_MAX_ROWS, 1), (0, 1)],
         ids=[str(solvers.LATTICE_MAX_ROWS), "0", f"{solvers.LATTICE_MAX_ROWS}-blocks", "0-blocks"])
     def test_pinned_bits(self, monkeypatch, max_rows, vector_min):
@@ -669,8 +677,8 @@ def _block_scans(monkeypatch, vector_min=1, block=blockscan.VECTOR_BLOCK) -> lis
 
 
 class TestBlockScan:
-    """The paths taken for large scans (numpy blocks, multiplicities from
-    primes) give exactly the results of the paths taken for small ones."""
+    """The block scan of a large rational component gives exactly the
+    results of the state-by-state scan."""
 
     @settings(max_examples=120, deadline=None)
     @given(game=small_rational_games(), block=st.sampled_from([1, 2, 3, 7]))
@@ -689,17 +697,6 @@ class TestBlockScan:
             by_block = _scan_outcome(game, config)
         assert scans  # every component was scanned in blocks
         assert by_block == by_state
-
-    @settings(max_examples=200, deadline=None)
-    @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=4))
-    def test_multiplicity_from_primes_is_the_binomial_product(self, counts):
-        total, expected = sum(counts), 1
-        for c in counts:
-            expected *= math.comb(total, c)
-            total -= c
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "MULTIPLICITY_PRIMES_FROM", 0)
-            assert solvers._multiplicity(counts) == expected
 
     @pytest.mark.parametrize("coeff, blocks", [((2**62 - 1) // 10, True),
                                                ((2**62 - 1) // 10 + 1, False)])
@@ -722,24 +719,27 @@ class TestBlockScan:
     def test_a_million_users_in_bounded_memory(self, monkeypatch):
         """One two-path group of 10**6 unit users on x and 2x + 1.
 
-        Its rows are past LATTICE_MAX_ROWS, so the state scan computes every
-        cost per read.  The block scan holds a few blocks of counts, loads and
-        costs at a time: a table of the class's counts and loads alone would
-        take 32 MB.  It returns one profile of 10**6 choices (8 MB), shared by
-        the optimum and the one equilibrium.
+        Its rows are past LATTICE_MAX_ROWS, so the state scan would compute
+        every cost per read, one Python state at a time.  The block scan holds
+        a few blocks of counts, loads and costs at a time: a table of the
+        class's counts and loads alone would take 32 MB.  It returns one
+        profile of 10**6 choices (8 MB), shared by the optimum and the one
+        equilibrium.
         """
-        def unit_users(n):
-            game = Game({"x": poly(1, 0), "y": poly(2, 1)},
-                        [Group("od", (("x",), ("y",)), (Fraction(1),) * n)])
-            assert game.is_rational  # computed once per game, before any timing
-            return game
-
         def total(n, k):  # k users on x, the rest on 2x + 1
             return k * k + (n - k) * (2 * (n - k) + 1)
 
         n = 10**6
-        game = unit_users(n)
+        game = Game({"x": poly(1, 0), "y": poly(2, 1)},
+                    [Group("od", (("x",), ("y",)), (Fraction(1),) * n)])
         scans = _block_scans(monkeypatch, vector_min=solvers.VECTOR_MIN_STATES)
+
+        def no_state_scan(self, visit):
+            raise AssertionError("a state was scanned one at a time")
+
+        # The work is counted, not timed: all n + 1 states go to the block
+        # scan and none to the state scan.
+        monkeypatch.setattr(solvers._ComponentScan, "scan", no_state_scan)
         tracemalloc.start()
         try:
             eq = enumerate_atomic_equilibria(game, CFG)
@@ -753,18 +753,6 @@ class TestBlockScan:
         assert eq.optimum.cost == min(total(n, k), total(n, k + 1))
         # The optimum is the one equilibrium (k = 666,667), and they share its choices.
         assert eq.worst.flow.choices[0] is eq.optimum.flow.choices[0]
-
-        start = time.perf_counter()
-        enumerate_atomic_equilibria(game, CFG)
-        blocks_s = time.perf_counter() - start
-        monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", math.inf)
-        fifth = unit_users(n // 5)
-        start = time.perf_counter()
-        enumerate_atomic_equilibria(fifth, CFG)
-        states_s = time.perf_counter() - start
-        # The state scan takes time in proportion to the states: at 10**6
-        # users it would take five times as long as at a fifth of them.
-        assert blocks_s < states_s
 
 
 @st.composite
