@@ -474,8 +474,8 @@ class TestAtomicSo:
 
 def atomic_fields(r):
     """Everything an atomic result reports but its wall time."""
-    return None if r is None else (r.flow, r.kind, r.cost, type(r.cost), r.multiplicity,
-                                   r.iterations, r.converged, r.exact, r.residual, r.note)
+    return None if r is None else (r.flow, r.kind, r.cost, type(r.cost), r.iterations,
+                                   r.converged, r.exact, r.residual, r.note)
 
 
 def _atomic_outcome(game, max_iterations, start):
@@ -557,14 +557,14 @@ class TestLattice:
         digest = hashlib.sha256()
         for game in games:
             eq = enumerate_atomic_equilibria(game, CFG)
-            outcome = [eq.states_scanned, atomic_fields(eq.worst), atomic_fields(eq.best),
-                       atomic_fields(eq.optimum), [atomic_fields(e) for e in eq.equilibria]]
+            outcome = [eq.states_scanned, atomic_fields(eq.worst), atomic_fields(eq.optimum),
+                       [atomic_fields(e) for e in eq.equilibria]]
             for config in (SolverConfig(max_iterations=3), CFG):
                 outcome.append(atomic_fields(best_response_atomic(game, config)))
             outcome.append(exact_random_cost_distribution(game, seeded_profile(game, rng)))
             digest.update(repr(outcome).encode())
         assert digest.hexdigest() == \
-            "85121c7feac122d24d063fa67cd1962a4603634049e607ccb4d025f616c8b5fa"
+            "ae6c55fda3f2f6241922800eb181d0039130bc83634c3259b4ffd730459ce68c"
 
     @settings(max_examples=120, deadline=None)
     @given(game=small_rational_games(), max_iterations=st.sampled_from([1, 3, 50]),
