@@ -4,8 +4,8 @@
 at least ``VECTOR_MIN_STATES`` states and every load, cost and sum the scan
 forms fits in int64; this module, and numpy with it, is imported only then.
 The results are those of the state-by-state scan, which the tests keep as
-the oracle: the same equilibria in the same order, with the same costs and
-multiplicities, and the same first cheapest state.
+the oracle: the same equilibria in the same order, with the same costs,
+and the same first cheapest state.
 """
 
 from __future__ import annotations
@@ -102,6 +102,6 @@ def scan_blocks(comp: _ComponentScan, lattice: _Lattice) -> tuple:
         if cheapest is None or state_costs[i] < cheapest[1]:
             cheapest = (assignment(i), int(state_costs[i]))
         for i in np.flatnonzero(stable).tolist():
-            found.append(comp.entry(assignment(i),
-                                    Fraction(int(state_costs[i]), lattice.denominator)))
+            found.append((comp.representative(assignment(i)),
+                          Fraction(int(state_costs[i]), lattice.denominator)))
     return found, cheapest[0], Fraction(cheapest[1], lattice.denominator)

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -377,7 +378,8 @@ class MixedProfile:
             for ui, row in enumerate(rows):
                 if len(row) != g.n_paths:
                     raise ValueError(f"groups[{gi}].users[{ui}]: expected {g.n_paths} entries")
-                if any(isinstance(p, bool) or not -PROB_TOL <= p < math.inf for p in row):
+                if any(isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p < math.inf
+                       for p in row):
                     raise ValueError(f"groups[{gi}].users[{ui}]: probabilities must be "
                                      "finite numbers >= 0")
                 if abs(sum(row) - 1) > PROB_TOL:

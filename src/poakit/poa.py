@@ -271,8 +271,8 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
 
     Works one user column at a time.  A user takes the first path whose
     cumulative probability exceeds its uniform, else the last, as
-    ``draw_atomic_profile`` does; after a running maximum (which moves no
-    first crossing) that is the count of cut points at or below the uniform.
+    ``draw_atomic_profile`` does; the cut points never fall, so that is the
+    count of cut points at or below the uniform.
     A path adds its demand to its arcs' load rows where taken, else 0.0.
     """
     import numpy as np
@@ -284,7 +284,7 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
         rows = _numbered_paths(g.paths, game.arc_ids)
         for ui, d in enumerate(g.demands):
             cum = np.cumsum([float(p) for p in profile.probabilities[gi][ui]])
-            users.append((float(d), np.maximum.accumulate(cum[:-1]), rows))
+            users.append((float(d), cum[:-1], rows))
     coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
     try:

@@ -73,7 +73,6 @@ class EquilibriumResult:
     exact: bool
     converged: bool = True
     cost: Optional[Number] = None
-    multiplicity: int = 1
     note: str = ""
     wall_time: float = 0.0
 
@@ -385,31 +384,6 @@ def _class_state_count(game: Game, classes: Sequence[_UserClass]) -> int:
     return count
 
 
-def _multiplicity(counts: Sequence[int]) -> int:
-    """total! / prod(c!) over ``counts``: the ways to split their users so.
-
-    The product of each prime's power (Legendre's formula), multiplied
-    pairwise.  A product of binomials would divide big integers, which
-    CPython does in quadratic time: 6 s against 0.4 s at a million users.
-    """
-    total = sum(counts)
-    sieve = bytearray([1]) * (total + 1)
-    powers = []
-    for p in range(2, total + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, total + 1, p)))
-            exponent = 0
-            for n, sign in ((total, 1), *((c, -1) for c in counts)):
-                while n:
-                    n //= p
-                    exponent += sign * n
-            if exponent:
-                powers.append(p ** exponent)
-    while len(powers) > 1:
-        powers = [math.prod(powers[i:i + 2]) for i in range(0, len(powers), 2)]
-    return powers[0] if powers else 1
-
-
 LATTICE_MAX_ROWS = 1 << 18  # cost-table rows one lattice may hold, summed over its arcs
 LATTICE_ROWS_PER_READ = 16  # and rows per cost its solver is sure to read
 
@@ -571,8 +545,8 @@ class _ComponentScan:
 
     def search(self) -> tuple:
         """``(found, cheapest, cheapest_cost)``: the equilibria in state order,
-        each as (representative, cost, multiplicity), and the assignment and
-        cost of the first state of least total cost.
+        each as (representative, cost), and the assignment and cost of the
+        first state of least total cost.
 
         A rational component of at least VECTOR_MIN_STATES states is scanned
         in numpy blocks when every load, cost and sum that scan forms fits in
@@ -597,7 +571,7 @@ class _ComponentScan:
             if cheapest is None or cost < cheapest[1]:
                 cheapest = (list(assignment), cost)
             if self.is_equilibrium(assignment, loads, costs):
-                found.append(self.entry(assignment, arcs.value(cost)))
+                found.append((self.representative(assignment), arcs.value(cost)))
 
         self.scan(visit)
         return found, cheapest[0], arcs.value(cheapest[1])
@@ -651,13 +625,6 @@ class _ComponentScan:
                             return False
         return True
 
-    def entry(self, assignment, cost: Number) -> tuple:
-        """(representative, ``cost``, multiplicity) of an equilibrium state."""
-        multiplicity = 1
-        for counts in assignment:
-            multiplicity *= _multiplicity(counts)
-        return self.representative(assignment), cost, multiplicity
-
     @cached_property
     def slot_runs(self) -> dict:
         """Per group, its runs of users in slot order, each with its class."""
@@ -687,18 +654,17 @@ class _ComponentScan:
 class AtomicEquilibria:
     """All pure equilibria of a game and its atomic optimum, from one exact scan.
 
-    ``equilibria`` lists one representative per user-symmetry class with its
-    multiplicity; ``worst`` and ``best`` are by total cost.  ``equilibria``
-    is empty, and ``worst`` and ``best`` are None, when the game (necessarily
-    weighted) has no pure equilibrium.  ``equilibria`` is also left empty
-    when the components' equilibria combine in more than 100,000 ways, with
-    ``worst`` and ``best`` still set.  ``optimum`` is the cheapest state
-    (kind ``atomic-so``), set whether or not equilibria exist.
+    ``equilibria`` lists one representative per user-symmetry class;
+    ``worst`` is the costliest.  ``equilibria`` is empty, and ``worst`` is
+    None, when the game (necessarily weighted) has no pure equilibrium.
+    ``equilibria`` is also left empty when the components' equilibria
+    combine in more than 100,000 ways, with ``worst`` still set.
+    ``optimum`` is the cheapest state (kind ``atomic-so``), set whether or
+    not equilibria exist.
     """
 
     equilibria: list
     worst: Optional[EquilibriumResult]
-    best: Optional[EquilibriumResult]
     states_scanned: int
     optimum: EquilibriumResult
 
@@ -744,31 +710,22 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
                                 iterations=scanned, exact=exact, cost=so_cost,
                                 wall_time=time.perf_counter() - t0)
     if any(not found for found in per_comp):
-        return AtomicEquilibria([], None, None, scanned, optimum)
+        return AtomicEquilibria([], None, scanned, optimum)
 
     def combine(combo, note=""):
-        # Component costs add and multiplicities multiply (disjoint arc sets).
-        cost = sum(c for _, c, _ in combo)
-        mult = 1
+        # Components share no arcs, so their choices merge and their costs add.
         picks = {}
-        for rep, _, m in combo:
-            mult *= m
+        for rep, _ in combo:
             picks.update(rep)
         return EquilibriumResult(flow=profile_of(picks), kind="atomic-ne", residual=0.0,
-                                 iterations=scanned, exact=exact, cost=cost,
-                                 multiplicity=mult, note=note,
-                                 wall_time=time.perf_counter() - t0)
+                                 iterations=scanned, exact=exact, cost=sum(c for _, c in combo),
+                                 note=note, wall_time=time.perf_counter() - t0)
 
     worst = combine([max(found, key=lambda e: e[1]) for found in per_comp], "worst")
-    best = combine([min(found, key=lambda e: e[1]) for found in per_comp], "best")
-
-    combo_count = 1
-    for found in per_comp:
-        combo_count *= len(found)
     results = []
-    if combo_count <= 100_000:
+    if math.prod(map(len, per_comp)) <= 100_000:
         results = [combine(combo) for combo in itertools.product(*per_comp)]
-    return AtomicEquilibria(results, worst, best, scanned, optimum)
+    return AtomicEquilibria(results, worst, scanned, optimum)
 
 
 def solve_atomic_so(game: Game, config: SolverConfig = SolverConfig()) -> EquilibriumResult:

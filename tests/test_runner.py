@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poakit import poa, solvers
@@ -130,10 +130,13 @@ FLOAT_RANGE = {
 }
 
 # Profiles for parallel_linear_double.json (one group, two users, two
-# paths) with a row that sums to 1 but holds a NaN or booleans.
+# paths) with a row that sums to 1 within 1e-12 but holds a NaN, booleans,
+# a negative entry or a string.
 BAD_PROFILES = {
     "nan_profile": [[[math.nan, 1.0], [0.5, 0.5]]],
     "bool_profile": [[[True, False], [0.5, 0.5]]],
+    "negative_profile": [[[-1e-13, 1.0000000000001], [0.5, 0.5]]],
+    "text_profile": [[["0.5", 0.5], [0.5, 0.5]]],
 }
 
 # The non-atomic line search leaves about 0.009 units on l, below the used
@@ -648,6 +651,8 @@ class TestCli:
         ({}, ["sample", "--game", "{steep_arc}"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{nan_profile}"]),
         ({}, ["sample", "--game", "{asset}", "--profile", "{bool_profile}"]),
+        ({}, ["sample", "--game", "{asset}", "--profile", "{negative_profile}"]),
+        ({}, ["sample", "--game", "{asset}", "--profile", "{text_profile}"]),
         ({}, ["sweep", "--family", "{ghost_law}", "--grid", "1,2"]),
         ({}, ["decompose", "--family", "{missing_law}", "--grid", "1,2"]),
         ({}, ["solve", "--game", "{paths_false}"]),
@@ -668,7 +673,8 @@ class TestCli:
             "decompose-tiny-user-demand", "sweep-huge-gamma", "decompose-huge-gamma",
             "sweep-tiny-c", "decompose-tiny-c", "sweep-huge-costs", "decompose-huge-costs",
             "solve-huge-demands", "sample-huge-demands", "solve-steep-arc",
-            "sample-steep-arc", "nan-probability", "boolean-probability", "ghost-law",
+            "sample-steep-arc", "nan-probability", "boolean-probability",
+            "negative-probability", "text-probability", "ghost-law",
             "missing-law", "paths-false", "paths-empty-text", "users-zero",
             "users-empty-object", "sweep-infinite-bound"])
     def test_bad_input_exits_three_with_report(self, tmp_path, monkeypatch, capsys, env, args):
@@ -693,7 +699,8 @@ class TestCli:
         if any(f"{{{name}}}" in args for name in FLOAT_RANGE):
             assert "costs outside the float range" in lines[0]
         if any(f"{{{name}}}" in args for name in BAD_PROFILES):
-            assert lines[0].startswith("[FAIL] profile: ")
+            assert lines == ["[FAIL] profile: groups[0].users[0]: probabilities must be "
+                             "finite numbers >= 0"]
         if "--seed" in args:
             assert lines[0].startswith("[FAIL] seed: seed must be in 0 .. 2**64 - 1")
         if args[-2:] == ["--n", "0"]:
@@ -812,6 +819,7 @@ class TestCli:
 
 
 _DELETE = object()
+_DUPLICATE = object()
 
 # Values of the wrong shape for any field.  Magnitudes stay small so that
 # every run stays small.
@@ -842,7 +850,8 @@ def _node_paths(doc, path=()):
 
 
 def _mutated(doc, path, value):
-    """A copy of ``doc`` with the node at ``path`` replaced by ``value``, or deleted."""
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``, or
+    deleted, or (``_DUPLICATE``, a list item) repeated."""
     if not path:
         return None if value is _DELETE else value
     doc = copy.deepcopy(doc)
@@ -851,6 +860,8 @@ def _mutated(doc, path, value):
         parent = parent[key]
     if value is _DELETE:
         del parent[path[-1]]
+    elif value is _DUPLICATE:
+        parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
     else:
         parent[path[-1]] = value
     return doc
@@ -887,6 +898,33 @@ class TestCliProperty:
             assert json.loads((out / "report.json").read_text())["exit_code"] == code
             assert all(line.startswith(("[PASS] ", "[FAIL] "))
                        for line in stdout.getvalue().splitlines())
+
+    PROFILE = [[[0.0, 1.0], [0.5, 0.5]]]  # for GAME: one group, two users, two paths
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_node_paths(PROFILE))),
+           value=st.one_of(JUNK, st.sampled_from([-1e-13, 1e308, _DUPLICATE])))
+    @example(path=(0, 0, 0), value=-1e-13)  # a negative entry in a row summing to 1 - 1e-13
+    def test_any_profile_ends_in_a_documented_code_with_report(self, path, value):
+        assume(path or value is not _DUPLICATE)  # the root is no list item
+        with tempfile.TemporaryDirectory() as tmp:
+            game = Path(tmp) / "game.json"
+            game.write_text(json.dumps(self.GAME), encoding="utf-8")
+            profile = Path(tmp) / "profile.json"
+            profile.write_text(json.dumps(_mutated(self.PROFILE, path, value)),
+                               encoding="utf-8")
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main(["sample", "--game", str(game), "--profile", str(profile),
+                             "--n", "100", "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_INPUT, EXIT_NONCONVERGED)
+            assert json.loads((out / "report.json").read_text())["exit_code"] == code
+            assert all(line.startswith(("[PASS] ", "[FAIL] "))
+                       for line in stdout.getvalue().splitlines())
+            if code == EXIT_OK:
+                rows = (out / "distribution.csv").read_text(encoding="utf-8").splitlines()
+                exact = [float(row.split(",")[1]) for row in rows if ",exact," in row]
+                assert exact and all(0 <= p <= 1 for p in exact)
 
     # Demand scales far from 1, each drawn for the law's c, gamma and user
     # granularity: instances too large, costs past the float range, or fine.

@@ -257,11 +257,9 @@ class TestEnumeration:
     def test_linear_double_equilibrium_set(self):
         game = linear_double_game()
         eq = enumerate_atomic_equilibria(game, CFG)
-        by_cost = sorted((e.cost, e.multiplicity) for e in eq.equilibria)
-        # split (two symmetric assignments) at cost 3, both-on-upper at cost 4
-        assert by_cost == [(3, 2), (4, 1)]
+        # split at cost 3, both-on-upper at cost 4
+        assert sorted(e.cost for e in eq.equilibria) == [3, 4]
         assert eq.worst.cost == 4
-        assert eq.best.cost == 3
         assert eq.optimum.exact
 
     def test_affine_offset_unique(self):
@@ -279,7 +277,7 @@ class TestEnumeration:
     def test_no_equilibrium_game_empty(self):
         eq = enumerate_atomic_equilibria(no_equilibrium_game(), CFG)
         assert eq.equilibria == []
-        assert eq.worst is None and eq.best is None
+        assert eq.worst is None
 
     def test_budget_exceeded_signals(self):
         game = affine_offset_game(3)  # 12 users
@@ -321,7 +319,7 @@ class TestEnumeration:
             eq = enumerate_atomic_equilibria(game, CFG)
             expected_flows = _bruteforce_equilibrium_flows(game)
             got_flows = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
-            assert got_flows == {f for f, _ in expected_flows}
+            assert got_flows == expected_flows
 
     def test_matches_per_user_bruteforce(self):
         # Double enumeration on games small enough to walk user-by-user.
@@ -330,30 +328,35 @@ class TestEnumeration:
                  no_equilibrium_game()]
         for game in games:
             eq = enumerate_atomic_equilibria(game, CFG)
-            expected_flows = _bruteforce_equilibrium_flows(game)
-            got_flows = set()
-            total_mult = 0
-            for entry in eq.equilibria:
-                got_flows.add(tuple(entry.flow.induced_flow(game).values()))
-                total_mult += entry.multiplicity
-            assert got_flows == {f for f, _ in expected_flows}
-            assert total_mult == sum(m for _, m in expected_flows)
-
-    @settings(max_examples=200, deadline=None)
-    @given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=4))
-    def test_multiplicity_is_the_binomial_product(self, counts):
-        total, expected = sum(counts), 1
-        for c in counts:
-            expected *= math.comb(total, c)
-            total -= c
-        assert solvers._multiplicity(counts) == expected
+            got_flows = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
+            assert got_flows == _bruteforce_equilibrium_flows(game)
+            # One equilibrium per count state, and every brute-force one among them.
+            got_states = [_class_counts(game, e.flow) for e in eq.equilibria]
+            assert len(set(got_states)) == len(got_states)
+            assert set(got_states) == {_class_counts(game, profile)
+                                       for profile in _bruteforce_equilibria(game)}
 
 
-def _bruteforce_equilibrium_flows(game):
+def _class_counts(game, profile) -> tuple:
+    """Per class (one group and one demand), in order of first use, how
+    many of its users take each path."""
+    counts: dict = {}
+    for gi, (g, choices) in enumerate(zip(game.groups, profile.choices)):
+        for d, pi in zip(g.demands, choices):
+            counts.setdefault((gi, d), [0] * g.n_paths)[pi] += 1
+    return tuple((key, tuple(row)) for key, row in counts.items())
+
+
+def _bruteforce_equilibrium_flows(game) -> set:
+    """The path flows of ``_bruteforce_equilibria``."""
+    return {tuple(profile.induced_flow(game).values()) for profile in _bruteforce_equilibria(game)}
+
+
+def _bruteforce_equilibria(game) -> list:
     """Oracle: walk every per-user assignment and apply the deviation test."""
     ranges = [range(g.n_paths) for g in game.groups for _ in g.demands]
     layout = [(gi, ui) for gi, g in enumerate(game.groups) for ui in range(g.n_users)]
-    flows = {}
+    stable_profiles = []
     for combo in itertools.product(*ranges):
         picks = {}
         for (gi, ui), choice in zip(layout, combo):
@@ -361,8 +364,7 @@ def _bruteforce_equilibrium_flows(game):
         profile = AtomicProfile(tuple(
             tuple(picks[gi][ui] for ui in range(g.n_users))
             for gi, g in enumerate(game.groups)))
-        flow = profile.induced_flow(game)
-        fa = game.arc_flow(flow)
+        fa = game.arc_flow(profile.induced_flow(game))
         arc_costs = {aid: game.arcs[aid].value(v) for aid, v in fa.items()}
         stable = True
         for gi, g in enumerate(game.groups):
@@ -384,9 +386,8 @@ def _bruteforce_equilibrium_flows(game):
             if not stable:
                 break
         if stable:
-            key = tuple(flow.values())
-            flows[key] = flows.get(key, 0) + 1
-    return [(k, m) for k, m in flows.items()]
+            stable_profiles.append(profile)
+    return stable_profiles
 
 
 @st.composite
@@ -430,7 +431,8 @@ class TestOneScan:
         assert eq.optimum.cost == _bruteforce_optimum_cost(game)
         assert game.total_cost(eq.optimum.flow.induced_flow(game)) == eq.optimum.cost
         if eq.equilibria:
-            assert eq.optimum.cost <= eq.best.cost <= eq.worst.cost
+            costs = [e.cost for e in eq.equilibria]
+            assert eq.optimum.cost <= min(costs) and max(costs) == eq.worst.cost
         assert solve_atomic_so(game, CFG).flow == eq.optimum.flow
 
     def test_optimum_without_pure_equilibrium(self):
@@ -483,8 +485,7 @@ def _atomic_outcome(game, max_iterations, start):
     try:
         eq = enumerate_atomic_equilibria(game, SolverConfig(enumeration_budget=2000))
         scan = (eq.states_scanned, eq.optimum.exact, atomic_fields(eq.optimum),
-                atomic_fields(eq.worst), atomic_fields(eq.best),
-                [atomic_fields(e) for e in eq.equilibria])
+                atomic_fields(eq.worst), [atomic_fields(e) for e in eq.equilibria])
     except BudgetExceededError as exc:
         scan = str(exc)
     config = SolverConfig(max_iterations=max_iterations)
@@ -531,7 +532,9 @@ class TestLattice:
         (solvers.LATTICE_MAX_ROWS, 1), (0, 1)],
         ids=[str(solvers.LATTICE_MAX_ROWS), "0", f"{solvers.LATTICE_MAX_ROWS}-blocks", "0-blocks"])
     def test_pinned_bits(self, monkeypatch, max_rows, vector_min):
-        """sha256 of repr of every exact atomic result and exact distribution.
+        """sha256 of repr of every exact atomic result and exact distribution:
+        the scan's state count, worst equilibrium, optimum and equilibria,
+        two best-response runs, and an exact cost distribution per game.
 
         The pool holds the four assets, 40 seeded rational games, 60 seeded
         games with float coefficients or demands, a weighted game with no
@@ -597,7 +600,7 @@ class TestLattice:
         if math.prod(g.n_paths ** g.n_users for g in game.groups) > 729:
             return
         assert optimum[2] == _bruteforce_optimum_cost(game)
-        flows = [PathFlow(game, flow) for flow, _ in _bruteforce_equilibrium_flows(game)]
+        flows = [PathFlow(game, flow) for flow in _bruteforce_equilibrium_flows(game)]
         if worst is None:
             assert flows == []
         else:
@@ -609,7 +612,7 @@ class TestLattice:
         assert not game.is_rational and not _takes_lattice(game)
         eq = enumerate_atomic_equilibria(game, CFG)
         got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
-        assert got == {f for f, _ in _bruteforce_equilibrium_flows(game)}
+        assert got == _bruteforce_equilibrium_flows(game)
         assert eq.optimum.cost == _bruteforce_optimum_cost(game)
         result = best_response_atomic(game, CFG)
         assert result.converged and isinstance(result.cost, float)
@@ -622,7 +625,7 @@ class TestLattice:
         assert all(type(row) is int for row in _cost_rows(game))
         eq = enumerate_atomic_equilibria(game, CFG)
         got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
-        assert got == {f for f, _ in _bruteforce_equilibrium_flows(game)}
+        assert got == _bruteforce_equilibrium_flows(game)
         assert eq.optimum.cost == _bruteforce_optimum_cost(game)
         assert type(eq.optimum.cost) is Fraction
         result = best_response_atomic(game, CFG)
@@ -657,7 +660,7 @@ def _scan_outcome(game, config=CFG) -> tuple:
     """Everything ``enumerate_atomic_equilibria`` reports but wall times."""
     eq = enumerate_atomic_equilibria(game, config)
     return (eq.states_scanned, atomic_fields(eq.optimum), atomic_fields(eq.worst),
-            atomic_fields(eq.best), [atomic_fields(e) for e in eq.equilibria])
+            [atomic_fields(e) for e in eq.equilibria])
 
 
 def _block_scans(monkeypatch, vector_min=1, block=blockscan.VECTOR_BLOCK) -> list:
@@ -711,7 +714,7 @@ class TestBlockScan:
         assert bool(scans) is blocks
         assert eq.optimum.cost == _bruteforce_optimum_cost(game)
         got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
-        assert got == {f for f, _ in _bruteforce_equilibrium_flows(game)}
+        assert got == _bruteforce_equilibrium_flows(game)
         outcome = _scan_outcome(game)
         monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", math.inf)
         assert _scan_outcome(game) == outcome
