@@ -371,13 +371,16 @@ class MixedProfile:
 
     def validate(self, game: Game) -> None:
         if len(self.probabilities) != len(game.groups):
-            raise ValueError("profile group count mismatch")
+            raise ValueError(f"profile has {len(self.probabilities)} groups, "
+                             f"the game {len(game.groups)}")
         for gi, (g, rows) in enumerate(zip(game.groups, self.probabilities)):
             if len(rows) != g.n_users:
-                raise ValueError(f"groups[{gi}]: expected {g.n_users} probability rows")
+                raise ValueError(f"groups[{gi}]: {len(rows)} probability rows, "
+                                 f"expected {g.n_users}")
             for ui, row in enumerate(rows):
                 if len(row) != g.n_paths:
-                    raise ValueError(f"groups[{gi}].users[{ui}]: expected {g.n_paths} entries")
+                    raise ValueError(f"groups[{gi}].users[{ui}]: {len(row)} entries, "
+                                     f"expected {g.n_paths}")
                 if any(isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p < math.inf
                        for p in row):
                     raise ValueError(f"groups[{gi}].users[{ui}]: probabilities must be "
@@ -441,21 +444,24 @@ def sample_uniforms(seed: int, start: int, count: int, width: int):
     Sample i always reads row i % SAMPLE_CHUNK of the chunk-i//SAMPLE_CHUNK
     stream keyed by (seed, chunk), making every sample a pure function of
     (seed, i): two calls on adjacent ranges give the rows of one call on
-    their union, wherever the split falls.
+    their union, wherever the split falls.  A range inside one stream gets
+    the stream's block itself, uncopied.
     """
     import numpy as np
 
+    def stream(index: int, take: int):
+        chunk, offset = divmod(index, SAMPLE_CHUNK)
+        gen = np.random.Generator(np.random.Philox(
+            seed=np.random.SeedSequence(entropy=(int(seed), int(chunk)))))
+        return gen.random((offset + take, width))[offset:]
+
+    if count <= SAMPLE_CHUNK - start % SAMPLE_CHUNK:
+        return stream(start, count)
     out = np.empty((count, width))
     pos = 0
     while pos < count:
-        index = start + pos
-        chunk = index // SAMPLE_CHUNK
-        offset = index % SAMPLE_CHUNK
-        take = min(count - pos, SAMPLE_CHUNK - offset)
-        gen = np.random.Generator(np.random.Philox(
-            seed=np.random.SeedSequence(entropy=(int(seed), int(chunk)))))
-        block = gen.random((offset + take, width))
-        out[pos:pos + take] = block[offset:]
+        take = min(count - pos, SAMPLE_CHUNK - (start + pos) % SAMPLE_CHUNK)
+        out[pos:pos + take] = stream(start + pos, take)
         pos += take
     return out
 

@@ -233,21 +233,61 @@ def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig(),
 # Random ratio sampling
 # ---------------------------------------------------------------------------
 
+MAX_SAMPLES = 2**63 - 1  # the most samples an int64 count holds
+
+
 @dataclass
 class RandomPoaDistribution:
-    """Empirical and, when available, exact distribution of the random ratio."""
+    """Empirical and, when available, exact distribution of the random ratio.
 
-    samples: np.ndarray  # empirical ratio per sample
+    The empirical side is a table, not the samples: ``values`` holds each
+    distinct sampled ratio in increasing order and ``counts`` (int64) how
+    many samples took it, so its size follows the number of distinct values,
+    whatever the number of samples.  The mean and standard deviation are
+    computed exactly from the table and rounded once.
+    """
+
+    values: np.ndarray  # distinct sampled ratios, increasing
+    counts: np.ndarray  # int64: samples per value
     exact: list  # (ratio, probability) pairs; empty when not enumerated
     exact_status: str  # "ok", or why ``exact`` was not enumerated
 
     @property
+    def n_samples(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every sample, in increasing order.  Builds an array of n_samples
+        floats, which nothing in poakit does; the table is what a run holds."""
+        import numpy as np
+
+        return np.repeat(self.values, self.counts)
+
+    def _sums(self):
+        """(n, sum of v * c, sum of v**2 * c, q): the sums are integers over
+        q and q**2, exact, with q the largest denominator of the values."""
+        ratios = [v.as_integer_ratio() for v in self.values.tolist()]
+        q = max(den for _, den in ratios)  # every denominator is a power of 2
+        s1 = s2 = 0
+        for (num, den), c in zip(ratios, self.counts.tolist()):
+            m = num * (q // den)
+            s1 += m * c
+            s2 += m * m * c
+        return self.n_samples, s1, s2, q
+
+    @property
     def empirical_mean(self) -> float:
-        return float(self.samples.mean())
+        n, s1, _, q = self._sums()
+        return s1 / (q * n)  # int / int rounds once
 
     @property
     def empirical_std(self) -> float:
-        return float(self.samples.std(ddof=1)) if len(self.samples) > 1 else 0.0
+        """Sample standard deviation (n - 1 in the denominator); 0.0 for one sample."""
+        n, s1, s2, q = self._sums()
+        if n < 2:
+            return 0.0
+        return _sqrt_of_ratio(n * s2 - s1 * s1, q * q * n * (n - 1))
 
     @property
     def exact_mean(self) -> Optional[float]:
@@ -257,17 +297,34 @@ class RandomPoaDistribution:
 
     def table(self) -> list:
         """Rows (value, probability-or-frequency, source) for CSV export."""
-        import numpy as np
-
         rows = [(float(v), float(p), "exact") for v, p in self.exact]
-        values, counts = np.unique(self.samples, return_counts=True)
-        rows.extend((float(v), int(c), "monte-carlo") for v, c in zip(values, counts))
+        rows.extend((v, c, "monte-carlo")
+                    for v, c in zip(self.values.tolist(), self.counts.tolist()))
         return rows
 
 
-def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
-                        seed: int) -> np.ndarray:
-    """Vectorized realized total costs; sample i depends only on (seed, i).
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 < den, rounded once to a float.
+
+    The root is taken as an integer r of at least 64 bits, scaled by 2**-k;
+    when it is not exact, its last bit is set, so that r rounds to 53 bits as
+    the exact root between r and r + 1 does.
+    """
+    k = max(0, (128 - num.bit_length() + den.bit_length()) // 2)
+    scaled, rest = divmod(num << (2 * k), den)
+    r = math.isqrt(scaled)
+    if rest or r * r != scaled:
+        r |= 1
+    return math.ldexp(float(r), -k)
+
+
+def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int, seed: int):
+    """Realized total costs, yielded one ``SAMPLE_CHUNK`` shard at a time.
+
+    Sample i depends only on (seed, i), and the shards, joined, are the costs
+    of samples 0 .. n_samples - 1 in order.  Only one shard's draws and loads
+    are held at a time, and none is left when its costs are yielded, so the
+    memory used does not grow with ``n_samples``.
 
     Works one user column at a time.  A user takes the first path whose
     cumulative probability exceeds its uniform, else the last, as
@@ -287,16 +344,10 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
             users.append((float(d), cum[:-1], rows))
     coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
-    try:
-        out = np.empty(n_samples)
-    except ValueError as exc:  # past numpy's largest array: an allocation that cannot succeed
-        raise MemoryError(str(exc)) from None
-    for start in range(0, n_samples, SAMPLE_CHUNK):  # bounded memory whatever n is
-        count = min(SAMPLE_CHUNK, n_samples - start)
+    def shard(start: int, count: int):
         draws = sample_uniforms(seed, start, count, len(users))
         flows = np.zeros((game.n_arcs, count))
-        for u, (d, cuts, rows) in enumerate(users):
-            col = draws[:, u]
+        for (d, cuts, rows), col in zip(users, draws.T):
             choice = sum(col >= cut for cut in cuts)  # 0 (an int) when there is one path
             for pi, arcs in enumerate(rows):
                 load = (choice == pi) * d
@@ -305,8 +356,28 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int,
         total = np.zeros(count)
         for fa, coeffs in zip(flows, coeff_rows):
             total += fa * np.polyval(coeffs, fa)
-        out[start:start + count] = total
-    return out
+        return total
+
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        yield shard(start, min(SAMPLE_CHUNK, n_samples - start))
+
+
+def _add_counts(values, counts, new_values, new_counts):
+    """The table (values, counts) with (new_values, new_counts) added in.
+
+    Both value arrays are increasing and without repeats, and so is the
+    result's; a value in both gets the sum of its counts, added into
+    ``counts`` in place.
+    """
+    import numpy as np
+
+    at = np.searchsorted(values, new_values)
+    seen = at < len(values)
+    seen[seen] = values[at[seen]] == new_values[seen]
+    counts[at[seen]] += new_counts[seen]
+    fresh = ~seen
+    return (np.insert(values, at[fresh], new_values[fresh]),
+            np.insert(counts, at[fresh], new_counts[fresh]))
 
 
 EXACT_DISTRIBUTION_MAX_STATES = 2_000_000
@@ -359,7 +430,10 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     """Distribution of realized total cost over the atomic optimum cost.
 
     ``n_samples`` draws (ValueError below 1), keyed by ``config.rng_seed``:
-    draw i is a pure function of the seed and i.  The exact distribution
+    draw i is a pure function of the seed and i.  Each shard of draws is
+    reduced to its distinct ratios and their counts as it is drawn, and
+    merged into one running table of int64 counts, which holds up to
+    ``MAX_SAMPLES`` samples.  The exact distribution
     only cross-checks the sampled one, so a game past
     ``EXACT_DISTRIBUTION_MAX_USERS`` or the state budget gets no exact rows,
     and ``exact_status`` says why.
@@ -370,15 +444,20 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     so_cost = float(enumerate_atomic_equilibria(game, config).optimum.cost)
     if so_cost <= 0:
         raise ValueError("atomic optimum cost must be positive")
-    samples = _sample_total_costs(game, profile, n_samples, config.rng_seed) / so_cost
+    import numpy as np
+
+    values, counts = np.empty(0), np.empty(0, dtype=np.int64)
+    for costs in _sample_total_costs(game, profile, n_samples, config.rng_seed):
+        values, counts = _add_counts(values, counts,
+                                     *np.unique(costs / so_cost, return_counts=True))
     if game.n_users > EXACT_DISTRIBUTION_MAX_USERS:
         return RandomPoaDistribution(
-            samples, [], f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users")
+            values, counts, [], f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users")
     try:
         exact = exact_random_cost_distribution(game, profile)
     except BudgetExceededError as exc:
-        return RandomPoaDistribution(samples, [], f"skipped: {exc}")
-    return RandomPoaDistribution(samples, [(v / so_cost, p) for v, p in exact], "ok")
+        return RandomPoaDistribution(values, counts, [], f"skipped: {exc}")
+    return RandomPoaDistribution(values, counts, [(v / so_cost, p) for v, p in exact], "ok")
 
 
 # ---------------------------------------------------------------------------

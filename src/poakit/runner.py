@@ -30,6 +30,7 @@ from .bounds import (
 from .decomposition import decomposition_prediction, load_family, worst_atomic_cost
 from .game import Game, Group, MixedProfile, load_game
 from .poa import (
+    MAX_SAMPLES,
     compute_poa_report,
     mixed_poa_small,
     nonatomic_pair,
@@ -307,8 +308,20 @@ def run_sample(config: ExperimentConfig) -> RunReport:
 
 
 def _mixed_profile(text: str, game: Game) -> MixedProfile:
-    """A profile document: per group, per user, the path probabilities."""
+    """A profile document: per group, per user, the path probabilities.
+
+    Its shape, a list of lists of lists, is checked here; ``MixedProfile``
+    checks the counts and the probabilities against the game.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise ValueError("the profile is not a list of groups")
+    for gi, rows in enumerate(doc):
+        if not isinstance(rows, list):
+            raise ValueError(f"groups[{gi}] is not a list of users")
+        for ui, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ValueError(f"groups[{gi}].users[{ui}] is not a list of probabilities")
     profile = MixedProfile(tuple(tuple(tuple(row) for row in rows) for rows in doc))
     profile.validate(game)
     return profile
@@ -318,6 +331,9 @@ def _sample(config: ExperimentConfig, report: RunReport) -> None:
     solver = config.solver_config()
     if config.n_samples < 1:
         raise RunFailure("plan", "n_samples must be >= 1", EXIT_INPUT)
+    if config.n_samples > MAX_SAMPLES:
+        raise RunFailure("sample", f"--n {config.n_samples} is past 2**63 - 1, the most "
+                         "samples an int64 count holds", EXIT_INPUT)
     game = _read(config.game_path, load_game)
 
     if config.profile_path:
@@ -335,9 +351,9 @@ def _sample(config: ExperimentConfig, report: RunReport) -> None:
         dist = sample_random_poa(game, profile, config.n_samples, solver)
     except BudgetExceededError as exc:
         raise RunFailure("sample", str(exc), EXIT_INPUT) from None
-    except MemoryError:
-        raise RunFailure("sample", f"--n {config.n_samples} samples do not fit in memory",
-                         EXIT_INPUT) from None
+    except MemoryError:  # the table of distinct sampled values, at most one per sample
+        raise RunFailure("sample", f"--n {config.n_samples}: the distinct sampled values "
+                         "do not fit in memory", EXIT_INPUT) from None
 
     try:
         rho_nat, _, nonat_so = nonatomic_pair(game, solver)
@@ -345,8 +361,8 @@ def _sample(config: ExperimentConfig, report: RunReport) -> None:
         raise RunFailure("nonatomic", str(exc), EXIT_NONCONVERGED) from None
     bound = random_poa_probability_bound(game, DELTA, rho_nat, float(nonat_so.cost))
     _finite(threshold=bound.threshold)
-    exceed = float((dist.samples > bound.threshold).mean())
-    n = len(dist.samples)
+    n = config.n_samples
+    exceed = int(dist.counts[dist.values > bound.threshold].sum()) / n
     slack = 3.0 * math.sqrt(max(bound.p_delta * (1 - bound.p_delta), 1e-12) / n)
     ok = exceed <= bound.p_delta + slack
     report.rows.append({

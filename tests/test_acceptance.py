@@ -280,8 +280,9 @@ def test_criterion_9_random_ratio_probability():
     so = solve_nonatomic_so(game, CFG)
     bound = random_poa_probability_bound(game, 1.0 / 3.0,
                                          float(ne.cost) / float(so.cost), float(so.cost))
-    exceed = float((dist.samples > bound.threshold).mean())
-    n = len(dist.samples)
+    n = dist.n_samples
+    assert n == 1_000_000
+    exceed = int(dist.counts[dist.values > bound.threshold].sum()) / n
     slack = 3.0 * math.sqrt(bound.p_delta * (1 - bound.p_delta) / n)
     assert exceed <= bound.p_delta + slack
 

@@ -1,5 +1,7 @@
 """Inefficiency ratios and random-cost sampling."""
 
+import collections
+import decimal
 import hashlib
 import itertools
 import math
@@ -32,7 +34,12 @@ from poakit import (
 )
 import poakit.game
 from poakit.game import PROB_TOL, SAMPLE_CHUNK, draw_atomic_profile, sample_uniforms
-from poakit.poa import _sample_total_costs, _worst_on_equilibrium_set
+from poakit.poa import (
+    _add_counts,
+    _sample_total_costs,
+    _sqrt_of_ratio,
+    _worst_on_equilibrium_set,
+)
 from poakit.runner import load_asset
 
 from conftest import (
@@ -45,6 +52,11 @@ from conftest import (
 )
 
 CFG = SolverConfig()
+
+
+def _costs(game, profile, n, seed):
+    """The realized costs of samples 0 .. n - 1: the sampler's shards, joined."""
+    return np.concatenate(list(_sample_total_costs(game, profile, n, seed)))
 
 
 class TestAtomicPoa:
@@ -244,7 +256,7 @@ class TestRandomPoa:
         so = solve_atomic_so(game, CFG)
         dist = sample_random_poa(game, so.flow.as_mixed(game), 100, SolverConfig(rng_seed=0))
         assert dist.exact == [(1.0, 1.0)]
-        assert set(dist.samples) == {1.0}
+        assert dist.values.tolist() == [1.0] and dist.counts.tolist() == [100]
 
     def test_exact_mean_matches_expected_ratio(self):
         game = quadratic_constant_game()
@@ -256,14 +268,15 @@ class TestRandomPoa:
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
         dist = sample_random_poa(game, mixed.flow, 150_000, SolverConfig(rng_seed=11))
-        se = dist.empirical_std / math.sqrt(len(dist.samples))
+        assert dist.n_samples == 150_000
+        se = dist.empirical_std / math.sqrt(dist.n_samples)
         assert abs(dist.empirical_mean - dist.exact_mean) <= 3 * se
 
     def test_sample_in_support(self):
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
         dist = sample_random_poa(game, mixed.flow, 1, SolverConfig(rng_seed=5))
-        assert dist.samples[0] in {1.0, 1.5, 8.0}
+        assert dist.counts.tolist() == [1] and dist.values[0] in {1.0, 1.5, 8.0}
 
     def test_zero_samples_refused(self):
         game = quadratic_constant_game()
@@ -276,7 +289,8 @@ class TestRandomPoa:
         mixed = solve_mixed_ne_small(game, CFG)
         d1 = sample_random_poa(game, mixed.flow, 20_000, SolverConfig(rng_seed=1))
         d2 = sample_random_poa(game, mixed.flow, 20_000, SolverConfig(rng_seed=2))
-        assert not np.array_equal(d1.samples, d2.samples)
+        assert not np.array_equal(_costs(game, mixed.flow, 20_000, 1),
+                                  _costs(game, mixed.flow, 20_000, 2))
         assert d1.exact == d2.exact
 
     @settings(max_examples=40, deadline=None)
@@ -309,6 +323,57 @@ class TestRandomPoa:
         sample_random_poa(game, mixed.flow, 3 * SAMPLE_CHUNK + 5, SolverConfig(rng_seed=1))
         assert sum(counts) == 3 * SAMPLE_CHUNK + 5
         assert max(counts) <= SAMPLE_CHUNK
+
+    def test_table_counts_the_joined_shards(self):
+        # Three shards of the asset's samples: the running table is the
+        # np.unique of every sample, exceedances counted from it equal the
+        # mean of the boolean array bit for bit, and the mean and standard
+        # deviation are the exact ones, rounded once.
+        game = load_asset("two_commodity_mixed_degree.json")
+        mixed = solve_mixed_ne_small(game, CFG).flow
+        n = 2 * SAMPLE_CHUNK + 7
+        dist = sample_random_poa(game, mixed, n, SolverConfig(rng_seed=4))
+        samples = _costs(game, mixed, n, 4) / float(solve_atomic_so(game, CFG).cost)
+        values, counts = np.unique(samples, return_counts=True)
+        assert dist.values.tobytes() == values.tobytes()
+        assert dist.counts.dtype == np.int64 and dist.counts.tolist() == counts.tolist()
+        assert dist.n_samples == n and len(dist.samples) == n
+        for t in [0.0, *values, *(values[:-1] + np.diff(values) / 2)]:
+            from_table = int(dist.counts[dist.values > t].sum()) / n
+            assert from_table == float((samples > t).mean())
+        tally = collections.Counter(samples.tolist())
+        mean = sum(Fraction(v) * c for v, c in tally.items()) / n
+        var = sum((Fraction(v) - mean) ** 2 * c for v, c in tally.items()) / (n - 1)
+        assert dist.empirical_mean == float(mean)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            root = (decimal.Decimal(var.numerator) / var.denominator).sqrt()
+        assert dist.empirical_std == float(root)
+
+    @settings(max_examples=60, deadline=None)
+    @given(old=st.dictionaries(st.integers(0, 30), st.integers(1, 2**40), max_size=12),
+           new=st.dictionaries(st.integers(0, 30), st.integers(1, 2**40), max_size=12))
+    def test_add_counts_merges_two_tables(self, old, new):
+        def table(counts):
+            keys = sorted(counts)
+            return (np.array(keys, dtype=float) / 4,
+                    np.array([counts[k] for k in keys], dtype=np.int64))
+
+        values, counts = _add_counts(*table(old), *table(new))
+        want_values, want_counts = table({k: old.get(k, 0) + new.get(k, 0)
+                                          for k in {*old, *new}})
+        assert values.tolist() == want_values.tolist()
+        assert counts.dtype == np.int64 and counts.tolist() == want_counts.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(num=st.integers(0, 2**200), den=st.integers(1, 2**200))
+    @example(num=2, den=1)
+    @example(num=9, den=4)
+    def test_sqrt_of_ratio_is_rounded_once(self, num, den):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            root = (decimal.Decimal(num) / den).sqrt()
+        assert _sqrt_of_ratio(num, den) == float(root)
 
     def test_exact_distribution_convolves_components(self):
         game = Game({"a": poly(1, 0), "b": poly(1, 0)},
@@ -399,7 +464,7 @@ class TestSampler:
         with pytest.MonkeyPatch.context() as mp:
             if on_cuts:
                 mp.setattr(poakit.game, "sample_uniforms", uniforms_on_cuts(profile))
-            costs = _sample_total_costs(game, profile, n, seed)
+            costs = _costs(game, profile, n, seed)
             for i in indices:
                 drawn = draw_atomic_profile(game, profile, seed, i)
                 want = float(game.total_cost(drawn.induced_flow(game)))
@@ -426,7 +491,7 @@ class TestSampler:
 
         def digest(game, profile):
             return hashlib.sha256(
-                _sample_total_costs(game, profile, 3 * SAMPLE_CHUNK + 5, 7).tobytes()).hexdigest()
+                _costs(game, profile, 3 * SAMPLE_CHUNK + 5, 7).tobytes()).hexdigest()
 
         assert digest(asset, at_ne) == \
             "7587647683593331fb1117c1907eba36ab73456a8130474c1daba5a41dfd3df7"

@@ -538,18 +538,54 @@ class TestCli:
         assert build_parser.cache_info().misses == 1
 
     def test_samples_past_memory_are_an_input_error(self, tmp_path, capsys):
-        # 8 * 10**15 bytes of samples lie past a 2**47-byte address space, so
-        # the allocation is refused at once, before any sample is drawn; 10**20
-        # samples pass numpy's largest array dimension, refused the same way.
+        # The samples are held as int64 counts of their distinct values, so an
+        # --n past 2**63 - 1 is refused before any sample is drawn: 2**63 is
+        # the least such n, and 10**20 is past numpy's largest array as well.
         game_path = str(asset_path("parallel_affine_offset.json"))
-        for n in ("1000000000000000", "100000000000000000000"):
+        for n in (str(2**63), "100000000000000000000"):
             out = tmp_path / n
             assert main(["sample", "--game", game_path, "--n", n,
                          "--out", str(out)]) == EXIT_INPUT
             assert capsys.readouterr().out.splitlines() == [
-                f"[FAIL] sample: --n {n} samples do not fit in memory"]
+                f"[FAIL] sample: --n {n} is past 2**63 - 1, the most samples an int64 "
+                "count holds"]
             doc = json.loads((out / "report.json").read_text())
             assert doc["exit_code"] == EXIT_INPUT
+
+    def test_sample_memory_does_not_grow_with_n(self, tmp_path):
+        # Each shard of samples is reduced to (value, count) pairs as it is
+        # drawn, so 16 times the samples leave the peak within a few MB; one
+        # float held per sample would add 30 MB between the two runs.
+        import poakit
+
+        code = ("import resource, sys, poakit.cli\n"
+                "game, n, out = sys.argv[1:]\n"
+                "assert poakit.cli.main(['sample', '--game', game, '--n', n, '--out', out]) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        src = str(Path(poakit.__file__).resolve().parent.parent)
+        game = str(asset_path("two_commodity_mixed_degree.json"))
+        peaks_kb = [int(subprocess.run([sys.executable, "-c", code, game, n, str(tmp_path / n)],
+                                       cwd=src, capture_output=True, text=True,
+                                       check=True).stdout.splitlines()[-1])
+                    for n in ("250000", "4000000")]
+        assert abs(peaks_kb[1] - peaks_kb[0]) < 10 * 1024, peaks_kb
+
+    # A profile of the wrong shape, or with the wrong number of groups, for
+    # parallel_linear_double.json (one group of two users on two paths).
+    @pytest.mark.parametrize("doc, line", [
+        ([1], "groups[0] is not a list of users"),
+        ([[1, 2]], "groups[0].users[0] is not a list of probabilities"),
+        (None, "the profile is not a list of groups"),
+        ({"a": 1}, "the profile is not a list of groups"),
+        ([[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0]]], "profile has 2 groups, the game 1"),
+    ], ids=["int-group", "int-user", "null", "object", "group-count"])
+    def test_profile_shape_errors_name_the_path(self, tmp_path, capsys, doc, line):
+        profile = write_family(tmp_path, "profile.json", doc)
+        out = tmp_path / "out"
+        assert main(["sample", "--game", str(asset_path("parallel_linear_double.json")),
+                     "--profile", profile, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [f"[FAIL] profile: {line}"]
+        assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_INPUT
 
     def test_cli_import_leaves_numpy_unloaded(self):
         # numpy is imported where samples are drawn, not on every start.
@@ -849,15 +885,20 @@ def _node_paths(doc, path=()):
         yield from _node_paths(value, path + (key,))
 
 
+def _node(doc, path):
+    """The node of a JSON document at a key path."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _mutated(doc, path, value):
     """A copy of ``doc`` with the node at ``path`` replaced by ``value``, or
     deleted, or (``_DUPLICATE``, a list item) repeated."""
     if not path:
         return None if value is _DELETE else value
     doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _node(doc, path[:-1])
     if value is _DELETE:
         del parent[path[-1]]
     elif value is _DUPLICATE:
@@ -870,13 +911,15 @@ def _mutated(doc, path, value):
 class TestCliProperty:
     GAME = json.loads(asset_path("parallel_linear_double.json").read_text(encoding="utf-8"))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_input_ends_in_a_documented_code_with_report(self, data):
         mode = data.draw(st.sampled_from(["solve", "sample", "sweep", "decompose"]))
         base = self.GAME if mode in ("solve", "sample") else OFFSET_UNIT_FAMILY
         path = data.draw(st.sampled_from(list(_node_paths(base))))
-        doc = _mutated(base, path, data.draw(JUNK))
+        in_list = path and isinstance(_node(base, path[:-1]), list)
+        doc = _mutated(base, path, data.draw(st.one_of(JUNK, st.just(_DUPLICATE))
+                                             if in_list else JUNK))
         env = {name: data.draw(ENV, label=name)
                for name in ("POAKIT_TOLERANCE", "POAKIT_BUDGET")}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
