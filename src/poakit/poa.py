@@ -438,14 +438,14 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     ``EXACT_DISTRIBUTION_MAX_USERS`` or the state budget gets no exact rows,
     and ``exact_status`` says why.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     profile.validate(game)
     so_cost = float(enumerate_atomic_equilibria(game, config).optimum.cost)
     if so_cost <= 0:
         raise ValueError("atomic optimum cost must be positive")
-    import numpy as np
-
     values, counts = np.empty(0), np.empty(0, dtype=np.int64)
     for costs in _sample_total_costs(game, profile, n_samples, config.rng_seed):
         values, counts = _add_counts(values, counts,
