@@ -435,7 +435,7 @@ def expected_arc_flow_and_variance(game: Game, profile: MixedProfile) -> dict:
     return out
 
 
-SAMPLE_CHUNK = 1 << 16  # samples per generator stream; also the sampling shard size
+SAMPLE_CHUNK = 1 << 16  # samples per generator stream
 
 
 def sample_uniforms(seed: int, start: int, count: int, width: int):
@@ -444,16 +444,19 @@ def sample_uniforms(seed: int, start: int, count: int, width: int):
     Sample i always reads row i % SAMPLE_CHUNK of the chunk-i//SAMPLE_CHUNK
     stream keyed by (seed, chunk), making every sample a pure function of
     (seed, i): two calls on adjacent ranges give the rows of one call on
-    their union, wherever the split falls.  A range inside one stream gets
-    the stream's block itself, uncopied.
+    their union, wherever the split falls.  A range starts in its stream in
+    O(1): one Philox counter step is four doubles, so the generator advances
+    by whole steps and draws only the remainder before the range's rows.
     """
     import numpy as np
 
     def stream(index: int, take: int):
         chunk, offset = divmod(index, SAMPLE_CHUNK)
-        gen = np.random.Generator(np.random.Philox(
-            seed=np.random.SeedSequence(entropy=(int(seed), int(chunk)))))
-        return gen.random((offset + take, width))[offset:]
+        bits = np.random.Philox(seed=np.random.SeedSequence(entropy=(int(seed), int(chunk))))
+        steps, rest = divmod(offset * width, 4)
+        gen = np.random.Generator(bits.advance(steps))
+        gen.random(rest)
+        return gen.random((take, width))
 
     if count <= SAMPLE_CHUNK - start % SAMPLE_CHUNK:
         return stream(start, count)

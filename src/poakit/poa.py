@@ -11,12 +11,13 @@ computed exactly by state enumeration.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, getitem, mul
 from typing import TYPE_CHECKING, Optional
 
-from .game import Game, MixedProfile, Number
+from .game import SAMPLE_CHUNK, Game, MixedProfile, Number
 from .solvers import (
     AtomicEquilibria,
     BudgetExceededError,
@@ -318,13 +319,19 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
     return math.ldexp(float(r), -k)
 
 
-def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int, seed: int):
-    """Realized total costs, yielded one ``SAMPLE_CHUNK`` shard at a time.
+SAMPLE_BLOCK = SAMPLE_CHUNK // 4  # samples per block; a block never crosses a stream
 
-    Sample i depends only on (seed, i), and the shards, joined, are the costs
-    of samples 0 .. n_samples - 1 in order.  Only one shard's draws and loads
-    are held at a time, and none is left when its costs are yielded, so the
-    memory used does not grow with ``n_samples``.
+
+def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int, seed: int,
+                        first: int = 0, step: int = 1):
+    """Realized total costs of blocks first, first + step, ... of ``SAMPLE_BLOCK``
+    samples, yielded one block at a time.
+
+    Sample i depends only on (seed, i), and the blocks, joined with the
+    defaults, are the costs of samples 0 .. n_samples - 1 in order.  A block
+    divides a generator stream, so it never crosses one.  Only one block's
+    draws and loads are held at a time, and none is left when its costs are
+    yielded, so the memory used does not grow with ``n_samples``.
 
     Works one user column at a time.  A user takes the first path whose
     cumulative probability exceeds its uniform, else the last, as
@@ -334,7 +341,7 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int, seed:
     """
     import numpy as np
 
-    from .game import SAMPLE_CHUNK, sample_uniforms
+    from .game import sample_uniforms
 
     users = []  # (demand, cut points, arc rows per path)
     for gi, g in enumerate(game.groups):
@@ -344,7 +351,7 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int, seed:
             users.append((float(d), cum[:-1], rows))
     coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
-    def shard(start: int, count: int):
+    def block(start: int, count: int):
         draws = sample_uniforms(seed, start, count, len(users))
         flows = np.zeros((game.n_arcs, count))
         for (d, cuts, rows), col in zip(users, draws.T):
@@ -358,8 +365,8 @@ def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int, seed:
             total += fa * np.polyval(coeffs, fa)
         return total
 
-    for start in range(0, n_samples, SAMPLE_CHUNK):
-        yield shard(start, min(SAMPLE_CHUNK, n_samples - start))
+    for start in range(first * SAMPLE_BLOCK, n_samples, step * SAMPLE_BLOCK):
+        yield block(start, min(SAMPLE_BLOCK, n_samples - start))
 
 
 def _add_counts(values, counts, new_values, new_counts):
@@ -425,16 +432,29 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
 EXACT_DISTRIBUTION_MAX_USERS = 20
 
 
+def _sample_workers() -> int:
+    """The CPUs this process may use: the most threads ``sample_random_poa`` runs."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
                       config: SolverConfig = SolverConfig()) -> RandomPoaDistribution:
     """Distribution of realized total cost over the atomic optimum cost.
 
     ``n_samples`` draws (ValueError below 1), keyed by ``config.rng_seed``:
-    draw i is a pure function of the seed and i.  Each shard of draws is
-    reduced to its distinct ratios and their counts as it is drawn, and
-    merged into one running table of int64 counts, which holds up to
-    ``MAX_SAMPLES`` samples.  The exact distribution
-    only cross-checks the sampled one, so a game past
+    draw i is a pure function of the seed and i.  The ``SAMPLE_BLOCK`` blocks
+    of draws are dealt round-robin to one worker thread per usable CPU (none
+    when one worker would do).  Each worker reduces its blocks to their
+    distinct ratios and counts as it draws them, into its own running table
+    of int64 counts, and the tables are merged; a table holds up to
+    ``MAX_SAMPLES`` samples.  Values come out sorted and counts summed,
+    so the result does not depend on the number of workers.  Once the merge
+    fails or is interrupted, every worker stops before its next block.  The
+    exact distribution only cross-checks the sampled one, so a game past
     ``EXACT_DISTRIBUTION_MAX_USERS`` or the state budget gets no exact rows,
     and ``exact_status`` says why.
     """
@@ -446,10 +466,31 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     so_cost = float(enumerate_atomic_equilibria(game, config).optimum.cost)
     if so_cost <= 0:
         raise ValueError("atomic optimum cost must be positive")
-    values, counts = np.empty(0), np.empty(0, dtype=np.int64)
-    for costs in _sample_total_costs(game, profile, n_samples, config.rng_seed):
-        values, counts = _add_counts(values, counts,
-                                     *np.unique(costs / so_cost, return_counts=True))
+    workers = min(_sample_workers(), -(-n_samples // SAMPLE_BLOCK))
+    stop = threading.Event()  # set once the merge fails or is interrupted
+    empty = np.empty(0), np.empty(0, dtype=np.int64)
+
+    def reduce(first: int):
+        table = empty
+        for costs in _sample_total_costs(game, profile, n_samples, config.rng_seed,
+                                         first, workers):
+            table = _add_counts(*table, *np.unique(costs / so_cost, return_counts=True))
+            if stop.is_set():
+                break
+        return table
+
+    if workers == 1:
+        values, counts = reduce(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor, as_completed
+
+        values, counts = empty
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                for done in as_completed([pool.submit(reduce, w) for w in range(workers)]):
+                    values, counts = _add_counts(values, counts, *done.result())
+            finally:
+                stop.set()
     if game.n_users > EXACT_DISTRIBUTION_MAX_USERS:
         return RandomPoaDistribution(
             values, counts, [], f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users")

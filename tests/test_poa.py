@@ -5,6 +5,8 @@ import decimal
 import hashlib
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,7 @@ from poakit import (
 import poakit.game
 from poakit.game import PROB_TOL, SAMPLE_CHUNK, draw_atomic_profile, sample_uniforms
 from poakit.poa import (
+    SAMPLE_BLOCK,
     _add_counts,
     _sample_total_costs,
     _sqrt_of_ratio,
@@ -55,7 +58,7 @@ CFG = SolverConfig()
 
 
 def _costs(game, profile, n, seed):
-    """The realized costs of samples 0 .. n - 1: the sampler's shards, joined."""
+    """The realized costs of samples 0 .. n - 1: the sampler's blocks, joined."""
     return np.concatenate(list(_sample_total_costs(game, profile, n, seed)))
 
 
@@ -295,10 +298,12 @@ class TestRandomPoa:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32), start=st.integers(0, 3 * SAMPLE_CHUNK),
-           count=st.integers(1, 2 * SAMPLE_CHUNK + 3), width=st.integers(1, 3),
+           count=st.integers(1, 2 * SAMPLE_CHUNK + 3), width=st.integers(1, 5),
            data=st.data())
     def test_split_ranges_draw_the_same_uniforms(self, seed, start, count, width, data):
         # Split points next to a stream-chunk boundary are drawn on purpose.
+        # Widths 1 to 5 leave every remainder of start * width modulo the
+        # four doubles of one generator step.
         boundary = SAMPLE_CHUNK - start % SAMPLE_CHUNK
         near = [b for b in (boundary - 1, boundary, boundary + 1) if b <= count]
         k = data.draw(st.integers(0, count) | st.sampled_from(near or [count]))
@@ -307,25 +312,73 @@ class TestRandomPoa:
                                 sample_uniforms(seed, start + k, count - k, width)])
         assert parts.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_a_stream_last_row_drawn_alone(self, width):
+        # The generator skips to the last row of a stream in whole steps and
+        # a remainder, and lands where a draw from the start reaches it.
+        alone = sample_uniforms(5, SAMPLE_CHUNK - 1, 1, width)
+        assert alone.tobytes() == sample_uniforms(5, 0, SAMPLE_CHUNK, width)[-1:].tobytes()
+
     def test_shards_never_exceed_one_stream_chunk(self, monkeypatch):
+        # Every draw is one block, or the short last one, starting on a block
+        # boundary, so no block crosses a stream; three workers share them.
         import poakit.game
 
-        counts = []
+        calls = []
         draw = poakit.game.sample_uniforms
 
         def recording(seed, start, count, width):
-            counts.append(count)
+            calls.append((start, count))  # list.append is atomic across threads
             return draw(seed, start, count, width)
 
         monkeypatch.setattr(poakit.game, "sample_uniforms", recording)
+        monkeypatch.setattr(poakit.poa, "_sample_workers", lambda: 3)
         game = quadratic_constant_game()
         mixed = solve_mixed_ne_small(game, CFG)
         sample_random_poa(game, mixed.flow, 3 * SAMPLE_CHUNK + 5, SolverConfig(rng_seed=1))
-        assert sum(counts) == 3 * SAMPLE_CHUNK + 5
-        assert max(counts) <= SAMPLE_CHUNK
+        assert sum(count for _, count in calls) == 3 * SAMPLE_CHUNK + 5
+        assert all(count <= SAMPLE_BLOCK and start % SAMPLE_BLOCK == 0
+                   for start, count in calls)
+        assert SAMPLE_CHUNK % SAMPLE_BLOCK == 0
+
+    @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   SAMPLE_CHUNK + 3, 3 * SAMPLE_CHUNK + 5])
+    def test_table_does_not_depend_on_the_workers(self, monkeypatch, n):
+        # One, two and three workers give the same table, mean and standard
+        # deviation, all equal to the np.unique of every sample; with one
+        # worker, or one block, every block is drawn on the calling thread.
+        game = load_asset("two_commodity_mixed_degree.json")
+        mixed = solve_mixed_ne_small(game, CFG).flow
+        draw = poakit.game.sample_uniforms
+        threads = []
+
+        def recording(seed, start, count, width):
+            threads.append(threading.get_ident())
+            return draw(seed, start, count, width)
+
+        monkeypatch.setattr(poakit.game, "sample_uniforms", recording)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that a lost update shows
+        try:
+            for workers in (1, 2, 3):
+                threads.clear()
+                monkeypatch.setattr(poakit.poa, "_sample_workers", lambda: workers)
+                dist = sample_random_poa(game, mixed, n, SolverConfig(rng_seed=9))
+                seen.append((dist.values.tobytes(), dist.counts.tolist(),
+                             dist.empirical_mean, dist.empirical_std))
+                if workers == 1 or n <= SAMPLE_BLOCK:
+                    assert set(threads) == {threading.get_ident()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen[0] == seen[1] == seen[2]
+        monkeypatch.setattr(poakit.game, "sample_uniforms", draw)
+        samples = _costs(game, mixed, n, 9) / float(solve_atomic_so(game, CFG).cost)
+        values, counts = np.unique(samples, return_counts=True)
+        assert seen[0][:2] == (values.tobytes(), counts.tolist())
 
     def test_table_counts_the_joined_shards(self):
-        # Three shards of the asset's samples: the running table is the
+        # Nine blocks of the asset's samples: the running table is the
         # np.unique of every sample, exceedances counted from it equal the
         # mean of the boolean array bit for bit, and the mean and standard
         # deviation are the exact ones, rounded once.

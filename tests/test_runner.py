@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -552,6 +553,35 @@ class TestCli:
             doc = json.loads((out / "report.json").read_text())
             assert doc["exit_code"] == EXIT_INPUT
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_failed_block_stops_every_worker(self, tmp_path, capsys, monkeypatch, workers):
+        # Block 1 cannot be allocated.  Every other worker stops before its
+        # next block, so at most one draw a worker follows the failure, not
+        # the 63 blocks left, and the pool's threads are gone when it returns.
+        import poakit.game
+
+        draw = poakit.game.sample_uniforms
+        calls = []
+
+        def failing(seed, start, count, width):
+            calls.append(start)  # list.append is atomic across threads
+            if start == poa.SAMPLE_BLOCK:
+                raise MemoryError
+            return draw(seed, start, count, width)
+
+        monkeypatch.setattr(poakit.game, "sample_uniforms", failing)
+        monkeypatch.setattr(poa, "_sample_workers", lambda: workers)
+        threads = threading.active_count()
+        n = 64 * poa.SAMPLE_BLOCK
+        out = tmp_path / "out"
+        assert main(["sample", "--game", str(asset_path("parallel_affine_offset.json")),
+                     "--n", str(n), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [
+            f"[FAIL] sample: --n {n}: the distinct sampled values do not fit in memory"]
+        assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_INPUT
+        assert len(calls) - 1 - calls.index(poa.SAMPLE_BLOCK) <= workers, calls
+        assert threading.active_count() == threads
+
     def test_sample_memory_does_not_grow_with_n(self, tmp_path):
         # Each shard of samples is reduced to (value, count) pairs as it is
         # drawn, so 16 times the samples leave the peak within a few MB; one
@@ -588,10 +618,12 @@ class TestCli:
         assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_INPUT
 
     def test_cli_import_leaves_numpy_unloaded(self):
-        # numpy is imported where samples are drawn, not on every start.
+        # numpy and the thread pool are imported where samples are drawn,
+        # not on every start.
         import poakit
 
-        code = "import sys, poakit.cli; sys.exit('numpy' in sys.modules)"
+        code = ("import sys, poakit.cli\n"
+                "sys.exit('numpy' in sys.modules or 'concurrent.futures' in sys.modules)")
         src = str(Path(poakit.__file__).resolve().parent.parent)
         assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
 
