@@ -102,6 +102,32 @@ def seeded_links_game(links: int = 300, seed: int = 300) -> Game:
     return parallel_game(coeffs, rng.sample(range(1, 7), 4))
 
 
+def shared_arc_game(links: int = 12) -> Game:
+    """One group with a path on its own arc ``d`` and ``links`` paths that
+    each pair the shared arc ``s`` with one of identical links, so a move
+    to or from ``d`` recosts every other path."""
+    arcs = {"d": poly(3, 1), "s": poly(1, 0), **{f"l{k}": poly(2, 0) for k in range(links)}}
+    paths = (("d",), *(("s", f"l{k}") for k in range(links)))
+    return Game(arcs, [Group("od", paths, (Fraction(5), Fraction(2)))])
+
+
+def tie_heavy_solves() -> list:
+    """(game, config, start) triples whose moves pick among tied paths: identical
+    parallel links, groups sharing one arc, tied starts and cut-off budgets."""
+    identical = parallel_game([(1, 0)] * 12, [5])
+    quadratic = parallel_game([(1, 0, 1)] * 13, [1, 2, 3])
+    two_groups = Game({"s": poly(1, 1), "m": poly(2, 0), **{f"l{k}": poly(1, 0) for k in range(12)}},
+                      [Group("a", tuple(("s", f"l{k}") for k in range(12)), (Fraction(3),)),
+                       Group("b", (("s",), ("m",)), (Fraction(4), Fraction(1, 2)))])
+    tied_start = PathFlow(identical, [1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0])
+    solves = []
+    for game, start in ((identical, None), (identical, tied_start), (quadratic, None),
+                        (two_groups, None), (shared_arc_game(), None), (shared_arc_game(16), None)):
+        for budget in (3, 11, 40, CFG.max_iterations):
+            solves.append((game, SolverConfig(max_iterations=budget), start))
+    return solves
+
+
 @st.composite
 def small_rational_games(draw, most: int = 3):
     """One to three groups of one to three users with fractional demands, on
@@ -143,6 +169,19 @@ class TestNonatomicNe:
                                     result.converged, result.cost)).encode())
         assert digest.hexdigest() == \
             "e4bee9faca5e1e1b0b72bdd681a134d4745901aef7b8b28e7aa756764db9da11"
+
+    def test_pinned_ties(self):
+        """sha256 as in ``test_pinned_bits`` over ``tie_heavy_solves``: a change
+        to which of several equally cheap, or equally costly used, paths a
+        move picks changes these bytes."""
+        digest = hashlib.sha256()
+        for game, config, start in tie_heavy_solves():
+            for solve in (solve_nonatomic_ne, solve_nonatomic_so):
+                result = solve(game, config, start=start)
+                digest.update(repr((result.flow.values(), result.residual, result.iterations,
+                                    result.converged, result.cost)).encode())
+        assert digest.hexdigest() == \
+            "50405f8db1168caa0d03fb1b8189fcee79d3f49144ce9c220dbd9a7e6e22476b"
 
     @settings(max_examples=150, deadline=None)
     @given(game=small_rational_games(most=4),
