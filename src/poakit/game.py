@@ -152,7 +152,14 @@ class Group:
 
     @cached_property
     def total_demand(self) -> Number:
-        return sum(self.demands)
+        """``sum(self.demands)``.  Fraction demands are summed as integers over
+        the lcm of their distinct denominators, which gives the same Fraction
+        with no Fraction addition per user."""
+        demands = self.demands
+        if not (demands and all(isinstance(d, Fraction) for d in demands)):
+            return sum(demands)  # in user order, so a float sum keeps its bits
+        common = math.lcm(*{d.denominator for d in demands})
+        return Fraction(sum(d.numerator * (common // d.denominator) for d in demands), common)
 
     @property
     def n_users(self) -> int:

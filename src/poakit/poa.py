@@ -244,8 +244,8 @@ class RandomPoaDistribution:
     The empirical side is a table, not the samples: ``values`` holds each
     distinct sampled ratio in increasing order and ``counts`` (int64) how
     many samples took it, so its size follows the number of distinct values,
-    whatever the number of samples.  The mean and standard deviation are
-    computed exactly from the table and rounded once.
+    whatever the number of samples.  The mean is computed exactly from the
+    table and rounded once.
     """
 
     values: np.ndarray  # distinct sampled ratios, increasing
@@ -265,30 +265,14 @@ class RandomPoaDistribution:
 
         return np.repeat(self.values, self.counts)
 
-    def _sums(self):
-        """(n, sum of v * c, sum of v**2 * c, q): the sums are integers over
-        q and q**2, exact, with q the largest denominator of the values."""
-        ratios = [v.as_integer_ratio() for v in self.values.tolist()]
-        q = max(den for _, den in ratios)  # every denominator is a power of 2
-        s1 = s2 = 0
-        for (num, den), c in zip(ratios, self.counts.tolist()):
-            m = num * (q // den)
-            s1 += m * c
-            s2 += m * m * c
-        return self.n_samples, s1, s2, q
-
     @property
     def empirical_mean(self) -> float:
-        n, s1, _, q = self._sums()
-        return s1 / (q * n)  # int / int rounds once
-
-    @property
-    def empirical_std(self) -> float:
-        """Sample standard deviation (n - 1 in the denominator); 0.0 for one sample."""
-        n, s1, s2, q = self._sums()
-        if n < 2:
-            return 0.0
-        return _sqrt_of_ratio(n * s2 - s1 * s1, q * q * n * (n - 1))
+        # sum of v * c is an integer over q, the largest denominator of the
+        # values (every one is a power of 2), so the sum is exact.
+        ratios = [v.as_integer_ratio() for v in self.values.tolist()]
+        q = max(den for _, den in ratios)
+        total = sum(num * (q // den) * c for (num, den), c in zip(ratios, self.counts.tolist()))
+        return total / (q * self.n_samples)  # int / int rounds once
 
     @property
     def exact_mean(self) -> Optional[float]:
@@ -302,21 +286,6 @@ class RandomPoaDistribution:
         rows.extend((v, c, "monte-carlo")
                     for v, c in zip(self.values.tolist(), self.counts.tolist()))
         return rows
-
-
-def _sqrt_of_ratio(num: int, den: int) -> float:
-    """sqrt(num / den) for integers num >= 0 < den, rounded once to a float.
-
-    The root is taken as an integer r of at least 64 bits, scaled by 2**-k;
-    when it is not exact, its last bit is set, so that r rounds to 53 bits as
-    the exact root between r and r + 1 does.
-    """
-    k = max(0, (128 - num.bit_length() + den.bit_length()) // 2)
-    scaled, rest = divmod(num << (2 * k), den)
-    r = math.isqrt(scaled)
-    if rest or r * r != scaled:
-        r |= 1
-    return math.ldexp(float(r), -k)
 
 
 SAMPLE_BLOCK = SAMPLE_CHUNK // 4  # samples per block; a block never crosses a stream

@@ -3,23 +3,27 @@
 Non-atomic problems are solved by conditional-gradient descent on the
 Beckmann potential (equilibria) or on total cost via marginal costs
 (optima): each step moves flow of one group from its costliest used path
-toward its cheapest path, with the step length found by bisecting the
-derivative of the 1-D convex restriction.  Atomic problems are solved
-exactly: exhaustive enumeration over user-class assignments when the
-state space fits the budget, best-response dynamics otherwise.  On a
-rational game both run on one integer lattice (``_ArcCosts``): arc loads
-are whole numbers of demand units, each arc's scaled cost is an integer,
-tabulated once or computed per read, and a cost becomes a Fraction only
-when it is recorded.  A large rational component is scanned in numpy
-blocks (``blockscan``), with the same results.  Other games evaluate the
-cost polynomials, state by state.  Mixed equilibria on small
-two-path-per-group games are found by per-group bisection of the
-expected-cost indifference condition, with expectations computed by exact
-convolution over the users touching each arc.
+toward its cheapest path, both read from per-group heaps, with the step
+length found by bisecting the derivative of the 1-D convex restriction.
+That derivative is monotone in floats too, so the bisection is replayed
+from a located root, with few evaluations and the same bits.  Atomic
+problems are solved exactly: exhaustive enumeration over user-class
+assignments when the state space fits the budget, best-response dynamics
+otherwise.  On a rational game both run on one integer lattice
+(``_ArcCosts``): arc loads are whole numbers of demand units, each arc's
+scaled cost is an integer, tabulated once or computed per read, and a
+cost becomes a Fraction only when it is recorded.  A large rational
+component is scanned in numpy blocks (``blockscan``), with the same
+results.  Other games evaluate the cost polynomials, state by state.
+Mixed equilibria on small two-path-per-group games are found by
+per-group bisection of the expected-cost indifference condition, with
+expectations computed by exact convolution over the users touching each
+arc.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -161,14 +165,64 @@ def epsilon_ne_residual(game: Game, flow: PathFlow) -> Number:
 # Non-atomic solvers (conditional gradient with exact line search)
 # ---------------------------------------------------------------------------
 
+class _GroupPicks:
+    """One group's move: its costliest used and its cheapest path slot.
+
+    Two heaps under lazy invalidation hold the candidates: ``cheap`` keyed
+    by (cost, slot) and ``dear``, the used slots, by (-cost, slot).  A
+    group's slots are consecutive, so these keys pick the first cheapest
+    slot and, among the costliest used, the first, as a scan in slot order
+    does.  An entry counts only while its cost is the slot's current cost
+    (and, in ``dear``, while the slot is used); every slot whose cost or
+    flow a move changes is pushed again.  The heaps are rebuilt once they
+    hold more than eight entries per slot between them, so their size stays
+    O(slots) however many moves a solve makes.
+    """
+
+    def __init__(self, slots: list, used_thresh: float, costs: list, flows: list):
+        self.slots, self.used_thresh = slots, used_thresh
+        self.costs, self.flows = costs, flows  # the solve's lists, read at each pick
+        self.rebuild()
+
+    def rebuild(self):
+        costs, flows = self.costs, self.flows
+        self.cheap = [(costs[i], i) for i in self.slots]
+        self.dear = [(-costs[i], i) for i in self.slots if flows[i] > self.used_thresh]
+        heapq.heapify(self.cheap)
+        heapq.heapify(self.dear)
+
+    def push(self, i: int):
+        cost = self.costs[i]
+        heapq.heappush(self.cheap, (cost, i))
+        if self.flows[i] > self.used_thresh:
+            heapq.heappush(self.dear, (-cost, i))
+        if len(self.cheap) + len(self.dear) > 8 * len(self.slots):
+            self.rebuild()
+
+    def move(self, tolerance: float) -> Optional[tuple]:
+        """(costliest used slot, cheapest slot), or None when their cost gap
+        is within ``tolerance`` of the cheapest cost."""
+        costs, flows, cheap, dear = self.costs, self.flows, self.cheap, self.dear
+        while cheap[0][0] != costs[cheap[0][1]]:
+            heapq.heappop(cheap)
+        while dear[0][0] != -costs[dear[0][1]] or not flows[dear[0][1]] > self.used_thresh:
+            heapq.heappop(dear)
+        low, dst = cheap[0]
+        src = dear[0][1]
+        if costs[src] - low <= tolerance * (1.0 + abs(low)):
+            return None
+        return src, dst
+
+
 def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolynomial],
                  start: Optional[PathFlow], kind: str) -> EquilibriumResult:
     """Drive every group's path costs (w.r.t. ``polys``) to equality.
 
     Each move is a conditional-gradient step restricted to one group: shift
-    mass from the group's costliest used path toward its cheapest path, the
-    amount fixed by bisecting the monotone derivative of the underlying
-    convex objective along that segment.
+    mass from the group's costliest used path toward its cheapest path (both
+    read from ``_GroupPicks``' heaps), the amount fixed by bisecting the
+    monotone derivative of the underlying convex objective along that
+    segment (``_segment_step``).
     """
     t0 = time.perf_counter()
     direction_polys = {aid: p.float_coefficients for aid, p in polys.items()}
@@ -195,27 +249,18 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
         return sum(_horner(direction_polys[aid], arc_flow[aid]) for aid in gpaths[keys[i]])
 
     slot_costs = [path_cost(i) for i in range(len(keys))]  # kept current by every move
-
-    def group_move(slots: list, used_thresh: float) -> Optional[tuple]:
-        """The group's (costliest used, cheapest) path slots, or None when
-        their cost gap is within tolerance of the cheapest cost."""
-        costs = [slot_costs[i] for i in slots]
-        cheap_pos = costs.index(min(costs))  # the first cheapest: costs are never NaN
-        used = [j for j in range(len(slots)) if flows[slots[j]] > used_thresh]
-        exp_pos = max(used, key=lambda j: (costs[j], -j))
-        if costs[exp_pos] - costs[cheap_pos] <= config.tolerance * (1.0 + abs(costs[cheap_pos])):
-            return None
-        return slots[exp_pos], slots[cheap_pos]
-
-    movable = [(slots, float(g.total_demand) * float(USED_PATH_REL_TOL))
-               for g, slots in zip(game.groups, group_slots) if len(slots) > 1]
+    picks = [_GroupPicks(slots, float(g.total_demand) * float(USED_PATH_REL_TOL), slot_costs, flows)
+             for g, slots in zip(game.groups, group_slots)]
+    slot_picks = [picks[gi] for gi, _ in keys]
+    movable = [group for group in picks if len(group.slots) > 1]
     moves = 0
     converged = False
     budget = config.max_iterations
+    tolerance = config.tolerance
     while moves < budget:
-        for slots, used_thresh in movable:
-            for _ in range(len(slots) * 8):
-                move = moves < budget and group_move(slots, used_thresh)
+        for group in movable:
+            for _ in range(len(group.slots) * 8):
+                move = moves < budget and group.move(tolerance)
                 if not move:
                     break
                 src, dst = move
@@ -230,10 +275,13 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
                 for aid in dst_only:
                     arc_flow[aid] += amount
                 # Only the paths crossing a moved arc change cost; recost them in arc order.
-                for i in dict.fromkeys(i for aid in src_only + dst_only for i in arc_slots[aid]):
+                recosted = dict.fromkeys(i for aid in src_only + dst_only for i in arc_slots[aid])
+                for i in recosted:
                     slot_costs[i] = path_cost(i)
+                for i in (*recosted, src, dst):  # src and dst changed flow, maybe not cost
+                    slot_picks[i].push(i)
                 moves += 1
-        if all(group_move(*group) is None for group in movable):
+        if all(group.move(tolerance) is None for group in movable):
             converged = True
             break
 
@@ -245,11 +293,11 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
     cost = game.total_cost(flow)
     note = "" if converged else f"move budget {budget} spent"
     # The line search can strand costly flow on a steep arc below the used threshold.
-    for slots, used_thresh in movable:
-        cheapest = min(path_costs[keys[i]] for i in slots)
+    for group in movable:
+        cheapest = min(path_costs[keys[i]] for i in group.slots)
         if converged and not all(
-                flows[i] * (path_costs[keys[i]] - cheapest) <= config.tolerance * cost
-                for i in slots if flows[i] <= used_thresh):
+                flows[i] * (path_costs[keys[i]] - cheapest) <= tolerance * cost
+                for i in group.slots if flows[i] <= group.used_thresh):
             converged = False
             note = "flow stranded below the used threshold on a costlier path"
     return EquilibriumResult(flow=flow, kind=kind, residual=float(residual),
@@ -258,11 +306,30 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
 
 
 def _segment_step(src_only, dst_only, arc_flow, polys, available: float) -> float:
-    """Exact line search: bisect the derivative of the objective along the move."""
+    """Exact line search: bisect the derivative of the objective along the move.
+
+    ``slope(m)``, the derivative after moving m, is bisected over
+    [0, available] for 80 halvings or until the bracket is 1e-12 *
+    max(1, available) wide.  Every coefficient is >= 0, and float rounding
+    is monotone, so ``slope`` never falls as m grows while every Horner
+    argument is >= 0: when every source arc keeps ``flow - available >=
+    0.0`` and every target arc ``flow >= 0.0``.  Then a halving at m <=
+    ``below``, a point where the slope is known to be <= 0, must move its
+    low end, and one at m >= ``above``, where it is known to be > 0, its
+    high end.  ``_bracket_root`` finds such points a fraction of the final
+    width apart, and the halvings between them are replayed without a
+    slope call, to the bits of the plain bisection.  Otherwise every
+    halving calls ``slope``.
+    """
 
     def slope(m: float) -> float:
-        return (sum(_horner(polys[a], arc_flow[a] + m) for a in dst_only)
-                - sum(_horner(polys[a], arc_flow[a] - m) for a in src_only))
+        # Each sum adds left to right, so it is monotone in each term.
+        gain = loss = 0.0
+        for a in dst_only:
+            gain += _horner(polys[a], arc_flow[a] + m)
+        for a in src_only:
+            loss += _horner(polys[a], arc_flow[a] - m)
+        return gain - loss
 
     hi = available
     top = slope(hi)
@@ -270,16 +337,73 @@ def _segment_step(src_only, dst_only, arc_flow, polys, available: float) -> floa
         raise OverflowError(f"path cost gap {top} of a full move is not a finite float")
     if top <= 0.0:
         return hi
+    width = 1e-12 * max(1.0, available)
+    below, above = -math.inf, math.inf
+    if (all(arc_flow[a] - available >= 0.0 for a in src_only)
+            and all(arc_flow[a] >= 0.0 for a in dst_only)):
+        below, above = _bracket_root(slope, available, top, width)
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if slope(mid) <= 0.0:
+        if mid <= below or mid < above and slope(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * max(1.0, available):
+        if hi - lo <= width:
             break
     return 0.5 * (lo + hi)
+
+
+def _bracket_root(slope: Callable, available: float, top: float, width: float) -> tuple:
+    """(below, above) with ``slope(below) <= 0 < slope(above)``, 0 <= below <
+    above <= available, for a nondecreasing ``slope`` with ``slope(available)
+    == top > 0``; below is -inf when ``slope(0.0) > 0``.
+
+    Illinois regula falsi locates the root, stopping on a step under
+    width / 16 or on a secant that leaves the bracket, whose end is then the
+    estimate.  Points width / 4 on either side of the estimate, widening by
+    4 until each side's sign is known, then close the bracket.
+    """
+    a, fa, b, fb = 0.0, slope(0.0), available, top
+    if fa > 0.0:
+        return -math.inf, 0.0
+    x, side = a, 0
+    while True:
+        # Halve instead when a source arc overflows at m = 0 (fa is -inf) or
+        # both ends' values have been halved to zero.
+        m = b - fb * (b - a) / (fb - fa) if -math.inf < fa < fb else 0.5 * (a + b)
+        if not a < m < b:
+            x = a if m <= a else b
+            break
+        fm = slope(m)
+        step, x = abs(m - x), m
+        if fm <= 0.0:
+            a, fa = m, fm
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = m, fm
+            if side > 0:
+                fa *= 0.5
+            side = 1
+        if step < width / 16:
+            break
+    reach = width / 4
+    while x + reach < b:
+        if slope(x + reach) > 0.0:
+            b = x + reach
+        else:
+            a = x + reach
+            reach *= 4
+    reach = width / 4
+    while x - reach > a:
+        if slope(x - reach) <= 0.0:
+            a = x - reach
+        else:
+            b = x - reach
+            reach *= 4
+    return a, b
 
 
 def solve_nonatomic_ne(game: Game, config: SolverConfig = SolverConfig(),

@@ -1,5 +1,6 @@
 """Shared game builders and the deterministic instance pool for the suite."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,14 @@ from poakit.runner import asset_path
 
 def poly(*coeffs) -> CostPolynomial:
     return CostPolynomial(tuple(Fraction(c) for c in coeffs))
+
+
+def standard_error(dist) -> float:
+    """Standard error of a ``RandomPoaDistribution``'s empirical mean, from
+    the sample standard deviation (n - 1 in the denominator) of its table."""
+    n = dist.n_samples
+    mean = float(dist.values @ dist.counts) / n
+    return math.sqrt(float(dist.counts @ (dist.values - mean) ** 2) / (n - 1) / n)
 
 
 def parallel_game(arc_coeffs, demands, gid="od") -> Game:

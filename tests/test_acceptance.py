@@ -40,6 +40,7 @@ from conftest import (
     affine_offset_game,
     linear_double_game,
     quadratic_constant_game,
+    standard_error,
     two_commodity_game,
 )
 from test_bounds import exact_tail
@@ -287,7 +288,7 @@ def test_criterion_9_random_ratio_probability():
     assert exceed <= bound.p_delta + slack
 
     want = 5 - 2.5 * math.sqrt(2)
-    se = dist.empirical_std / math.sqrt(n)
+    se = standard_error(dist)
     assert abs(dist.empirical_mean - want) <= 3 * se
     verdict("criterion 9", f"exceedance {exceed:.2e} <= {bound.p_delta:.4f}, "
                            f"mean {dist.empirical_mean:.6f} within 3se of {want:.6f}")

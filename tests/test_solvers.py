@@ -183,6 +183,26 @@ class TestNonatomicNe:
         assert digest.hexdigest() == \
             "50405f8db1168caa0d03fb1b8189fcee79d3f49144ce9c220dbd9a7e6e22476b"
 
+    def test_pick_heaps_stay_bounded_over_the_move_budget(self):
+        # No solve converges at tolerance 1e-300, so each spends its whole
+        # budget, and every move to or from path d recosts all 13 paths.
+        # Heaps that kept every pushed entry would grow by about 500 bytes a
+        # move; rebuilt, they hold at most eight entries a path.
+        game = shared_arc_game()
+
+        def peak(budget: int) -> int:
+            tracemalloc.start()
+            try:
+                result = solve_nonatomic_ne(game, SolverConfig(tolerance=1e-300,
+                                                               max_iterations=budget))
+                assert result.iterations == budget
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # fills the polynomials' cached coefficients
+        assert peak(4_000) <= 2 * peak(400)
+
     @settings(max_examples=150, deadline=None)
     @given(game=small_rational_games(most=4),
            solve=st.sampled_from([solve_nonatomic_ne, solve_nonatomic_so]))
@@ -263,6 +283,91 @@ class TestNonatomicSo:
         game = parallel_game([(1, 0)], [3])
         result = solve_nonatomic_so(game, CFG)
         assert float(result.cost) == pytest.approx(9.0)
+
+
+def _plain_line_search(src_only, dst_only, arc_flow, polys, available):
+    """``_segment_step`` without the replay: every halving calls the slope."""
+
+    def slope(m):
+        gain = loss = 0.0
+        for a in dst_only:
+            gain += solvers._horner(polys[a], arc_flow[a] + m)
+        for a in src_only:
+            loss += solvers._horner(polys[a], arc_flow[a] - m)
+        return gain - loss
+
+    hi = available
+    top = slope(hi)
+    if not math.isfinite(top):
+        raise OverflowError(top)
+    if top <= 0.0:
+        return hi
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, available):
+            break
+    return 0.5 * (lo + hi)
+
+
+_fraction_coefficients = st.lists(st.fractions(0, 20, max_denominator=12), min_size=1, max_size=5)
+_coefficients = st.one_of(
+    st.sampled_from([(1.0, 0.0), (2.0, 0.0), (1.0,), (1.0, 0.0, 0.0), (3.0, 1.0)]),
+    st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5).map(tuple),
+    _fraction_coefficients.map(lambda cs: CostPolynomial(tuple(cs)).float_coefficients),
+    _fraction_coefficients.map(lambda cs: CostPolynomial(tuple(cs)).marginal().float_coefficients))
+_flows = st.one_of(st.just(0.0), st.integers(1, 20).map(float), st.floats(1e-7, 1e6))
+_arcs = st.lists(st.tuples(_coefficients, _flows), max_size=3)
+
+
+class TestLineSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(src=_arcs, dst=_arcs, share=st.one_of(st.just(1.0), st.floats(1e-6, 1.0),
+                                                 st.floats(1.0, 4.0)))
+    @example(src=[((1.0, 0.0), 15.0)], dst=[((1.0, 0.0), 0.0)], share=1.0)  # slope 0 at 7.5 exactly
+    # Source flow below available: the slope falls from 2 to 4, the plain loop
+    # returns about 2.0 and a replay without the guard would return 1.0.
+    @example(src=[((1.0, 2.0, 1.0, 3.0), 1.0)], dst=[((0.0, 0.0, 3.0), 4.0)], share=4.0)
+    def test_replay_gives_the_bits_of_plain_bisection(self, src, dst, share):
+        # ``share`` scales the smallest source flow into ``available``: at it,
+        # below it, or past it, where the replay's guard sends the search to
+        # the plain loop.
+        assume(src or dst)
+        arcs = [f"s{k}" for k in range(len(src))] + [f"d{k}" for k in range(len(dst))]
+        polys = {a: cs for a, (cs, _) in zip(arcs, src + dst)}
+        arc_flow = {a: flow for a, (_, flow) in zip(arcs, src + dst)}
+        available = share * min((flow for _, flow in src), default=10.0)
+        assume(available > 0.0)
+        src_only, dst_only = arcs[:len(src)], arcs[len(src):]
+        try:
+            want = _plain_line_search(src_only, dst_only, arc_flow, polys, available)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                solvers._segment_step(src_only, dst_only, arc_flow, polys, available)
+            return
+        got = solvers._segment_step(src_only, dst_only, arc_flow, polys, available)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    @pytest.mark.parametrize("src_flow, dst_flow, dst_poly", [
+        (15.0, 0.0, (1.0, 0.0)),  # x against x: the slope is 0 at 7.5 exactly
+        (7.0, 2.0, (2.0, 1.0)),
+        (1e6, 3.0, (2.0, 1.0, 0.5)),
+    ])
+    def test_replay_calls_the_slope_a_few_times(self, monkeypatch, src_flow, dst_flow, dst_poly):
+        args = (["s"], ["d"], {"s": src_flow, "d": dst_flow}, {"s": (1.0, 0.0), "d": dst_poly},
+                src_flow)
+        calls = []
+        horner = solvers._horner
+        monkeypatch.setattr(solvers, "_horner", lambda cs, x: calls.append(x) or horner(cs, x))
+        want = _plain_line_search(*args)
+        plain = len(calls)
+        calls.clear()
+        assert solvers._segment_step(*args) == want
+        assert plain >= 80 and len(calls) <= plain // 2
 
 
 class TestBestResponse:
