@@ -369,8 +369,8 @@ def _bracket_root(slope: Callable, available: float, top: float, width: float) -
         return -math.inf, 0.0
     x, side = a, 0
     while True:
-        # Halve instead when a source arc overflows at m = 0 (fa is -inf) or
-        # both ends' values have been halved to zero.
+        # Halve instead when a source arc overflows at m = 0 (fa is -inf), or
+        # when both values are 0 and the secant would divide by zero.
         m = b - fb * (b - a) / (fb - fa) if -math.inf < fa < fb else 0.5 * (a + b)
         if not a < m < b:
             x = a if m <= a else b
