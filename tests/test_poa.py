@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -483,6 +484,34 @@ def short_row_case():
     return game, MixedProfile((((0.5, 0.0, 0.5 - PROB_TOL / 2),),))
 
 
+def two_path_users_case(k: int):
+    """One group of k users on paths (a, c) and (b,), with seeded demands
+    (some not exact in binary, so arc c's load depends on the order of its
+    sum) and seeded probabilities, a few of them 0 or 1: one component of
+    2**k pure states."""
+    rng = random.Random(k)
+    demands = tuple(rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                                Fraction(2)]) for _ in range(k))
+    game = Game({"a": poly(1, 0, 0), "b": poly(2, 1), "c": poly(Fraction(1, 3), 0)},
+                [Group("od", (("a", "c"), ("b",)), demands)])
+    rows = []
+    for _ in range(k):
+        p = Fraction(rng.randint(0, 8), 8)
+        rows.append((p, 1 - p))
+    return game, MixedProfile((tuple(rows),))
+
+
+def wide_user_case():
+    """One user of demand 3/2 on 300 single-link paths with a seeded profile:
+    path indices past 255."""
+    rng = random.Random(300)
+    arcs = {f"l{i:03d}": poly(rng.randint(1, 3), rng.randint(0, 2)) for i in range(300)}
+    weights = [rng.randint(0, 3) for _ in arcs]
+    row = tuple(Fraction(w, sum(weights)) for w in weights)
+    game = Game(arcs, [Group("od", tuple((aid,) for aid in arcs), (Fraction(3, 2),))])
+    return game, MixedProfile(((row,),))
+
+
 class TestSampler:
     """The vectorized sampler against the scalar oracle, and its pinned bytes."""
 
@@ -508,7 +537,9 @@ class TestSampler:
     def test_pinned_bytes(self):
         """sha256 of the realized costs, seed 7, n = 3 * SAMPLE_CHUNK + 5.
 
-        A change to the (seed, chunk) stream, to the path choice or to the
+        The cases are the asset at its mixed equilibrium, a three-path group
+        whose paths share an arc, fifteen two-path users (one component of
+        2**15 pure states) and one user on 300 paths.  A change to the (seed, chunk) stream, to the path choice or to the
         order in which loads and costs are summed changes these bytes.  The
         hashes assume numpy's Philox generator and float64 ``np.polyval``
         as in numpy 2.4.
@@ -532,6 +563,10 @@ class TestSampler:
             "7587647683593331fb1117c1907eba36ab73456a8130474c1daba5a41dfd3df7"
         assert digest(three_path, mixed) == \
             "fa4c43230b4ea79b6f3be739bf6b1fac7f11ec80abb83797ecd4d9df13aa29a2"
+        assert digest(*two_path_users_case(15)) == \
+            "af0a6f59b27ac08790392948bf5a2813479e1c8f45e7e5dacab22331d78dc868"
+        assert digest(*wide_user_case()) == \
+            "d39e95ef8292fca649fc53e866f5efd0077287aac69e104f2f9011f867d0c955"
 
 
 @st.composite
