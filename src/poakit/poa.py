@@ -291,51 +291,135 @@ class RandomPoaDistribution:
 SAMPLE_BLOCK = SAMPLE_CHUNK // 4  # samples per block; a block never crosses a stream
 
 
-def _sample_total_costs(game: Game, profile: MixedProfile, n_samples: int, seed: int,
-                        first: int = 0, step: int = 1):
-    """Realized total costs of blocks first, first + step, ... of ``SAMPLE_BLOCK``
-    samples, yielded one block at a time.
+def _block_costs(game: Game, profile: MixedProfile):
+    """A function ``block(seed, start, count)``: the realized total costs of
+    samples start .. start + count - 1, which must lie in one generator stream.
 
-    Sample i depends only on (seed, i), and the blocks, joined with the
-    defaults, are the costs of samples 0 .. n_samples - 1 in order.  A block
-    divides a generator stream, so it never crosses one.  Only one block's
-    draws and loads are held at a time, and none is left when its costs are
-    yielded, so the memory used does not grow with ``n_samples``.
-
-    Works one user column at a time.  A user takes the first path whose
+    Sample i depends only on (seed, i).  A user takes the first path whose
     cumulative probability exceeds its uniform, else the last, as
     ``draw_atomic_profile`` does; the cut points never fall, so that is the
-    count of cut points at or below the uniform.
-    A path adds its demand to its arcs' load rows where taken, else 0.0.
+    count of cut points at or below the uniform.  A sample's cost is the sum,
+    in arc order, of each arc's term ``f * polyval(coefficients, f)``, where
+    the load f adds, in user order, each user's demand where the user's path
+    holds the arc, else 0.0.
+
+    Users are split into components by shared arcs (``_group_components``);
+    an arc's load, and so its term, depends only on its own component's
+    picks.  A component of at most ``SAMPLE_BLOCK`` pure states (the product
+    of its users' path counts) is costed here, once: its states are numbered
+    in mixed radix, first user most significant, and each of its arcs gets a
+    table of the term in every state.  A block then compares its draws with
+    the cut points, at once for all users, reads each component's state
+    number from the path indices and gathers its arcs' terms from the
+    tables.  A larger component is costed sample by sample, from the block's
+    own path indices.  Either way each term comes from the same loads by the
+    same float operations, so the costs are the same bit for bit.  The
+    tables hold at most ``n_arcs * SAMPLE_BLOCK`` floats, the size of one
+    block's load rows, and are only read, so threads may share them.
     """
     import numpy as np
 
     from .game import sample_uniforms
+    from .solvers import _group_components
 
-    users = []  # (demand, cut points, arc rows per path)
+    users = []  # (demand, cut points, arc rows per path), in game order
+    group_users = []  # the user numbers of each group
     for gi, g in enumerate(game.groups):
         rows = _numbered_paths(g.paths, game.arc_ids)
+        group_users.append(range(len(users), len(users) + g.n_users))
         for ui, d in enumerate(g.demands):
             cum = np.cumsum([float(p) for p in profile.probabilities[gi][ui]])
             users.append((float(d), cum[:-1], rows))
     coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
-    def block(start: int, count: int):
-        draws = sample_uniforms(seed, start, count, len(users))
-        flows = np.zeros((game.n_arcs, count))
-        for (d, cuts, rows), col in zip(users, draws.T):
-            choice = sum(col >= cut for cut in cuts)  # 0 (an int) when there is one path
-            for pi, arcs in enumerate(rows):
+    def terms(picks, members, arcs):
+        """Each arc's term, in the order of ``arcs``, with user j of
+        ``members`` on path picks[j] (one column per state or sample)."""
+        row = {a: r for r, a in enumerate(arcs)}
+        flows = np.zeros((len(arcs), picks.shape[1]))
+        for (d, _, paths), choice in zip(members, picks):
+            for pi, path in enumerate(paths):
                 load = (choice == pi) * d
-                for a in arcs:
-                    flows[a] += load
+                for a in path:
+                    flows[row[a]] += load
+        return [fa * np.polyval(coeff_rows[a], fa) for a, fa in zip(arcs, flows)]
+
+    # Path indices: users by falling cut count, so that cut k is compared
+    # for the first users only; the narrowest unsigned type that holds them.
+    order = sorted(range(len(users)), key=lambda u: -len(users[u][1]))
+    column = {u: c for c, u in enumerate(order)}
+    passes = []  # (users with a k-th cut point, those cut points)
+    for k in range(len(users[order[0]][1]) if users else 0):
+        live = [u for u in order if len(users[u][1]) > k]
+        passes.append((len(live), np.array([users[u][1][k] for u in live])))
+    index_type = np.min_scalar_type(max((len(rows) for _, _, rows in users), default=1) - 1)
+    if order == sorted(order):
+        order = None
+
+    components = []  # (members, their columns, their arcs, table rows or None)
+    owner = [None] * game.n_arcs  # (component, row) of each arc
+    for groups in [*_group_components(game), []]:  # [] holds the arcs of no path
+        members = [u for gi in groups for u in group_users[gi]]
+        if groups:
+            arcs = sorted({a for u in members for path in users[u][2] for a in path})
+        else:
+            arcs = [a for a in range(game.n_arcs) if owner[a] is None]
+        radix = [len(users[u][2]) for u in members]
+        table = None
+        if math.prod(radix) <= SAMPLE_BLOCK:
+            digits, rest = [], np.arange(math.prod(radix))
+            for r in reversed(radix):
+                digits.append(rest % r)
+                rest //= r
+            states = np.array(digits[::-1], np.intp).reshape(len(radix), math.prod(radix))
+            table = terms(states, [users[u] for u in members], arcs)
+        columns = [(column[u], r) for u, r in zip(members, radix) if r > 1 or table is None]
+        for r, a in enumerate(arcs):
+            owner[a] = (len(components), r)
+        components.append(([users[u] for u in members], columns, arcs, table))
+
+    def block(seed: int, start: int, count: int):
+        draws = sample_uniforms(seed, start, count, len(users))
+        if order is not None:
+            draws = draws[:, order]
+        choice = np.zeros((count, len(users)), index_type)
+        for live, cuts in passes:
+            choice[:, :live] += draws[:, :live] >= cuts
+        del draws
+        picked = []  # per component: its state numbers, or its arcs' terms
+        for members, columns, arcs, table in components:
+            if table is None:
+                picks = np.array([choice[:, c] for c, _ in columns])
+                picked.append(terms(picks, members, arcs))
+            elif columns:
+                code = choice[:, columns[0][0]].astype(np.intp)
+                for c, r in columns[1:]:
+                    code *= r
+                    code += choice[:, c]
+                picked.append(code)
+            else:
+                picked.append(0)  # one state
         total = np.zeros(count)
-        for fa, coeffs in zip(flows, coeff_rows):
-            total += fa * np.polyval(coeffs, fa)
+        for ci, r in owner:
+            table = components[ci][3]
+            total += picked[ci][r] if table is None else table[r][picked[ci]]
         return total
 
+    return block
+
+
+def _sample_total_costs(block, n_samples: int, seed: int, first: int = 0, step: int = 1):
+    """``block``'s costs (see ``_block_costs``) of blocks first, first + step,
+    ... of ``SAMPLE_BLOCK`` samples, yielded one block at a time.
+
+    The blocks, joined with the defaults, are the costs of samples
+    0 .. n_samples - 1 in order.  A block divides a generator stream, so it
+    never crosses one.  Only one block's draws and path indices are held at
+    a time, and none is left when its costs are yielded, so the memory used
+    does not grow with ``n_samples``.
+    """
     for start in range(first * SAMPLE_BLOCK, n_samples, step * SAMPLE_BLOCK):
-        yield block(start, min(SAMPLE_BLOCK, n_samples - start))
+        yield block(seed, start, min(SAMPLE_BLOCK, n_samples - start))
 
 
 def _add_counts(values, counts, new_values, new_counts):
@@ -438,11 +522,11 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     workers = min(_sample_workers(), -(-n_samples // SAMPLE_BLOCK))
     stop = threading.Event()  # set once the merge fails or is interrupted
     empty = np.empty(0), np.empty(0, dtype=np.int64)
+    block = _block_costs(game, profile)
 
     def reduce(first: int):
         table = empty
-        for costs in _sample_total_costs(game, profile, n_samples, config.rng_seed,
-                                         first, workers):
+        for costs in _sample_total_costs(block, n_samples, config.rng_seed, first, workers):
             table = _add_counts(*table, *np.unique(costs / so_cost, return_counts=True))
             if stop.is_set():
                 break

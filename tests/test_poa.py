@@ -39,6 +39,7 @@ from poakit.game import PROB_TOL, SAMPLE_CHUNK, draw_atomic_profile, sample_unif
 from poakit.poa import (
     SAMPLE_BLOCK,
     _add_counts,
+    _block_costs,
     _sample_total_costs,
     _worst_on_equilibrium_set,
 )
@@ -59,7 +60,7 @@ CFG = SolverConfig()
 
 def _costs(game, profile, n, seed):
     """The realized costs of samples 0 .. n - 1: the sampler's blocks, joined."""
-    return np.concatenate(list(_sample_total_costs(game, profile, n, seed)))
+    return np.concatenate(list(_sample_total_costs(_block_costs(game, profile), n, seed)))
 
 
 class TestAtomicPoa:
@@ -344,9 +345,9 @@ class TestRandomPoa:
     @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
                                    SAMPLE_CHUNK + 3, 3 * SAMPLE_CHUNK + 5])
     def test_table_does_not_depend_on_the_workers(self, monkeypatch, n):
-        # One, two and three workers give the same table, mean and standard
-        # deviation, all equal to the np.unique of every sample; with one
-        # worker, or one block, every block is drawn on the calling thread.
+        # One, two and three workers give the same table and mean, all equal
+        # to the np.unique of every sample; with one worker, or one block,
+        # every block is drawn on the calling thread.
         game = load_asset("two_commodity_mixed_degree.json")
         mixed = solve_mixed_ne_small(game, CFG).flow
         draw = poakit.game.sample_uniforms
@@ -501,6 +502,21 @@ def two_path_users_case(k: int):
     return game, MixedProfile((tuple(rows),))
 
 
+def interleaved_components_case():
+    """Two groups on disjoint arcs listed alternately, and an arc on no path,
+    with inexact demands and coefficients: the sum of the arcs' terms, in
+    arc order, is not exact."""
+    game = Game({"a": poly(Fraction(1, 3), 0, Fraction(1, 7)), "b": poly(Fraction(2, 3), 1),
+                 "f": poly(Fraction(5, 7)), "c": poly(1, Fraction(1, 3), 0),
+                 "d": poly(Fraction(1, 5), 0), "e": poly(Fraction(3, 7), Fraction(2, 3))},
+                [Group("g1", (("a",), ("c",)), (Fraction(1, 3), Fraction(1, 2), Fraction(5, 3))),
+                 Group("g2", (("b",), ("d", "e")), (Fraction(2, 3), Fraction(1, 5)))])
+    profile = MixedProfile((((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 2)),
+                             (Fraction(3, 4), Fraction(1, 4))),
+                            ((Fraction(2, 5), Fraction(3, 5)), (Fraction(1, 6), Fraction(5, 6)))))
+    return game, profile
+
+
 def wide_user_case():
     """One user of demand 3/2 on 300 single-link paths with a seeded profile:
     path indices past 255."""
@@ -518,9 +534,15 @@ class TestSampler:
     @settings(max_examples=60, deadline=None)
     @given(case=sampled_games(), seed=st.integers(0, 2**32), on_cuts=st.booleans())
     @example(case=short_row_case(), seed=0, on_cuts=True)
+    @example(case=two_path_users_case(14), seed=1, on_cuts=True)
+    @example(case=two_path_users_case(15), seed=2, on_cuts=True)
+    @example(case=wide_user_case(), seed=3, on_cuts=True)
     def test_sampler_matches_scalar_oracle(self, case, seed, on_cuts):
         # on_cuts puts draws on the cut points and the floats either side,
-        # where a path choice off by one comparison would go astray.
+        # where a path choice off by one comparison would go astray.  The
+        # examples after the first take a component of SAMPLE_BLOCK pure
+        # states, the most that is costed from tables; one of twice that,
+        # costed sample by sample; and path indices past 255.
         game, profile = case
         profile.validate(game)
         n = SAMPLE_CHUNK + 3
@@ -534,12 +556,32 @@ class TestSampler:
                 want = float(game.total_cost(drawn.induced_flow(game)))
                 assert math.isclose(costs[i], want, rel_tol=1e-12), (i, drawn)
 
+    def test_a_large_component_is_costed_without_tables(self):
+        # A component of more than SAMPLE_BLOCK pure states is costed sample
+        # by sample, so building the sampler and costing one block takes
+        # about one block's draws, whatever the state count: 2**17 states
+        # take little more than 2**15, where tables of every state would
+        # take about four times as much.
+        import tracemalloc
+
+        def peak(k):
+            case = two_path_users_case(k)
+            tracemalloc.start()
+            try:
+                _block_costs(*case)(0, 0, SAMPLE_BLOCK)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(17) < 1.5 * peak(15)
+
     def test_pinned_bytes(self):
         """sha256 of the realized costs, seed 7, n = 3 * SAMPLE_CHUNK + 5.
 
         The cases are the asset at its mixed equilibrium, a three-path group
         whose paths share an arc, fifteen two-path users (one component of
-        2**15 pure states) and one user on 300 paths.  A change to the (seed, chunk) stream, to the path choice or to the
+        2**15 pure states), two components whose arcs alternate in arc order
+        and one user on 300 paths.  A change to the (seed, chunk) stream, to the path choice or to the
         order in which loads and costs are summed changes these bytes.  The
         hashes assume numpy's Philox generator and float64 ``np.polyval``
         as in numpy 2.4.
@@ -565,6 +607,8 @@ class TestSampler:
             "fa4c43230b4ea79b6f3be739bf6b1fac7f11ec80abb83797ecd4d9df13aa29a2"
         assert digest(*two_path_users_case(15)) == \
             "af0a6f59b27ac08790392948bf5a2813479e1c8f45e7e5dacab22331d78dc868"
+        assert digest(*interleaved_components_case()) == \
+            "676947d7c552c8b410152f36a49fac9fb7b9ce39fe895ca0cd8c44be2ce1ad9f"
         assert digest(*wide_user_case()) == \
             "d39e95ef8292fca649fc53e866f5efd0077287aac69e104f2f9011f867d0c955"
 
