@@ -349,14 +349,16 @@ def _block_costs(game: Game, profile: MixedProfile):
     order = sorted(range(len(users)), key=lambda u: -len(users[u][1]))
     column = {u: c for c, u in enumerate(order)}
     passes = []  # (users with a k-th cut point, those cut points)
-    for k in range(len(users[order[0]][1]) if users else 0):
+    for k in range(len(users[order[0]][1])):
         live = [u for u in order if len(users[u][1]) > k]
         passes.append((len(live), np.array([users[u][1][k] for u in live])))
-    index_type = np.min_scalar_type(max((len(rows) for _, _, rows in users), default=1) - 1)
+    index_type = np.min_scalar_type(max(len(rows) for _, _, rows in users) - 1)
     if order == sorted(order):
         order = None
 
-    components = []  # (members, their columns, their arcs, table rows or None)
+    # (members, the columns of their path indices, their arcs, table rows or
+    # None); a table's state number skips the users of one path.
+    components = []
     owner = [None] * game.n_arcs  # (component, row) of each arc
     for groups in [*_group_components(game), []]:  # [] holds the arcs of no path
         members = [u for gi in groups for u in group_users[gi]]
