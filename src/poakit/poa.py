@@ -369,11 +369,7 @@ def _block_costs(game: Game, profile: MixedProfile):
         radix = [len(users[u][2]) for u in members]
         table = None
         if math.prod(radix) <= SAMPLE_BLOCK:
-            digits, rest = [], np.arange(math.prod(radix))
-            for r in reversed(radix):
-                digits.append(rest % r)
-                rest //= r
-            states = np.array(digits[::-1], np.intp).reshape(len(radix), math.prod(radix))
+            states = np.indices(radix).reshape(len(radix), math.prod(radix))  # one column a state
             table = terms(states, [users[u] for u in members], arcs)
         columns = [(column[u], r) for u, r in zip(members, radix) if r > 1 or table is None]
         for r, a in enumerate(arcs):

@@ -488,7 +488,7 @@ def short_row_case():
 def two_path_users_case(k: int):
     """One group of k users on paths (a, c) and (b,), with seeded demands
     (some not exact in binary, so arc c's load depends on the order of its
-    sum) and seeded probabilities, a few of them 0 or 1: one component of
+    sum) and seeded probabilities, which may be 0 or 1: one component of
     2**k pure states."""
     rng = random.Random(k)
     demands = tuple(rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
@@ -561,7 +561,7 @@ class TestSampler:
         # by sample, so building the sampler and costing one block takes
         # about one block's draws, whatever the state count: 2**17 states
         # take little more than 2**15, where tables of every state would
-        # take about four times as much.
+        # take several times as much.
         import tracemalloc
 
         def peak(k):
@@ -581,10 +581,10 @@ class TestSampler:
         The cases are the asset at its mixed equilibrium, a three-path group
         whose paths share an arc, fifteen two-path users (one component of
         2**15 pure states), two components whose arcs alternate in arc order
-        and one user on 300 paths.  A change to the (seed, chunk) stream, to the path choice or to the
-        order in which loads and costs are summed changes these bytes.  The
-        hashes assume numpy's Philox generator and float64 ``np.polyval``
-        as in numpy 2.4.
+        and one user on 300 paths.  A change to the (seed, chunk) stream, to
+        the path choice or to the order in which loads and costs are summed
+        changes these bytes.  The hashes assume numpy's Philox generator and
+        float64 ``np.polyval`` as in numpy 2.4.
         """
         asset = load_asset("two_commodity_mixed_degree.json")
         at_ne = solve_mixed_ne_small(asset, CFG).flow
