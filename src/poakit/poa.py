@@ -332,11 +332,12 @@ def _block_costs(game: Game, profile: MixedProfile):
             users.append((float(d), cum[:-1], rows))
     coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
-    def terms(picks, members, arcs):
-        """Each arc's term, in the order of ``arcs``, with user j of
-        ``members`` on path picks[j] (one column per state or sample)."""
+    def terms(picks, count, members, arcs):
+        """Each arc's term, in the order of ``arcs``, in ``count`` states or
+        samples, with user j of ``members`` on path picks[j] (an array of
+        ``count`` path indices, or one index for all)."""
         row = {a: r for r, a in enumerate(arcs)}
-        flows = np.zeros((len(arcs), picks.shape[1]))
+        flows = np.zeros((len(arcs), count))
         for (d, _, paths), choice in zip(members, picks):
             for pi, path in enumerate(paths):
                 load = (choice == pi) * d
@@ -367,10 +368,16 @@ def _block_costs(game: Game, profile: MixedProfile):
         else:
             arcs = [a for a in range(game.n_arcs) if owner[a] is None]
         radix = [len(users[u][2]) for u in members]
+        n_states = math.prod(radix)
         table = None
-        if math.prod(radix) <= SAMPLE_BLOCK:
-            states = np.indices(radix).reshape(len(radix), math.prod(radix))  # one column a state
-            table = terms(states, [users[u] for u in members], arcs)
+        if n_states <= SAMPLE_BLOCK:
+            # state s puts each user on its digit of s; a user of one path
+            # is on path 0 in every state
+            state, place, digits = np.arange(n_states), n_states, []
+            for r in radix:
+                place //= r
+                digits.append(state // place % r if r > 1 else 0)
+            table = terms(digits, n_states, [users[u] for u in members], arcs)
         columns = [(column[u], r) for u, r in zip(members, radix) if r > 1 or table is None]
         for r, a in enumerate(arcs):
             owner[a] = (len(components), r)
@@ -387,8 +394,7 @@ def _block_costs(game: Game, profile: MixedProfile):
         picked = []  # per component: its state numbers, or its arcs' terms
         for members, columns, arcs, table in components:
             if table is None:
-                picks = np.array([choice[:, c] for c, _ in columns])
-                picked.append(terms(picks, members, arcs))
+                picked.append(terms([choice[:, c] for c, _ in columns], count, members, arcs))
             elif columns:
                 code = choice[:, columns[0][0]].astype(np.intp)
                 for c, r in columns[1:]:

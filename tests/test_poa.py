@@ -502,6 +502,22 @@ def two_path_users_case(k: int):
     return game, MixedProfile((tuple(rows),))
 
 
+def crowded_component_case():
+    """Fourteen two-path users on (a, c) or (b,) and fifty one-path users on
+    (c,), with seeded demands and probabilities: one component of 64 users
+    and 2**14 pure states, so a table of every state."""
+    rng = random.Random(64)
+    twos = tuple(rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(1)]) for _ in range(14))
+    ones = tuple(rng.choice([Fraction(1, 3), Fraction(2, 3), Fraction(1)]) for _ in range(50))
+    game = Game({"a": poly(1, 0, 0), "b": poly(2, 1), "c": poly(Fraction(1, 3), 0)},
+                [Group("od", (("a", "c"), ("b",)), twos), Group("c", (("c",),), ones)])
+    rows = []
+    for _ in twos:
+        p = Fraction(rng.randint(0, 8), 8)
+        rows.append((p, 1 - p))
+    return game, MixedProfile((tuple(rows), tuple((Fraction(1),) for _ in ones)))
+
+
 def interleaved_components_case():
     """Two groups on disjoint arcs listed alternately, and an arc on no path,
     with inexact demands and coefficients: the sum of the arcs' terms, in
@@ -537,12 +553,14 @@ class TestSampler:
     @example(case=two_path_users_case(14), seed=1, on_cuts=True)
     @example(case=two_path_users_case(15), seed=2, on_cuts=True)
     @example(case=wide_user_case(), seed=3, on_cuts=True)
+    @example(case=crowded_component_case(), seed=4, on_cuts=True)
     def test_sampler_matches_scalar_oracle(self, case, seed, on_cuts):
         # on_cuts puts draws on the cut points and the floats either side,
         # where a path choice off by one comparison would go astray.  The
         # examples after the first take a component of SAMPLE_BLOCK pure
         # states, the most that is costed from tables; one of twice that,
-        # costed sample by sample; and path indices past 255.
+        # costed sample by sample; path indices past 255; and a table
+        # component of 64 users, most of them on one path.
         game, profile = case
         profile.validate(game)
         n = SAMPLE_CHUNK + 3
@@ -580,8 +598,8 @@ class TestSampler:
 
         The cases are the asset at its mixed equilibrium, a three-path group
         whose paths share an arc, fifteen two-path users (one component of
-        2**15 pure states), two components whose arcs alternate in arc order
-        and one user on 300 paths.  A change to the (seed, chunk) stream, to
+        2**15 pure states), two components whose arcs alternate in arc order,
+        one user on 300 paths and a table component of 64 users.  A change to the (seed, chunk) stream, to
         the path choice or to the order in which loads and costs are summed
         changes these bytes.  The hashes assume numpy's Philox generator and
         float64 ``np.polyval`` as in numpy 2.4.
@@ -611,6 +629,8 @@ class TestSampler:
             "676947d7c552c8b410152f36a49fac9fb7b9ce39fe895ca0cd8c44be2ce1ad9f"
         assert digest(*wide_user_case()) == \
             "d39e95ef8292fca649fc53e866f5efd0077287aac69e104f2f9011f867d0c955"
+        assert digest(*crowded_component_case()) == \
+            "49e04e6ec917dff646c6caeb58aab8eacfeb758f5c2ebedd33d1ba789a64b5cc"
 
 
 @st.composite
