@@ -1,16 +1,22 @@
 """Demand families, limit games, and the prediction-versus-measurement loop."""
 
+import hashlib
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from poakit import decomposition
 from poakit import (
+    CostPolynomial,
     DemandFamily,
     DemandLaw,
     Game,
     Group,
     SolverConfig,
+    best_response_atomic,
     classify_groups,
     decomposition_prediction,
     limit_game,
@@ -21,10 +27,10 @@ from poakit import (
     tight_paths,
 )
 
-from poakit.decomposition import MAX_INSTANCE_USERS
+from poakit.decomposition import MAX_INSTANCE_USERS, WORST_CASE_RESTARTS, worst_atomic_cost
 from poakit.solvers import require_converged
 
-from conftest import poly, two_commodity_game
+from conftest import no_equilibrium_game, poly, two_commodity_game
 
 CFG = SolverConfig()
 
@@ -341,3 +347,59 @@ class TestInstanceScale:
     def test_tiny_scales_within_bounds_are_built(self):
         family = self.family(c=Fraction(1e-300), gamma=1.0, user_demand=Fraction(1e-300))
         assert family.instantiate(2).groups[0].n_users == 2
+
+
+def fallback_games() -> list:
+    """(game, config) pairs past the enumeration budget, so ``worst_atomic_cost``
+    runs its best-response restarts: 30 unit users on eight seeded affine
+    links (C(37, 7) states, past the default budget), seeded weighted games
+    whose restarts may not converge within a short move budget, the weighted
+    game with no pure equilibrium, and a game with float coefficients and
+    demands."""
+    rng = random.Random(2424)
+    links = {f"l{i}": poly(rng.randint(1, 4), rng.randint(0, 6)) for i in range(8)}
+    unit = Game(links, [Group("od", tuple((aid,) for aid in links), (Fraction(1),) * 30)])
+    pairs = [(unit, CFG)]
+    for _ in range(3):
+        arcs = {f"a{i}": poly(rng.randint(1, 3), *(rng.randint(0, 2) for _ in range(3)))
+                for i in range(5)}
+        demands = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(12))
+        game = Game(arcs, [Group("od", tuple((aid,) for aid in arcs), demands)])
+        for moves in (2, 7, CFG.max_iterations):
+            pairs.append((game, SolverConfig(enumeration_budget=100, max_iterations=moves)))
+    pairs.append((no_equilibrium_game(), SolverConfig(enumeration_budget=1, max_iterations=40)))
+    floats = Game({"u": CostPolynomial((0.75, 0.1)), "m": CostPolynomial((1.5, 0.0, 0.3)),
+                   "l": CostPolynomial((2.0, 1.25))},
+                  [Group("od", (("u",), ("m",), ("l",)),
+                         tuple(rng.choice((0.5, 1.0, 1.7320508075688772)) for _ in range(9)))])
+    pairs.append((floats, SolverConfig(enumeration_budget=100)))
+    return pairs
+
+
+class TestWorstAtomicCost:
+    def test_pinned_bits(self, monkeypatch):
+        """sha256 of repr of ``worst_atomic_cost``'s result and of every
+        restart's best response (choices, cost and its type, moves,
+        converged, exact, note), at three seeds, over ``fallback_games``.
+
+        A change to a restart's start, to its lattice or cost tables, to a
+        tie, or to which restart is reported changes these bytes.
+        """
+        restarts = []
+
+        def record(game, config, start):
+            result = best_response_atomic(game, config, start)
+            restarts.append((result.flow, result.cost, type(result.cost), result.iterations,
+                             result.converged, result.exact, result.note))
+            return result
+
+        monkeypatch.setattr(decomposition, "best_response_atomic", record)
+        digest = hashlib.sha256()
+        for game, config in fallback_games():
+            for seed in (0, 5, 2**64 - 1 - WORST_CASE_RESTARTS):
+                restarts.clear()
+                outcome = worst_atomic_cost(game, replace(config, rng_seed=seed))
+                assert outcome[1] and outcome[2] is None and len(restarts) == WORST_CASE_RESTARTS
+                digest.update(repr((outcome, restarts)).encode())
+        assert digest.hexdigest() == \
+            "c494effa7b3aeaf619fb1ca8093348fd4b30c768e89d4a34c25e3759c6ea00f0"
