@@ -24,7 +24,7 @@ def scale_game(base: Game, g: Number) -> Game:
         raise ValueError("scaling factor must be > 0")
     total = base.total_demand
     arcs = {aid: poly.scaled(total, g) for aid, poly in base.arcs.items()}
-    groups = [Group(grp.gid, grp.paths, tuple(d / total for d in grp.demands))
+    groups = [Group(grp.gid, grp.paths, runs=[(d / total, count) for d, count in grp.runs])
               for grp in base.groups]
     return Game(arcs, groups)
 

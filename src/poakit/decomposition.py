@@ -25,6 +25,7 @@ from .solvers import (
     SolverConfig,
     AtomicProfile,
     best_response_atomic,
+    best_response_costs,
     enumerate_atomic_equilibria,
     require_converged,
     solve_nonatomic_ne,
@@ -100,23 +101,20 @@ class DemandFamily:
                 raise GameSchemaError("demand_laws", f"missing demand law for group {gid!r}")
 
     def users_at(self, gid: str, n: int) -> tuple:
-        """User demand vector realizing d(n) under the group's granularity."""
+        """The ``Group.runs`` of the users realizing d(n) under the group's granularity."""
         law = self.laws[gid]
         demand = law.demand_at(n)
         if law.user_count is not None:
             count = law.count_at(n)
-            return (demand / count,) * count
+            return ((demand / count, count),)
         v = law.user_demand
         if demand <= v:
-            return (demand,)
+            return ((demand, 1),)
         count = int(demand / v)
         remainder = demand - count * v
         if isinstance(remainder, float) and remainder < 1e-9 * float(v):
             remainder = 0
-        users = [v] * count
-        if remainder > 0:
-            users.append(remainder)
-        return tuple(users)
+        return ((v, count), (remainder, 1)) if remainder > 0 else ((v, count),)
 
     def check_scale(self, grid: Sequence[int]) -> None:
         """ValueError unless ``grid`` is a nonempty increasing list of n >= 1
@@ -140,7 +138,7 @@ class DemandFamily:
 
     def instantiate(self, n: int) -> Game:
         self.check_scale((n,))
-        groups = [Group(g.gid, g.paths, self.users_at(g.gid, n)) for g in self.base.groups]
+        groups = [Group(g.gid, g.paths, runs=self.users_at(g.gid, n)) for g in self.base.groups]
         return Game(self.base.arcs, groups)
 
 
@@ -285,14 +283,6 @@ class DecompositionReport:
     rows: list  # PredictionRow per grid point
 
 
-def _random_profile(game: Game, seed: int) -> AtomicProfile:
-    import numpy as np
-
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return AtomicProfile(tuple(tuple(int(x) for x in gen.integers(0, g.n_paths, size=g.n_users))
-                               for g in game.groups))
-
-
 def worst_atomic_cost(game: Game, config: SolverConfig):
     """Worst pure-equilibrium cost, whether it is only a lower bound, and the
     atomic optimum cost, as ``(worst, is_lower_bound, optimum)``.
@@ -300,15 +290,20 @@ def worst_atomic_cost(game: Game, config: SolverConfig):
     Exact when enumerable: one scan gives the worst equilibrium (None when
     there is none) and the optimum.  Past the enumeration budget the worst
     cost comes from a best-response search from seeded random starts (a
-    lower bound on the true worst case) and the optimum is None.
+    lower bound on the true worst case, the searches sharing one lattice)
+    and the optimum is None.
     """
     try:
         equilibria = enumerate_atomic_equilibria(game, config)
     except BudgetExceededError:
+        import numpy as np
         worst = None
+        arcs = best_response_costs(game)
         for i in range(WORST_CASE_RESTARTS):
-            start = _random_profile(game, config.rng_seed + i)
-            result = best_response_atomic(game, config, start)
+            gen = np.random.Generator(np.random.Philox(key=config.rng_seed + i))
+            start = AtomicProfile(tuple(tuple(gen.integers(0, g.n_paths, size=g.n_users).tolist())
+                                        for g in game.groups))
+            result = best_response_atomic(game, config, start, arcs)
             if result.converged and (worst is None or float(result.cost) > worst):
                 worst = float(result.cost)
         return worst, True, None

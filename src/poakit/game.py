@@ -10,6 +10,7 @@ otherwise; all evaluation helpers accept either.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -122,8 +123,9 @@ class CostPolynomial:
         coeffs = tuple(self.coefficients[i] * (d - i) for i in range(d))
         return CostPolynomial(coeffs)
 
+    @cached_property
     def marginal(self) -> "CostPolynomial":
-        """Cost of one more unit: tau(x) + x * tau'(x)."""
+        """Cost of one more unit: tau(x) + x * tau'(x), built on first read."""
         d = self.degree
         coeffs = tuple(self.coefficients[i] * (d - i + 1) for i in range(d + 1))
         return CostPolynomial(coeffs)
@@ -144,26 +146,42 @@ class CostPolynomial:
         return CostPolynomial(coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Group:
+    """A group's paths and its users, as (demand, count) runs in user order.
+    Per-user ``demands``, or ``runs``, are folded so that adjacent users share a
+    run exactly when their demands have one type and value (a zero only as one
+    object): ``demands`` rebuilds them element for element, and every
+    per-group figure reads the runs."""
+
     gid: str
     paths: tuple  # tuple of tuples of arc ids; identity is positional
-    demands: tuple  # per-user demand, all > 0
+    runs: tuple  # ((demand, count), ...), every demand > 0 and count >= 1
+
+    def __init__(self, gid: str, paths: tuple, demands: Sequence = (), *, runs=None):
+        runs = itertools.groupby(((d, 1) for d in demands) if runs is None else runs,
+                                 lambda run: (type(run[0]), run[0], run[0] or id(run[0])))
+        runs = tuple((d, sum(count for _, count in same)) for (_, d, _), same in runs)
+        self.__dict__.update(gid=gid, paths=paths, runs=runs)  # frozen: no setattr
+
+    @property
+    def demands(self) -> tuple:
+        return tuple(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.runs)))
 
     @cached_property
     def total_demand(self) -> Number:
         """``sum(self.demands)``.  Fraction demands are summed as integers over
-        the lcm of their distinct denominators, which gives the same Fraction
-        with no Fraction addition per user."""
-        demands = self.demands
-        if not (demands and all(isinstance(d, Fraction) for d in demands)):
-            return sum(demands)  # in user order, so a float sum keeps its bits
-        common = math.lcm(*{d.denominator for d in demands})
-        return Fraction(sum(d.numerator * (common // d.denominator) for d in demands), common)
+        the lcm of their distinct denominators, times their counts, which gives
+        the same Fraction with no Fraction addition per user."""
+        runs = self.runs
+        if not (runs and all(isinstance(d, Fraction) for d, _ in runs)):
+            return sum(d for d, count in runs for _ in range(count))  # in user order
+        common = math.lcm(*{d.denominator for d, _ in runs})
+        return Fraction(sum(d.numerator * (common // d.denominator) * k for d, k in runs), common)
 
     @property
     def n_users(self) -> int:
-        return len(self.demands)
+        return sum(k for _, k in self.runs)
 
     @property
     def n_paths(self) -> int:
@@ -224,7 +242,8 @@ class Game:
                     raise GameSchemaError(pwhere, "disjointness violated: path "
                                           f"{sorted(key)} already belongs to group {owner!r}")
                 seen_paths[key] = g.gid
-            for ui, d in enumerate(g.demands):
+            # A run's users share one demand, so its first user stands for them.
+            for (d, _), ui in zip(g.runs, itertools.accumulate((k for _, k in g.runs), initial=0)):
                 if not d > 0:
                     raise GameSchemaError(f"{where}.users[{ui}].demand", "demand must be > 0")
 
@@ -265,12 +284,12 @@ class Game:
 
     @property
     def d_max(self) -> Number:
-        return max(max(g.demands) for g in self._groups)
+        return max(max(d for d, _ in g.runs) for g in self._groups)
 
     @cached_property
     def is_rational(self) -> bool:
         ok = all(isinstance(c, Fraction) for p in self._arcs.values() for c in p.coefficients)
-        return ok and all(isinstance(d, (int, Fraction)) for g in self._groups for d in g.demands)
+        return ok and all(isinstance(d, (int, Fraction)) for g in self._groups for d, _ in g.runs)
 
     @property
     def degrees(self) -> tuple:
@@ -548,12 +567,15 @@ def load_game(document: Union[str, Mapping]) -> Game:
         for pi, path in enumerate(_as_list(lists["paths"], where + ".paths")):
             path = _as_list(path, f"{where}.paths[{pi}]")
             path_tuples.append(tuple(str(a) for a in path))
-        demands = []
+        runs = []  # [demand, count, document value]: a repeated value is parsed once
         for ui, user in enumerate(_as_list(lists["users"], where + ".users")):
             if not isinstance(user, Mapping) or "demand" not in user:
                 raise GameSchemaError(f"{where}.users[{ui}]", "user needs a 'demand'")
-            demands.append(_as_number(user["demand"], f"{where}.users[{ui}].demand"))
-        groups.append(Group(str(entry["id"]), tuple(path_tuples), tuple(demands)))
+            raw = user["demand"]
+            if not (runs and type(raw) is type(runs[-1][2]) and raw == runs[-1][2]):
+                runs.append([_as_number(raw, f"{where}.users[{ui}].demand"), 0, raw])
+            runs[-1][1] += 1
+        groups.append(Group(str(entry["id"]), tuple(path_tuples), runs=[(d, k) for d, k, _ in runs]))
 
     return Game(arcs, groups)
 

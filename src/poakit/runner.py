@@ -434,7 +434,7 @@ def load_asset(name: str) -> Game:
 
 
 def _with_uniform_users(game: Game, per_group_users: int, demand) -> Game:
-    groups = [Group(g.gid, g.paths, tuple([demand] * per_group_users)) for g in game.groups]
+    groups = [Group(g.gid, g.paths, runs=[(demand, per_group_users)]) for g in game.groups]
     return Game(game.arcs, groups)
 
 

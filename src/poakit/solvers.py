@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,15 +127,25 @@ def verify_wardrop(game: Game, flow: PathFlow) -> float:
                                         for gi, pi in game.path_keys})
 
 
+def _used_bound(total_demand: Number) -> tuple:
+    """``(exact, bound)``: a path flow f is used when f > exact = total_demand *
+    USED_PATH_REL_TOL, a float f when f > bound.  Floats above (below) t, the
+    float nearest exact, are above (below) it: bound is t, or below t if t > exact."""
+    exact = total_demand * USED_PATH_REL_TOL
+    t = float(min(exact, sys.float_info.max))
+    return exact, t if t <= exact else math.nextafter(t, -math.inf)
+
+
 def _worst_used_gap(game: Game, flow: PathFlow, path_costs: Mapping) -> float:
-    """Largest ``path_costs[gi, pi]`` of a used path above its group's cheapest."""
+    """Largest ``path_costs[gi, pi]`` of a used path (``_used_bound``) above its group's cheapest."""
     worst = 0.0
     for gi, g in enumerate(game.groups):
-        used_thresh = g.total_demand * USED_PATH_REL_TOL
+        exact, bound = _used_bound(g.total_demand)
         costs = [path_costs[gi, pi] for pi in range(g.n_paths)]
         cheapest = min(costs)
         for pi, c in enumerate(costs):
-            if flow.value(gi, pi) > used_thresh:
+            f = flow.value(gi, pi)
+            if f > bound if type(f) is float else f > exact:
                 worst = max(worst, float(c - cheapest))
     return worst
 
@@ -222,7 +233,9 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
     mass from the group's costliest used path toward its cheapest path (both
     read from ``_GroupPicks``' heaps), the amount fixed by bisecting the
     monotone derivative of the underlying convex objective along that
-    segment (``_segment_step``).
+    segment (``_segment_step``).  The cost of the final flow is Horner's rule
+    on ``float_coefficients``: Fraction-float arithmetic converts the Fraction
+    first, so each step has the bits of ``Game.total_cost`` at a float load.
     """
     t0 = time.perf_counter()
     direction_polys = {aid: p.float_coefficients for aid, p in polys.items()}
@@ -249,7 +262,7 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
         return sum(_horner(direction_polys[aid], arc_flow[aid]) for aid in gpaths[keys[i]])
 
     slot_costs = [path_cost(i) for i in range(len(keys))]  # kept current by every move
-    picks = [_GroupPicks(slots, float(g.total_demand) * float(USED_PATH_REL_TOL), slot_costs, flows)
+    picks = [_GroupPicks(slots, _used_bound(g.total_demand)[1], slot_costs, flows)
              for g, slots in zip(game.groups, group_slots)]
     slot_picks = [picks[gi] for gi, _ in keys]
     movable = [group for group in picks if len(group.slots) > 1]
@@ -290,7 +303,7 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
     dir_costs = {aid: _horner(direction_polys[aid], float(fa[aid])) for aid in game.arc_ids}
     path_costs = {key: sum(dir_costs[aid] for aid in gpaths[key]) for key in keys}
     residual = _worst_used_gap(game, flow, path_costs)
-    cost = game.total_cost(flow)
+    cost = sum(v * _horner(game.arcs[aid].float_coefficients, v) for aid, v in fa.items())
     note = "" if converged else f"move budget {budget} spent"
     # The line search can strand costly flow on a steep arc below the used threshold.
     for group in movable:
@@ -415,7 +428,7 @@ def solve_nonatomic_ne(game: Game, config: SolverConfig = SolverConfig(),
 def solve_nonatomic_so(game: Game, config: SolverConfig = SolverConfig(),
                        start: Optional[PathFlow] = None) -> EquilibriumResult:
     """Non-atomic optimum: minimize total cost, i.e. equilibrate marginal costs."""
-    marginals = {aid: p.marginal() for aid, p in game.arcs.items()}
+    marginals = {aid: p.marginal for aid, p in game.arcs.items()}
     return _equilibrate(game, config, marginals, start, "nonatomic-so")
 
 
@@ -467,26 +480,18 @@ def _group_components(game: Game) -> list:
 class _UserClass:
     gi: int
     demand: Number
-    user_slots: tuple  # runs (ranges) of the indices of the group's users of this demand
-    size: int
+    size: int  # the group's users of this demand
 
 
 def _user_classes(game: Game, group_indices: Sequence[int]) -> list:
-    """Per group, one class per distinct demand, in order of first use.
-
-    Consecutive users of one demand are taken as one run, so a group of equal
-    users costs one comparison per user and holds no index per user.
-    """
+    """Per group, one class per distinct demand, in order of first use, read
+    from the group's runs: a group of equal users is one run, whatever its size."""
     classes = []
     for gi in group_indices:
-        by_demand: dict = {}
-        start = 0
-        for d, run in itertools.groupby(game.groups[gi].demands):
-            stop = start + sum(1 for _ in run)
-            by_demand.setdefault(d, []).append(range(start, stop))
-            start = stop
-        for d, runs in by_demand.items():
-            classes.append(_UserClass(gi, d, tuple(runs), sum(map(len, runs))))
+        sizes: dict = {}
+        for d, count in game.groups[gi].runs:
+            sizes[d] = sizes.get(d, 0) + count
+        classes += [_UserClass(gi, d, size) for d, size in sizes.items()]
     return classes
 
 
@@ -501,11 +506,7 @@ def _compositions(total: int, parts: int):
 
 
 def _class_state_count(game: Game, classes: Sequence[_UserClass]) -> int:
-    count = 1
-    for cls in classes:
-        p = game.groups[cls.gi].n_paths
-        count *= comb(cls.size + p - 1, p - 1)
-    return count
+    return math.prod(comb(cls.size + game.groups[cls.gi].n_paths - 1, cls.size) for cls in classes)
 
 
 LATTICE_MAX_ROWS = 1 << 18  # cost-table rows one lattice may hold, summed over its arcs
@@ -749,28 +750,19 @@ class _ComponentScan:
                             return False
         return True
 
-    @cached_property
-    def slot_runs(self) -> dict:
-        """Per group, its runs of users in slot order, each with its class."""
-        runs: dict = {gi: [] for gi in self.groups}
-        for ci, cls in enumerate(self.classes):
-            runs[cls.gi] += [(run, ci) for run in cls.user_slots]
-        for group_runs in runs.values():
-            group_runs.sort(key=lambda rc: rc[0].start)
-        return runs
-
     def representative(self, assignment) -> dict:
         """Per group, the tuple of user choices realizing the counts (each
-        class's users take its paths in slot order).  Built once per state,
-        so results that share a state (the optimum is often an equilibrium)
-        share its tuples."""
+        class's users take its paths in user order, run by run).  Built once
+        per state, so results that share a state (the optimum is often an
+        equilibrium) share its tuples."""
         key = tuple(assignment)
         if key not in self.representatives:
-            choices = [itertools.chain.from_iterable(map(itertools.repeat, itertools.count(), counts))
-                       for counts in assignment]
+            choices = {(cls.gi, cls.demand): itertools.chain.from_iterable(
+                map(itertools.repeat, itertools.count(), counts))
+                for cls, counts in zip(self.classes, assignment)}
             self.representatives[key] = {gi: tuple(itertools.chain.from_iterable(
-                itertools.islice(choices[ci], len(run)) for run, ci in runs))
-                for gi, runs in self.slot_runs.items()}
+                itertools.islice(choices[gi, d], count) for d, count in self.game.groups[gi].runs))
+                for gi in self.groups}
         return self.representatives[key]
 
 
@@ -865,24 +857,30 @@ def solve_atomic_so(game: Game, config: SolverConfig = SolverConfig()) -> Equili
 # Best-response dynamics
 # ---------------------------------------------------------------------------
 
+def best_response_costs(game: Game) -> _ArcCosts:
+    """The lattice and cost tables ``best_response_atomic`` reads on ``game``: a first
+    round reads every arc's cost, then one deviation per user and other path."""
+    return _arc_costs(game, _user_classes(game, range(len(game.groups))), game.arc_ids,
+                      game.n_arcs + sum(g.n_users * (g.n_paths - 1) for g in game.groups))
+
+
 def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
-                         initial: Optional[AtomicProfile] = None) -> EquilibriumResult:
+                         initial: Optional[AtomicProfile] = None,
+                         arcs: Optional[_ArcCosts] = None) -> EquilibriumResult:
     """Iterate single-user best responses until no user can strictly improve.
 
     Ties break toward the currently used path, then the lowest path index,
     so runs are deterministic.  Guaranteed to terminate on unweighted games
     (potential descent); weighted games may cycle, in which case the budget
     expires and the best iterate is returned flagged as non-converged.
+    ``arcs`` is ``best_response_costs(game)``, built here unless given.
     """
     t0 = time.perf_counter()
     if initial is None:
-        initial = AtomicProfile(tuple(tuple(0 for _ in g.demands) for g in game.groups))
+        initial = AtomicProfile(tuple((0,) * g.n_users for g in game.groups))
     initial.validate(game)
 
-    classes = _user_classes(game, range(len(game.groups)))
-    # A first round reads every arc's cost, then one deviation per user and other path.
-    arcs = _arc_costs(game, classes, game.arc_ids,
-                      game.n_arcs + sum(g.n_users * (g.n_paths - 1) for g in game.groups))
+    arcs = best_response_costs(game) if arcs is None else arcs
     user_loads = [[arcs.load(d) for d in g.demands] for g in game.groups]
     paths = [_numbered_paths(g.paths, game.arc_ids) for g in game.groups]
     arc_sets = [[set(path) for path in group_paths] for group_paths in paths]

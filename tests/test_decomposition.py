@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from poakit import (
 )
 
 from poakit.decomposition import MAX_INSTANCE_USERS, WORST_CASE_RESTARTS, worst_atomic_cost
-from poakit.solvers import require_converged
+from poakit.solvers import _user_classes, require_converged
 
 from conftest import no_equilibrium_game, poly, two_commodity_game
 
@@ -344,6 +345,26 @@ class TestInstanceScale:
             with pytest.raises(ValueError, match=message):
                 family.instantiate(grid[0])
 
+    @pytest.mark.parametrize("law, n, demand", [
+        (dict(c=Fraction(1), gamma=1.0, user_demand=Fraction(1)), MAX_INSTANCE_USERS, 1),
+        (dict(c=Fraction(1), gamma=1.0, user_count=(Fraction(2), 1.0)), MAX_INSTANCE_USERS // 2,
+         Fraction(1, 2)),
+    ], ids=["unit-users", "user-count"])
+    def test_an_instance_at_the_user_cap_in_bounded_memory(self, law, n, demand):
+        # A tuple of 10**6 users alone takes 8 MB; the game holds one run.
+        tracemalloc.start()
+        try:
+            game = self.family(**law).instantiate(n)
+            facts = (game.total_demand, game.is_rational, game.d_max,
+                     _user_classes(game, range(len(game.groups))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        total, rational, d_max, classes = facts
+        assert total == demand * MAX_INSTANCE_USERS and rational and d_max == demand
+        assert [(c.demand, c.size) for c in classes] == [(demand, MAX_INSTANCE_USERS)]
+
     def test_tiny_scales_within_bounds_are_built(self):
         family = self.family(c=Fraction(1e-300), gamma=1.0, user_demand=Fraction(1e-300))
         assert family.instantiate(2).groups[0].n_users == 2
@@ -387,8 +408,8 @@ class TestWorstAtomicCost:
         """
         restarts = []
 
-        def record(game, config, start):
-            result = best_response_atomic(game, config, start)
+        def record(*args):
+            result = best_response_atomic(*args)
             restarts.append((result.flow, result.cost, type(result.cost), result.iterations,
                              result.converged, result.exact, result.note))
             return result

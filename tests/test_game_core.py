@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poakit import (
@@ -76,7 +76,7 @@ class TestCostPolynomial:
 
     def test_marginal_and_integral(self):
         p = poly(1, 0)  # x
-        assert p.marginal().value(3) == 6  # x + x = 2x
+        assert p.marginal.value(3) == 6  # x + x = 2x
         assert p.integral_value(Fraction(2)) == 2
 
     def test_derivative(self):
@@ -213,6 +213,77 @@ class TestLoadGame:
             game.arcs["s11"] = poly(1)
         rebuilt = Game(game.arcs, game.groups)
         assert dump_game(rebuilt) == dump_game(game)
+
+
+# Adjacent equal values of different types, zeros of both signs, and any
+# small int, Fraction or float; each drawn value repeats one to four times.
+_demand_values = st.one_of(
+    st.sampled_from([1, Fraction(1), 1.0, 0.5, Fraction(1, 2), 0, -0.0, 0.0, Fraction(0), True]),
+    st.integers(-2, 6), st.fractions(-2, 6, max_denominator=7),
+    st.floats(-2.0, 6.0, allow_nan=False))
+_demand_lists = st.lists(st.tuples(_demand_values, st.integers(1, 4)), min_size=1, max_size=12).map(
+    lambda pairs: [d for d, repeat in pairs for _ in range(repeat)])
+
+
+def _json_demand(d):
+    """``d`` as a document writes it: Fractions as "num/den" strings."""
+    return f"{d.numerator}/{d.denominator}" if isinstance(d, Fraction) else d
+
+
+class TestDemandRuns:
+    """A group holds its users as runs; every figure read from the runs
+    matches the per-user oracle computed here from the demand list."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(demands=_demand_lists)
+    def test_runs_match_per_user_oracles(self, demands):
+        from poakit.solvers import _user_classes
+
+        group = Group("g", (("a",), ("b",)), tuple(demands))
+        rebuilt = group.demands
+        assert [(repr(d), type(d)) for d in rebuilt] == [(repr(d), type(d)) for d in demands]
+        total = sum(demands)
+        assert (repr(group.total_demand), type(group.total_demand)) == (repr(total), type(total))
+        assert group.n_users == len(demands) == sum(count for _, count in group.runs)
+        assert all(count >= 1 for _, count in group.runs)
+        arcs = {"a": poly(1, 0), "b": poly(2, 1)}
+        bad = [ui for ui, d in enumerate(demands) if not d > 0]
+        if bad:
+            with pytest.raises(GameSchemaError) as err:
+                Game(arcs, [group])
+            assert err.value.path == f"groups[0].users[{bad[0]}].demand"
+            return
+        game = Game(arcs, [group])
+        assert game.n_users == len(demands)
+        top = max(demands)
+        assert (game.d_max, type(game.d_max)) == (top, type(top))
+        assert game.is_rational == all(isinstance(d, (int, Fraction)) for d in demands)
+        sizes: dict = {}  # per distinct demand, in order of first use: the first user's value
+        for d in demands:
+            sizes[d] = sizes.get(d, 0) + 1
+        classes = _user_classes(game, [0])
+        assert [(c.gi, c.demand, type(c.demand), c.size) for c in classes] == \
+            [(0, d, type(d), size) for d, size in sizes.items()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(demands=_demand_lists)
+    def test_load_game_folds_runs_as_it_parses(self, demands):
+        demands = [d for d in demands if type(d) is not bool]
+        assume(demands)
+        doc = {"arcs": [{"id": "a", "coeffs": [1, 0]}],
+               "groups": [{"id": "g", "paths": [["a"]],
+                           "users": [{"demand": _json_demand(d)} for d in demands]}]}
+        bad = [ui for ui, d in enumerate(demands) if not d > 0]
+        if bad:
+            with pytest.raises(GameSchemaError) as err:
+                load_game(doc)
+            assert err.value.path == f"groups[0].users[{bad[0]}].demand"
+            return
+        group = load_game(doc).groups[0]
+        assert group.demands == tuple(Fraction(d) for d in demands)
+        assert all(type(d) is Fraction for d in group.demands)
+        assert len(group.runs) <= len(demands)
+        assert load_game(json.dumps(dump_game(load_game(doc)))).groups == (group,)
 
 
 class TestFlowsAndCosts:

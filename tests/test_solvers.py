@@ -265,6 +265,31 @@ class TestNonatomicNe:
         for a, b in zip(*cost_vectors):
             assert abs(a - b) <= 10 * CFG.tolerance
 
+    @pytest.mark.parametrize("demand", [Fraction(3), Fraction(7, 3)], ids=["3", "7/3"])
+    def test_moves_and_residual_share_the_used_path_rule(self, demand):
+        # The float product float(d) * 1e-12 lies above the exact threshold
+        # d / 10**12 at these demands, so a flow equal to it is used.  The
+        # moves must then shift it off the costlier path, or a solve would
+        # report convergence with that path's gap as its residual.
+        edge = float(demand) * float(solvers.USED_PATH_REL_TOL)
+        assert Fraction(edge) > demand * solvers.USED_PATH_REL_TOL
+        game = Game({"a": poly(1, 0), "b": poly(1, 5)},
+                    [Group("od", (("a",), ("b",)), (demand,))])
+        result = solve_nonatomic_ne(game, CFG, start=PathFlow(game, [float(demand) - edge, edge]))
+        assert result.converged
+        assert result.residual == 0.0 and result.flow.value(0, 1) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.integers(1, 10**30), den=st.integers(1, 10**30), step=st.integers(-3, 3))
+    def test_float_used_rule_is_exact(self, num, den, step):
+        """A float flow near the threshold is used by ``_used_bound``'s float
+        bound exactly when it is above the exact threshold."""
+        exact, bound = solvers._used_bound(Fraction(num, den))
+        flow = float(exact)
+        for _ in range(abs(step)):
+            flow = math.nextafter(flow, math.copysign(math.inf, step))
+        assert (flow > bound) == (Fraction(flow) > exact)
+
 
 class TestNonatomicSo:
     def test_quadratic_constant_optimum(self):
@@ -319,7 +344,7 @@ _coefficients = st.one_of(
     st.sampled_from([(1.0, 0.0), (2.0, 0.0), (1.0,), (1.0, 0.0, 0.0), (3.0, 1.0)]),
     st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5).map(tuple),
     _fraction_coefficients.map(lambda cs: CostPolynomial(tuple(cs)).float_coefficients),
-    _fraction_coefficients.map(lambda cs: CostPolynomial(tuple(cs)).marginal().float_coefficients))
+    _fraction_coefficients.map(lambda cs: CostPolynomial(tuple(cs)).marginal.float_coefficients))
 _flows = st.one_of(st.just(0.0), st.integers(1, 20).map(float), st.floats(1e-7, 1e6))
 _arcs = st.lists(st.tuples(_coefficients, _flows), max_size=3)
 
