@@ -175,7 +175,7 @@ class Group:
         the same Fraction with no Fraction addition per user."""
         runs = self.runs
         if not (runs and all(isinstance(d, Fraction) for d, _ in runs)):
-            return sum(d for d, count in runs for _ in range(count))  # in user order
+            return sum(d for d, count in runs for _ in range(count))  # in user order: float bits
         common = math.lcm(*{d.denominator for d, _ in runs})
         return Fraction(sum(d.numerator * (common // d.denominator) * k for d, k in runs), common)
 

@@ -145,7 +145,7 @@ def _worst_used_gap(game: Game, flow: PathFlow, path_costs: Mapping) -> float:
         cheapest = min(costs)
         for pi, c in enumerate(costs):
             f = flow.value(gi, pi)
-            if f > bound if type(f) is float else f > exact:
+            if f > bound if isinstance(f, float) else f > exact:
                 worst = max(worst, float(c - cheapest))
     return worst
 
