@@ -465,14 +465,15 @@ SAMPLE_CHUNK = 1 << 16  # samples per generator stream
 
 
 def sample_uniforms(seed: int, start: int, count: int, width: int):
-    """Uniforms for samples [start, start+count), ``width`` draws per sample.
+    """Philox words for samples [start, start+count), ``width`` per sample.
 
-    Sample i always reads row i % SAMPLE_CHUNK of the chunk-i//SAMPLE_CHUNK
-    stream keyed by (seed, chunk), making every sample a pure function of
-    (seed, i): two calls on adjacent ranges give the rows of one call on
-    their union, wherever the split falls.  A range starts in its stream in
-    O(1): one Philox counter step is four doubles, so the generator advances
-    by whole steps and draws only the remainder before the range's rows.
+    Word w is the uniform (w >> 11) * 2**-53, as numpy's ``random`` reads
+    it.  Sample i always reads row i % SAMPLE_CHUNK of the stream of chunk
+    i // SAMPLE_CHUNK, keyed by (seed, chunk), making every sample a pure
+    function of (seed, i): two calls on adjacent ranges give the rows of one
+    call on their union, wherever the split falls.  A range starts in its
+    stream in O(1): one Philox counter step is four words, so the generator
+    advances by whole steps and draws only the remainder before the range.
     """
     import numpy as np
 
@@ -480,13 +481,12 @@ def sample_uniforms(seed: int, start: int, count: int, width: int):
         chunk, offset = divmod(index, SAMPLE_CHUNK)
         bits = np.random.Philox(seed=np.random.SeedSequence(entropy=(int(seed), int(chunk))))
         steps, rest = divmod(offset * width, 4)
-        gen = np.random.Generator(bits.advance(steps))
-        gen.random(rest)
-        return gen.random((take, width))
+        bits.advance(steps).random_raw(rest)
+        return bits.random_raw((take, width))
 
     if count <= SAMPLE_CHUNK - start % SAMPLE_CHUNK:
         return stream(start, count)
-    out = np.empty((count, width))
+    out = np.empty((count, width), np.uint64)
     pos = 0
     while pos < count:
         take = min(count - pos, SAMPLE_CHUNK - (start + pos) % SAMPLE_CHUNK)
@@ -495,9 +495,18 @@ def sample_uniforms(seed: int, start: int, count: int, width: int):
     return out
 
 
+def _word_cuts(row) -> list:
+    """A probability row's cut points c (running float sums but the last) as
+    the least words w with uniform >= c: K << 11, K = max(ceil(c * 2**53), 0),
+    exact since c * 2**53 and its ceil are.  K >= 2**53 (a sum that rounded
+    up to 1 or past it) is above every uniform: that cut is dropped."""
+    ks = [max(math.ceil(c * 2.0 ** 53), 0) for c in itertools.accumulate(map(float, row[:-1]))]
+    return [k << 11 for k in ks if k < 2 ** 53]
+
+
 def draw_atomic_profile(game: Game, profile: MixedProfile, seed: int, index: int) -> AtomicProfile:
-    """Draw realization ``index`` of a mixed profile; pure in (seed, index)."""
-    draws = sample_uniforms(seed, index, 1, game.n_users)[0]
+    """Draw realization ``index`` of a mixed profile by the float rule; pure in (seed, index)."""
+    draws = (sample_uniforms(seed, index, 1, game.n_users)[0] >> 11) * 2.0 ** -53
     picks = []
     slot = 0
     for gi, g in enumerate(game.groups):
@@ -569,7 +578,7 @@ def load_game(document: Union[str, Mapping]) -> Game:
             path_tuples.append(tuple(str(a) for a in path))
         runs = []  # [demand, count, document value]: a repeated value is parsed once
         for ui, user in enumerate(_as_list(lists["users"], where + ".users")):
-            if not isinstance(user, Mapping) or "demand" not in user:
+            if not (type(user) is dict or isinstance(user, Mapping)) or "demand" not in user:
                 raise GameSchemaError(f"{where}.users[{ui}]", "user needs a 'demand'")
             raw = user["demand"]
             if not (runs and type(raw) is type(runs[-1][2]) and raw == runs[-1][2]):

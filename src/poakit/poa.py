@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add, getitem, mul
 from typing import TYPE_CHECKING, Optional
 
-from .game import SAMPLE_CHUNK, Game, MixedProfile, Number
+from .game import SAMPLE_CHUNK, Game, MixedProfile, Number, _word_cuts
 from .solvers import (
     AtomicEquilibria,
     BudgetExceededError,
@@ -298,9 +298,11 @@ def _block_costs(game: Game, profile: MixedProfile):
     Sample i depends only on (seed, i).  A user takes the first path whose
     cumulative probability exceeds its uniform, else the last, as
     ``draw_atomic_profile`` does; the cut points never fall, so that is the
-    count of cut points at or below the uniform.  A sample's cost is the sum,
-    in arc order, of each arc's term ``f * polyval(coefficients, f)``, where
-    the load f adds, in user order, each user's demand where the user's path
+    count of cut points at or below the uniform, compared as word thresholds
+    (``_word_cuts``) with the draws' words; a cut no uniform reaches, only
+    ever a user's last ones, is dropped.  A sample's cost is the sum, in arc
+    order, of each arc's term ``f * polyval(coefficients, f)``, where the
+    load f adds, in user order, each user's demand where the user's path
     holds the arc, else 0.0.
 
     Users are split into components by shared arcs (``_group_components``);
@@ -309,7 +311,7 @@ def _block_costs(game: Game, profile: MixedProfile):
     of its users' path counts) is costed here, once: its states are numbered
     in mixed radix, first user most significant, and each of its arcs gets a
     table of the term in every state.  A block then compares its draws with
-    the cut points, at once for all users, reads each component's state
+    the thresholds, at once for all users, reads each component's state
     number from the path indices and gathers its arcs' terms from the
     tables.  A larger component is costed sample by sample, from the block's
     own path indices.  Either way each term comes from the same loads by the
@@ -322,14 +324,13 @@ def _block_costs(game: Game, profile: MixedProfile):
     from .game import sample_uniforms
     from .solvers import _group_components
 
-    users = []  # (demand, cut points, arc rows per path), in game order
+    users = []  # (demand, cut points as word thresholds, arc rows per path)
     group_users = []  # the user numbers of each group
     for gi, g in enumerate(game.groups):
         rows = _numbered_paths(g.paths, game.arc_ids)
         group_users.append(range(len(users), len(users) + g.n_users))
         for ui, d in enumerate(g.demands):
-            cum = np.cumsum([float(p) for p in profile.probabilities[gi][ui]])
-            users.append((float(d), cum[:-1], rows))
+            users.append((float(d), _word_cuts(profile.probabilities[gi][ui]), rows))
     coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
 
     def terms(picks, count, members, arcs):
@@ -349,10 +350,10 @@ def _block_costs(game: Game, profile: MixedProfile):
     # for the first users only; the narrowest unsigned type that holds them.
     order = sorted(range(len(users)), key=lambda u: -len(users[u][1]))
     column = {u: c for c, u in enumerate(order)}
-    passes = []  # (users with a k-th cut point, those cut points)
+    passes = []  # (users with a k-th threshold, those thresholds)
     for k in range(len(users[order[0]][1])):
         live = [u for u in order if len(users[u][1]) > k]
-        passes.append((len(live), np.array([users[u][1][k] for u in live])))
+        passes.append((len(live), np.array([users[u][1][k] for u in live], np.uint64)))
     index_type = np.min_scalar_type(max(len(rows) for _, _, rows in users) - 1)
     if order == sorted(order):
         order = None

@@ -285,6 +285,22 @@ class TestDemandRuns:
         assert len(group.runs) <= len(demands)
         assert load_game(json.dumps(dump_game(load_game(doc)))).groups == (group,)
 
+    def test_load_game_takes_any_mapping_user(self):
+        # A user that is a Mapping but not a dict loads as a dict would; a
+        # list user is refused at its own path.
+        from types import MappingProxyType
+
+        def doc(users):
+            return {"arcs": [{"id": "a", "coeffs": [1, 0]}],
+                    "groups": [{"id": "g", "paths": [["a"]], "users": users}]}
+
+        users = [{"demand": 1}, MappingProxyType({"demand": 1}), {"demand": "1/2"}]
+        group = load_game(doc(users)).groups[0]
+        assert group.runs == ((Fraction(1), 2), (Fraction(1, 2), 1))
+        with pytest.raises(GameSchemaError) as err:
+            load_game(doc([{"demand": 1}, ["demand", 1]]))
+        assert err.value.path == "groups[0].users[1]"
+
 
 class TestFlowsAndCosts:
     def test_arc_flow_equilibrium_point(self):
@@ -361,7 +377,7 @@ class TestMixedExpectations:
         profile = MixedProfile((((a, 1 - a), (a, 1 - a)),))
         mean, var = expected_arc_flow_and_variance(game, profile)["u"]
         n = 200_000
-        draws = sample_uniforms(9, 0, n, 2)
+        draws = (sample_uniforms(9, 0, n, 2) >> 11) * 2.0 ** -53
         flows = 2.0 * (draws[:, 0] < a) + 2.0 * (draws[:, 1] < a)
         se = math.sqrt(var / n)
         assert abs(flows.mean() - mean) <= 3 * se
@@ -434,7 +450,7 @@ class TestInvariants:
         # formula value: sum of demand * probability
         assert float(expected.value(0, 0)) == pytest.approx(2 * 0.3 + 2 * 0.6)
         n = 120_000
-        draws = sample_uniforms(3, 0, n, 2)
+        draws = (sample_uniforms(3, 0, n, 2) >> 11) * 2.0 ** -53
         f_u = 2.0 * (draws[:, 0] < 0.3) + 2.0 * (draws[:, 1] < 0.6)
         var = 4 * 0.3 * 0.7 + 4 * 0.6 * 0.4
         se = math.sqrt(var / n)
@@ -453,7 +469,7 @@ class TestInvariants:
                 rows.append(tuple(user_rows))
             profile = MixedProfile(tuple(rows))
             n = 60_000
-            draws = sample_uniforms(11, 0, n, game.n_users)
+            draws = (sample_uniforms(11, 0, n, game.n_users) >> 11) * 2.0 ** -53
             for ai, aid in enumerate(game.arc_ids):
                 mean_flow = 0.0
                 flows = np.zeros(n)

@@ -35,7 +35,7 @@ from poakit import (
     solve_mixed_ne_small,
 )
 import poakit.game
-from poakit.game import PROB_TOL, SAMPLE_CHUNK, draw_atomic_profile, sample_uniforms
+from poakit.game import PROB_TOL, SAMPLE_CHUNK, _word_cuts, draw_atomic_profile, sample_uniforms
 from poakit.poa import (
     SAMPLE_BLOCK,
     _add_counts,
@@ -304,7 +304,7 @@ class TestRandomPoa:
     def test_split_ranges_draw_the_same_uniforms(self, seed, start, count, width, data):
         # Split points next to a stream-chunk boundary are drawn on purpose.
         # Widths 1 to 5 leave every remainder of start * width modulo the
-        # four doubles of one generator step.
+        # four words of one generator step.
         boundary = SAMPLE_CHUNK - start % SAMPLE_CHUNK
         near = [b for b in (boundary - 1, boundary, boundary + 1) if b <= count]
         k = data.draw(st.integers(0, count) | st.sampled_from(near or [count]))
@@ -319,6 +319,25 @@ class TestRandomPoa:
         # a remainder, and lands where a draw from the start reaches it.
         alone = sample_uniforms(5, SAMPLE_CHUNK - 1, 1, width)
         assert alone.tobytes() == sample_uniforms(5, 0, SAMPLE_CHUNK, width)[-1:].tobytes()
+
+    @pytest.mark.parametrize("start", [0, SAMPLE_BLOCK, SAMPLE_CHUNK - 1, SAMPLE_CHUNK,
+                                       SAMPLE_CHUNK + 1])
+    @pytest.mark.parametrize("count", [1, 2, SAMPLE_CHUNK + 5])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_words_read_as_numpys_doubles(self, start, count, width):
+        # Each word w, read as (w >> 11) * 2**-53, is the double numpy's own
+        # Generator.random draws from the same (seed, chunk) stream, built
+        # here from numpy alone.  SAMPLE_CHUNK + 5 rows cross a chunk
+        # boundary from every start, and so do 2 rows from SAMPLE_CHUNK - 1.
+        seed = 13
+        want = []
+        for chunk in range(start // SAMPLE_CHUNK, (start + count - 1) // SAMPLE_CHUNK + 1):
+            bits = np.random.Philox(seed=np.random.SeedSequence(entropy=(seed, chunk)))
+            want.append(np.random.Generator(bits).random((SAMPLE_CHUNK, width)))
+        want = np.concatenate(want)[start % SAMPLE_CHUNK:][:count]
+        words = sample_uniforms(seed, start, count, width)
+        assert words.dtype == np.uint64
+        assert ((words >> 11) * 2.0 ** -53).tobytes() == want.tobytes()
 
     def test_shards_never_exceed_one_stream_chunk(self, monkeypatch):
         # Every draw is one block, or the short last one, starting on a block
@@ -458,23 +477,41 @@ def sampled_games(draw):
 
 
 def uniforms_on_cuts(profile: MixedProfile):
-    """A stand-in for ``sample_uniforms`` whose draws sit on the profile's
-    cumulative sums, as the scalar oracle accumulates them, and on the floats
-    either side of each; row i is still a pure function of (seed, i).  Any
-    run of len(pool) samples puts every pool value in every column."""
-    points = {0.0, 1.0 - 2.0 ** -53}
+    """A stand-in for ``sample_uniforms`` whose words sit on the profile's
+    cumulative sums, as the scalar oracle accumulates them: a word w is the
+    uniform (w >> 11) * 2**-53, and its numerator w >> 11 is put at K - 1, K
+    and K + 1 for each sum's K = ceil(sum * 2**53), and at 0 and 2**53 - 1,
+    with low 11 bits of 0 or 2047.  Row i is still a pure function of
+    (seed, i); any run of len(pool) samples puts every pool word in every
+    column."""
+    top = 2 ** 53 - 1
+    numerators = {0, top}
     for rows in profile.probabilities:
         for row in rows:
             acc = 0.0
             for p in row:
                 acc += float(p)
-                points.update((acc, float(np.nextafter(acc, -1.0)), float(np.nextafter(acc, 2.0))))
-    pool = np.array(sorted(u for u in points if 0.0 <= u < 1.0))
+                k = math.ceil(Fraction(acc) * 2 ** 53)
+                numerators.update(m for m in (k - 1, k, k + 1) if 0 <= m <= top)
+    pool = np.array(sorted(m << 11 | low for m in numerators for low in (0, 2047)), np.uint64)
 
     def uniforms(seed, start, count, width):
         i = np.arange(start, start + count)[:, None]
         return pool[(i * 7919 + np.arange(width) * 104729 + seed) % len(pool)]
     return uniforms
+
+
+def cut_examples(test):
+    """@example the integer cut rule at the cuts 0, the least subnormal,
+    2**-53, 0.1, 1 - 2**-53, 1 and the float after 1 (a running sum that
+    rounded past 1), each with the words 0 and 2**64 - 1 and the words
+    (K << 11) - 1, K << 11 and (K << 11) | 2047 of its numerator K."""
+    for c in (0.0, 5e-324, 2.0 ** -53, 0.1, 1 - 2.0 ** -53, 1.0, math.nextafter(1.0, 2.0)):
+        k = math.ceil(Fraction(c) * 2**53)
+        for w in (0, 2**64 - 1, (k << 11) - 1, k << 11, k << 11 | 2047):
+            if 0 <= w < 2**64:
+                test = example(c=c, w=w, near=None)(test)
+    return test
 
 
 def short_row_case():
@@ -573,6 +610,20 @@ class TestSampler:
                 drawn = draw_atomic_profile(game, profile, seed, i)
                 want = float(game.total_cost(drawn.induced_flow(game)))
                 assert math.isclose(costs[i], want, rel_tol=1e-12), (i, drawn)
+
+    @settings(max_examples=300, deadline=None)
+    @cut_examples
+    @given(c=st.floats(0.0, 2.0), w=st.integers(0, 2**64 - 1),
+           near=st.none() | st.integers(-4096, 4096))
+    def test_integer_cut_rule_is_the_float_rule(self, c, w, near):
+        # A word reaches a cut's threshold exactly when its uniform is at or
+        # above the cut; a cut no uniform reaches has no threshold.  `near`
+        # moves the word next to the cut's own numerator K.
+        if near is not None:
+            w = min(max((math.ceil(Fraction(c) * 2**53) << 11) + near, 0), 2**64 - 1)
+        cuts = _word_cuts((c, 0.0))
+        assert len(cuts) <= 1 and all(0 <= t < 2**64 for t in cuts)
+        assert (bool(cuts) and w >= cuts[0]) == ((w >> 11) * 2.0 ** -53 >= c)
 
     def test_a_large_component_is_costed_without_tables(self):
         # A component of more than SAMPLE_BLOCK pure states is costed sample

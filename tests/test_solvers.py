@@ -1023,7 +1023,7 @@ class TestMixedSolver:
         stats = expected_arc_statistics(game, result.flow)
         exact = float(expected_path_costs(game, stats)[(0, 0)])
         n = 400_000
-        draws = sample_uniforms(17, 0, n, 2)
+        draws = (sample_uniforms(17, 0, n, 2) >> 11) * 2.0 ** -53
         f_u = 2.0 * (draws[:, 0] < a) + 2.0 * (draws[:, 1] < a)
         costs = f_u ** 2
         se = costs.std(ddof=1) / math.sqrt(n)
