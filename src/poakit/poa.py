@@ -13,27 +13,23 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, getitem, mul
 from typing import TYPE_CHECKING, Optional
 
-from .game import SAMPLE_CHUNK, Game, MixedProfile, Number, _word_cuts
+from .game import SAMPLE_CHUNK, AtomicProfile, Game, MixedProfile, Number, _word_cuts
 from .solvers import (
     AtomicEquilibria,
     BudgetExceededError,
     EquilibriumResult,
     SolverConfig,
-    _mixed_summary,
     _numbered_paths,
     best_response_atomic,
     enumerate_atomic_equilibria,
-    expected_arc_statistics,
-    expected_path_costs,
-    expected_total_cost,
     require_converged,
     solve_mixed_ne_small,
     solve_nonatomic_ne,
     solve_nonatomic_so,
+    verify_wardrop,
 )
 
 if TYPE_CHECKING:  # numpy is imported where samples are drawn, not on every start
@@ -55,6 +51,7 @@ class PoaReport:
     nonatomic_ne: Optional[EquilibriumResult] = None  # the solves behind nonatomic_poa
     nonatomic_so: Optional[EquilibriumResult] = None
     mixed_ne: Optional[EquilibriumResult] = None  # set when the game is in mixed scope
+    equilibria: Optional[AtomicEquilibria] = None  # the scan behind atomic_poa, if in budget
 
     def validate(self) -> None:
         for name, value in (("atomic", self.atomic_poa), ("nonatomic", self.nonatomic_poa),
@@ -169,10 +166,11 @@ def _two_user_two_path_worst(game: Game) -> Optional[Number]:
 
     With x and y the two users' probabilities of taking path 0, their choices
     are independent, so the gap between the two paths' expected costs and
-    the expected total cost are both bilinear in (x, y).  Four exact
-    evaluations at the pure corners, with Fraction probabilities, fix both,
-    and ``_worst_on_equilibrium_set`` maximizes the cost over the equilibrium
-    set in closed form.  Returns None outside that scope.
+    the expected total cost are both bilinear in (x, y).  Their values at the
+    four pure corners, where an expected cost is the pure profile's cost
+    (exact on a rational game), fix both, and ``_worst_on_equilibrium_set``
+    maximizes the cost over the equilibrium set in closed form.  Returns
+    None outside that scope.
     """
     if len(game.groups) != 1:
         return None
@@ -183,12 +181,10 @@ def _two_user_two_path_worst(game: Game) -> Optional[Number]:
     gaps, totals = {}, {}
     for x in (0, 1):
         for y in (0, 1):
-            profile = MixedProfile((((Fraction(x), Fraction(1 - x)),
-                                     (Fraction(y), Fraction(1 - y))),))
-            stats = expected_arc_statistics(game, profile)
-            costs = expected_path_costs(game, stats)
-            gaps[x, y] = costs[(0, 0)] - costs[(0, 1)]
-            totals[x, y] = expected_total_cost(stats)
+            flow = AtomicProfile(((1 - x, 1 - y),)).induced_flow(game)  # x = 1: path 0
+            costs = game.arc_cost_map(flow)
+            gaps[x, y] = game.path_cost(flow, 0, 0, costs) - game.path_cost(flow, 0, 1, costs)
+            totals[x, y] = game.total_cost(flow)
     return _worst_on_equilibrium_set(gaps, totals)
 
 
@@ -201,30 +197,24 @@ def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig(),
     worst cost over the whole equilibrium set is then computed in closed form
     from four corner evaluations (see ``_two_user_two_path_worst``).
     Otherwise a lower bound from the profiles the solver finds, including
-    pure equilibria that satisfy the mixed predicate.  ``equilibria`` reuses
-    the caller's ``enumerate_atomic_equilibria`` result (its pure equilibria
-    and ``optimum``), and ``mixed_ne`` its ``solve_mixed_ne_small`` result;
-    each is computed here when not given.  Returns
-    ``(value, certified, status)``.
+    pure equilibria that satisfy the mixed predicate: on a pure profile that
+    is the first principle (``verify_wardrop``), and its expected cost is
+    its cost from the scan.  ``equilibria`` reuses the caller's
+    ``enumerate_atomic_equilibria`` result (its pure equilibria and
+    ``optimum``), and ``mixed_ne`` its ``solve_mixed_ne_small`` result; each
+    is computed here when not given.  Returns ``(value, certified, status)``.
     """
     if equilibria is None:
         equilibria = enumerate_atomic_equilibria(game, config)
-
-    candidates = []
-    certified = False
     swept = _two_user_two_path_worst(game)
-    if swept is not None:
-        candidates.append(swept)
-        certified = True
+    certified = swept is not None
+    if certified:
+        candidates = [swept]
     else:
         result = solve_mixed_ne_small(game, config) if mixed_ne is None else mixed_ne
-        if result.converged:
-            candidates.append(float(result.cost))
-        for entry in equilibria.equilibria:
-            _, residual, cost = _mixed_summary(game, entry.flow.as_mixed(game))
-            if residual <= config.tolerance:
-                candidates.append(float(cost))
-
+        candidates = [float(result.cost)] if result.converged else []
+        candidates += [float(e.cost) for e in equilibria.equilibria
+                       if verify_wardrop(game, e.flow.induced_flow(game)) <= config.tolerance]
     if not candidates:
         return None, False, "no mixed equilibrium found (solver failure)"
     return float(max(candidates) / equilibria.optimum.cost), certified, "ok"
@@ -303,7 +293,9 @@ def _block_costs(game: Game, profile: MixedProfile):
     ever a user's last ones, is dropped.  A sample's cost is the sum, in arc
     order, of each arc's term ``f * polyval(coefficients, f)``, where the
     load f adds, in user order, each user's demand where the user's path
-    holds the arc, else 0.0.
+    holds the arc, else 0.0.  An arc on no path, whose term is +0.0 in every
+    sample, is left out: the sum starts at +0.0 and no term is negative, so
+    adding +0.0 changes no bit.
 
     Users are split into components by shared arcs (``_group_components``);
     an arc's load, and so its term, depends only on its own component's
@@ -361,13 +353,10 @@ def _block_costs(game: Game, profile: MixedProfile):
     # (members, the columns of their path indices, their arcs, table rows or
     # None); a table's state number skips the users of one path.
     components = []
-    owner = [None] * game.n_arcs  # (component, row) of each arc
-    for groups in [*_group_components(game), []]:  # [] holds the arcs of no path
+    owner = [None] * game.n_arcs  # (component, row) of each arc on a path
+    for groups in _group_components(game):
         members = [u for gi in groups for u in group_users[gi]]
-        if groups:
-            arcs = sorted({a for u in members for path in users[u][2] for a in path})
-        else:
-            arcs = [a for a in range(game.n_arcs) if owner[a] is None]
+        arcs = sorted({a for u in members for path in users[u][2] for a in path})
         radix = [len(users[u][2]) for u in members]
         n_states = math.prod(radix)
         table = None
@@ -383,6 +372,7 @@ def _block_costs(game: Game, profile: MixedProfile):
         for r, a in enumerate(arcs):
             owner[a] = (len(components), r)
         components.append(([users[u] for u in members], columns, arcs, table))
+    owner = [o for o in owner if o is not None]
 
     def block(seed: int, start: int, count: int):
         draws = sample_uniforms(seed, start, count, len(users))
@@ -607,6 +597,7 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig()) -> Poa
         nonatomic_ne=nonat_ne,
         nonatomic_so=nonat_so,
         mixed_ne=mixed_ne,
+        equilibria=equilibria,
     )
     report.validate()
     return report

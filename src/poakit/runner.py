@@ -29,20 +29,12 @@ from .bounds import (
 )
 from .decomposition import decomposition_prediction, load_family, worst_atomic_cost
 from .game import Game, Group, MixedProfile, load_game
-from .poa import (
-    MAX_SAMPLES,
-    compute_poa_report,
-    mixed_poa_small,
-    nonatomic_pair,
-    sample_random_poa,
-)
+from .poa import MAX_SAMPLES, PoaReport, compute_poa_report, nonatomic_pair, sample_random_poa
 from .solvers import (
     BudgetExceededError,
     SolverConfig,
     enumerate_atomic_equilibria,
     solve_mixed_ne_small,
-    solve_nonatomic_ne,
-    solve_nonatomic_so,
 )
 
 EXIT_OK = 0
@@ -211,15 +203,21 @@ def run_solve(config: ExperimentConfig) -> RunReport:
                 lambda report: _solve(config, report))
 
 
-def _solve(config: ExperimentConfig, report: RunReport) -> None:
-    solver = config.solver_config()
-    game = _read(config.game_path, load_game)
+def _poa_report(game: Game, solver: SolverConfig) -> PoaReport:
+    """``compute_poa_report``; a solve that did not converge fails the run with
+    EXIT_NONCONVERGED, a failed ``PoaReport.validate`` as an assertion."""
     try:
-        poa = compute_poa_report(game, solver)
+        return compute_poa_report(game, solver)
     except RuntimeError as exc:
         raise RunFailure("solve", str(exc), EXIT_NONCONVERGED) from None
     except ValueError as exc:  # PoaReport.validate: a ratio below 1 or optima out of order
         raise RunFailure("validate", str(exc)) from None
+
+
+def _solve(config: ExperimentConfig, report: RunReport) -> None:
+    solver = config.solver_config()
+    game = _read(config.game_path, load_game)
+    poa = _poa_report(game, solver)
     bounds = _bound_columns(game)
     solver_docs = {
         "nonatomic_ne": poa.nonatomic_ne.to_document(game),
@@ -444,49 +442,52 @@ def _sqrt_exact(n: int):
 
 
 def _require(ok: bool, message: str) -> None:
-    """The one check of ``reproduce``: AssertionError(message) unless ``ok``,
-    raised even where ``python -O`` strips assert statements."""
+    """The one check of ``reproduce``: a failed check with ``message`` unless ``ok``."""
     if not ok:
-        raise AssertionError(message)
+        raise RunFailure("reproduce", message)
 
 
 def reproduce_checks(config: ExperimentConfig) -> list:
-    """The bundled example games, each checked against its frozen values."""
+    """The bundled example games, each checked against its frozen values: one
+    ``(name, passed, detail, exit_code)`` per game, where a missing asset or
+    a scan past the enumeration budget is an input error (EXIT_INPUT)."""
     solver = config.solver_config()
     checks = []
 
     def run(name: str, fn: Callable[[], str]):
         try:
-            detail = fn()
-            checks.append((name, True, detail))
-        except (FileNotFoundError, AssertionError) as exc:
-            checks.append((name, False, str(exc)))
+            checks.append((name, True, fn(), None))
+        except RunFailure as failure:
+            checks.append((name, False, failure.detail, failure.exit_code))
+        except (FileNotFoundError, BudgetExceededError) as exc:
+            checks.append((name, False, str(exc), EXIT_INPUT))
 
     def quadratic_constant():
         game = load_asset("parallel_quadratic_constant.json")
-        ne = solve_nonatomic_ne(game, solver)
-        f_u = float(ne.flow.values()[0])
+        poa = _poa_report(game, solver)
+        if poa.equilibria is None:
+            raise RunFailure("enumerate", poa.atomic_status, EXIT_INPUT)
+        f_u = float(poa.nonatomic_ne.flow.values()[0])
         _require(abs(f_u - math.sqrt(2)) <= 1e-7,
                  f"expected splittable equilibrium flow sqrt(2) on the quadratic arc, got {f_u}")
-        so = solve_nonatomic_so(game, solver)
-        rho_nat = float(ne.cost) / float(so.cost)
+        rho_nat = poa.nonatomic_poa
         want = 18.0 / (18.0 - math.sqrt(6.0))
         _require(abs(rho_nat - want) <= 1e-6, f"expected ratio {want}, got {rho_nat}")
-        eq = enumerate_atomic_equilibria(game, solver)
+        eq = poa.equilibria
         _require(len(eq.equilibria) == 1,
                  f"expected a unique pure equilibrium, got {len(eq.equilibria)}")
         flow = eq.worst.flow.induced_flow(game)
         _require(flow.values() == (Fraction(0), Fraction(4)),
                  f"expected pure equilibrium flow (0, 4), got {flow.values()}")
-        _require(eq.worst.cost / eq.optimum.cost == 1, "expected atomic ratio exactly 1")
-        mixed = solve_mixed_ne_small(game, solver)
+        _require(poa.atomic_poa == 1, "expected atomic ratio exactly 1")
+        mixed = poa.mixed_ne
         x = float(mixed.flow.probabilities[0][0][0])
         want_x = (math.sqrt(2.0) - 1.0) / 2.0
         _require(abs(x - want_x) <= 1e-8, f"expected symmetric probability {want_x}, got {x}")
         _require(mixed.residual <= 1e-9, f"indifference residual {mixed.residual} above 1e-9")
-        value, certified, _ = mixed_poa_small(game, solver, eq, mixed)
+        value = poa.mixed_poa
         want_mixed = 5.0 - 2.5 * math.sqrt(2.0)
-        _require(certified, "expected a certified sweep of the equilibrium set")
+        _require(poa.mixed_certified, "expected a certified sweep of the equilibrium set")
         _require(abs(value - want_mixed) <= 1e-8, f"expected mixed ratio {want_mixed}, got {value}")
         _require(value >= 1.25, f"mixed ratio {value} below 5/4")
         return f"rho_nat={rho_nat:.6f}, mixed ratio={value:.6f}"
@@ -546,7 +547,7 @@ def run_reproduce(config: ExperimentConfig) -> RunReport:
 
 def _reproduce(config: ExperimentConfig, report: RunReport) -> Optional[int]:
     checks = reproduce_checks(config)
-    report.verdicts.extend(checks)
-    if any("asset not found" in detail for _, ok, detail in checks if not ok):
-        return EXIT_INPUT
-    return None
+    report.verdicts.extend(check[:3] for check in checks)
+    codes = {check[3] for check in checks}
+    # An input error first, then a solve that did not converge, else EXIT_ASSERTION.
+    return next((code for code in (EXIT_INPUT, EXIT_NONCONVERGED) if code in codes), None)

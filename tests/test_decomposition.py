@@ -1,6 +1,7 @@
 """Demand families, limit games, and the prediction-versus-measurement loop."""
 
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,6 +9,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poakit import decomposition
 from poakit import (
@@ -172,6 +175,77 @@ class TestLimitGame:
         lam = scaling_exponent(base, ["od1", "od2"])
         lim = limit_game(base, ["od1", "od2"], lam, family)
         assert [g.demands[0] for g in lim.groups] == [Fraction(1, 4), Fraction(3, 4)]
+
+
+_COEFF = st.fractions(min_value=0, max_value=4, max_denominator=4)
+_LEAD = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+
+@st.composite
+def random_families(draw) -> DemandFamily:
+    """1-3 groups (fewer when the arcs run out of paths) of one unit user on
+    1-3 paths over up to four arcs of degree 0-3 with Fraction coefficients;
+    each group grows with gamma 0, 1/2 or 1."""
+    arcs = {f"a{i}": CostPolynomial((draw(_LEAD), *draw(st.lists(_COEFF, min_size=d, max_size=d))))
+            for i, d in enumerate(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))}
+    subsets = [s for r in range(1, len(arcs) + 1) for s in itertools.combinations(arcs, r)]
+    groups, laws = [], {}
+    for gi in range(draw(st.integers(1, 3))):
+        free = [s for s in subsets if all(s not in g.paths for g in groups)]
+        if not free:
+            break
+        paths = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+        groups.append(Group(f"g{gi}", tuple(paths), (Fraction(1),)))
+        laws[f"g{gi}"] = DemandLaw(c=draw(_LEAD), gamma=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                   user_demand=Fraction(1))
+    return DemandFamily(base=Game(arcs, groups), laws=laws)
+
+
+def path_degree(game: Game, path) -> int:
+    return max(game.arcs[aid].degree for aid in path)
+
+
+class TestDecompositionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(family=random_families())
+    def test_partition_exponent_and_tight_paths_follow_their_definitions(self, family):
+        base, laws = family.base, family.laws
+        partition = ordered_partition(family)
+        # Groups bucketed by equal gamma, fastest first, in game order; gamma 0 left out.
+        gammas = sorted({law.gamma for law in laws.values() if law.gamma > 0}, reverse=True)
+        assert partition == [[g.gid for g in base.groups if laws[g.gid].gamma == gamma]
+                             for gamma in gammas]
+        for gids in partition:
+            paths = {gid: base.groups[base.group_index(gid)].paths for gid in gids}
+            lam = scaling_exponent(base, gids)
+            assert lam == max(min(path_degree(base, p) for p in paths[gid]) for gid in gids)
+            labels = tight_paths(base, gids, lam)
+            assert labels == {gid: tuple(path_degree(base, p) <= lam for p in paths[gid])
+                              for gid in gids}
+            assert all(any(flags) for flags in labels.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=random_families())
+    def test_scaled_arcs_approach_the_limit_like_one_over_t(self, family):
+        # On a kept arc of degree d <= lambda, coefficient k of
+        # tau(x T) / T**lambda is c_k T**(k - lambda): c_lambda itself when
+        # k = lambda = d, else at most c_k / T.  So the gap to the limit
+        # polynomial, in exact Fractions, is at most max c / T and falls by
+        # at least the factor by which T grows.
+        base = family.base
+        for gids in ordered_partition(family):
+            lam = scaling_exponent(base, gids)
+            lim = limit_game(base, gids, lam, family)
+            for aid, target in lim.arcs.items():
+                poly = base.arcs[aid]
+                gaps = []
+                for t in (10**2, 10**4, 10**6):
+                    scaled = poly.scaled(Fraction(t), Fraction(t) ** lam)
+                    assert len(scaled.coefficients) == len(target.coefficients)
+                    gap = max(abs(a - b) for a, b in zip(scaled.coefficients, target.coefficients))
+                    assert gap * t <= max(poly.coefficients)
+                    gaps.append(gap)
+                assert gaps[1] * 10**2 <= gaps[0] and gaps[2] * 10**2 <= gaps[1]
 
 
 class TestLimitEquilibrium:

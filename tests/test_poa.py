@@ -19,6 +19,7 @@ from poakit import (
     AtomicProfile,
     BudgetExceededError,
     CostPolynomial,
+    EquilibriumResult,
     Game,
     Group,
     MixedProfile,
@@ -33,6 +34,7 @@ from poakit import (
     sample_random_poa,
     solve_atomic_so,
     solve_mixed_ne_small,
+    verify_wardrop,
 )
 import poakit.game
 from poakit.game import PROB_TOL, SAMPLE_CHUNK, _word_cuts, draw_atomic_profile, sample_uniforms
@@ -41,6 +43,7 @@ from poakit.poa import (
     _add_counts,
     _block_costs,
     _sample_total_costs,
+    _two_user_two_path_worst,
     _worst_on_equilibrium_set,
 )
 from poakit.runner import load_asset
@@ -474,6 +477,115 @@ def sampled_games(draw):
         groups.append(Group(f"g{gi}", tuple(paths), demands))
         rows.append(tuple(draw(_profile_row(len(paths))) for _ in demands))
     return Game(arcs, groups), MixedProfile(tuple(rows))
+
+
+def floated(game: Game) -> Game:
+    """``game`` with every coefficient and demand a float, as the API allows."""
+    arcs = {aid: CostPolynomial(tuple(map(float, poly.coefficients)))
+            for aid, poly in game.arcs.items()}
+    return Game(arcs, [Group(g.gid, g.paths, tuple(map(float, g.demands)))
+                       for g in game.groups])
+
+
+def expected_corners_worst(game: Game):
+    """``_two_user_two_path_worst`` by expectations: each pure corner as a
+    mixed profile of Fraction probabilities through ``expected_arc_statistics``."""
+    gaps, totals = {}, {}
+    for x, y in itertools.product((0, 1), repeat=2):
+        profile = MixedProfile((((Fraction(x), Fraction(1 - x)),
+                                 (Fraction(y), Fraction(1 - y))),))
+        stats = solvers.expected_arc_statistics(game, profile)
+        costs = solvers.expected_path_costs(game, stats)
+        gaps[x, y] = costs[0, 0] - costs[0, 1]
+        totals[x, y] = solvers.expected_total_cost(stats)
+    return _worst_on_equilibrium_set(gaps, totals)
+
+
+def expected_pure_summaries(game: Game, equilibria) -> list:
+    """(used-path gap, expected cost) of each pure equilibrium by expectations:
+    its point-mass mixed profile through one ``expected_arc_statistics`` pass."""
+    return [solvers._mixed_summary(game, e.flow.as_mixed(game))[1:]
+            for e in equilibria.equilibria]
+
+
+def mixed_poa_by_expectations(game: Game, equilibria, mixed_ne):
+    """``mixed_poa_small`` with every pure profile costed by expectations."""
+    g = game.groups[0]
+    if len(game.groups) == 1 and (g.n_users, g.n_paths) == (2, 2):
+        return float(expected_corners_worst(game) / equilibria.optimum.cost), True, "ok"
+    candidates = [float(mixed_ne.cost)] if mixed_ne.converged else []
+    candidates += [float(cost) for gap, cost in expected_pure_summaries(game, equilibria)
+                   if gap <= CFG.tolerance]
+    if not candidates:
+        return None, False, "no mixed equilibrium found (solver failure)"
+    return float(max(candidates) / equilibria.optimum.cost), False, "ok"
+
+
+# A mixed solve that found nothing, so that only the pure candidates count.
+NO_MIXED_NE = EquilibriumResult(flow=None, kind="mixed-ne", residual=math.inf, iterations=0,
+                                exact=False, converged=False)
+
+# The scan adds each component's arc terms, then the components; the
+# expectations add every arc's term in the game's arc order.  On this float
+# game the two sums of its one pure equilibrium's cost differ in the last
+# bit: 33.583333333333336 from the scan, 33.58333333333333 by expectations.
+LAST_BIT_GAME = floated(Game(
+    {"a0": poly(Fraction(1, 3)), "a1": poly(Fraction(4, 3), 2), "a2": poly(Fraction(3, 2)),
+     "a3": poly(Fraction(1, 3), Fraction(5, 3))},
+    [Group("g0", (("a1", "a3"),), (1, 2, Fraction(1, 2))), Group("g1", (("a0",),), (1,))]))
+
+
+class TestPureCostsAsExpectations:
+    """``mixed_poa_small`` costs pure profiles from the scan and ``Game``'s
+    evaluators; the expectations of their point masses are the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=sampled_games())
+    def test_pure_profiles_cost_as_their_expectations(self, drawn):
+        # On a rational game a point mass's expectation is the exact Fraction
+        # of the pure state: the scan's cost and the first-principle gap are
+        # the expected cost and the mixed predicate's gap, so the candidates,
+        # and the ratio with or without a mixed solve, are the same.
+        game, _ = drawn
+        equilibria = enumerate_atomic_equilibria(game, CFG)
+        pure = [(verify_wardrop(game, e.flow.induced_flow(game)), e.cost)
+                for e in equilibria.equilibria]
+        assert pure == expected_pure_summaries(game, equilibria)
+        try:
+            solved = solve_mixed_ne_small(game, CFG)
+        except ValueError:  # outside the mixed solver's scope
+            solved = NO_MIXED_NE
+        for mixed_ne in (solved, NO_MIXED_NE):
+            assert mixed_poa_small(game, CFG, equilibria, mixed_ne) == \
+                mixed_poa_by_expectations(game, equilibria, mixed_ne)
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=two_user_two_path_games())
+    def test_corners_cost_as_their_expectations(self, game):
+        # Exact on the rational game; on its float copy each corner's loads add
+        # two demands, in either order the same float, so the bits agree too.
+        for g in (game, floated(game)):
+            worst, want = _two_user_two_path_worst(g), expected_corners_worst(g)
+            assert (type(worst), worst) == (type(want), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=sampled_games())
+    @example(drawn=(LAST_BIT_GAME, None))
+    def test_float_games_move_at_most_a_last_bit(self, drawn):
+        # On a float game the scan sums a pure state's arc terms by component
+        # and the expectations in arc order, so a cost may move by an ulp
+        # (LAST_BIT_GAME); loads are sums of the same demands, and the gaps
+        # agree bit for bit.
+        game = floated(drawn[0])
+        equilibria = enumerate_atomic_equilibria(game, CFG)
+        for e, (gap, cost) in zip(equilibria.equilibria,
+                                  expected_pure_summaries(game, equilibria)):
+            assert verify_wardrop(game, e.flow.induced_flow(game)) == gap
+            assert abs(e.cost - cost) <= 2 * math.ulp(cost)
+        value, certified, status = mixed_poa_small(game, CFG, equilibria, NO_MIXED_NE)
+        want = mixed_poa_by_expectations(game, equilibria, NO_MIXED_NE)
+        assert (certified, status) == want[1:]
+        assert value == want[0] or abs(value - want[0]) <= 4 * math.ulp(want[0])
 
 
 def uniforms_on_cuts(profile: MixedProfile):

@@ -877,6 +877,31 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("[FAIL] out: ")
 
+    @pytest.mark.parametrize("env", [{"POAKIT_BUDGET": "1"}, {"POAKIT_TOLERANCE": "1e6"}],
+                             ids=["budget-1", "tolerance-1e6"])
+    @pytest.mark.parametrize("mode", ["solve", "sweep", "sample", "decompose", "reproduce"])
+    def test_loose_settings_end_in_a_documented_code(self, tmp_path, env, mode):
+        # A fresh process, so that any exception that escapes shows as a traceback.
+        import poakit
+
+        game = str(asset_path("parallel_linear_double.json"))
+        family = write_family(tmp_path, "family.json", UNIT_USER_FAMILY)
+        args = {"solve": ["--game", game], "sweep": ["--family", family, "--grid", "1,2"],
+                "sample": ["--game", game, "--n", "100"],
+                "decompose": ["--family", family, "--grid", "1,2"], "reproduce": []}[mode]
+        out = tmp_path / "out"
+        run = subprocess.run(
+            [sys.executable, "-m", "poakit.cli", mode, *args, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, **env, "PYTHONPATH": str(Path(poakit.__file__).parent.parent)})
+        assert "Traceback" not in run.stderr
+        assert run.returncode in (EXIT_OK, EXIT_ASSERTION, EXIT_INPUT, EXIT_NONCONVERGED)
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == run.returncode
+        if mode == "reproduce":  # the budget refuses every check's scan
+            assert run.returncode == (EXIT_INPUT if "POAKIT_BUDGET" in env else EXIT_ASSERTION)
+            assert len(doc["verdicts"]) == 4
+
     def test_env_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POAKIT_BUDGET", "1")
         from conftest import affine_offset_game

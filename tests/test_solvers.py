@@ -1115,22 +1115,30 @@ class TestMixedSolver:
             solve_mixed_ne_small(steep, CFG)
 
     def test_one_exact_pass_per_profile(self, monkeypatch):
-        # Three users on a constant arc against x + 2: the pure equilibrium
-        # (all on the constant arc) also meets the mixed predicate.
-        game = parallel_game([(1,), (1, 2)], [1, 1, 1])
-        equilibria = enumerate_atomic_equilibria(game, CFG)
+        # The solved profile's residual and cost take one exact pass.  Pure
+        # profiles take none: three users on a constant arc against x + 2 give
+        # a pure equilibrium (all on the constant arc) that meets the mixed
+        # predicate, costed from the scan; two users on two paths give the
+        # four certified corners, costed by Game's evaluators.
         passes = []
         exact = solvers.expected_arc_statistics
         monkeypatch.setattr(solvers, "expected_arc_statistics",
                             lambda *args: passes.append(1) or exact(*args))
-        mixed_ne = solve_mixed_ne_small(game, CFG)
-        assert len(passes) == 1  # the solved profile's residual and cost
-        passes.clear()
-        _, certified, _ = mixed_poa_small(game, CFG, equilibria, mixed_ne)
-        assert not certified and len(passes) == len(equilibria.equilibria) == 1
-        # Its expected cost is read too, from the same pass.
-        profile = equilibria.equilibria[0].flow.as_mixed(game)
-        assert mixed_ne_residual(game, profile) <= CFG.tolerance
+        for game in (parallel_game([(1,), (1, 2)], [1, 1, 1]), quadratic_constant_game()):
+            equilibria = enumerate_atomic_equilibria(game, CFG)
+            passes.clear()
+            mixed_ne = solve_mixed_ne_small(game, CFG)
+            assert len(passes) == 1
+            passes.clear()
+            value, certified, _ = mixed_poa_small(game, CFG, equilibria, mixed_ne)
+            assert passes == [] and certified == (game.n_users == 2)
+            if certified:
+                assert value == pytest.approx(5 - 2.5 * math.sqrt(2), abs=1e-8)
+            else:
+                (entry,) = equilibria.equilibria
+                assert verify_wardrop(game, entry.flow.induced_flow(game)) <= CFG.tolerance
+                want = max(float(mixed_ne.cost), float(entry.cost))
+                assert value == want / float(equilibria.optimum.cost)
 
 
 fraction_coefficients = (st.fractions(min_value=0)
