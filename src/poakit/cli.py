@@ -18,6 +18,9 @@ import os
 import sys
 from pathlib import Path
 
+# solvers.py, the largest source, is compiled before the other layers are held,
+# which keeps the peak memory of a start without cached bytecode down.
+from .solvers import SolverConfig
 from .runner import (
     ExperimentConfig,
     RunReport,
@@ -28,7 +31,6 @@ from .runner import (
     run_solve,
     run_sweep,
 )
-from .solvers import SolverConfig
 
 # Parsed argument names that differ from the ExperimentConfig field they set.
 _CONFIG_FIELDS = {"game": "game_path", "family": "family_path", "profile": "profile_path",

@@ -16,20 +16,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from .game import CostPolynomial, Game, GameSchemaError, Group, Number, load_game
+from .game import AtomicProfile, CostPolynomial, Game, GameSchemaError, Group, Number, load_game
 from .game import _as_number, _as_object
-from .solvers import (
-    BudgetExceededError,
-    SolverConfig,
-    AtomicProfile,
-    best_response_atomic,
-    best_response_costs,
-    enumerate_atomic_equilibria,
-    require_converged,
-    solve_nonatomic_ne,
-)
+
+if TYPE_CHECKING:  # the solvers are imported where a family is solved, not on every load
+    from .solvers import SolverConfig
 
 WORST_CASE_RESTARTS = 32
 # Most users one group of a family instance may hold: far above the grids the
@@ -293,6 +286,9 @@ def worst_atomic_cost(game: Game, config: SolverConfig):
     lower bound on the true worst case, the searches sharing one lattice)
     and the optimum is None.
     """
+    from .solvers import (BudgetExceededError, best_response_atomic, best_response_costs,
+                          enumerate_atomic_equilibria)
+
     try:
         equilibria = enumerate_atomic_equilibria(game, config)
     except BudgetExceededError:
@@ -312,7 +308,7 @@ def worst_atomic_cost(game: Game, config: SolverConfig):
 
 
 def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
-                             config: SolverConfig = SolverConfig()) -> DecompositionReport:
+                             config: SolverConfig) -> DecompositionReport:
     """Predicted equilibrium cost sum_u T_u(n) g_n(u) C_u versus measured costs.
 
     The prediction adds, per class, total demand times scaling factor times
@@ -321,6 +317,8 @@ def decomposition_prediction(family: DemandFamily, n_grid: Sequence[int],
     ratios against the prediction; the ratios approaching 1 along the grid
     is the property of interest.
     """
+    from .solvers import require_converged, solve_nonatomic_ne
+
     partition = ordered_partition(family)
     if not partition:
         raise ValueError("family has no group with growing demand")

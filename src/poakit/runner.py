@@ -27,7 +27,6 @@ from .bounds import (
     nonatomic_poa_upper_bound,
     random_poa_probability_bound,
 )
-from .decomposition import decomposition_prediction, load_family, worst_atomic_cost
 from .game import Game, Group, MixedProfile, load_game
 from .poa import MAX_SAMPLES, PoaReport, compute_poa_report, nonatomic_pair, sample_random_poa
 from .solvers import (
@@ -257,6 +256,8 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
 
 
 def _sweep(config: ExperimentConfig, report: RunReport) -> None:
+    from .decomposition import load_family, worst_atomic_cost
+
     solver = config.solver_config()
     family = _read(config.family_path, load_family)
     try:
@@ -389,6 +390,8 @@ def run_decompose(config: ExperimentConfig) -> RunReport:
 
 
 def _decompose(config: ExperimentConfig, report: RunReport) -> None:
+    from .decomposition import decomposition_prediction, load_family
+
     solver = config.solver_config()
     family = _read(config.family_path, load_family)
     try:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poakit import decomposition
+from poakit import solvers
 from poakit import (
     CostPolynomial,
     DemandFamily,
@@ -248,6 +248,139 @@ class TestDecompositionProperties:
                 assert gaps[1] * 10**2 <= gaps[0] and gaps[2] * 10**2 <= gaps[1]
 
 
+INVARIANCE_GRID = (1, 2)
+
+
+@st.composite
+def relabeled_families(draw):
+    """A random family with at least one growing group, and a copy with new
+    arc and group names, its arcs inserted and its groups listed in drawn
+    orders; with the two renamings, old name -> new name."""
+    family = draw(random_families().filter(ordered_partition))
+    base = family.base
+    arc_name = dict(zip(base.arc_ids, draw(st.permutations(
+        [f"r{i}" for i in range(len(base.arc_ids))]))))
+    gid_name = dict(zip((g.gid for g in base.groups), draw(st.permutations(
+        [f"h{i}" for i in range(len(base.groups))]))))
+    arcs = {arc_name[aid]: base.arcs[aid] for aid in draw(st.permutations(base.arc_ids))}
+    groups = [Group(gid_name[g.gid], tuple(tuple(arc_name[aid] for aid in path) for path in g.paths),
+                    runs=g.runs) for g in draw(st.permutations(base.groups))]
+    laws = {gid_name[gid]: law for gid, law in family.laws.items()}
+    return family, DemandFamily(Game(arcs, groups), laws), arc_name, gid_name
+
+
+def vi_gap_bound(game: Game, cost: float) -> float:
+    """Largest variational-inequality gap sum_p f_p tau_p(f) - sum_k d_k pi_k(f)
+    a converged ``solve_nonatomic_ne`` can leave, pi_k being group k's cheapest
+    path cost.  Convergence leaves each used path within CFG.tolerance *
+    (1 + pi_k) of pi_k, which sums to at most tolerance * (T + cost) over the
+    groups, and each other path slot's flow times its gap within tolerance *
+    cost.  Float rounding of the costs is far below these terms."""
+    return CFG.tolerance * (float(game.total_demand) + (1 + len(game.path_keys)) * cost)
+
+
+def cost_gap_bound(game: Game, gaps: float) -> float:
+    """How far apart the costs of two flows of ``game`` can be whose gaps sum
+    to at most ``gaps``.  Arc costs are nondecreasing, so for flows f and g
+    each term of sum_a (tau_a(f_a) - tau_a(g_a)) (f_a - g_a) is >= 0, and the
+    sum is at most the two gaps.  Each arc cost then moves by at most
+    sqrt(L * gaps), L being the largest slope on [0, T]; a cheapest path cost
+    by its arc count times that; and the cost sum_k d_k pi_k + gap by T times
+    that plus the gaps."""
+    total = float(game.total_demand)
+    slope = max(float(p.derivative().value(total)) for p in game.arcs.values())
+    arcs_per_path = max(len(path) for g in game.groups for path in g.paths)
+    return total * arcs_per_path * math.sqrt(slope * gaps) + gaps
+
+
+def limit_games(family: DemandFamily, report) -> list:
+    return [limit_game(family.base, cls.gids, cls.lam, family) for cls in report.classes]
+
+
+def assert_nonatomic_figures_agree(family, report, other_family, other, scale=1):
+    """``other``'s limit costs, measured non-atomic costs and predictions are
+    ``scale`` times ``report``'s, within ``cost_gap_bound``; ``other_family``
+    is ``family`` relabeled, or with its costs multiplied by ``scale``."""
+    slack = []
+    for lim, other_lim, cls, other_cls in zip(limit_games(family, report),
+                                              limit_games(other_family, other),
+                                              report.classes, other.classes):
+        gaps = scale * vi_gap_bound(lim, cls.limit_cost) + vi_gap_bound(other_lim,
+                                                                        other_cls.limit_cost)
+        slack.append(cost_gap_bound(other_lim, gaps))
+        assert abs(scale * cls.limit_cost - other_cls.limit_cost) <= slack[-1]
+    for row, other_row in zip(report.rows, other.rows):
+        game, other_game = family.instantiate(row.n), other_family.instantiate(row.n)
+        gaps = (scale * vi_gap_bound(game, row.measured_nonatomic)
+                + vi_gap_bound(other_game, other_row.measured_nonatomic))
+        assert (abs(scale * row.measured_nonatomic - other_row.measured_nonatomic)
+                <= cost_gap_bound(other_game, gaps))
+        # Each class cost is T_u(n)^(1 + lambda) times the class's limit cost.
+        weights = [(cls.demand_coefficient * float(row.n) ** cls.gamma) ** (1 + cls.lam)
+                   for cls in report.classes]
+        assert (abs(scale * row.predicted - other_row.predicted)
+                <= sum(w * s for w, s in zip(weights, slack)))
+
+
+class TestDecompositionInvariance:
+    # The paper's predictions do not depend on names, on the order groups are
+    # listed in, or on the unit costs are measured in.  The exact figures
+    # must not move at all; the non-atomic solver stops within its tolerance
+    # along a path that the arc and slot order steer, so its figures move
+    # within the bound that tolerance gives.
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=relabeled_families())
+    def test_relabeling_moves_no_exact_figure(self, case):
+        family, renamed, arc_name, gid_name = case
+        report = decomposition_prediction(family, INVARIANCE_GRID, CFG)
+        other = decomposition_prediction(renamed, INVARIANCE_GRID, CFG)
+        assert sorted(gid_name[gid] for gid in report.irregular) == sorted(other.irregular)
+        assert len(report.classes) == len(other.classes)
+        for cls, other_cls, lim, other_lim in zip(report.classes, other.classes,
+                                                  limit_games(family, report),
+                                                  limit_games(renamed, other)):
+            assert sorted(gid_name[gid] for gid in cls.gids) == sorted(other_cls.gids)
+            assert (cls.gamma, cls.lam, cls.demand_coefficient) == \
+                (other_cls.gamma, other_cls.lam, other_cls.demand_coefficient)
+            tight = tight_paths(family.base, cls.gids, cls.lam)
+            assert tight_paths(renamed.base, other_cls.gids, other_cls.lam) == \
+                {gid_name[gid]: flags for gid, flags in tight.items()}
+            assert dict(other_lim.arcs) == {arc_name[aid]: p for aid, p in lim.arcs.items()}
+        for row, other_row in zip(report.rows, other.rows):
+            assert not row.atomic_is_lower_bound and not other_row.atomic_is_lower_bound
+            # A gamma = 1/2 group's demand is a float, whose sums take the
+            # new arc and group order, so only rational instances are exact.
+            if family.instantiate(row.n).is_rational:
+                assert other_row.measured_atomic == row.measured_atomic
+        assert_nonatomic_figures_agree(family, report, renamed, other)
+
+    @settings(max_examples=50, deadline=None)
+    @given(family=random_families().filter(ordered_partition), k=st.integers(-4, 4))
+    def test_costs_times_a_power_of_two_scale_the_exact_costs(self, family, k):
+        # Multiplying by 2^k is exact in floats too, so every comparison the
+        # atomic scan makes comes out the same and every cost it adds scales.
+        scale = Fraction(2) ** k
+        base = family.base
+        scaled = DemandFamily(Game({aid: CostPolynomial(tuple(c * scale for c in p.coefficients))
+                                    for aid, p in base.arcs.items()}, base.groups), family.laws)
+        report = decomposition_prediction(family, INVARIANCE_GRID, CFG)
+        other = decomposition_prediction(scaled, INVARIANCE_GRID, CFG)
+        assert [(cls.gids, cls.lam) for cls in report.classes] == \
+            [(cls.gids, cls.lam) for cls in other.classes]
+        for cls, lim, other_lim in zip(report.classes, limit_games(family, report),
+                                       limit_games(scaled, other)):
+            assert tight_paths(base, cls.gids, cls.lam) == tight_paths(scaled.base, cls.gids,
+                                                                      cls.lam)
+            assert {aid: tuple(c * scale for c in p.coefficients) for aid, p in lim.arcs.items()} \
+                == {aid: p.coefficients for aid, p in other_lim.arcs.items()}
+        for row, other_row in zip(report.rows, other.rows):
+            assert not row.atomic_is_lower_bound and not other_row.atomic_is_lower_bound
+            assert other_row.measured_atomic == (None if row.measured_atomic is None
+                                                 else row.measured_atomic * float(scale))
+        assert_nonatomic_figures_agree(family, report, scaled, other, float(scale))
+
+
 class TestLimitEquilibrium:
     def test_cubic_limit_split(self):
         family = two_commodity_family()
@@ -405,9 +538,7 @@ class TestInstanceScale:
     @pytest.mark.parametrize("grid", [[], [0, 5], [-1], [3, 2], [2, 2]],
                              ids=["empty", "zero", "negative", "decreasing", "repeated"])
     def test_bad_grid_refused_before_any_solve(self, grid, monkeypatch):
-        import poakit.decomposition
-
-        monkeypatch.setattr(poakit.decomposition, "solve_nonatomic_ne",
+        monkeypatch.setattr(solvers, "solve_nonatomic_ne",
                             lambda *args: pytest.fail("a limit game was solved"))
         family = self.family(c=Fraction(1), gamma=1.0, user_demand=Fraction(1))
         message = "grid must be a nonempty increasing list of n >= 1"
@@ -488,7 +619,7 @@ class TestWorstAtomicCost:
                              result.converged, result.exact, result.note))
             return result
 
-        monkeypatch.setattr(decomposition, "best_response_atomic", record)
+        monkeypatch.setattr(solvers, "best_response_atomic", record)
         digest = hashlib.sha256()
         for game, config in fallback_games():
             for seed in (0, 5, 2**64 - 1 - WORST_CASE_RESTARTS):

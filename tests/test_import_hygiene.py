@@ -77,3 +77,46 @@ def test_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements, stripped under python -O: {found}"
+
+
+# Every name ``poakit`` exported when its ``__init__`` imported each module,
+# by the module that defines it.
+PUBLIC_API = {
+    "game": ["AtomicProfile", "CostPolynomial", "Game", "GameSchemaError", "Group",
+             "MixedProfile", "PathFlow", "draw_atomic_profile", "dump_game",
+             "expected_arc_flow_and_variance", "load_game"],
+    "solvers": ["AtomicEquilibria", "BudgetExceededError", "EquilibriumResult", "SolverConfig",
+                "beckmann_potential", "best_response_atomic", "enumerate_atomic_equilibria",
+                "epsilon_ne_residual", "expected_arc_statistics", "expected_total_cost",
+                "mixed_ne_residual", "solve_atomic_so", "solve_mixed_ne_small",
+                "solve_nonatomic_ne", "solve_nonatomic_so", "verify_wardrop"],
+    "poa": ["PoaReport", "RandomPoaDistribution", "atomic_poa", "compute_poa_report",
+            "exact_random_cost_distribution", "mixed_poa_small", "nonatomic_poa",
+            "sample_random_poa"],
+    "bounds": ["BoundInputs", "TailBound", "TailVariant", "arc_deviation_probability_bound",
+               "atomic_ne_approximation_bound", "atomic_poa_upper_bound",
+               "expected_flow_approximation", "nonatomic_poa_upper_bound",
+               "random_poa_probability_bound", "scale_game", "weighted_bernoulli_tail_bound"],
+    "decomposition": ["DemandFamily", "DemandLaw", "classify_groups", "decomposition_prediction",
+                      "limit_game", "load_family", "ordered_partition", "scaling_exponent",
+                      "tight_paths", "worst_atomic_cost"],
+}
+
+
+def test_public_names_resolve_to_their_definitions():
+    # A fresh copy of the package, so that every name goes through its lazy
+    # lookup however many the tests have read already.
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("poakit", SRC / "__init__.py")
+    package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    assert sorted(package.__all__) == sorted(n for names in PUBLIC_API.values() for n in names)
+    for module, names in PUBLIC_API.items():
+        home = importlib.import_module(f"poakit.{module}")
+        for name in names:
+            value = getattr(package, name)
+            assert value is vars(home)[name] and value.__module__ == home.__name__, name
+    assert set(package.__all__) <= set(dir(package))
+    with pytest.raises(AttributeError, match="no attribute 'decomposition_report'"):
+        package.decomposition_report

@@ -440,16 +440,14 @@ class TestDecomposeFailures:
             "(iterations 1, residual 0): flow stranded below the used threshold on a costlier path")
 
     def test_unconverged_grid_point_is_named(self, tmp_path, monkeypatch, capsys):
-        import poakit.decomposition
-
-        solve = poakit.decomposition.solve_nonatomic_ne
+        solve = solvers.solve_nonatomic_ne
 
         def unconverged_at_two(game, config):
             result = solve(game, config)
             result.converged = result.converged and game.total_demand != 2
             return result
 
-        monkeypatch.setattr(poakit.decomposition, "solve_nonatomic_ne", unconverged_at_two)
+        monkeypatch.setattr(solvers, "solve_nonatomic_ne", unconverged_at_two)
         line = self._decompose(tmp_path, UNIT_USER_FAMILY, capsys)
         assert line.startswith("[FAIL] decompose: n=2: nonatomic-ne did not converge (iterations ")
 
@@ -617,15 +615,29 @@ class TestCli:
         assert capsys.readouterr().out.splitlines() == [f"[FAIL] profile: {line}"]
         assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_INPUT
 
-    def test_cli_import_leaves_numpy_unloaded(self):
-        # numpy and the thread pool are imported where samples are drawn,
-        # not on every start.
+    def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
+        # Each layer is imported where a run first needs it: numpy and the
+        # thread pool where samples are drawn, the decompose layer by sweep
+        # and decompose, and a document load compiles no solver.
         import poakit
 
-        code = ("import sys, poakit.cli\n"
-                "sys.exit('numpy' in sys.modules or 'concurrent.futures' in sys.modules)")
+        loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'poakit'),"
+                  " 'numpy' in sys.modules, 'concurrent.futures' in sys.modules)")
+        load = ("import sys\n"
+                "from pathlib import Path\n"
+                "from poakit import load_family, load_game\n"
+                "load_game(Path(sys.argv[1]).read_text())\n"
+                "load_family(Path(sys.argv[2]).read_text())\n" + loaded)
         src = str(Path(poakit.__file__).resolve().parent.parent)
-        assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
+        documents = [str(asset_path("two_commodity_mixed_degree.json")),
+                     write_family(tmp_path, "family.json", UNIT_USER_FAMILY)]
+        runs = [subprocess.run([sys.executable, "-c", code, *documents], cwd=src,
+                               capture_output=True, text=True, check=True).stdout.strip()
+                for code in (load, "import sys, poakit.cli\n" + loaded)]
+        assert runs == [
+            "['poakit', 'poakit.decomposition', 'poakit.game'] False False",
+            "['poakit', 'poakit.bounds', 'poakit.cli', 'poakit.game', 'poakit.poa',"
+            " 'poakit.runner', 'poakit.solvers'] False False"]
 
     def test_solve_on_the_assets_leaves_numpy_unloaded(self, tmp_path):
         # Their scans hold at most 30 states, below VECTOR_MIN_STATES, so a
@@ -822,7 +834,6 @@ class TestCli:
 
     @pytest.mark.parametrize("mode", ["solve", "sample", "decompose"])
     def test_unconverged_nonatomic_solve_exits_four(self, tmp_path, monkeypatch, mode):
-        import poakit.decomposition
         import poakit.poa
 
         solve = poakit.poa.solve_nonatomic_ne
@@ -833,7 +844,7 @@ class TestCli:
             return result
 
         monkeypatch.setattr(poakit.poa, "solve_nonatomic_ne", unconverged)
-        monkeypatch.setattr(poakit.decomposition, "solve_nonatomic_ne", unconverged)
+        monkeypatch.setattr(solvers, "solve_nonatomic_ne", unconverged)
         out = tmp_path / "out"
         game = str(asset_path("two_commodity_mixed_degree.json"))
         profile = write_family(tmp_path, "profile.json", [[[0.5, 0.5]] * 2] * 2)
