@@ -10,9 +10,8 @@ game, so bound-versus-measurement comparisons stay independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .game import Game, Group, Number
 
@@ -29,7 +28,6 @@ def scale_game(base: Game, g: Number) -> Game:
     return Game(arcs, groups)
 
 
-@dataclass(frozen=True)
 class BoundInputs:
     """Summary quantities entering the closed-form bounds (same-degree games).
 
@@ -37,19 +35,19 @@ class BoundInputs:
     degree * max coefficient * (1 + sum of T^-l for l = 1..degree).
     """
 
-    degree: int
-    eta_max: float
-    eta0_min: float
-    n_arcs: int
-    n_paths: int
-    total_demand: float
-    d_max: float
-
-    def __post_init__(self):
-        if self.eta0_min <= 0:
+    def __init__(self, degree: int, eta_max: float, eta0_min: float, n_arcs: int,
+                 n_paths: int, total_demand: float, d_max: float):
+        if eta0_min <= 0:
             raise ValueError("minimum leading coefficient must be > 0")
-        if self.total_demand <= 0 or self.d_max <= 0:
+        if total_demand <= 0 or d_max <= 0:
             raise ValueError("demands must be > 0")
+        self.degree = degree
+        self.eta_max = eta_max
+        self.eta0_min = eta0_min
+        self.n_arcs = n_arcs
+        self.n_paths = n_paths
+        self.total_demand = total_demand
+        self.d_max = d_max
 
     @property
     def geometric_tail(self) -> float:
@@ -106,8 +104,7 @@ def atomic_ne_approximation_bound(inputs: BoundInputs):
     return eps, inputs.kappa * math.sqrt(eps)
 
 
-@dataclass(frozen=True)
-class ExpectedFlowApproximation:
+class ExpectedFlowApproximation(NamedTuple):
     eps_expected: float
     p_delta: float
     expected_flow_is_equilibrium: bool  # constant costs make the bound exact
@@ -160,8 +157,7 @@ class TailVariant(Enum):
     LOWER_SHIFTED = "lower-shifted"  # P(Y <= (1-delta)(E-c)), asymptotic regime
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(NamedTuple):
     value: float
     asymptotic: bool  # True when the bound only holds for large enough n
 
@@ -220,8 +216,7 @@ def weighted_bernoulli_tail_bound(weights: Sequence[float], probs: Sequence[floa
 # Composed random-ratio bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RandomPoaBound:
+class RandomPoaBound(NamedTuple):
     """Probabilistic ceiling: the random ratio stays below ``threshold``
     except with probability at most ``p_delta``."""
 

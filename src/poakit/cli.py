@@ -109,8 +109,9 @@ def _environment() -> SolverConfig:
     """Solver settings from POAKIT_TOLERANCE and POAKIT_BUDGET; ValueError if invalid."""
     try:
         return SolverConfig(
-            tolerance=float(os.environ.get("POAKIT_TOLERANCE", SolverConfig.tolerance)),
-            enumeration_budget=int(os.environ.get("POAKIT_BUDGET", SolverConfig.enumeration_budget)))
+            tolerance=float(os.environ.get("POAKIT_TOLERANCE", SolverConfig().tolerance)),
+            enumeration_budget=int(os.environ.get("POAKIT_BUDGET",
+                                                  SolverConfig().enumeration_budget)))
     except ValueError as exc:
         raise ValueError(f"POAKIT_TOLERANCE / POAKIT_BUDGET: {exc}") from None
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .game import AtomicProfile, CostPolynomial, Game, GameSchemaError, Group, Number, load_game
 from .game import _as_number, _as_object
@@ -43,7 +42,6 @@ def _power_law(c: Number, gamma: Number, n: int) -> Number:
     return float(c) * float(n) ** float(gamma)
 
 
-@dataclass(frozen=True)
 class DemandLaw:
     """Per-group demand schedule d(n) = c * n^gamma plus a user granularity.
 
@@ -51,26 +49,27 @@ class DemandLaw:
     that size, remainder to one extra user, so the maximum individual demand
     stays bounded) or a user-count law (count_c * n^count_gamma equal users
     splitting d(n), so individual demands may grow or shrink with n).
+    ``user_count`` is the pair (count_c, count_gamma).
     """
 
-    c: Number
-    gamma: float
-    user_demand: Optional[Number] = None
-    user_count: Optional[tuple] = None  # (count_c, count_gamma)
-
-    def __post_init__(self):
-        if not self.c > 0:
+    def __init__(self, c: Number, gamma: float, user_demand: Optional[Number] = None,
+                 user_count: Optional[tuple] = None):
+        if not c > 0:
             raise ValueError("demand coefficient c must be > 0")
-        if self.gamma < 0:
+        if gamma < 0:
             raise ValueError("growth exponent gamma must be >= 0")
-        if (self.user_demand is None) == (self.user_count is None):
+        if (user_demand is None) == (user_count is None):
             raise ValueError("exactly one of user_demand / user_count is required")
-        if self.user_demand is not None and not self.user_demand > 0:
+        if user_demand is not None and not user_demand > 0:
             raise ValueError("user granularity must be > 0")
-        if self.user_count is not None:
-            cc, cg = self.user_count
+        if user_count is not None:
+            cc, cg = user_count
             if not cc > 0 or cg < 0:
                 raise ValueError("user-count law needs c > 0 and gamma >= 0")
+        self.c = c
+        self.gamma = gamma
+        self.user_demand = user_demand
+        self.user_count = user_count
 
     def demand_at(self, n: int) -> Number:
         return _power_law(self.c, self.gamma, n)
@@ -79,19 +78,17 @@ class DemandLaw:
         return max(1, round(_power_law(*self.user_count, n)))
 
 
-@dataclass(frozen=True)
 class DemandFamily:
-    base: Game
-    laws: Mapping[str, DemandLaw]
-
-    def __post_init__(self):
-        gids = [g.gid for g in self.base.groups]
-        for gid in self.laws:
+    def __init__(self, base: Game, laws: Mapping[str, DemandLaw]):
+        gids = [g.gid for g in base.groups]
+        for gid in laws:
             if gid not in gids:
                 raise GameSchemaError(f"demand_laws[{gid}]", f"the game has no group {gid!r}")
         for gid in gids:
-            if gid not in self.laws:
+            if gid not in laws:
                 raise GameSchemaError("demand_laws", f"missing demand law for group {gid!r}")
+        self.base = base
+        self.laws = laws
 
     def users_at(self, gid: str, n: int) -> tuple:
         """The ``Group.runs`` of the users realizing d(n) under the group's granularity."""
@@ -247,8 +244,7 @@ def limit_game(game: Game, class_gids: Sequence[str], lam: int,
 # Prediction vs. measurement
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClassSummary:
+class ClassSummary(NamedTuple):
     gids: list
     gamma: float
     lam: int
@@ -256,8 +252,7 @@ class ClassSummary:
     limit_cost: float
 
 
-@dataclass
-class PredictionRow:
+class PredictionRow(NamedTuple):
     n: int
     total_demand: float
     predicted: float
@@ -269,8 +264,7 @@ class PredictionRow:
     atomic_is_lower_bound: bool
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     classes: list  # ClassSummary, fastest first
     irregular: list
     rows: list  # PredictionRow per grid point

@@ -14,12 +14,11 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Real
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -83,23 +82,28 @@ def _horner(coeffs: Sequence, x: Number) -> Number:
     return acc
 
 
-@dataclass(frozen=True)
 class CostPolynomial:
     """Nonnegative-coefficient polynomial cost, highest-degree term first.
 
     ``coefficients[0]`` multiplies x**degree.  The leading coefficient must
     be positive (no free arcs) unless the polynomial is an explicit limit
-    construction, where identically-zero costs are permitted.
+    construction, where identically-zero costs are permitted.  Two
+    polynomials are equal when their coefficients are.
     """
 
-    coefficients: tuple
-
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple):
+        if not coefficients:
             raise GameSchemaError("coeffs", "expected a nonempty list")
-        for i, c in enumerate(self.coefficients):
+        for i, c in enumerate(coefficients):
             if c < 0:
                 raise GameSchemaError(f"coeffs[{i}]", "coefficient must be >= 0")
+        self.coefficients = coefficients
+
+    def __eq__(self, other):
+        return type(other) is CostPolynomial and other.coefficients == self.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
 
     @property
     def degree(self) -> int:
@@ -146,23 +150,28 @@ class CostPolynomial:
         return CostPolynomial(coeffs)
 
 
-@dataclass(frozen=True, init=False)
 class Group:
     """A group's paths and its users, as (demand, count) runs in user order.
     Per-user ``demands``, or ``runs``, are folded so that adjacent users share a
     run exactly when their demands have one type and value (a zero only as one
     object): ``demands`` rebuilds them element for element, and every
-    per-group figure reads the runs."""
-
-    gid: str
-    paths: tuple  # tuple of tuples of arc ids; identity is positional
-    runs: tuple  # ((demand, count), ...), every demand > 0 and count >= 1
+    per-group figure reads the runs.  Two groups are equal when their ids,
+    paths and runs are."""
 
     def __init__(self, gid: str, paths: tuple, demands: Sequence = (), *, runs=None):
         runs = itertools.groupby(((d, 1) for d in demands) if runs is None else runs,
                                  lambda run: (type(run[0]), run[0], run[0] or id(run[0])))
-        runs = tuple((d, sum(count for _, count in same)) for (_, d, _), same in runs)
-        self.__dict__.update(gid=gid, paths=paths, runs=runs)  # frozen: no setattr
+        self.gid = gid
+        self.paths = paths  # tuple of tuples of arc ids; identity is positional
+        # ((demand, count), ...), every demand > 0 and count >= 1
+        self.runs = tuple((d, sum(count for _, count in same)) for (_, d, _), same in runs)
+
+    def __eq__(self, other):
+        return type(other) is Group and (other.gid, other.paths, other.runs) == \
+            (self.gid, self.paths, self.runs)
+
+    def __hash__(self):
+        return hash((self.gid, self.paths, self.runs))
 
     @property
     def demands(self) -> tuple:
@@ -356,8 +365,7 @@ class PathFlow:
         return f"PathFlow({self.as_dict()})"
 
 
-@dataclass(frozen=True)
-class AtomicProfile:
+class AtomicProfile(NamedTuple):
     """One chosen path index per user, grouped as the game is."""
 
     choices: tuple  # tuple per group: tuple of path indices, one per user
@@ -389,8 +397,7 @@ class AtomicProfile:
         return MixedProfile(tuple(rows))
 
 
-@dataclass(frozen=True)
-class MixedProfile:
+class MixedProfile(NamedTuple):
     """Per-user probability vector over the user's group paths."""
 
     probabilities: tuple  # per group: tuple per user: tuple of path probabilities

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from operator import add, getitem, mul
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .game import SAMPLE_CHUNK, AtomicProfile, Game, MixedProfile, Number, _word_cuts
 from .solvers import (
@@ -38,8 +37,7 @@ if TYPE_CHECKING:  # numpy is imported where samples are drawn, not on every sta
 POA_FLOOR_TOL = 1e-9
 
 
-@dataclass
-class PoaReport:
+class PoaReport(NamedTuple):
     atomic_poa: Optional[Number]
     nonatomic_poa: Optional[float]
     mixed_poa: Optional[float]
@@ -227,8 +225,7 @@ def mixed_poa_small(game: Game, config: SolverConfig = SolverConfig(),
 MAX_SAMPLES = 2**63 - 1  # the most samples an int64 count holds
 
 
-@dataclass
-class RandomPoaDistribution:
+class RandomPoaDistribution(NamedTuple):
     """Empirical and, when available, exact distribution of the random ratio.
 
     The empirical side is a table, not the samples: ``values`` holds each

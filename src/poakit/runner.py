@@ -13,10 +13,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .bounds import (
@@ -44,8 +43,7 @@ EXIT_NONCONVERGED = 4
 DELTA = 1.0 / 3.0  # concentration exponent of the p_delta columns and the sample ceiling
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     game_path: Optional[str] = None
     family_path: Optional[str] = None
     profile_path: Optional[str] = None
@@ -57,18 +55,18 @@ class ExperimentConfig:
 
     def solver_config(self) -> SolverConfig:
         try:
-            return replace(self.solver, rng_seed=self.seed)
+            return SolverConfig(**{**vars(self.solver), "rng_seed": self.seed})
         except ValueError as exc:  # the seed: the other settings were checked when built
             raise RunFailure("seed", str(exc), EXIT_INPUT) from None
 
 
-@dataclass
 class RunReport:
-    config: dict
-    rows: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)  # (name, passed, detail)
-    wall_time: float = 0.0
-    exit_code: int = EXIT_OK
+    def __init__(self, config: dict):
+        self.config = config
+        self.rows = []
+        self.verdicts = []  # (name, passed, detail)
+        self.wall_time = 0.0
+        self.exit_code = EXIT_OK
 
     @property
     def passed(self) -> bool:
@@ -88,7 +86,7 @@ class RunReport:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
             else str(value.numerator)
     if isinstance(value, float):
@@ -106,16 +104,16 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-@dataclass(eq=False)
 class RunFailure(Exception):
     """A failed step: ends the run with one failed verdict and this exit code.
 
     ``exit_code`` None stands for an assertion failure (EXIT_ASSERTION).
     """
 
-    step: str
-    detail: str
-    exit_code: Optional[int] = None
+    def __init__(self, step: str, detail: str, exit_code: Optional[int] = None):
+        self.step = step
+        self.detail = detail
+        self.exit_code = exit_code
 
 
 def _run(fields: dict, out_dir: Optional[str],

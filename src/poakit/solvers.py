@@ -28,7 +28,6 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -53,37 +52,45 @@ class BudgetExceededError(RuntimeError):
     """The exact state space is larger than the configured enumeration budget."""
 
 
-@dataclass(frozen=True)
 class SolverConfig:
-    tolerance: float = 1e-9
-    max_iterations: int = 100_000
-    rng_seed: int = 0
-    enumeration_budget: int = 10_000_000
+    """Solver settings, checked when built; equal when every setting is.
+    A changed copy is ``SolverConfig(**{**vars(config), name: value})``."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.enumeration_budget < 1:
+    def __init__(self, tolerance: float = 1e-9, max_iterations: int = 100_000,
+                 rng_seed: int = 0, enumeration_budget: int = 10_000_000):
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+        if enumeration_budget < 1:
             raise ValueError("enumeration budget must be >= 1")
-        if not 0 <= self.rng_seed < 2**64:  # so seed + restart is a Philox key (< 2**128)
-            raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {self.rng_seed}")
+        if not 0 <= rng_seed < 2**64:  # so seed + restart is a Philox key (< 2**128)
+            raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {rng_seed}")
+        self.tolerance = tolerance
+        self.max_iterations = max_iterations
+        self.rng_seed = rng_seed
+        self.enumeration_budget = enumeration_budget
+
+    def __eq__(self, other):
+        return type(other) is SolverConfig and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
-@dataclass
 class EquilibriumResult:
-    flow: object  # PathFlow, AtomicProfile, or MixedProfile
-    kind: str  # nonatomic-ne | nonatomic-so | atomic-ne | atomic-so | mixed-ne
-    residual: float
-    iterations: int
-    exact: bool
-    converged: bool = True
-    cost: Optional[Number] = None
-    note: str = ""
-    wall_time: float = 0.0
-
-    def __post_init__(self):
-        if isinstance(self.cost, float) and not math.isfinite(self.cost):
-            raise OverflowError(f"{self.kind} cost {self.cost} is not a finite float")
+    def __init__(self, flow, kind: str, residual: float, iterations: int, exact: bool,
+                 converged: bool = True, cost: Optional[Number] = None, note: str = "",
+                 wall_time: float = 0.0):
+        if isinstance(cost, float) and not math.isfinite(cost):
+            raise OverflowError(f"{kind} cost {cost} is not a finite float")
+        self.flow = flow  # PathFlow, AtomicProfile, or MixedProfile
+        self.kind = kind  # nonatomic-ne | nonatomic-so | atomic-ne | atomic-so | mixed-ne
+        self.residual = residual
+        self.iterations = iterations
+        self.exact = exact
+        self.converged = converged
+        self.cost = cost
+        self.note = note
+        self.wall_time = wall_time
 
     def to_document(self, game: Game) -> dict:
         """The result of a non-atomic or a mixed solve, as report.json records it."""
@@ -476,8 +483,7 @@ def _group_components(game: Game) -> list:
     return [sorted(v) for _, v in sorted(comps.items())]
 
 
-@dataclass(frozen=True)
-class _UserClass:
+class _UserClass(NamedTuple):
     gi: int
     demand: Number
     size: int  # the group's users of this demand
@@ -523,8 +529,7 @@ class _Evaluated:
         return _horner(self.coeffs, x)
 
 
-@dataclass(frozen=True)
-class _ArcCosts:
+class _ArcCosts(NamedTuple):
     """Arc loads and arc costs as the atomic solvers add and compare them.
 
     Arcs are numbered; ``tables[a][K]`` is the cost of arc a at load K, and
@@ -766,8 +771,7 @@ class _ComponentScan:
         return self.representatives[key]
 
 
-@dataclass
-class AtomicEquilibria:
+class AtomicEquilibria(NamedTuple):
     """All pure equilibria of a game and its atomic optimum, from one exact scan.
 
     ``equilibria`` lists one representative per user-symmetry class;

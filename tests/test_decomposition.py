@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -624,7 +623,7 @@ class TestWorstAtomicCost:
         for game, config in fallback_games():
             for seed in (0, 5, 2**64 - 1 - WORST_CASE_RESTARTS):
                 restarts.clear()
-                outcome = worst_atomic_cost(game, replace(config, rng_seed=seed))
+                outcome = worst_atomic_cost(game, SolverConfig(**{**vars(config), "rng_seed": seed}))
                 assert outcome[1] and outcome[2] is None and len(restarts) == WORST_CASE_RESTARTS
                 digest.update(repr((outcome, restarts)).encode())
         assert digest.hexdigest() == \

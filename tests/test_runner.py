@@ -618,11 +618,13 @@ class TestCli:
     def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
         # Each layer is imported where a run first needs it: numpy and the
         # thread pool where samples are drawn, the decompose layer by sweep
-        # and decompose, and a document load compiles no solver.
+        # and decompose, and a document load compiles no solver.  No record
+        # is a dataclass, so no start imports dataclasses (and inspect).
         import poakit
 
         loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'poakit'),"
-                  " 'numpy' in sys.modules, 'concurrent.futures' in sys.modules)")
+                  " 'numpy' in sys.modules, 'concurrent.futures' in sys.modules,"
+                  " 'dataclasses' in sys.modules)")
         load = ("import sys\n"
                 "from pathlib import Path\n"
                 "from poakit import load_family, load_game\n"
@@ -635,9 +637,9 @@ class TestCli:
                                capture_output=True, text=True, check=True).stdout.strip()
                 for code in (load, "import sys, poakit.cli\n" + loaded)]
         assert runs == [
-            "['poakit', 'poakit.decomposition', 'poakit.game'] False False",
+            "['poakit', 'poakit.decomposition', 'poakit.game'] False False False",
             "['poakit', 'poakit.bounds', 'poakit.cli', 'poakit.game', 'poakit.poa',"
-            " 'poakit.runner', 'poakit.solvers'] False False"]
+            " 'poakit.runner', 'poakit.solvers'] False False False"]
 
     def test_solve_on_the_assets_leaves_numpy_unloaded(self, tmp_path):
         # Their scans hold at most 30 states, below VECTOR_MIN_STATES, so a
