@@ -400,20 +400,6 @@ def _block_costs(game: Game, profile: MixedProfile):
     return block
 
 
-def _sample_total_costs(block, n_samples: int, seed: int, first: int = 0, step: int = 1):
-    """``block``'s costs (see ``_block_costs``) of blocks first, first + step,
-    ... of ``SAMPLE_BLOCK`` samples, yielded one block at a time.
-
-    The blocks, joined with the defaults, are the costs of samples
-    0 .. n_samples - 1 in order.  A block divides a generator stream, so it
-    never crosses one.  Only one block's draws and path indices are held at
-    a time, and none is left when its costs are yielded, so the memory used
-    does not grow with ``n_samples``.
-    """
-    for start in range(first * SAMPLE_BLOCK, n_samples, step * SAMPLE_BLOCK):
-        yield block(seed, start, min(SAMPLE_BLOCK, n_samples - start))
-
-
 def _add_counts(values, counts, new_values, new_counts):
     """The table (values, counts) with (new_values, new_counts) added in.
 
@@ -492,8 +478,8 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
 
     ``n_samples`` draws (ValueError below 1), keyed by ``config.rng_seed``:
     draw i is a pure function of the seed and i.  The ``SAMPLE_BLOCK`` blocks
-    of draws are dealt round-robin to one worker thread per usable CPU (none
-    when one worker would do).  Each worker reduces its blocks to their
+    of draws are dealt round-robin to pool threads, one per usable CPU and no
+    more than there are blocks; the calling thread only merges.  Each worker reduces its blocks to their
     distinct ratios and counts as it draws them, into its own running table
     of int64 counts, and the tables are merged; a table holds up to
     ``MAX_SAMPLES`` samples.  Values come out sorted and counts summed,
@@ -503,6 +489,8 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     ``EXACT_DISTRIBUTION_MAX_USERS`` or the state budget gets no exact rows,
     and ``exact_status`` says why.
     """
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     import numpy as np
 
     if n_samples < 1:
@@ -516,34 +504,34 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     empty = np.empty(0), np.empty(0, dtype=np.int64)
     block = _block_costs(game, profile)
 
-    def reduce(first: int):
+    def reduce(w: int):
+        # Blocks w, w + workers, ...: one block's draws at a time, so the
+        # memory used does not grow with n_samples.
         table = empty
-        for costs in _sample_total_costs(block, n_samples, config.rng_seed, first, workers):
+        for start in range(w * SAMPLE_BLOCK, n_samples, workers * SAMPLE_BLOCK):
+            costs = block(config.rng_seed, start, min(SAMPLE_BLOCK, n_samples - start))
             table = _add_counts(*table, *np.unique(costs / so_cost, return_counts=True))
             if stop.is_set():
                 break
         return table
 
-    if workers == 1:
-        values, counts = reduce(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor, as_completed
-
-        values, counts = empty
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                for done in as_completed([pool.submit(reduce, w) for w in range(workers)]):
-                    values, counts = _add_counts(values, counts, *done.result())
-            finally:
-                stop.set()
+    values, counts = empty
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for done in as_completed([pool.submit(reduce, w) for w in range(workers)]):
+                values, counts = _add_counts(values, counts, *done.result())
+        finally:
+            stop.set()
+    exact, exact_status = [], "ok"
     if game.n_users > EXACT_DISTRIBUTION_MAX_USERS:
-        return RandomPoaDistribution(
-            values, counts, [], f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users")
-    try:
-        exact = exact_random_cost_distribution(game, profile)
-    except BudgetExceededError as exc:
-        return RandomPoaDistribution(values, counts, [], f"skipped: {exc}")
-    return RandomPoaDistribution(values, counts, [(v / so_cost, p) for v, p in exact], "ok")
+        exact_status = f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users"
+    else:
+        try:
+            exact = exact_random_cost_distribution(game, profile)
+        except BudgetExceededError as exc:
+            exact_status = f"skipped: {exc}"
+    return RandomPoaDistribution(values, counts, [(v / so_cost, p) for v, p in exact],
+                                 exact_status)
 
 
 # ---------------------------------------------------------------------------

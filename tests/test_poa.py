@@ -6,7 +6,6 @@ import itertools
 import math
 import random
 import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +41,6 @@ from poakit.poa import (
     SAMPLE_BLOCK,
     _add_counts,
     _block_costs,
-    _sample_total_costs,
     _two_user_two_path_worst,
     _worst_on_equilibrium_set,
 )
@@ -63,7 +61,9 @@ CFG = SolverConfig()
 
 def _costs(game, profile, n, seed):
     """The realized costs of samples 0 .. n - 1: the sampler's blocks, joined."""
-    return np.concatenate(list(_sample_total_costs(_block_costs(game, profile), n, seed)))
+    block = _block_costs(game, profile)
+    return np.concatenate([block(seed, start, min(SAMPLE_BLOCK, n - start))
+                           for start in range(0, n, SAMPLE_BLOCK)])
 
 
 class TestAtomicPoa:
@@ -368,33 +368,20 @@ class TestRandomPoa:
                                    SAMPLE_CHUNK + 3, 3 * SAMPLE_CHUNK + 5])
     def test_table_does_not_depend_on_the_workers(self, monkeypatch, n):
         # One, two and three workers give the same table and mean, all equal
-        # to the np.unique of every sample; with one worker, or one block,
-        # every block is drawn on the calling thread.
+        # to the np.unique of every sample.
         game = load_asset("two_commodity_mixed_degree.json")
         mixed = solve_mixed_ne_small(game, CFG).flow
-        draw = poakit.game.sample_uniforms
-        threads = []
-
-        def recording(seed, start, count, width):
-            threads.append(threading.get_ident())
-            return draw(seed, start, count, width)
-
-        monkeypatch.setattr(poakit.game, "sample_uniforms", recording)
         seen = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so that a lost update shows
         try:
             for workers in (1, 2, 3):
-                threads.clear()
                 monkeypatch.setattr(poakit.poa, "_sample_workers", lambda: workers)
                 dist = sample_random_poa(game, mixed, n, SolverConfig(rng_seed=9))
                 seen.append((dist.values.tobytes(), dist.counts.tolist(), dist.empirical_mean))
-                if workers == 1 or n <= SAMPLE_BLOCK:
-                    assert set(threads) == {threading.get_ident()}
         finally:
             sys.setswitchinterval(interval)
         assert seen[0] == seen[1] == seen[2]
-        monkeypatch.setattr(poakit.game, "sample_uniforms", draw)
         samples = _costs(game, mixed, n, 9) / float(solve_atomic_so(game, CFG).cost)
         values, counts = np.unique(samples, return_counts=True)
         assert seen[0][:2] == (values.tobytes(), counts.tolist())
