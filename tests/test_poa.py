@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poakit import solvers
@@ -892,6 +892,31 @@ class TestReports:
         assert report.mixed_poa is None and report.mixed_ne is not None
         assert report.mixed_status == ("unavailable: enumeration budget exceeded; "
                                        "no atomic optimum")
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=sampled_games())
+    @example(drawn=(no_equilibrium_game(), None))
+    def test_report_agrees_with_each_ratio_alone(self, drawn):
+        # The report derives each ratio beside the function that computes it
+        # alone: the same values, statuses and certified flag.  Drawn games
+        # rarely lack a pure equilibrium, so the example holds one that does.
+        game, _ = drawn
+        try:
+            nonatomic = nonatomic_poa(game, CFG)
+        except RuntimeError:  # a non-atomic solve did not converge
+            assume(False)
+        report = compute_poa_report(game, CFG)
+        atomic, status = atomic_poa(game, CFG)
+        assert (type(report.atomic_poa), report.atomic_poa) == (type(atomic), atomic)
+        assert report.atomic_status == (status if status == "ok" else f"unavailable: {status}")
+        assert report.nonatomic_poa.hex() == nonatomic.hex()
+        try:
+            solve_mixed_ne_small(game, CFG)
+        except ValueError:  # outside the mixed solver's scope
+            assert report.mixed_ne is None and report.mixed_poa is None
+        else:
+            assert (report.mixed_poa, report.mixed_certified, report.mixed_status) == \
+                mixed_poa_small(game, CFG)
 
     def test_report_floor_validation(self):
         report = PoaReport(atomic_poa=0.5, nonatomic_poa=None, mixed_poa=None,
