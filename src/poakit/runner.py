@@ -157,7 +157,7 @@ def _read(path: str, parse: Callable, step: str = "load"):
     """``parse`` applied to the text of ``path``; an input error if either fails."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, OverflowError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise RunFailure(step, str(exc), EXIT_INPUT) from None
 
 

@@ -803,6 +803,28 @@ class TestCli:
         assert doc["exit_code"] == EXIT_INPUT
         assert [v["passed"] for v in doc["verdicts"]] == [False]
 
+    @pytest.mark.parametrize("args, step", [
+        (["solve", "--game", "{deep}"], "load"),
+        (["sweep", "--family", "{deep}", "--grid", "1,2"], "load"),
+        (["decompose", "--family", "{deep}", "--grid", "1,2"], "load"),
+        (["sample", "--game", "{asset}", "--profile", "{deep}"], "profile"),
+    ], ids=["solve", "sweep", "decompose", "sample-profile"])
+    def test_deeply_nested_document_exits_three_with_report(self, tmp_path, capsys, args, step):
+        # A document nested past the recursion limit makes json.loads raise
+        # RecursionError: an input error, like any other parse failure.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [a.format(asset=str(asset_path("parallel_linear_double.json")), deep=str(deep))
+                for a in args]
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"[FAIL] {step}: maximum recursion depth exceeded")
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_INPUT
+        assert [(v["name"], v["passed"]) for v in doc["verdicts"]] == [(step, False)]
+
     def test_failed_validation_exits_two_with_report(self, tmp_path, monkeypatch, capsys):
         # A tolerance of 0.5 leaves the non-atomic optimum above the atomic one.
         monkeypatch.setenv("POAKIT_TOLERANCE", "0.5")
