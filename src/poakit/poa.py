@@ -479,9 +479,9 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
     ``n_samples`` draws (ValueError below 1), keyed by ``config.rng_seed``:
     draw i is a pure function of the seed and i.  The ``SAMPLE_BLOCK`` blocks
     of draws are dealt round-robin to pool threads, one per usable CPU and no
-    more than there are blocks; the calling thread only merges.  Each worker reduces its blocks to their
-    distinct ratios and counts as it draws them, into its own running table
-    of int64 counts, and the tables are merged; a table holds up to
+    more than there are blocks; the calling thread only merges.  Each worker
+    reduces its blocks to their distinct ratios and counts as it draws them,
+    into its own running table of int64 counts; a table holds up to
     ``MAX_SAMPLES`` samples.  Values come out sorted and counts summed,
     so the result does not depend on the number of workers.  Once the merge
     fails or is interrupted, every worker stops before its next block.  The
@@ -522,12 +522,10 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
                 values, counts = _add_counts(values, counts, *done.result())
         finally:
             stop.set()
-    exact, exact_status = [], "ok"
-    if game.n_users > EXACT_DISTRIBUTION_MAX_USERS:
-        exact_status = f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users"
-    else:
+    exact, exact_status = [], f"skipped: more than {EXACT_DISTRIBUTION_MAX_USERS} users"
+    if game.n_users <= EXACT_DISTRIBUTION_MAX_USERS:
         try:
-            exact = exact_random_cost_distribution(game, profile)
+            exact, exact_status = exact_random_cost_distribution(game, profile), "ok"
         except BudgetExceededError as exc:
             exact_status = f"skipped: {exc}"
     return RandomPoaDistribution(values, counts, [(v / so_cost, p) for v, p in exact],
