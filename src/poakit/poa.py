@@ -51,41 +51,43 @@ class PoaReport(NamedTuple):
     mixed_ne: Optional[EquilibriumResult] = None  # set when the game is in mixed scope
     equilibria: Optional[AtomicEquilibria] = None  # the scan behind atomic_poa, if in budget
 
-    def validate(self) -> None:
+    def validate(self, tolerance: float = POA_FLOOR_TOL) -> None:
+        """ValueError if a ratio falls below 1, or the atomic optimum below the
+        non-atomic one (relative to it), by more than ``max(POA_FLOOR_TOL,
+        tolerance)``: the float solves stop within the run's tolerance."""
+        slack = max(POA_FLOOR_TOL, tolerance)
         for name, value in (("atomic", self.atomic_poa), ("nonatomic", self.nonatomic_poa),
                             ("mixed", self.mixed_poa)):
-            if value is not None and float(value) < 1 - POA_FLOOR_TOL:
+            if value is not None and float(value) < 1 - slack:
                 raise ValueError(f"{name} ratio {float(value)} below 1")
         if self.atomic_so_cost is not None and self.nonatomic_so_cost is not None:
-            if float(self.atomic_so_cost) < float(self.nonatomic_so_cost) - POA_FLOOR_TOL:
+            if float(self.atomic_so_cost) < float(self.nonatomic_so_cost) * (1 - slack):
                 raise ValueError("atomic optimum cheaper than non-atomic optimum")
 
 
-def atomic_poa(game: Game, config: SolverConfig = SolverConfig()):
+def atomic_poa(game: Game, config: SolverConfig = SolverConfig(),
+               equilibria: Optional[AtomicEquilibria] = None):
     """Worst pure-equilibrium cost over the atomic optimum cost.
 
-    Exact (Fraction) when the game data is rational.  Returns
+    Exact (Fraction) when the game data is rational; ``equilibria`` reuses
+    the caller's ``enumerate_atomic_equilibria`` result.  Returns
     ``(value, status)`` with value None when no pure equilibrium exists.
     """
-    equilibria = enumerate_atomic_equilibria(game, config)
+    if equilibria is None:
+        equilibria = enumerate_atomic_equilibria(game, config)
     if equilibria.worst is None:
-        return None, "no atomic equilibrium (weighted game)"
+        return None, "unavailable: no atomic equilibrium (weighted game)"
     return equilibria.worst.cost / equilibria.optimum.cost, "ok"
 
 
-def nonatomic_pair(game: Game, config: SolverConfig = SolverConfig()):
-    """The non-atomic ratio with the equilibrium and optimum behind it.
+def nonatomic_poa(game: Game, config: SolverConfig = SolverConfig()):
+    """Equilibrium cost over optimum cost for arbitrarily splittable demand.
 
     Returns ``(ratio, ne, so)``; RuntimeError if either solve did not converge.
     """
     so = require_converged(solve_nonatomic_so(game, config))
     ne = require_converged(solve_nonatomic_ne(game, config))
     return float(ne.cost) / float(so.cost), ne, so
-
-
-def nonatomic_poa(game: Game, config: SolverConfig = SolverConfig()) -> float:
-    """Equilibrium cost over optimum cost for arbitrarily splittable demand."""
-    return nonatomic_pair(game, config)[0]
 
 
 def _unit_roots(c0, c1) -> list:
@@ -538,17 +540,13 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
 
 def compute_poa_report(game: Game, config: SolverConfig = SolverConfig()) -> PoaReport:
     """All applicable ratios for one game, with solver fallbacks recorded."""
-    rho_nat, nonat_ne, nonat_so = nonatomic_pair(game, config)
+    rho_nat, nonat_ne, nonat_so = nonatomic_poa(game, config)
 
     atomic_value = None
     equilibria = None
-    atomic_status = "ok"
     try:
         equilibria = enumerate_atomic_equilibria(game, config)
-        if equilibria.worst is None:
-            atomic_status = "unavailable: no atomic equilibrium (weighted game)"
-        else:
-            atomic_value = equilibria.worst.cost / equilibria.optimum.cost
+        atomic_value, atomic_status = atomic_poa(game, config, equilibria)
     except BudgetExceededError:
         br = best_response_atomic(game, config)
         atomic_status = ("unavailable: enumeration budget exceeded; best-response "
@@ -582,5 +580,5 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig()) -> Poa
         mixed_ne=mixed_ne,
         equilibria=equilibria,
     )
-    report.validate()
+    report.validate(config.tolerance)
     return report

@@ -27,7 +27,8 @@ from .bounds import (
     random_poa_probability_bound,
 )
 from .game import Game, Group, MixedProfile, load_game
-from .poa import MAX_SAMPLES, PoaReport, compute_poa_report, nonatomic_pair, sample_random_poa
+from .poa import (MAX_SAMPLES, PoaReport, atomic_poa, compute_poa_report, nonatomic_poa,
+                  sample_random_poa)
 from .solvers import (
     BudgetExceededError,
     SolverConfig,
@@ -353,7 +354,7 @@ def _sample(config: ExperimentConfig, report: RunReport) -> None:
                          "do not fit in memory", EXIT_INPUT) from None
 
     try:
-        rho_nat, _, nonat_so = nonatomic_pair(game, solver)
+        rho_nat, _, nonat_so = nonatomic_poa(game, solver)
     except RuntimeError as exc:
         raise RunFailure("nonatomic", str(exc), EXIT_NONCONVERGED) from None
     bound = random_poa_probability_bound(game, DELTA, rho_nat, float(nonat_so.cost))
@@ -498,8 +499,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         details = []
         for n in (1, 2, 5):
             game = base if n == 1 else _with_uniform_users(base, 4 * n, Fraction(1, 4 * n))
-            eq = enumerate_atomic_equilibria(game, solver)
-            value = eq.worst.cost / eq.optimum.cost
+            value = atomic_poa(game, solver)[0]
             _require(value == Fraction(8, 7),
                      f"expected atomic ratio exactly 8/7 at n={n}, got {value}")
             details.append(f"n={n}: {value}")
@@ -515,7 +515,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
             _require(eq.worst.cost == 4 * n * n,
                      f"expected worst equilibrium cost {4 * n * n}, got {eq.worst.cost}")
             _require(so.cost == 3 * n * n, f"expected optimum cost {3 * n * n}, got {so.cost}")
-            value = eq.worst.cost / so.cost
+            value = atomic_poa(game, solver, eq)[0]
             _require(value == Fraction(4, 3), f"expected atomic ratio exactly 4/3, got {value}")
             details.append(f"n={n}: {value}")
         return "; ".join(details)
@@ -525,8 +525,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         values = []
         for n in (100, 1000, 10000):
             game = _with_uniform_users(base, 2, _sqrt_exact(n))
-            eq = enumerate_atomic_equilibria(game, solver)
-            values.append(float(eq.worst.cost) / float(eq.optimum.cost))
+            values.append(float(atomic_poa(game, solver)[0]))
         target = 16.0 / 9.0
         _require(values[0] < values[1] < values[2] <= target + 1e-9,
                  f"expected the ratio to increase toward 16/9, got {values}")

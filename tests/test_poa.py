@@ -90,15 +90,15 @@ class TestAtomicPoa:
 
 class TestNonatomicPoa:
     def test_quadratic_constant(self):
-        value = nonatomic_poa(quadratic_constant_game(), CFG)
+        value = nonatomic_poa(quadratic_constant_game(), CFG)[0]
         assert value == pytest.approx(18 / (18 - math.sqrt(6)), abs=1e-6)
 
     def test_pigou_pair(self):
-        value = nonatomic_poa(parallel_game([(1, 0), (1,)], [1]), CFG)
+        value = nonatomic_poa(parallel_game([(1, 0), (1,)], [1]), CFG)[0]
         assert value == pytest.approx(4 / 3, abs=1e-8)
 
     def test_single_arc_is_one(self):
-        value = nonatomic_poa(parallel_game([(3, 0, 0)], [2]), CFG)
+        value = nonatomic_poa(parallel_game([(3, 0, 0)], [2]), CFG)[0]
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -871,6 +871,23 @@ class TestExactDistribution:
         assert 10_000 < sizes[-1] <= 10_000 + 3**6  # each adds at most 3^6 costs
 
 
+_INT_COEFFS = st.lists(st.integers(0, 9), min_size=2, max_size=3).map(
+    lambda cs: (cs[0] + 1, *cs[1:]))
+_BIG_DEMAND = st.fractions(min_value=1, max_value=10**6, max_denominator=9)
+
+
+@st.composite
+def coinciding_optima_games(draw):
+    """A game whose atomic and non-atomic optima are equal: k equal users on k
+    identical parallel arcs, or groups of one path each."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return parallel_game([draw(_INT_COEFFS)] * k, [draw(_BIG_DEMAND)] * k)
+    demands = st.lists(_BIG_DEMAND, min_size=1, max_size=3).map(tuple)
+    return Game({f"a{i}": poly(*draw(_INT_COEFFS)) for i in range(k)},
+                [Group(f"g{i}", ((f"a{i}",),), draw(demands)) for i in range(k)])
+
+
 class TestReports:
     def test_full_report_on_quadratic_constant(self):
         report = compute_poa_report(quadratic_constant_game(), CFG)
@@ -897,18 +914,18 @@ class TestReports:
     @given(drawn=sampled_games())
     @example(drawn=(no_equilibrium_game(), None))
     def test_report_agrees_with_each_ratio_alone(self, drawn):
-        # The report derives each ratio beside the function that computes it
+        # The report takes each ratio from the function that computes it
         # alone: the same values, statuses and certified flag.  Drawn games
         # rarely lack a pure equilibrium, so the example holds one that does.
         game, _ = drawn
         try:
-            nonatomic = nonatomic_poa(game, CFG)
+            nonatomic = nonatomic_poa(game, CFG)[0]
         except RuntimeError:  # a non-atomic solve did not converge
             assume(False)
         report = compute_poa_report(game, CFG)
         atomic, status = atomic_poa(game, CFG)
         assert (type(report.atomic_poa), report.atomic_poa) == (type(atomic), atomic)
-        assert report.atomic_status == (status if status == "ok" else f"unavailable: {status}")
+        assert report.atomic_status == status
         assert report.nonatomic_poa.hex() == nonatomic.hex()
         try:
             solve_mixed_ne_small(game, CFG)
@@ -929,3 +946,33 @@ class TestReports:
                            atomic_so_cost=1.0, nonatomic_so_cost=2.0)
         with pytest.raises(ValueError):
             report.validate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=coinciding_optima_games(), tolerance=st.sampled_from([1e-9, 1e-3]))
+    @example(game=parallel_game([(5, 8)], [Fraction(295529, 3)]), tolerance=1e-9)
+    def test_validation_accepts_coinciding_optima(self, game, tolerance):
+        # The float non-atomic optimum may lie one rounding above the exact
+        # atomic one, and at a loose tolerance as far above it as the solve
+        # stops short.  The example's float optimum is one ulp above.
+        report = compute_poa_report(game, SolverConfig(tolerance=tolerance))
+        assert float(report.atomic_so_cost) == pytest.approx(report.nonatomic_so_cost,
+                                                              rel=tolerance)
+
+    @pytest.mark.parametrize("game, in_mixed_scope",
+                             [(quadratic_constant_game(), True),
+                              (parallel_game([(1, 0), (1, 1), (2, 0)], [1, 1]), False)],
+                             ids=["mixed-scope", "outside-mixed-scope"])
+    def test_one_atomic_scan_per_report(self, game, in_mixed_scope, monkeypatch):
+        scans = []
+
+        def counted(*args):
+            scans.append(args)
+            return enumerate_atomic_equilibria(*args)
+
+        monkeypatch.setattr("poakit.poa.enumerate_atomic_equilibria", counted)
+        report = compute_poa_report(game, CFG)
+        assert (report.mixed_ne is not None) == in_mixed_scope
+        assert len(scans) == 1
+        assert atomic_poa(game, CFG, report.equilibria) == (report.atomic_poa,
+                                                            report.atomic_status)
+        assert len(scans) == 1

@@ -826,16 +826,32 @@ class TestCli:
         assert [(v["name"], v["passed"]) for v in doc["verdicts"]] == [(step, False)]
 
     def test_failed_validation_exits_two_with_report(self, tmp_path, monkeypatch, capsys):
-        # A tolerance of 0.5 leaves the non-atomic optimum above the atomic one.
+        # At a tolerance of 0.5 the optimum solve stops where it starts, with
+        # all demand on one cheap arc: three times the atomic optimum, so
+        # further above it than the tolerance allows.
         monkeypatch.setenv("POAKIT_TOLERANCE", "0.5")
         out = tmp_path / "out"
-        game = str(asset_path("parallel_affine_offset.json"))
-        assert main(["solve", "--game", game, "--out", str(out)]) == EXIT_ASSERTION
+        game = tmp_path / "cheap.json"
+        game.write_text(json.dumps({
+            "arcs": [{"id": a, "coeffs": ["1/100", 0]} for a in "abc"],
+            "groups": [{"id": "g", "paths": [["a"], ["b"], ["c"]],
+                        "users": [{"demand": "1/3"}] * 3}]}), encoding="utf-8")
+        assert main(["solve", "--game", str(game), "--out", str(out)]) == EXIT_ASSERTION
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["[FAIL] validate: atomic optimum cheaper than non-atomic optimum"]
         doc = json.loads((out / "report.json").read_text())
         assert doc["exit_code"] == EXIT_ASSERTION
         assert [v["passed"] for v in doc["verdicts"]] == [False]
+
+    def test_validation_allows_a_float_optimum_one_ulp_above(self, tmp_path, capsys):
+        # Both optima are 436694041901/9; the float solve reads one ulp above.
+        game = tmp_path / "one_arc.json"
+        game.write_text(json.dumps({
+            "arcs": [{"id": "a", "coeffs": [5, 8]}],
+            "groups": [{"id": "g", "paths": [["a"]], "users": [{"demand": "295529/3"}]}]}),
+            encoding="utf-8")
+        assert main(["solve", "--game", str(game), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["[PASS] solved"]
 
     def test_largest_seed_runs_on_every_seeded_path(self, tmp_path, monkeypatch):
         family = write_family(tmp_path, "family.json", UNIT_USER_FAMILY)
