@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # numpy is imported where samples are drawn, not on every sta
     import numpy as np
 
 POA_FLOOR_TOL = 1e-9
+POA_SLACK_CAP = 0.1  # however loose the solve, a 10 % shortfall is not rounding
 
 
 class PoaReport(NamedTuple):
@@ -52,16 +53,17 @@ class PoaReport(NamedTuple):
     equilibria: Optional[AtomicEquilibria] = None  # the scan behind atomic_poa, if in budget
 
     def validate(self, tolerance: float = POA_FLOOR_TOL) -> None:
-        """ValueError if a ratio falls below 1, or the atomic optimum below the
-        non-atomic one (relative to it), by more than ``max(POA_FLOOR_TOL,
-        tolerance)``: the float solves stop within the run's tolerance."""
-        slack = max(POA_FLOOR_TOL, tolerance)
+        """ValueError if a ratio falls below ``1 - slack``, or the atomic optimum
+        below ``(1 - slack)`` times the non-atomic one less POA_FLOOR_TOL: the
+        float solves stop within ``tolerance``, taken as slack up to the cap."""
+        slack = min(max(POA_FLOOR_TOL, tolerance), POA_SLACK_CAP)
         for name, value in (("atomic", self.atomic_poa), ("nonatomic", self.nonatomic_poa),
                             ("mixed", self.mixed_poa)):
             if value is not None and float(value) < 1 - slack:
                 raise ValueError(f"{name} ratio {float(value)} below 1")
         if self.atomic_so_cost is not None and self.nonatomic_so_cost is not None:
-            if float(self.atomic_so_cost) < float(self.nonatomic_so_cost) * (1 - slack):
+            floor = float(self.nonatomic_so_cost) * (1 - slack) - POA_FLOOR_TOL
+            if float(self.atomic_so_cost) < floor:
                 raise ValueError("atomic optimum cheaper than non-atomic optimum")
 
 

@@ -38,6 +38,7 @@ from poakit import (
 import poakit.game
 from poakit.game import PROB_TOL, SAMPLE_CHUNK, _word_cuts, draw_atomic_profile, sample_uniforms
 from poakit.poa import (
+    POA_FLOOR_TOL,
     SAMPLE_BLOCK,
     _add_counts,
     _block_costs,
@@ -947,16 +948,32 @@ class TestReports:
         with pytest.raises(ValueError):
             report.validate()
 
+    def test_loose_tolerance_keeps_both_checks(self):
+        # However loose the solve, the slack stops short of accepting a ratio
+        # of 0.5 or an atomic optimum half the non-atomic one.
+        for report in (PoaReport(atomic_poa=0.5, nonatomic_poa=None, mixed_poa=None,
+                                 atomic_so_cost=None, nonatomic_so_cost=None),
+                       PoaReport(atomic_poa=None, nonatomic_poa=None, mixed_poa=None,
+                                 atomic_so_cost=1.0, nonatomic_so_cost=2.0)):
+            with pytest.raises(ValueError):
+                report.validate(tolerance=1.0)
+
     @settings(max_examples=100, deadline=None)
     @given(game=coinciding_optima_games(), tolerance=st.sampled_from([1e-9, 1e-3]))
     @example(game=parallel_game([(5, 8)], [Fraction(295529, 3)]), tolerance=1e-9)
+    @example(game=parallel_game([(Fraction(1, 10**6), 0)] * 3, [Fraction(1, 3)] * 3),
+             tolerance=1e-9)
+    @example(game=parallel_game([(Fraction(1, 10**9), 0)] * 3, [Fraction(1, 3)] * 3),
+             tolerance=1e-9)
     def test_validation_accepts_coinciding_optima(self, game, tolerance):
         # The float non-atomic optimum may lie one rounding above the exact
         # atomic one, and at a loose tolerance as far above it as the solve
-        # stops short.  The example's float optimum is one ulp above.
+        # stops short.  The first example's float optimum is one ulp above;
+        # on the two cheap games the solve stops up to 4e-11 above, which is
+        # 12.5 % of the optimum at c = 1e-9.
         report = compute_poa_report(game, SolverConfig(tolerance=tolerance))
         assert float(report.atomic_so_cost) == pytest.approx(report.nonatomic_so_cost,
-                                                              rel=tolerance)
+                                                              rel=tolerance, abs=POA_FLOOR_TOL)
 
     @pytest.mark.parametrize("game, in_mixed_scope",
                              [(quadratic_constant_game(), True),

@@ -826,17 +826,13 @@ class TestCli:
         assert [(v["name"], v["passed"]) for v in doc["verdicts"]] == [(step, False)]
 
     def test_failed_validation_exits_two_with_report(self, tmp_path, monkeypatch, capsys):
-        # At a tolerance of 0.5 the optimum solve stops where it starts, with
-        # all demand on one cheap arc: three times the atomic optimum, so
-        # further above it than the tolerance allows.
-        monkeypatch.setenv("POAKIT_TOLERANCE", "0.5")
+        # A tolerance of 1e6 lets the optimum solve stop where it starts, at
+        # cost 1 against the atomic optimum 7/8: 12.5 % above it, past the
+        # largest slack that validate allows at any tolerance.
+        monkeypatch.setenv("POAKIT_TOLERANCE", "1e6")
         out = tmp_path / "out"
-        game = tmp_path / "cheap.json"
-        game.write_text(json.dumps({
-            "arcs": [{"id": a, "coeffs": ["1/100", 0]} for a in "abc"],
-            "groups": [{"id": "g", "paths": [["a"], ["b"], ["c"]],
-                        "users": [{"demand": "1/3"}] * 3}]}), encoding="utf-8")
-        assert main(["solve", "--game", str(game), "--out", str(out)]) == EXIT_ASSERTION
+        game = str(asset_path("parallel_affine_offset.json"))
+        assert main(["solve", "--game", game, "--out", str(out)]) == EXIT_ASSERTION
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["[FAIL] validate: atomic optimum cheaper than non-atomic optimum"]
         doc = json.loads((out / "report.json").read_text())
