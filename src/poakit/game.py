@@ -118,8 +118,6 @@ class CostPolynomial:
     def value(self, x: Number) -> Number:
         return _horner(self.coefficients, x)
 
-    __call__ = value
-
     def derivative(self) -> "CostPolynomial":
         d = self.degree
         if d == 0:

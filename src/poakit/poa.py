@@ -4,8 +4,8 @@ Atomic, non-atomic, and mixed ratios divide worst-case equilibrium cost by
 the matching optimum cost.  The random ratio is the distribution of the
 realized total cost of a mixed profile over the atomic optimum cost; it is
 sampled with a counter-based generator (sample i is a pure function of the
-seed and i, so sharded runs reproduce exactly) and, on small games, also
-computed exactly by state enumeration.
+seed and i, so any split of the sample range reproduces exactly) and, on
+small games, also computed exactly by state enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 from operator import add, getitem, mul
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .game import SAMPLE_CHUNK, AtomicProfile, Game, MixedProfile, Number, _word_cuts
+from .game import SAMPLE_CHUNK, AtomicProfile, Game, MixedProfile, Number, _horner, _word_cuts
 from .solvers import (
     AtomicEquilibria,
     BudgetExceededError,
@@ -292,7 +292,7 @@ def _block_costs(game: Game, profile: MixedProfile):
     count of cut points at or below the uniform, compared as word thresholds
     (``_word_cuts``) with the draws' words; a cut no uniform reaches, only
     ever a user's last ones, is dropped.  A sample's cost is the sum, in arc
-    order, of each arc's term ``f * polyval(coefficients, f)``, where the
+    order, of each arc's term ``f * _horner(float_coefficients, f)``, where the
     load f adds, in user order, each user's demand where the user's path
     holds the arc, else 0.0.  An arc on no path, whose term is +0.0 in every
     sample, is left out: the sum starts at +0.0 and no term is negative, so
@@ -324,7 +324,7 @@ def _block_costs(game: Game, profile: MixedProfile):
         group_users.append(range(len(users), len(users) + g.n_users))
         for ui, d in enumerate(g.demands):
             users.append((float(d), _word_cuts(profile.probabilities[gi][ui]), rows))
-    coeff_rows = [np.array(game.arcs[aid].float_coefficients) for aid in game.arc_ids]
+    coeff_rows = [game.arcs[aid].float_coefficients for aid in game.arc_ids]
 
     def terms(picks, count, members, arcs):
         """Each arc's term, in the order of ``arcs``, in ``count`` states or
@@ -337,7 +337,7 @@ def _block_costs(game: Game, profile: MixedProfile):
                 load = (choice == pi) * d
                 for a in path:
                     flows[row[a]] += load
-        return [fa * np.polyval(coeff_rows[a], fa) for a, fa in zip(arcs, flows)]
+        return [fa * _horner(coeff_rows[a], fa) for a, fa in zip(arcs, flows)]
 
     # Path indices: users by falling cut count, so that cut k is compared
     # for the first users only; the narrowest unsigned type that holds them.
@@ -501,8 +501,8 @@ def sample_random_poa(game: Game, profile: MixedProfile, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     profile.validate(game)
     so_cost = float(enumerate_atomic_equilibria(game, config).optimum.cost)
-    if so_cost <= 0:
-        raise ValueError("atomic optimum cost must be positive")
+    if not so_cost > 0.0:
+        raise ZeroDivisionError(f"atomic optimum cost {so_cost} is not above 0 as a float")
     workers = min(_sample_workers(), -(-n_samples // SAMPLE_BLOCK))
     stop = threading.Event()  # set once the merge fails or is interrupted
     empty = np.empty(0), np.empty(0, dtype=np.int64)

@@ -245,6 +245,10 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
     first, so each step has the bits of ``Game.total_cost`` at a float load.
     """
     t0 = time.perf_counter()
+    for g in game.groups:  # a group with no used path has no move to start from
+        if g.n_paths > 1 and not float(g.total_demand) > 0.0:
+            raise ZeroDivisionError(f"group {g.gid!r} demand {float(g.total_demand)} "
+                                    "is not above 0 as a float")
     direction_polys = {aid: p.float_coefficients for aid, p in polys.items()}
     keys = game.path_keys
     gpaths = {(gi, pi): game.groups[gi].paths[pi] for gi, pi in keys}
@@ -288,12 +292,10 @@ def _equilibrate(game: Game, config: SolverConfig, polys: Mapping[str, CostPolyn
                 src_only = [aid for aid in src_arcs if aid not in dst_arcs]
                 dst_only = [aid for aid in dst_arcs if aid not in src_arcs]
                 amount = _segment_step(src_only, dst_only, arc_flow, direction_polys, flows[src])
-                flows[src] -= amount
-                flows[dst] += amount
-                for aid in src_only:
-                    arc_flow[aid] -= amount
-                for aid in dst_only:
-                    arc_flow[aid] += amount
+                for slot, moved, step in ((src, src_only, -amount), (dst, dst_only, amount)):
+                    flows[slot] += step
+                    for aid in moved:
+                        arc_flow[aid] += step
                 # Only the paths crossing a moved arc change cost; recost them in arc order.
                 recosted = dict.fromkeys(i for aid in src_only + dst_only for i in arc_slots[aid])
                 for i in recosted:
@@ -612,12 +614,8 @@ def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str]
     if sum(lattice.reach) + len(arc_ids) > min(LATTICE_MAX_ROWS, LATTICE_ROWS_PER_READ * reads):
         tables = [_Evaluated(coeffs) for coeffs in lattice.scaled]
     else:
-        tables = []
-        for reach, coeffs in zip(lattice.reach, lattice.scaled):
-            table = [0] * (reach + 1)
-            for c in coeffs:  # Horner's rule, one coefficient at a time over all rows
-                table = [acc * k + c for k, acc in enumerate(table)]
-            tables.append(table)
+        tables = [[_horner(coeffs, k) for k in range(reach + 1)]
+                  for reach, coeffs in zip(lattice.reach, lattice.scaled)]
     return _ArcCosts(lattice.units.__getitem__, tables,
                      lambda total: Fraction(total, lattice.denominator))
 
@@ -699,7 +697,7 @@ class _ComponentScan:
             costs = list(map(getitem, arcs.tables, loads))
             cost = sum(map(mul, loads, costs))
             if cheapest is None or cost < cheapest[1]:
-                cheapest = (list(assignment), cost)
+                cheapest = (assignment, cost)
             if self.is_equilibrium(assignment, loads, costs):
                 found.append((self.representative(assignment), arcs.value(cost)))
 
@@ -709,35 +707,31 @@ class _ComponentScan:
     def scan(self, visit: Callable):
         """Call ``visit(assignment, loads)`` for every count state.
 
-        ``assignment`` maps class position to its per-path count tuple, and
-        ``loads`` lists the arcs' loads in ``arc_ids`` order (see ``_ArcCosts``).
+        ``assignment`` holds each class's per-path count tuple, in class
+        order, and ``loads`` the arcs' loads in ``arc_ids`` order (see
+        ``_ArcCosts``).  A class comes off by shifting its negated load.
         """
         loads = [0] * len(self.arc_ids)
-        assignment: list = [None] * len(self.classes)
         moves = self.moves
 
-        def rec(ci: int):
-            paths, _, _, load = moves[ci]
-            last = ci == len(moves) - 1
-            for counts in _compositions(self.classes[ci].size, len(paths)):
-                for path, c in zip(paths, counts):
-                    if c:
-                        add = load * c
-                        for a in path:
-                            loads[a] += add
-                assignment[ci] = counts
-                if last:
-                    visit(assignment, loads)
-                else:
-                    rec(ci + 1)
-                for path, c in zip(paths, counts):
-                    if c:
-                        add = load * c
-                        for a in path:
-                            loads[a] -= add
-            assignment[ci] = None
+        def shift(paths, counts, load):
+            for path, c in zip(paths, counts):
+                if c:
+                    add = load * c
+                    for a in path:
+                        loads[a] += add
 
-        rec(0)
+        def rec(ci: int, assignment: tuple):
+            if ci == len(moves):
+                visit(assignment, loads)
+                return
+            paths, _, _, load = moves[ci]
+            for counts in _compositions(self.classes[ci].size, len(paths)):
+                shift(paths, counts, load)
+                rec(ci + 1, assignment + (counts,))
+                shift(paths, counts, -load)
+
+        rec(0, ())
 
     def is_equilibrium(self, assignment, loads, costs) -> bool:
         """No user class can strictly improve by a unilateral path change.
@@ -912,12 +906,10 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
                             best_pi, best_cost = pi, cost
                 if best_pi != cur:
                     new_arcs = arc_sets[gi][best_pi]
-                    for a in cur_arcs - new_arcs:
-                        loads[a] -= d
-                        costs[a] = arcs.tables[a][loads[a]]
-                    for a in new_arcs - cur_arcs:
-                        loads[a] += d
-                        costs[a] = arcs.tables[a][loads[a]]
+                    for moved, step in ((cur_arcs - new_arcs, -d), (new_arcs - cur_arcs, d)):
+                        for a in moved:
+                            loads[a] += step
+                            costs[a] = arcs.tables[a][loads[a]]
                     choices[gi][ui] = best_pi
                     moves += 1
                     improved = True

@@ -753,7 +753,7 @@ class TestSampler:
         one user on 300 paths and a table component of 64 users.  A change to the (seed, chunk) stream, to
         the path choice or to the order in which loads and costs are summed
         changes these bytes.  The hashes assume numpy's Philox generator and
-        float64 ``np.polyval`` as in numpy 2.4.
+        float64 ``_horner`` on numpy 2.4 arrays.
         """
         asset = load_asset("two_commodity_mixed_degree.json")
         at_ne = solve_mixed_ne_small(asset, CFG).flow

@@ -849,6 +849,41 @@ class TestCli:
         assert main(["solve", "--game", str(game), "--out", str(tmp_path / "out")]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == ["[PASS] solved"]
 
+    # Positive numbers that are 0.0 as floats: two users of 10**-200 on two
+    # x**2 arcs (atomic optimum 2 * 10**-400), and one user of 10**-400 on x
+    # or 2x, as a game and as a family's every grid point.
+    @pytest.mark.parametrize("args, detail", [
+        (["solve", "--game", "{tiny_demand}"], "group 'od' demand 0.0 is not above 0 as a float"),
+        (["sample", "--game", "{tiny_optimum}"],
+         "atomic optimum cost 0.0 is not above 0 as a float"),
+        (["sample", "--game", "{tiny_optimum}", "--profile", "{even}"],
+         "atomic optimum cost 0.0 is not above 0 as a float"),
+        (["decompose", "--family", "{tiny_family}", "--grid", "1,2"],
+         "group 'od' demand 0.0 is not above 0 as a float"),
+    ], ids=["solve", "sample", "sample-profile", "decompose"])
+    def test_zero_as_a_float_exits_three_with_report(self, tmp_path, capsys, args, detail):
+        e200, e400 = "1/1" + "0" * 200, "1/1" + "0" * 400
+        linear = [{"id": "x", "coeffs": [1, 0]}, {"id": "y", "coeffs": [2, 0]}]
+        tiny_demand = {"arcs": linear, "groups": [
+            {"id": "od", "paths": [["x"], ["y"]], "users": [{"demand": e400}]}]}
+        paths = {
+            "tiny_demand": write_family(tmp_path, "tiny_demand.json", tiny_demand),
+            "tiny_optimum": write_family(tmp_path, "tiny_optimum.json", {
+                "arcs": [{"id": "a", "coeffs": [1, 0, 0]}, {"id": "b", "coeffs": [1, 0, 0]}],
+                "groups": [{"id": "od", "paths": [["a"], ["b"]],
+                            "users": [{"demand": e200}] * 2}]}),
+            "even": write_family(tmp_path, "even.json", [[[0.5, 0.5], [0.5, 0.5]]]),
+            "tiny_family": write_family(tmp_path, "tiny_family.json", dict(
+                tiny_demand, demand_laws={"od": {"c": e400, "gamma": 1, "user_demand": e400}})),
+        }
+        out = tmp_path / "out"
+        assert main([*(a.format(**paths) for a in args), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [
+            f"[FAIL] {args[0]}: costs outside the float range: {detail}"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["exit_code"] == EXIT_INPUT
+        assert [v["passed"] for v in doc["verdicts"]] == [False]
+
     def test_largest_seed_runs_on_every_seeded_path(self, tmp_path, monkeypatch):
         family = write_family(tmp_path, "family.json", UNIT_USER_FAMILY)
         game = str(asset_path("parallel_quadratic_constant.json"))
