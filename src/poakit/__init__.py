@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "game": """AtomicProfile CostPolynomial Game GameSchemaError Group MixedProfile PathFlow
-        draw_atomic_profile dump_game expected_arc_flow_and_variance load_game""",
+        draw_atomic_profile dump_game load_game""",
     "solvers": """AtomicEquilibria BudgetExceededError EquilibriumResult SolverConfig
-        beckmann_potential best_response_atomic enumerate_atomic_equilibria
+        best_response_atomic enumerate_atomic_equilibria
         epsilon_ne_residual expected_arc_statistics expected_total_cost mixed_ne_residual
         solve_atomic_so solve_mixed_ne_small solve_nonatomic_ne solve_nonatomic_so
         verify_wardrop""",

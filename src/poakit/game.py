@@ -132,15 +132,6 @@ class CostPolynomial:
         coeffs = tuple(self.coefficients[i] * (d - i + 1) for i in range(d + 1))
         return CostPolynomial(coeffs)
 
-    def integral_value(self, x: Number) -> Number:
-        """Integral of the polynomial from 0 to x (potential contribution)."""
-        d = self.degree
-        acc = 0
-        for i, c in enumerate(self.coefficients):
-            power = d - i + 1
-            acc += c * x**power / power
-        return acc
-
     def scaled(self, demand_scale: Number, divisor: Number) -> "CostPolynomial":
         """Polynomial x -> tau(x * demand_scale) / divisor."""
         d = self.degree
@@ -356,11 +347,8 @@ class PathFlow:
     def value(self, gi: int, pi: int) -> Number:
         return self._values[self.game._key_index[(gi, pi)]]
 
-    def as_dict(self) -> dict:
-        return dict(self.items())
-
     def __repr__(self):
-        return f"PathFlow({self.as_dict()})"
+        return f"PathFlow({dict(self.items())})"
 
 
 class AtomicProfile(NamedTuple):
@@ -384,15 +372,6 @@ class AtomicProfile(NamedTuple):
             for d, pi in zip(g.demands, picks):
                 acc[(gi, pi)] = acc[(gi, pi)] + d
         return PathFlow(game, [acc[key] for key in game.path_keys])
-
-    def as_mixed(self, game: Game) -> "MixedProfile":
-        rows = []
-        for g, picks in zip(game.groups, self.choices):
-            rows.append(tuple(
-                tuple(Fraction(1) if pi == choice else Fraction(0) for pi in range(g.n_paths))
-                for choice in picks
-            ))
-        return MixedProfile(tuple(rows))
 
 
 class MixedProfile(NamedTuple):
@@ -428,14 +407,6 @@ class MixedProfile(NamedTuple):
                         acc[(gi, pi)] = acc[(gi, pi)] + d * p
         return PathFlow(game, [acc[key] for key in game.path_keys])
 
-    @staticmethod
-    def uniform(game: Game) -> "MixedProfile":
-        rows = []
-        for g in game.groups:
-            p = Fraction(1, g.n_paths)
-            rows.append(tuple(tuple(p for _ in range(g.n_paths)) for _ in range(g.n_users)))
-        return MixedProfile(tuple(rows))
-
 
 def arc_users(game: Game, profile: MixedProfile, aid: str):
     """(group index, demand, probability its path crosses ``aid``) for each
@@ -445,25 +416,6 @@ def arc_users(game: Game, profile: MixedProfile, aid: str):
         if touching:
             for d, row in zip(g.demands, profile.probabilities[gi]):
                 yield gi, d, sum(row[pi] for pi in touching)
-
-
-def expected_arc_flow_and_variance(game: Game, profile: MixedProfile) -> dict:
-    """Exact per-arc (mean, variance) of the random arc flow of a mixed profile.
-
-    Users pick paths independently, so the arc flow is a weighted sum of
-    independent Bernoulli indicators: mean sum(d_i * q_ia), variance
-    sum(d_i^2 * q_ia * (1 - q_ia)).
-    """
-    profile.validate(game)
-    out = {}
-    for aid in game.arc_ids:
-        mean = 0
-        var = 0
-        for _, d, q in arc_users(game, profile, aid):
-            mean += d * q
-            var += d * d * q * (1 - q)
-        out[aid] = (mean, var)
-    return out
 
 
 SAMPLE_CHUNK = 1 << 16  # samples per generator stream

@@ -116,12 +116,6 @@ class EquilibriumResult:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def beckmann_potential(game: Game, flow: PathFlow) -> Number:
-    """Sum over arcs of the integral of the arc cost from 0 to the arc flow."""
-    fa = game.arc_flow(flow)
-    return sum(game.arcs[aid].integral_value(v) for aid, v in fa.items())
-
-
 def verify_wardrop(game: Game, flow: PathFlow) -> float:
     """Worst per-group gap between the costliest used path and the cheapest path.
 
@@ -1044,9 +1038,9 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
     converted once per polynomial on first use, so only for the arcs a gap
     reads; Python does Fraction-float arithmetic on ``float(fraction)``, so
     at float loads that gives the bits of ``float(poly.value(v))``.  A group
-    is settled again only once another group's x has moved (the sweep still
-    counts), and the bisection stops once its midpoint equals an end, after
-    which no step would move one.
+    is settled again only once the x of a group sharing an arc with it has
+    moved (the sweep still counts), and the bisection stops once its midpoint
+    equals an end, after which no step would move one.
     """
     t0 = time.perf_counter()
     for g in game.groups:
@@ -1056,7 +1050,10 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         raise ValueError(f"{game.n_users} users exceed the exact-expectation cap {MIXED_MAX_USERS}")
 
     xs = [1.0 if g.n_paths == 1 else 0.5 for g in game.groups]
-    settled: dict = {}  # group index -> the other groups' xs when it last settled
+    arcs_of = [set().union(*g.paths) for g in game.groups]
+    neighbours = [[gj for gj, theirs in enumerate(arcs_of) if gj != gi and theirs & ours]
+                  for gi, ours in enumerate(arcs_of)]  # the groups whose users a gap reads
+    settled: dict = {}  # group index -> its neighbours' xs when it last settled
 
     def gap(terms: list, demands: list, x: float) -> float:
         """Expected cost of a group's first path minus its second, its users
@@ -1078,9 +1075,9 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         for gi, g in enumerate(game.groups):
             if g.n_paths == 1:
                 continue
-            others_xs = xs[:gi] + xs[gi + 1:]
-            if settled.get(gi) == others_xs:
-                continue  # its gap reads only the others' xs: its x stands
+            neighbour_xs = [xs[gj] for gj in neighbours[gi]]
+            if settled.get(gi) == neighbour_xs:
+                continue  # its gap reads only its neighbours' xs: its x stands
             # Per path, its arcs not on the other path, in path order (shared
             # arcs cancel from the gap, and a fixed order fixes its float sum),
             # each with the flow distribution of the other groups' users,
@@ -1111,7 +1108,7 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
                 new_x = 0.5 * (lo + hi)
             delta = max(delta, abs(new_x - xs[gi]))
             xs[gi] = new_x
-            settled[gi] = others_xs
+            settled[gi] = neighbour_xs
         if delta <= 1e-15:
             break
 

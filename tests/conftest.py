@@ -1,17 +1,73 @@
-"""Shared game builders and the deterministic instance pool for the suite."""
+"""Shared game builders, closed-form oracles and the deterministic instance
+pool for the suite.
+
+``HYPOTHESIS_PROFILE=ci`` runs every property test derandomized, so that a
+failure seen in CI repeats locally with the same examples.
+"""
 
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
-from poakit import CostPolynomial, Game, Group
+from poakit import CostPolynomial, Game, Group, MixedProfile
+from poakit.game import arc_users
 from poakit.runner import asset_path
+from poakit.solvers import arc_flow_distribution
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def poly(*coeffs) -> CostPolynomial:
     return CostPolynomial(tuple(Fraction(c) for c in coeffs))
+
+
+def cost_integral(poly: CostPolynomial, x):
+    """Integral of the polynomial from 0 to x."""
+    d = poly.degree
+    return sum(c * x ** (d - i + 1) / (d - i + 1) for i, c in enumerate(poly.coefficients))
+
+
+def beckmann_potential(game: Game, flow):
+    """Sum over arcs of the integral of the arc cost from 0 to the arc flow."""
+    return sum(cost_integral(game.arcs[aid], v) for aid, v in game.arc_flow(flow).items())
+
+
+def arc_flow_moments(game: Game, profile: MixedProfile) -> dict:
+    """Closed-form per-arc (mean, variance) of a mixed profile's random arc
+    flow: a sum of independent d * Bernoulli(q) terms, so mean sum(d * q) and
+    variance sum(d^2 * q * (1 - q))."""
+    return {aid: (sum(d * q for _, d, q in arc_users(game, profile, aid)),
+                  sum(d * d * q * (1 - q) for _, d, q in arc_users(game, profile, aid)))
+            for aid in game.arc_ids}
+
+
+def flow_moments(game: Game, profile: MixedProfile, aid: str) -> tuple:
+    """(mean, variance) of one arc's flow, the first two moments of
+    ``arc_flow_distribution``."""
+    dist = arc_flow_distribution(game, profile, aid)
+    mean = sum(p * v for v, p in dist.items())
+    return mean, sum(p * (v - mean) ** 2 for v, p in dist.items())
+
+
+def point_mass_profile(game: Game, profile) -> MixedProfile:
+    """The mixed profile that puts each user of an ``AtomicProfile`` on its
+    chosen path with probability Fraction(1), and on every other with 0."""
+    return MixedProfile(tuple(
+        tuple(tuple(Fraction(1) if pi == choice else Fraction(0) for pi in range(g.n_paths))
+              for choice in picks)
+        for g, picks in zip(game.groups, profile.choices)))
+
+
+def uniform_profile(game: Game) -> MixedProfile:
+    """Every user takes each path of its group with probability Fraction(1, n_paths)."""
+    return MixedProfile(tuple(
+        tuple((Fraction(1, g.n_paths),) * g.n_paths for _ in range(g.n_users))
+        for g in game.groups))
 
 
 def standard_error(dist) -> float:

@@ -13,7 +13,6 @@ import pytest
 
 from poakit import (
     BoundInputs,
-    MixedProfile,
     SolverConfig,
     arc_deviation_probability_bound,
     atomic_ne_approximation_bound,
@@ -42,6 +41,7 @@ from conftest import (
     quadratic_constant_game,
     standard_error,
     two_commodity_game,
+    uniform_profile,
 )
 from test_bounds import exact_tail
 
@@ -252,7 +252,7 @@ def test_criterion_8_concentration_dominance(pool_solutions):
             continue
         t = game.total_demand
         scaled = scale_game(game, t ** game.degrees[0])
-        profiles = [MixedProfile.uniform(scaled)]
+        profiles = [uniform_profile(scaled)]
         if all(g.n_paths <= 2 for g in game.groups):
             mixed = solve_mixed_ne_small(scaled, CFG)
             profiles.append(mixed.flow)

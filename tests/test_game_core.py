@@ -19,7 +19,6 @@ from poakit import (
     MixedProfile,
     PathFlow,
     draw_atomic_profile,
-    expected_arc_flow_and_variance,
     load_game,
 )
 from poakit.game import dump_game, sample_uniforms
@@ -27,8 +26,11 @@ from poakit.game import dump_game, sample_uniforms
 from conftest import (
     affine_offset_game,
     asset_text,
+    cost_integral,
+    flow_moments,
     linear_double_game,
     parallel_game,
+    point_mass_profile,
     poly,
     quadratic_constant_game,
     two_commodity_game,
@@ -77,7 +79,7 @@ class TestCostPolynomial:
     def test_marginal_and_integral(self):
         p = poly(1, 0)  # x
         assert p.marginal.value(3) == 6  # x + x = 2x
-        assert p.integral_value(Fraction(2)) == 2
+        assert cost_integral(p, Fraction(2)) == 2
 
     def test_derivative(self):
         p = poly(1, 0, 0)  # x^2
@@ -366,8 +368,7 @@ class TestMixedExpectations:
         game = quadratic_constant_game()
         a = (math.sqrt(2) - 1) / 2
         profile = MixedProfile((((a, 1 - a), (a, 1 - a)),))
-        stats = expected_arc_flow_and_variance(game, profile)
-        mean, var = stats["u"]
+        mean, var = flow_moments(game, profile, "u")
         assert mean == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-12)
         assert var == pytest.approx(8 * a * (1 - a), abs=1e-12)
 
@@ -375,7 +376,7 @@ class TestMixedExpectations:
         game = quadratic_constant_game()
         a = (math.sqrt(2) - 1) / 2
         profile = MixedProfile((((a, 1 - a), (a, 1 - a)),))
-        mean, var = expected_arc_flow_and_variance(game, profile)["u"]
+        mean, var = flow_moments(game, profile, "u")
         n = 200_000
         draws = (sample_uniforms(9, 0, n, 2) >> 11) * 2.0 ** -53
         flows = 2.0 * (draws[:, 0] < a) + 2.0 * (draws[:, 1] < a)
@@ -384,15 +385,14 @@ class TestMixedExpectations:
 
     def test_degenerate_profile_zero_variance(self):
         game = quadratic_constant_game()
-        profile = AtomicProfile(((0, 0),)).as_mixed(game)
-        stats = expected_arc_flow_and_variance(game, profile)
-        assert all(var == 0 for _, var in stats.values())
+        profile = point_mass_profile(game, AtomicProfile(((0, 0),)))
+        assert all(flow_moments(game, profile, aid)[1] == 0 for aid in game.arc_ids)
 
     def test_single_user_bernoulli(self):
         game = Game({"u": poly(1, 0), "l": poly(1)},
                     [Group("g", (("u",), ("l",)), (Fraction(2),))])
         profile = MixedProfile((((Fraction(1, 2), Fraction(1, 2)),),))
-        mean, var = expected_arc_flow_and_variance(game, profile)["u"]
+        mean, var = flow_moments(game, profile, "u")
         assert mean == 1
         assert var == 1
 

@@ -79,14 +79,12 @@ def test_no_assert_statement():
     assert not found, f"assert statements, stripped under python -O: {found}"
 
 
-# Every name ``poakit`` exported when its ``__init__`` imported each module,
-# by the module that defines it.
+# Every name ``poakit`` exports, by the module that defines it.
 PUBLIC_API = {
     "game": ["AtomicProfile", "CostPolynomial", "Game", "GameSchemaError", "Group",
-             "MixedProfile", "PathFlow", "draw_atomic_profile", "dump_game",
-             "expected_arc_flow_and_variance", "load_game"],
+             "MixedProfile", "PathFlow", "draw_atomic_profile", "dump_game", "load_game"],
     "solvers": ["AtomicEquilibria", "BudgetExceededError", "EquilibriumResult", "SolverConfig",
-                "beckmann_potential", "best_response_atomic", "enumerate_atomic_equilibria",
+                "best_response_atomic", "enumerate_atomic_equilibria",
                 "epsilon_ne_residual", "expected_arc_statistics", "expected_total_cost",
                 "mixed_ne_residual", "solve_atomic_so", "solve_mixed_ne_small",
                 "solve_nonatomic_ne", "solve_nonatomic_so", "verify_wardrop"],

@@ -52,6 +52,7 @@ from conftest import (
     linear_double_game,
     no_equilibrium_game,
     parallel_game,
+    point_mass_profile,
     poly,
     quadratic_constant_game,
     standard_error,
@@ -262,7 +263,7 @@ class TestRandomPoa:
     def test_degenerate_profile_point_mass(self):
         game = quadratic_constant_game()
         so = solve_atomic_so(game, CFG)
-        dist = sample_random_poa(game, so.flow.as_mixed(game), 100, SolverConfig(rng_seed=0))
+        dist = sample_random_poa(game, point_mass_profile(game, so.flow), 100, SolverConfig(rng_seed=0))
         assert dist.exact == [(1.0, 1.0)]
         assert dist.values.tolist() == [1.0] and dist.counts.tolist() == [100]
 
@@ -492,7 +493,7 @@ def expected_corners_worst(game: Game):
 def expected_pure_summaries(game: Game, equilibria) -> list:
     """(used-path gap, expected cost) of each pure equilibrium by expectations:
     its point-mass mixed profile through one ``expected_arc_statistics`` pass."""
-    return [solvers._mixed_summary(game, e.flow.as_mixed(game))[1:]
+    return [solvers._mixed_summary(game, point_mass_profile(game, e.flow))[1:]
             for e in equilibria.equilibria]
 
 

@@ -22,12 +22,10 @@ from poakit import (
     MixedProfile,
     PathFlow,
     SolverConfig,
-    beckmann_potential,
     best_response_atomic,
     enumerate_atomic_equilibria,
     epsilon_ne_residual,
     exact_random_cost_distribution,
-    expected_arc_flow_and_variance,
     expected_arc_statistics,
     expected_total_cost,
     load_game,
@@ -44,12 +42,17 @@ from poakit.runner import load_asset
 from conftest import (
     TWO_ARC_DIFFERENCE_GAME,
     affine_offset_game,
+    arc_flow_moments,
+    beckmann_potential,
+    flow_moments,
     linear_double_game,
     no_equilibrium_game,
     parallel_game,
+    point_mass_profile,
     poly,
     quadratic_constant_game,
     two_commodity_game,
+    uniform_profile,
 )
 
 CFG = SolverConfig()
@@ -950,13 +953,10 @@ class TestArcUsers:
         # be, exactly, the first two moments of the convolved distribution.
         game = data.draw(small_rational_games())
         profile = data.draw(rational_mixed_profiles(game))
-        moments = expected_arc_flow_and_variance(game, profile)
+        moments = arc_flow_moments(game, profile)
         for aid in game.arc_ids:
-            dist = solvers.arc_flow_distribution(game, profile, aid)
-            assert sum(dist.values()) == 1
-            mean = sum(p * v for v, p in dist.items())
-            variance = sum(p * (v - mean) ** 2 for v, p in dist.items())
-            assert moments[aid] == (mean, variance)
+            assert sum(solvers.arc_flow_distribution(game, profile, aid).values()) == 1
+            assert moments[aid] == flow_moments(game, profile, aid)
 
 
 ASSETS = ("parallel_affine_offset.json", "parallel_linear_double.json",
@@ -1099,6 +1099,18 @@ class TestMixedSolver:
         assert len(calls) == one_sweep_calls
         assert result.flow == one_sweep.flow and result.converged
 
+    def test_a_group_sharing_no_arc_with_a_mover_is_not_settled_again(self, monkeypatch):
+        # od1 and od2 share no arc, so od2's move in the first sweep leaves
+        # od1's gap as it was: the second sweep settles neither group, and the
+        # solve builds one profile per first-sweep settle and the final one.
+        game = load_asset("two_commodity_mixed_degree.json")
+        built = []
+        build = solvers._uniform_group_profile
+        monkeypatch.setattr(solvers, "_uniform_group_profile",
+                            lambda *args: built.append(1) or build(*args))
+        result = solve_mixed_ne_small(game, CFG)
+        assert (result.iterations, len(built)) == (2, 3) and result.converged
+
     def test_an_arc_no_gap_reads_may_pass_the_float_range(self):
         # Only the arcs a gap reads are converted to floats: an arc on no path
         # with a coefficient past 1.8e308 changes nothing, and a gap that
@@ -1230,7 +1242,7 @@ class TestPredicates:
                     tuple(next(it) for _ in range(g.n_users)) for g in game.groups))
                 flow = profile.induced_flow(game)
                 wardrop_ok = verify_wardrop(game, flow) <= 1e-12
-                mixed_ok = mixed_ne_residual(game, profile.as_mixed(game)) <= 1e-12
+                mixed_ok = mixed_ne_residual(game, point_mass_profile(game, profile)) <= 1e-12
                 assert wardrop_ok == mixed_ok
 
     def test_optimum_cost_ordering_and_mixed_optimum(self):
@@ -1241,11 +1253,11 @@ class TestPredicates:
             so_at = solve_atomic_so(game, CFG)
             so_nat = solve_nonatomic_so(game, CFG)
             assert float(so_at.cost) >= float(so_nat.cost) - CFG.tolerance * (1 + float(so_at.cost))
-            degenerate = so_at.flow.as_mixed(game)
+            degenerate = point_mass_profile(game, so_at.flow)
             expected = expected_total_cost(expected_arc_statistics(game, degenerate))
             assert float(expected) == pytest.approx(float(so_at.cost), rel=1e-12)
             # any strictly mixed profile cannot do better than the atomic optimum
-            uniform = MixedProfile.uniform(game)
+            uniform = uniform_profile(game)
             expected = expected_total_cost(expected_arc_statistics(game, uniform))
             assert float(expected) >= float(so_at.cost) - 1e-12
 
