@@ -1050,9 +1050,7 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         raise ValueError(f"{game.n_users} users exceed the exact-expectation cap {MIXED_MAX_USERS}")
 
     xs = [1.0 if g.n_paths == 1 else 0.5 for g in game.groups]
-    arcs_of = [set().union(*g.paths) for g in game.groups]
-    neighbours = [[gj for gj, theirs in enumerate(arcs_of) if gj != gi and theirs & ours]
-                  for gi, ours in enumerate(arcs_of)]  # the groups whose users a gap reads
+    arcs_of = [set().union(*g.paths) for g in game.groups]  # neighbours share an arc
     settled: dict = {}  # group index -> its neighbours' xs when it last settled
 
     def gap(terms: list, demands: list, x: float) -> float:
@@ -1075,7 +1073,7 @@ def solve_mixed_ne_small(game: Game, config: SolverConfig = SolverConfig()) -> E
         for gi, g in enumerate(game.groups):
             if g.n_paths == 1:
                 continue
-            neighbour_xs = [xs[gj] for gj in neighbours[gi]]
+            neighbour_xs = [x for gj, x in enumerate(xs) if gj != gi and arcs_of[gj] & arcs_of[gi]]
             if settled.get(gi) == neighbour_xs:
                 continue  # its gap reads only its neighbours' xs: its x stands
             # Per path, its arcs not on the other path, in path order (shared

@@ -1,25 +1,16 @@
 """Shared game builders, closed-form oracles and the deterministic instance
-pool for the suite.
-
-``HYPOTHESIS_PROFILE=ci`` runs every property test derandomized, so that a
-failure seen in CI repeats locally with the same examples.
-"""
+pool for the suite."""
 
 import math
-import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
 
 from poakit import CostPolynomial, Game, Group, MixedProfile
 from poakit.game import arc_users
 from poakit.runner import asset_path
 from poakit.solvers import arc_flow_distribution
-
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def poly(*coeffs) -> CostPolynomial:
