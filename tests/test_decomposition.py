@@ -575,37 +575,40 @@ class TestInstanceScale:
 
 
 def fallback_games() -> list:
-    """(game, config) pairs past the enumeration budget, so ``worst_atomic_cost``
+    """(game, config, floats) triples past the enumeration budget, so ``worst_atomic_cost``
     runs its best-response restarts: 30 unit users on eight seeded affine
     links (C(37, 7) states, past the default budget), seeded weighted games
     whose restarts may not converge within a short move budget, the weighted
     game with no pure equilibrium, and a game with float coefficients and
-    demands."""
+    demands, the one with ``floats`` set."""
     rng = random.Random(2424)
     links = {f"l{i}": poly(rng.randint(1, 4), rng.randint(0, 6)) for i in range(8)}
     unit = Game(links, [Group("od", tuple((aid,) for aid in links), (Fraction(1),) * 30)])
-    pairs = [(unit, CFG)]
+    triples = [(unit, CFG, False)]
     for _ in range(3):
         arcs = {f"a{i}": poly(rng.randint(1, 3), *(rng.randint(0, 2) for _ in range(3)))
                 for i in range(5)}
         demands = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(12))
         game = Game(arcs, [Group("od", tuple((aid,) for aid in arcs), demands)])
         for moves in (2, 7, CFG.max_iterations):
-            pairs.append((game, SolverConfig(enumeration_budget=100, max_iterations=moves)))
-    pairs.append((no_equilibrium_game(), SolverConfig(enumeration_budget=1, max_iterations=40)))
+            triples.append((game, SolverConfig(enumeration_budget=100, max_iterations=moves),
+                            False))
+    triples.append((no_equilibrium_game(), SolverConfig(enumeration_budget=1, max_iterations=40),
+                    False))
     floats = Game({"u": CostPolynomial((0.75, 0.1)), "m": CostPolynomial((1.5, 0.0, 0.3)),
                    "l": CostPolynomial((2.0, 1.25))},
                   [Group("od", (("u",), ("m",), ("l",)),
                          tuple(rng.choice((0.5, 1.0, 1.7320508075688772)) for _ in range(9)))])
-    pairs.append((floats, SolverConfig(enumeration_budget=100)))
-    return pairs
+    triples.append((floats, SolverConfig(enumeration_budget=100), True))
+    return triples
 
 
 class TestWorstAtomicCost:
     def test_pinned_bits(self, monkeypatch):
         """sha256 of repr of ``worst_atomic_cost``'s result and of every
         restart's best response (choices, cost and its type, moves,
-        converged, exact, note), at three seeds, over ``fallback_games``.
+        converged, exact, note), at three seeds, over ``fallback_games``: one
+        digest over the games of Fractions alone, one over the float game.
 
         A change to a restart's start, to its lattice or cost tables, to a
         tie, or to which restart is reported changes these bytes.
@@ -619,12 +622,13 @@ class TestWorstAtomicCost:
             return result
 
         monkeypatch.setattr(solvers, "best_response_atomic", record)
-        digest = hashlib.sha256()
-        for game, config in fallback_games():
+        digests = {False: hashlib.sha256(), True: hashlib.sha256()}  # keyed by floats
+        for game, config, floats in fallback_games():
             for seed in (0, 5, 2**64 - 1 - WORST_CASE_RESTARTS):
                 restarts.clear()
                 outcome = worst_atomic_cost(game, SolverConfig(**{**vars(config), "rng_seed": seed}))
                 assert outcome[1] and outcome[2] is None and len(restarts) == WORST_CASE_RESTARTS
-                digest.update(repr((outcome, restarts)).encode())
-        assert digest.hexdigest() == \
-            "c494effa7b3aeaf619fb1ca8093348fd4b30c768e89d4a34c25e3759c6ea00f0"
+                digests[floats].update(repr((outcome, restarts)).encode())
+        assert (digests[False].hexdigest(), digests[True].hexdigest()) == (
+            "1cef96ffd833434d152079dee83087f76c6b09769d70b463bc4c13c24aab356e",
+            "17f0f153e7c438a607fe1d72dffc6da8acec370d85242d6a033cd2a3a696f893")

@@ -706,40 +706,46 @@ class TestLattice:
     def test_pinned_bits(self, monkeypatch, max_rows, vector_min):
         """sha256 of repr of every exact atomic result and exact distribution:
         the scan's state count, worst equilibrium, optimum and equilibria,
-        two best-response runs, and an exact cost distribution per game.
+        two best-response runs, and an exact cost distribution per game; one
+        digest over the games built from Fractions and ints alone, one over
+        those built with a float coefficient or demand.
 
         The pool holds the four assets, 40 seeded rational games, 60 seeded
-        games with float coefficients or demands, a weighted game with no
-        pure equilibrium, and games whose users are too large for tables.
-        The digest is the same whether the rational games' cost rows are
-        tabulated (default caps) or computed per read (no rows allowed), and
-        whether the scan goes state by state or in numpy blocks wherever it
-        may (``-blocks``; the game of 131071-unit users is past the int64
-        bound and stays on the state scan): a change to how an exact cost is
-        computed, to a tie, or to the order in which a float cost or
-        probability is summed changes these bytes.
+        games that mix float and Fraction coefficients and demands, a
+        weighted game with no pure equilibrium, games whose users are too
+        large for tables and a game of float demands.  The digests are the
+        same whether the rational games' cost rows are tabulated (default
+        caps) or computed per read (no rows allowed), and whether the scan
+        goes state by state or in numpy blocks wherever it may (``-blocks``;
+        the game of 131071-unit users is past the int64 bound and stays on
+        the state scan): a change to how an exact cost is computed, to a
+        tie, or to the order in which a float cost or probability is summed
+        changes these bytes.
         """
         monkeypatch.setattr(solvers, "LATTICE_MAX_ROWS", max_rows)
         monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", vector_min)
-        games = [load_asset(name) for name in ASSETS]
-        games += [*shared_arc_multi_path_games(), *shared_arc_two_path_games(),
-                  no_equilibrium_game(),
-                  parallel_game([(1, 0), (2, 1)], [1, 10**5]),
-                  parallel_game([(1, 0, 0, 0), (2, 1, 0, 3)], [Fraction(1, 3), 2, 2, 131071]),
-                  Game({"u": poly(1, 0), "l": poly(1, 1)},
-                       [Group("od", (("u",), ("l",)), (0.5, 0.5, 1.7320508075688772))])]
+        games = [(load_asset(name), False) for name in ASSETS]
+        games += [(game, False) for game in shared_arc_multi_path_games()]
+        games += shared_arc_two_path_games()
+        games += [(no_equilibrium_game(), False),
+                  (parallel_game([(1, 0), (2, 1)], [1, 10**5]), False),
+                  (parallel_game([(1, 0, 0, 0), (2, 1, 0, 3)], [Fraction(1, 3), 2, 2, 131071]),
+                   False),
+                  (Game({"u": poly(1, 0), "l": poly(1, 1)},
+                        [Group("od", (("u",), ("l",)), (0.5, 0.5, 1.7320508075688772))]), True)]
         rng = random.Random(12)
-        digest = hashlib.sha256()
-        for game in games:
+        digests = {False: hashlib.sha256(), True: hashlib.sha256()}  # keyed by floats
+        for game, floats in games:
             eq = enumerate_atomic_equilibria(game, CFG)
             outcome = [eq.states_scanned, atomic_fields(eq.worst), atomic_fields(eq.optimum),
                        [atomic_fields(e) for e in eq.equilibria]]
             for config in (SolverConfig(max_iterations=3), CFG):
                 outcome.append(atomic_fields(best_response_atomic(game, config)))
             outcome.append(exact_random_cost_distribution(game, seeded_profile(game, rng)))
-            digest.update(repr(outcome).encode())
-        assert digest.hexdigest() == \
-            "ae6c55fda3f2f6241922800eb181d0039130bc83634c3259b4ffd730459ce68c"
+            digests[floats].update(repr(outcome).encode())
+        assert (digests[False].hexdigest(), digests[True].hexdigest()) == (
+            "2a57d30a341d7c0648bc6bd870b1ab3ad3d3e654e63e4a383208d416b1653b35",
+            "63df9a895f3cd776057c27707276e1fb2c1080c15803ceb4fbd7e5610e506aa1")
 
     @settings(max_examples=120, deadline=None)
     @given(game=small_rational_games(), max_iterations=st.sampled_from([1, 3, 50]),
@@ -966,16 +972,22 @@ ASSETS = ("parallel_affine_offset.json", "parallel_linear_double.json",
 def shared_arc_two_path_games(count: int = 60, seed: int = 4242, denominator: int = 4) -> list:
     """Seeded games of one to three groups with at most two paths each, drawn
     from one small arc set so that groups share arcs; coefficients and
-    demands mix Fractions (multiples of 1 / ``denominator``) and floats."""
+    demands mix Fractions (multiples of 1 / ``denominator``) and floats.
+    Each comes as ``(game, floats)``, ``floats`` telling whether any of its
+    numbers was drawn as a float."""
     rng = random.Random(seed)
+    drawn = []  # the numbers drawn for the game being built
 
     def number(low, high):
         if rng.random() < 0.5:
-            return Fraction(rng.randint(low * denominator, high * denominator), denominator)
-        return rng.uniform(low, high)
+            drawn.append(Fraction(rng.randint(low * denominator, high * denominator), denominator))
+        else:
+            drawn.append(rng.uniform(low, high))
+        return drawn[-1]
 
     games = []
     while len(games) < count:
+        drawn.clear()
         ids = [f"a{i}" for i in range(rng.randint(3, 5))]
         arcs = {aid: CostPolynomial((number(1, 4), *(number(0, 3)
                                                      for _ in range(rng.randint(0, 3)))))
@@ -993,7 +1005,7 @@ def shared_arc_two_path_games(count: int = 60, seed: int = 4242, denominator: in
                 demands = tuple(number(1, 3) for _ in range(rng.randint(1, 3)))
                 groups.append(Group(f"g{gi}", tuple(paths), demands))
         if groups:
-            games.append(Game(arcs, groups))
+            games.append((Game(arcs, groups), any(isinstance(x, float) for x in drawn)))
     return games
 
 
@@ -1055,26 +1067,30 @@ class TestMixedSolver:
         A change to the order in which the exact expectations fold users in,
         or to any float operation of the bisection, changes these bytes.
         """
-        games = [load_asset(name) for name in ASSETS]
-        games += [load_game(TWO_ARC_DIFFERENCE_GAME), *shared_arc_two_path_games()]
-        digest = hashlib.sha256()
-        for game in games:
+        games = [(load_asset(name), False) for name in ASSETS]
+        games += [(load_game(TWO_ARC_DIFFERENCE_GAME), False), *shared_arc_two_path_games()]
+        digests = {False: hashlib.sha256(), True: hashlib.sha256()}  # keyed by floats
+        for game, floats in games:
             result = solve_mixed_ne_small(game, CFG)
-            digest.update(repr((result.flow.probabilities, result.residual, result.cost,
-                                result.iterations)).encode())
-        assert digest.hexdigest() == \
-            "999b26392fe195b7ea9d5edf57b69d038ed8f9d29ab502531750f5fef3897b1e"
+            digests[floats].update(repr((result.flow.probabilities, result.residual, result.cost,
+                                         result.iterations)).encode())
+        assert (digests[False].hexdigest(), digests[True].hexdigest()) == (
+            "2b3c2f236ca81dfa1f138666cb306fa8ddc01525c7afed875098ecea0f97e2c8",
+            "1c1185b97cc47179e7036b8173d5200a20011222186d8a9de0a050403497dc12")
 
     def test_pinned_bits_over_a_seeded_pool(self):
         """sha256 of repr of every reported field of a solve but its wall time.
 
         The pool holds 60 seeded games whose groups share arcs, with float
-        coefficients and demands and non-dyadic Fractions (multiples of
-        1/21); some need up to 18 sweeps.  Each is solved with the default
-        budget and with two sweeps, which leaves those unconverged.
+        coefficients and demands (every game draws at least one float) and
+        non-dyadic Fractions (multiples of 1/21); some need up to 18 sweeps.
+        Each is solved with the default budget and with two sweeps, which
+        leaves those unconverged.
         """
+        pool = shared_arc_two_path_games(60, seed=2026, denominator=21)
+        assert all(floats for _, floats in pool)
         digest = hashlib.sha256()
-        for game in shared_arc_two_path_games(60, seed=2026, denominator=21):
+        for game, _ in pool:
             for config in (CFG, SolverConfig(max_iterations=2)):
                 r = solve_mixed_ne_small(game, config)
                 digest.update(repr((r.flow.probabilities, r.residual, r.iterations,
