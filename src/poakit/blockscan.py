@@ -1,7 +1,7 @@
-"""The exact atomic scan of a large rational component, in numpy blocks.
+"""The exact atomic scan of a large component, in numpy blocks.
 
-``_ComponentScan.search`` hands a component here when it is rational, has
-at least ``VECTOR_MIN_STATES`` states and every load, cost and sum the scan
+``_ComponentScan.search`` hands a component here when it has at least
+``VECTOR_MIN_STATES`` states and every load, cost and sum the scan
 forms fits in int64; this module, and numpy with it, is imported only then.
 The results are those of the state-by-state scan, which the tests keep as
 the oracle: the same equilibria in the same order, with the same costs,

@@ -36,7 +36,8 @@ def _log(x: Number) -> float:
 
 
 def _power_law(c: Number, gamma: Number, n: int) -> Number:
-    """c * n^gamma: exact when gamma is whole, else a float."""
+    """c * n^gamma: exact when gamma is whole, else a float, which a game
+    built from it holds as its exact value."""
     if float(gamma).is_integer():
         return c * Fraction(n) ** int(gamma)
     return float(c) * float(n) ** float(gamma)

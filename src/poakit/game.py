@@ -3,9 +3,10 @@
 A game couples an arc set (each arc carrying a nonnegative-coefficient
 polynomial cost) with user groups.  Each group owns a list of paths
 (arbitrary nonempty arc sets, not necessarily connected) and a list of
-users with positive demands.  Costs are evaluated exactly in rational
-arithmetic whenever the inputs are rational, and in floating point
-otherwise; all evaluation helpers accept either.
+users with positive demands.  Every coefficient and demand is held as a
+Fraction: an int or a finite float is converted to its exact value, so
+costs at exact loads are exact.  The evaluation helpers also take float
+loads, such as the non-atomic solvers' path flows, and then give floats.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from numbers import Real
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -38,27 +40,33 @@ class GameSchemaError(ValueError):
 _NUMBER_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
-def _as_number(value, path: str) -> Number:
-    """Parse a scalar that may be an int, float, or a number string (see
+def _exact(value, path: str) -> Fraction:
+    """The exact value of an int (a bool too), a Fraction or a finite float;
+    GameSchemaError at ``path`` for any other value."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise GameSchemaError(path, f"expected a finite number, got {value}")
+    if not isinstance(value, (int, float, Fraction)):
+        raise GameSchemaError(path, f"expected a number, got {type(value).__name__}")
+    return Fraction(value)
+
+
+def _as_number(value, path: str) -> Fraction:
+    """Parse a document scalar: a number but a bool, or a number string (see
     ``_NUMBER_STRING``; ``Fraction`` alone would also take spaces, ``_``,
     exponents and non-ASCII digits)."""
     if isinstance(value, bool):
         raise GameSchemaError(path, "expected a number")
-    if isinstance(value, int):
+    if not isinstance(value, str):
+        return _exact(value, path)
+    if not _NUMBER_STRING.fullmatch(value):
+        raise GameSchemaError(path, f"cannot parse rational {value!r}: expected "
+                                    "[+-]digits, [+-]digits/digits or a plain decimal")
+    try:
         return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise GameSchemaError(path, f"expected a finite number, got {value}")
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _NUMBER_STRING.fullmatch(value):
-            raise GameSchemaError(path, f"cannot parse rational {value!r}: expected "
-                                        "[+-]digits, [+-]digits/digits or a plain decimal")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise GameSchemaError(path, f"cannot parse rational {value!r}") from None
-    raise GameSchemaError(path, f"expected a number, got {type(value).__name__}")
+    except ZeroDivisionError:
+        raise GameSchemaError(path, f"cannot parse rational {value!r}") from None
 
 
 def _as_list(value, path: str) -> Sequence:
@@ -85,8 +93,9 @@ def _horner(coeffs: Sequence, x: Number) -> Number:
 class CostPolynomial:
     """Nonnegative-coefficient polynomial cost, highest-degree term first.
 
-    ``coefficients[0]`` multiplies x**degree.  The leading coefficient must
-    be positive (no free arcs) unless the polynomial is an explicit limit
+    ``coefficients[0]`` multiplies x**degree; each is held as the Fraction
+    of its exact value (see ``_exact``).  The leading coefficient must be
+    positive (no free arcs) unless the polynomial is an explicit limit
     construction, where identically-zero costs are permitted.  Two
     polynomials are equal when their coefficients are.
     """
@@ -94,6 +103,7 @@ class CostPolynomial:
     def __init__(self, coefficients: tuple):
         if not coefficients:
             raise GameSchemaError("coeffs", "expected a nonempty list")
+        coefficients = tuple(_exact(c, f"coeffs[{i}]") for i, c in enumerate(coefficients))
         for i, c in enumerate(coefficients):
             if c < 0:
                 raise GameSchemaError(f"coeffs[{i}]", "coefficient must be >= 0")
@@ -142,18 +152,21 @@ class CostPolynomial:
 class Group:
     """A group's paths and its users, as (demand, count) runs in user order.
     Per-user ``demands``, or ``runs``, are folded so that adjacent users share a
-    run exactly when their demands have one type and value (a zero only as one
-    object): ``demands`` rebuilds them element for element, and every
+    run exactly when their demands have one value, and each run's demand is
+    held as the Fraction of that value (see ``_exact``; the error names the
+    run's first user): ``demands`` gives them back as Fractions, and every
     per-group figure reads the runs.  Two groups are equal when their ids,
     paths and runs are."""
 
     def __init__(self, gid: str, paths: tuple, demands: Sequence = (), *, runs=None):
-        runs = itertools.groupby(((d, 1) for d in demands) if runs is None else runs,
-                                 lambda run: (type(run[0]), run[0], run[0] or id(run[0])))
+        runs = [(d, sum(count for _, count in same)) for d, same in itertools.groupby(
+            ((d, 1) for d in demands) if runs is None else runs, itemgetter(0))]
+        firsts = itertools.accumulate((count for _, count in runs), initial=0)
         self.gid = gid
         self.paths = paths  # tuple of tuples of arc ids; identity is positional
         # ((demand, count), ...), every demand > 0 and count >= 1
-        self.runs = tuple((d, sum(count for _, count in same)) for (_, d, _), same in runs)
+        self.runs = tuple((_exact(d, f"users[{ui}].demand"), count)
+                          for (d, count), ui in zip(runs, firsts))
 
     def __eq__(self, other):
         return type(other) is Group and (other.gid, other.paths, other.runs) == \
@@ -167,15 +180,13 @@ class Group:
         return tuple(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, self.runs)))
 
     @cached_property
-    def total_demand(self) -> Number:
-        """``sum(self.demands)``.  Fraction demands are summed as integers over
-        the lcm of their distinct denominators, times their counts, which gives
-        the same Fraction with no Fraction addition per user."""
-        runs = self.runs
-        if not (runs and all(isinstance(d, Fraction) for d, _ in runs)):
-            return sum(d for d, count in runs for _ in range(count))  # in user order: float bits
-        common = math.lcm(*{d.denominator for d, _ in runs})
-        return Fraction(sum(d.numerator * (common // d.denominator) * k for d, k in runs), common)
+    def total_demand(self) -> Fraction:
+        """``sum(self.demands)``, summed as integers over the lcm of the runs'
+        distinct denominators, times their counts: the same Fraction with no
+        Fraction addition per user."""
+        common = math.lcm(*{d.denominator for d, _ in self.runs})
+        return Fraction(sum(d.numerator * (common // d.denominator) * k for d, k in self.runs),
+                        common)
 
     @property
     def n_users(self) -> int:
@@ -277,17 +288,12 @@ class Game:
         return sum(g.n_users for g in self._groups)
 
     @property
-    def total_demand(self) -> Number:
+    def total_demand(self) -> Fraction:
         return sum(g.total_demand for g in self._groups)
 
     @property
-    def d_max(self) -> Number:
+    def d_max(self) -> Fraction:
         return max(max(d for d, _ in g.runs) for g in self._groups)
-
-    @cached_property
-    def is_rational(self) -> bool:
-        ok = all(isinstance(c, Fraction) for p in self._arcs.values() for c in p.coefficients)
-        return ok and all(isinstance(d, (int, Fraction)) for g in self._groups for d, _ in g.runs)
 
     @property
     def degrees(self) -> tuple:
@@ -548,10 +554,8 @@ def load_game(document: Union[str, Mapping]) -> Game:
 
 def dump_game(game: Game) -> dict:
     """Inverse of load_game, for writing derived games to disk."""
-    def enc(x):
-        if isinstance(x, Fraction):
-            return str(x) if x.denominator != 1 else x.numerator
-        return x
+    def enc(x: Fraction):
+        return str(x) if x.denominator != 1 else x.numerator
 
     return {
         "arcs": [{"id": aid, "coeffs": [enc(c) for c in poly.coefficients]}

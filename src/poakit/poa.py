@@ -71,7 +71,7 @@ def atomic_poa(game: Game, config: SolverConfig = SolverConfig(),
                equilibria: Optional[AtomicEquilibria] = None):
     """Worst pure-equilibrium cost over the atomic optimum cost.
 
-    Exact (Fraction) when the game data is rational; ``equilibria`` reuses
+    An exact Fraction, as every game's data is; ``equilibria`` reuses
     the caller's ``enumerate_atomic_equilibria`` result.  Returns
     ``(value, status)`` with value None when no pure equilibrium exists.
     """
@@ -169,8 +169,8 @@ def _two_user_two_path_worst(game: Game) -> Optional[Number]:
     With x and y the two users' probabilities of taking path 0, their choices
     are independent, so the gap between the two paths' expected costs and
     the expected total cost are both bilinear in (x, y).  Their values at the
-    four pure corners, where an expected cost is the pure profile's cost
-    (exact on a rational game), fix both, and ``_worst_on_equilibrium_set``
+    four pure corners, where an expected cost is the pure profile's exact
+    cost, fix both, and ``_worst_on_equilibrium_set``
     maximizes the cost over the equilibrium set in closed form.  Returns
     None outside that scope.
     """
@@ -431,7 +431,8 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
     Groups that share no arcs have independent realized costs, so their cost
     distributions are enumerated separately and convolved.  A state is the
     tuple of its arc loads, and its cost is read from the component's
-    ``_ArcCosts``, as the atomic scan reads it (integers on a rational game).
+    ``_ArcCosts``, as the atomic scan reads it, on the integer lattice, and
+    rounded to a float once per state.
     """
     from .solvers import _ComponentScan, _convolve, _group_components
 

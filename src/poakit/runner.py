@@ -438,11 +438,6 @@ def _with_uniform_users(game: Game, per_group_users: int, demand) -> Game:
     return Game(game.arcs, groups)
 
 
-def _sqrt_exact(n: int):
-    root = math.isqrt(n)
-    return Fraction(root) if root * root == n else math.sqrt(n)
-
-
 def _require(ok: bool, message: str) -> None:
     """The one check of ``reproduce``: a failed check with ``message`` unless ``ok``."""
     if not ok:
@@ -524,7 +519,7 @@ def reproduce_checks(config: ExperimentConfig) -> list:
         base = load_asset("two_commodity_mixed_degree.json")
         values = []
         for n in (100, 1000, 10000):
-            game = _with_uniform_users(base, 2, _sqrt_exact(n))
+            game = _with_uniform_users(base, 2, math.sqrt(n))
             values.append(float(atomic_poa(game, solver)[0]))
         target = 16.0 / 9.0
         _require(values[0] < values[1] < values[2] <= target + 1e-9,

@@ -9,16 +9,14 @@ That derivative is monotone in floats too, so the bisection is replayed
 from a located root, with few evaluations and the same bits.  Atomic
 problems are solved exactly: exhaustive enumeration over user-class
 assignments when the state space fits the budget, best-response dynamics
-otherwise.  On a rational game both run on one integer lattice
+otherwise.  Every game holds Fractions, so both run on one integer lattice
 (``_ArcCosts``): arc loads are whole numbers of demand units, each arc's
 scaled cost is an integer, tabulated once or computed per read, and a
-cost becomes a Fraction only when it is recorded.  A large rational
-component is scanned in numpy blocks (``blockscan``), with the same
-results.  Other games evaluate the cost polynomials, state by state.
-Mixed equilibria on small two-path-per-group games are found by
-per-group bisection of the expected-cost indifference condition, with
-expectations computed by exact convolution over the users touching each
-arc.
+cost becomes a Fraction only when it is recorded.  A large component is
+scanned in numpy blocks (``blockscan``), with the same results.  Mixed
+equilibria on small two-path-per-group games are found by per-group
+bisection of the expected-cost indifference condition, with expectations
+computed by exact convolution over the users touching each arc.
 """
 
 from __future__ import annotations
@@ -481,7 +479,7 @@ def _group_components(game: Game) -> list:
 
 class _UserClass(NamedTuple):
     gi: int
-    demand: Number
+    demand: Fraction
     size: int  # the group's users of this demand
 
 
@@ -529,21 +527,18 @@ class _ArcCosts(NamedTuple):
     """Arc loads and arc costs as the atomic solvers add and compare them.
 
     Arcs are numbered; ``tables[a][K]`` is the cost of arc a at load K, and
-    an empty arc's load is 0.  On the integer lattice of a rational game, a
-    load is a whole number K of units 1/L, where L is the LCM of the users'
-    demand denominators, and the table holds the integers
-    ``tau_a(K / L) * M``, with M = D * L**maxdeg and D the LCM of the
-    coefficient denominators.  Costs are then integers scaled by the common
-    factor M, so sums and ``<`` decide exactly as in Fraction arithmetic,
-    and ``value`` turns a sum of load times cost back into
-    ``Fraction(total, L * M)``.  Otherwise loads are the demands themselves,
-    each table evaluates its polynomial in the game's own numbers, and
-    ``value`` is the identity.
+    an empty arc's load is 0.  On the integer lattice, a load is a whole
+    number K of units 1/L, where L is the LCM of the users' demand
+    denominators, and the table holds the integers ``tau_a(K / L) * M``,
+    with M = D * L**maxdeg and D the LCM of the coefficient denominators.
+    Costs are then integers scaled by the common factor M, so sums and
+    ``<`` decide exactly as in Fraction arithmetic, and ``value`` turns a
+    sum of load times cost back into ``Fraction(total, L * M)``.
     """
 
     load: Callable  # user demand -> load that user puts on an arc
     tables: list  # per arc: load -> cost, by indexing
-    value: Callable  # sum of load * cost -> total cost in the game's units
+    value: Callable  # sum of load * cost -> total cost, a Fraction
 
     def deviation_cost(self, loads, costs, here, path, step) -> Number:
         """Cost of ``path`` to a user of load ``step`` now on the arc set ``here``.
@@ -559,7 +554,7 @@ class _ArcCosts(NamedTuple):
 
 
 class _Lattice(NamedTuple):
-    """The integers of a rational game's lattice over some users' classes and
+    """The integers of a game's lattice over some users' classes and
     arcs (see ``_ArcCosts``): each demand's units, each arc's scaled integer
     coefficients (highest degree first) and reach (the most units the users
     can put on it), and the denominator L * M that turns a sum of load times
@@ -573,7 +568,7 @@ class _Lattice(NamedTuple):
 
 def _lattice(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str]) -> _Lattice:
     polys = [game.arcs[aid] for aid in arc_ids]
-    scale = math.lcm(*(Fraction(cls.demand).denominator for cls in classes))
+    scale = math.lcm(*(cls.demand.denominator for cls in classes))
     units = {cls.demand: int(cls.demand * scale) for cls in classes}
     degree = max(p.degree for p in polys)
     common = math.lcm(*(c.denominator for p in polys for c in p.coefficients))
@@ -598,12 +593,8 @@ def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str]
     than LATTICE_MAX_ROWS rows, or more than LATTICE_ROWS_PER_READ rows per
     arc cost the caller is sure to read (``reads``): a row costs a small
     fraction of one read, so tables never cost much more than the reads they
-    replace.  The row count is computed before any table is built.  A game
-    that is not rational evaluates its polynomials instead.
+    replace.  The row count is computed before any table is built.
     """
-    if not game.is_rational:
-        return _ArcCosts(lambda d: d, [_Evaluated(game.arcs[aid].coefficients) for aid in arc_ids],
-                         lambda total: total)
     lattice = _lattice(game, classes, arc_ids)
     if sum(lattice.reach) + len(arc_ids) > min(LATTICE_MAX_ROWS, LATTICE_ROWS_PER_READ * reads):
         tables = [_Evaluated(coeffs) for coeffs in lattice.scaled]
@@ -620,7 +611,7 @@ def _numbered_paths(paths: Sequence[tuple], arc_ids: Sequence[str]) -> tuple:
     return tuple(tuple(position[aid] for aid in path) for path in paths)
 
 
-# States from which a rational component is scanned in numpy blocks.  With
+# States from which a component is scanned in numpy blocks.  With
 # numpy loaded, the block scan was faster on every component measured from
 # 81 states on, and slower on some of 15 to 72 states.
 VECTOR_MIN_STATES = 128
@@ -670,13 +661,13 @@ class _ComponentScan:
         each as (representative, cost), and the assignment and cost of the
         first state of least total cost.
 
-        A rational component of at least VECTOR_MIN_STATES states is scanned
-        in numpy blocks when every load, cost and sum that scan forms fits in
-        int64: each is at most sum_a reach_a * tau_a(reach_a) on the lattice,
-        since coefficients are >= 0.  Any other component is scanned state by
+        A component of at least VECTOR_MIN_STATES states is scanned in numpy
+        blocks when every load, cost and sum that scan forms fits in int64:
+        each is at most sum_a reach_a * tau_a(reach_a) on the lattice, since
+        coefficients are >= 0.  Any other component is scanned state by
         state.  Both give the same results.
         """
-        if self.state_count() >= VECTOR_MIN_STATES and self.game.is_rational:
+        if self.state_count() >= VECTOR_MIN_STATES:
             lattice = _lattice(self.game, self.classes, self.arc_ids)
             if sum(r * _horner(c, r) for r, c in zip(lattice.reach, lattice.scaled)) < 1 << 62:
                 from .blockscan import scan_blocks  # with numpy, loaded for a large scan only
@@ -813,9 +804,8 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
     def profile_of(picks) -> AtomicProfile:
         return AtomicProfile(tuple(tuple(picks[gi]) for gi in range(len(game.groups))))
 
-    exact = game.is_rational
     optimum = EquilibriumResult(flow=profile_of(so_picks), kind="atomic-so", residual=0.0,
-                                iterations=scanned, exact=exact, cost=so_cost,
+                                iterations=scanned, exact=True, cost=so_cost,
                                 wall_time=time.perf_counter() - t0)
     if any(not found for found in per_comp):
         return AtomicEquilibria([], None, scanned, optimum)
@@ -826,7 +816,7 @@ def enumerate_atomic_equilibria(game: Game, config: SolverConfig = SolverConfig(
         for rep, _ in combo:
             picks.update(rep)
         return EquilibriumResult(flow=profile_of(picks), kind="atomic-ne", residual=0.0,
-                                 iterations=scanned, exact=exact, cost=sum(c for _, c in combo),
+                                 iterations=scanned, exact=True, cost=sum(c for _, c in combo),
                                  note=note, wall_time=time.perf_counter() - t0)
 
     worst = combine([max(found, key=lambda e: e[1]) for found in per_comp], "worst")
@@ -918,7 +908,7 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
     profile = AtomicProfile(tuple(tuple(row) for row in choices))
     cost = arcs.value(sum(map(mul, loads, costs)))
     return EquilibriumResult(flow=profile, kind="atomic-ne", residual=0.0 if converged else math.inf,
-                             iterations=moves, exact=game.is_rational and converged,
+                             iterations=moves, exact=converged,
                              converged=converged, cost=cost,
                              note="" if converged else "budget exhausted without equilibrium",
                              wall_time=time.perf_counter() - t0)
@@ -959,11 +949,11 @@ def _bernoulli_convolution(pairs, dist: dict) -> dict:
 
 
 def arc_flow_distribution(game: Game, profile: MixedProfile, arc_id: str) -> dict:
-    """Exact distribution of one arc's random flow under a mixed profile."""
-    pairs = ((d, q) for _, d, q in arc_users(game, profile, arc_id))
-    if game.is_rational:
-        return _bernoulli_convolution(pairs, {Fraction(0): Fraction(1)})
-    return _bernoulli_convolution(pairs, {0: 1.0})
+    """Distribution of one arc's random flow under a mixed profile: its
+    values are exact Fractions, and its weights are exact wherever the
+    profile's probabilities are Fractions."""
+    return _bernoulli_convolution(((d, q) for _, d, q in arc_users(game, profile, arc_id)),
+                                  {Fraction(0): Fraction(1)})
 
 
 def expected_arc_statistics(game: Game, profile: MixedProfile) -> dict:

@@ -348,10 +348,9 @@ class TestDecompositionInvariance:
             assert dict(other_lim.arcs) == {arc_name[aid]: p for aid, p in lim.arcs.items()}
         for row, other_row in zip(report.rows, other.rows):
             assert not row.atomic_is_lower_bound and not other_row.atomic_is_lower_bound
-            # A gamma = 1/2 group's demand is a float, whose sums take the
-            # new arc and group order, so only rational instances are exact.
-            if family.instantiate(row.n).is_rational:
-                assert other_row.measured_atomic == row.measured_atomic
+            # A gamma = 1/2 group's float demand is held as its exact value,
+            # so its instances are exact too, whatever the order.
+            assert other_row.measured_atomic == row.measured_atomic
         assert_nonatomic_figures_agree(family, report, renamed, other)
 
     @settings(max_examples=50, deadline=None)
@@ -559,14 +558,13 @@ class TestInstanceScale:
         tracemalloc.start()
         try:
             game = self.family(**law).instantiate(n)
-            facts = (game.total_demand, game.is_rational, game.d_max,
-                     _user_classes(game, range(len(game.groups))))
+            facts = (game.total_demand, game.d_max, _user_classes(game, range(len(game.groups))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        total, rational, d_max, classes = facts
-        assert total == demand * MAX_INSTANCE_USERS and rational and d_max == demand
+        total, d_max, classes = facts
+        assert total == demand * MAX_INSTANCE_USERS and type(total) is Fraction and d_max == demand
         assert [(c.demand, c.size) for c in classes] == [(demand, MAX_INSTANCE_USERS)]
 
     def test_tiny_scales_within_bounds_are_built(self):
@@ -631,4 +629,4 @@ class TestWorstAtomicCost:
                 digests[floats].update(repr((outcome, restarts)).encode())
         assert (digests[False].hexdigest(), digests[True].hexdigest()) == (
             "1cef96ffd833434d152079dee83087f76c6b09769d70b463bc4c13c24aab356e",
-            "17f0f153e7c438a607fe1d72dffc6da8acec370d85242d6a033cd2a3a696f893")
+            "5de704d4a07b0f3376fe4166f0cc7b79044782084beab725e4b7782fb8450085")

@@ -1,5 +1,6 @@
 """Domain types, document loading, and deterministic cost evaluation."""
 
+import itertools
 import json
 import math
 import random
@@ -76,6 +77,25 @@ class TestCostPolynomial:
         with pytest.raises(GameSchemaError):
             CostPolynomial((Fraction(1), Fraction(-1)))
 
+    def test_numbers_are_held_as_their_exact_values(self):
+        p = CostPolynomial((True, 2, 0.1, Fraction(1, 3)))
+        assert [(c, type(c)) for c in p.coefficients] == \
+            [(Fraction(1), Fraction), (Fraction(2), Fraction),
+             (Fraction(3602879701896397, 36028797018963968), Fraction), (Fraction(1, 3), Fraction)]
+        group = Group("g", (("a",),), (1, 1.0, Fraction(1), True, 0.5))
+        assert group.runs == ((Fraction(1), 4), (Fraction(1, 2), 1))
+        assert all(type(d) is Fraction for d, _ in group.runs)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1"],
+                             ids=["inf", "-inf", "nan", "string"])
+    def test_only_finite_numbers_convert(self, bad):
+        with pytest.raises(GameSchemaError) as err:
+            CostPolynomial((Fraction(1), bad))
+        assert err.value.path == "coeffs[1]"
+        with pytest.raises(GameSchemaError) as err:
+            Group("g", (("a",),), (Fraction(1), 1.0, bad, Fraction(2)))
+        assert err.value.path == "users[2].demand"
+
     def test_marginal_and_integral(self):
         p = poly(1, 0)  # x
         assert p.marginal.value(3) == 6  # x + x = 2x
@@ -95,7 +115,7 @@ class TestLoadGame:
         assert game.total_demand == 4
         assert game.d_max == 2
         assert game.arcs["u"].degree == 2
-        assert game.is_rational
+        assert all(type(c) is Fraction for p in game.arcs.values() for c in p.coefficients)
 
     def test_minimal_game(self):
         game = load_game(json.dumps({
@@ -242,12 +262,11 @@ class TestDemandRuns:
         from poakit.solvers import _user_classes
 
         group = Group("g", (("a",), ("b",)), tuple(demands))
-        rebuilt = group.demands
-        assert [(repr(d), type(d)) for d in rebuilt] == [(repr(d), type(d)) for d in demands]
-        total = sum(demands)
-        assert (repr(group.total_demand), type(group.total_demand)) == (repr(total), type(total))
+        exact = [Fraction(d) for d in demands]  # every demand is held as its exact value
+        assert [(d, type(d)) for d in group.demands] == [(d, Fraction) for d in exact]
+        assert group.runs == tuple((d, len(list(same))) for d, same in itertools.groupby(exact))
+        assert (group.total_demand, type(group.total_demand)) == (sum(exact), Fraction)
         assert group.n_users == len(demands) == sum(count for _, count in group.runs)
-        assert all(count >= 1 for _, count in group.runs)
         arcs = {"a": poly(1, 0), "b": poly(2, 1)}
         bad = [ui for ui, d in enumerate(demands) if not d > 0]
         if bad:
@@ -257,15 +276,13 @@ class TestDemandRuns:
             return
         game = Game(arcs, [group])
         assert game.n_users == len(demands)
-        top = max(demands)
-        assert (game.d_max, type(game.d_max)) == (top, type(top))
-        assert game.is_rational == all(isinstance(d, (int, Fraction)) for d in demands)
-        sizes: dict = {}  # per distinct demand, in order of first use: the first user's value
-        for d in demands:
+        assert (game.d_max, type(game.d_max)) == (max(exact), Fraction)
+        sizes: dict = {}  # per distinct demand, in order of first use
+        for d in exact:
             sizes[d] = sizes.get(d, 0) + 1
         classes = _user_classes(game, [0])
         assert [(c.gi, c.demand, type(c.demand), c.size) for c in classes] == \
-            [(0, d, type(d), size) for d, size in sizes.items()]
+            [(0, d, Fraction, size) for d, size in sizes.items()]
 
     @settings(max_examples=200, deadline=None)
     @given(demands=_demand_lists)

@@ -714,8 +714,8 @@ class TestLattice:
         games that mix float and Fraction coefficients and demands, a
         weighted game with no pure equilibrium, games whose users are too
         large for tables and a game of float demands.  The digests are the
-        same whether the rational games' cost rows are tabulated (default
-        caps) or computed per read (no rows allowed), and whether the scan
+        same whether the games' cost rows are tabulated (default caps) or
+        computed per read (no rows allowed), and whether the scan
         goes state by state or in numpy blocks wherever it may (``-blocks``;
         the game of 131071-unit users is past the int64 bound and stays on
         the state scan): a change to how an exact cost is computed, to a
@@ -745,7 +745,7 @@ class TestLattice:
             digests[floats].update(repr(outcome).encode())
         assert (digests[False].hexdigest(), digests[True].hexdigest()) == (
             "2a57d30a341d7c0648bc6bd870b1ab3ad3d3e654e63e4a383208d416b1653b35",
-            "63df9a895f3cd776057c27707276e1fb2c1080c15803ceb4fbd7e5610e506aa1")
+            "b4653bf61598fa65b6df28a1d07ee888e5aff63cb4ad09d58c03f71a73516a52")
 
     @settings(max_examples=120, deadline=None)
     @given(game=small_rational_games(), max_iterations=st.sampled_from([1, 3, 50]),
@@ -784,22 +784,29 @@ class TestLattice:
         else:
             assert worst[2] == max(game.total_cost(flow) for flow in flows)
 
-    def test_float_demands_are_evaluated(self):
-        game = Game({"u": poly(1, 0), "l": poly(1, 1)},
-                    [Group("od", (("u",), ("l",)), (0.5, 0.5, 1.7320508075688772))])
-        assert not game.is_rational and not _takes_lattice(game)
+    def test_float_demands_are_held_exactly(self):
+        # The oracle is the game of the floats' exact values, built by hand.
+        floats = (0.5, 0.5, 1.7320508075688772)
+        arcs = {"u": poly(1, 0), "l": poly(1, 1)}
+        game = Game(arcs, [Group("od", (("u",), ("l",)), floats)])
+        exact = Game(arcs, [Group("od", (("u",), ("l",)), tuple(map(Fraction, floats)))])
+        assert all(type(row) is int for row in _cost_rows(game))  # on the lattice
         eq = enumerate_atomic_equilibria(game, CFG)
         got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
-        assert got == _bruteforce_equilibrium_flows(game)
-        assert eq.optimum.cost == _bruteforce_optimum_cost(game)
+        assert got == _bruteforce_equilibrium_flows(exact)
+        assert (eq.optimum.cost, type(eq.optimum.cost)) == \
+            (_bruteforce_optimum_cost(exact), Fraction)
+        assert eq.optimum.exact and all(e.exact for e in eq.equilibria)
         result = best_response_atomic(game, CFG)
-        assert result.converged and isinstance(result.cost, float)
+        assert result.converged and result.exact
+        assert (result.cost, type(result.cost)) == \
+            (exact.total_cost(result.flow.induced_flow(exact)), Fraction)
 
     def test_tables_past_the_row_cap_are_evaluated(self):
         # One unit user and one of 10^9 units: the tables would need 2 * 10^9 rows.
         game = Game({"u": poly(1, 0), "l": poly(2, 1)},
                     [Group("od", (("u",), ("l",)), (Fraction(1), Fraction(10**9)))])
-        assert game.is_rational and not _takes_lattice(game, reads=10**9)
+        assert not _takes_lattice(game, reads=10**9)
         assert all(type(row) is int for row in _cost_rows(game))
         eq = enumerate_atomic_equilibria(game, CFG)
         got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
@@ -894,6 +901,21 @@ class TestBlockScan:
         got = {tuple(e.flow.induced_flow(game).values()) for e in eq.equilibria}
         assert got == _bruteforce_equilibrium_flows(game)
         outcome = _scan_outcome(game)
+        monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", math.inf)
+        assert _scan_outcome(game) == outcome
+
+    def test_a_float_group_leaves_its_neighbour_to_the_blocks(self, monkeypatch):
+        # A group of one float user on arcs of its own beside 30 unit users
+        # on three links (C(32, 2) = 496 states): the float is held as its
+        # exact value, so the large component is still scanned in blocks.
+        game = Game({"x": poly(1, 0), "y": poly(2, 1), "z": poly(1, 3),
+                     "u": poly(1, 0), "v": poly(1, 1)},
+                    [Group("units", (("x",), ("y",), ("z",)), (Fraction(1),) * 30),
+                     Group("float", (("u",), ("v",)), (0.1,))])
+        assert math.comb(32, 2) >= solvers.VECTOR_MIN_STATES
+        scans = _block_scans(monkeypatch, vector_min=solvers.VECTOR_MIN_STATES)
+        outcome = _scan_outcome(game)
+        assert scans == [math.comb(32, 2)]
         monkeypatch.setattr(solvers, "VECTOR_MIN_STATES", math.inf)
         assert _scan_outcome(game) == outcome
 
@@ -1076,7 +1098,7 @@ class TestMixedSolver:
                                          result.iterations)).encode())
         assert (digests[False].hexdigest(), digests[True].hexdigest()) == (
             "2b3c2f236ca81dfa1f138666cb306fa8ddc01525c7afed875098ecea0f97e2c8",
-            "1c1185b97cc47179e7036b8173d5200a20011222186d8a9de0a050403497dc12")
+            "eb35e933564b34213cacc011f31e9842dc194dc5bd35cdc93c643b54289dbb4b")
 
     def test_pinned_bits_over_a_seeded_pool(self):
         """sha256 of repr of every reported field of a solve but its wall time.
@@ -1096,7 +1118,7 @@ class TestMixedSolver:
                 digest.update(repr((r.flow.probabilities, r.residual, r.iterations,
                                     r.converged, r.cost, r.note)).encode())
         assert digest.hexdigest() == \
-            "c106ce320edc5d85f12a1e8a904190e449ce240e17c425f6a53b19a0145e0892"
+            "699d9d8f132395b1048e9558c35c4f36c725be2aabaaa5fd2ee4ce75f5306312"
 
     def test_a_settled_group_is_not_bisected_again(self, monkeypatch):
         # One movable group: the second sweep finds the other groups' xs (there
