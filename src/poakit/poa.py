@@ -444,7 +444,7 @@ def exact_random_cost_distribution(game: Game, profile: MixedProfile) -> list:
         for gi in indices:
             g = game.groups[gi]
             for d, rows in zip(g.demands, profile.probabilities[gi]):
-                load = arcs.load(d)
+                load = arcs.units[d]
                 steps = [(tuple(load if aid in path else 0 for aid in comp.arc_ids), q)
                          for path, q in zip(g.paths, map(float, rows)) if q != 0.0]
                 states = _convolve(states, steps, lambda state, step: tuple(map(add, state, step)),

@@ -536,9 +536,13 @@ class _ArcCosts(NamedTuple):
     sum of load times cost back into ``Fraction(total, L * M)``.
     """
 
-    load: Callable  # user demand -> load that user puts on an arc
+    units: dict  # user demand -> load that user puts on an arc
     tables: list  # per arc: load -> cost, by indexing
-    value: Callable  # sum of load * cost -> total cost, a Fraction
+    denominator: int  # L * M
+
+    def value(self, total: int) -> Fraction:
+        """The total cost whose sum of load times scaled cost is ``total``."""
+        return Fraction(total, self.denominator)
 
     def deviation_cost(self, loads, costs, here, path, step) -> Number:
         """Cost of ``path`` to a user of load ``step`` now on the arc set ``here``.
@@ -601,8 +605,7 @@ def _arc_costs(game: Game, classes: Sequence[_UserClass], arc_ids: Sequence[str]
     else:
         tables = [[_horner(coeffs, k) for k in range(reach + 1)]
                   for reach, coeffs in zip(lattice.reach, lattice.scaled)]
-    return _ArcCosts(lattice.units.__getitem__, tables,
-                     lambda total: Fraction(total, lattice.denominator))
+    return _ArcCosts(lattice.units, tables, lattice.denominator)
 
 
 def _numbered_paths(paths: Sequence[tuple], arc_ids: Sequence[str]) -> tuple:
@@ -650,7 +653,7 @@ class _ComponentScan:
             paths = _numbered_paths(self.game.groups[cls.gi].paths, self.arc_ids)
             others = [paths[:pi] + paths[pi + 1:] for pi in range(len(paths))]
             moves.append((paths, [set(path) for path in paths], others,
-                          self.arcs.load(cls.demand)))
+                          self.arcs.units[cls.demand]))
         return moves
 
     def state_count(self) -> int:
@@ -863,7 +866,7 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
     initial.validate(game)
 
     arcs = best_response_costs(game) if arcs is None else arcs
-    user_loads = [[arcs.load(d) for d in g.demands] for g in game.groups]
+    user_loads = [[arcs.units[d] for d in g.demands] for g in game.groups]
     paths = [_numbered_paths(g.paths, game.arc_ids) for g in game.groups]
     arc_sets = [[set(path) for path in group_paths] for group_paths in paths]
     choices = [list(picks) for picks in initial.choices]
