@@ -526,30 +526,44 @@ LAST_BIT_GAME = floated(Game(
     [Group("g0", (("a1", "a3"),), (1, 2, Fraction(1, 2))), Group("g1", (("a0",),), (1,))]))
 
 
+def assert_pure_costs_are_expectations(game: Game) -> None:
+    """The scan's pure gaps and costs, and ``mixed_poa_small``'s ratio with
+    and without a mixed solve, equal those of the point masses' expectations."""
+    equilibria = enumerate_atomic_equilibria(game, CFG)
+    pure = [(verify_wardrop(game, e.flow.induced_flow(game)), e.cost)
+            for e in equilibria.equilibria]
+    assert pure == expected_pure_summaries(game, equilibria)
+    try:
+        solved = solve_mixed_ne_small(game, CFG)
+    except ValueError:  # outside the mixed solver's scope
+        solved = NO_MIXED_NE
+    for mixed_ne in (solved, NO_MIXED_NE):
+        assert mixed_poa_small(game, CFG, equilibria, mixed_ne) == \
+            mixed_poa_by_expectations(game, equilibria, mixed_ne)
+
+
 class TestPureCostsAsExpectations:
     """``mixed_poa_small`` costs pure profiles from the scan and ``Game``'s
     evaluators; the expectations of their point masses are the oracle."""
 
     @settings(max_examples=100, deadline=None)
-    @given(drawn=sampled_games(), floats=st.booleans())
-    @example(drawn=(LAST_BIT_GAME, None), floats=False)
-    def test_pure_profiles_cost_as_their_expectations(self, drawn, floats):
-        # A point mass's expectation is the exact Fraction of the pure state,
-        # also on a game given floats: the scan's cost and the first-principle
-        # gap are the expected cost and the mixed predicate's gap, so the
-        # candidates, and the ratio with or without a mixed solve, are the same.
-        game = floated(drawn[0]) if floats else drawn[0]
-        equilibria = enumerate_atomic_equilibria(game, CFG)
-        pure = [(verify_wardrop(game, e.flow.induced_flow(game)), e.cost)
-                for e in equilibria.equilibria]
-        assert pure == expected_pure_summaries(game, equilibria)
-        try:
-            solved = solve_mixed_ne_small(game, CFG)
-        except ValueError:  # outside the mixed solver's scope
-            solved = NO_MIXED_NE
-        for mixed_ne in (solved, NO_MIXED_NE):
-            assert mixed_poa_small(game, CFG, equilibria, mixed_ne) == \
-                mixed_poa_by_expectations(game, equilibria, mixed_ne)
+    @given(drawn=sampled_games())
+    def test_pure_profiles_cost_as_their_expectations(self, drawn):
+        # A point mass's expectation is the exact Fraction of the pure state:
+        # the scan's cost and the first-principle gap are the expected cost
+        # and the mixed predicate's gap, so the candidates, and the ratio with
+        # or without a mixed solve, are the same.
+        assert_pure_costs_are_expectations(drawn[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=sampled_games())
+    @example(drawn=(LAST_BIT_GAME, None))
+    def test_float_games_move_at_most_a_last_bit(self, drawn):
+        # A game given floats holds their exact values, so the scan's sums by
+        # component and the expectations' sums in arc order, which in floats
+        # would part in the last bit (LAST_BIT_GAME), are one Fraction: the
+        # bound is now no bit at all.
+        assert_pure_costs_are_expectations(floated(drawn[0]))
 
     @settings(max_examples=100, deadline=None)
     @given(game=two_user_two_path_games())
