@@ -12,6 +12,7 @@ toward 1, not equality at any finite n.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -271,6 +272,39 @@ class DecompositionReport(NamedTuple):
     rows: list  # PredictionRow per grid point
 
 
+def _philox_words(key: int):
+    """The 64-bit words of numpy's ``Philox(key=key)``, key < 2**128: the
+    Philox4x64-10 of Salmon et al. (SC 2011) on counters 1, 2, ..., keyed by
+    the words ``key mod 2**64`` and ``key >> 64``, four words a counter."""
+    mask = 2**64 - 1
+    for counter in itertools.count(1):
+        c0, c1, c2, c3 = counter, 0, 0, 0
+        k0, k1 = key & mask, key >> 64
+        for _ in range(10):
+            p0, p2 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (p2 >> 64) ^ c1 ^ k0, p2 & mask, (p0 >> 64) ^ c3 ^ k1, p0 & mask
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
+        yield from (c0, c1, c2, c3)
+
+
+def _restart_start(game: Game, key: int) -> AtomicProfile:
+    """The profile numpy's ``Generator(Philox(key=key))`` draws with
+    ``integers(0, g.n_paths, size=g.n_users)``, group after group: Lemire's
+    bounded draw (ACM TOMACS 2019) on the words' 32-bit halves, low half
+    first, a spare half carried over to the next group.  A group of one path
+    draws nothing; every group has at most 2**32 paths."""
+    halves = (word >> shift & 0xFFFFFFFF for word in _philox_words(key) for shift in (0, 32))
+    choices = []
+    for g in game.groups:
+        picks = [0] * g.n_users if g.n_paths == 1 else []
+        while len(picks) < g.n_users:
+            m = next(halves) * g.n_paths
+            if m & 0xFFFFFFFF >= (2**32 - g.n_paths) % g.n_paths:
+                picks.append(m >> 32)
+        choices.append(tuple(picks))
+    return AtomicProfile(tuple(choices))
+
+
 def worst_atomic_cost(game: Game, config: SolverConfig):
     """Worst pure-equilibrium cost, whether it is only a lower bound, and the
     atomic optimum cost, as ``(worst, is_lower_bound, optimum)``.
@@ -279,7 +313,8 @@ def worst_atomic_cost(game: Game, config: SolverConfig):
     there is none) and the optimum.  Past the enumeration budget the worst
     cost comes from a best-response search from seeded random starts (a
     lower bound on the true worst case, the searches sharing one lattice)
-    and the optimum is None.
+    and the optimum is None.  Restart i starts where numpy's Philox keyed
+    ``config.rng_seed + i`` would, drawn without numpy (``_restart_start``).
     """
     from .solvers import (BudgetExceededError, best_response_atomic, best_response_costs,
                           enumerate_atomic_equilibria)
@@ -287,13 +322,10 @@ def worst_atomic_cost(game: Game, config: SolverConfig):
     try:
         equilibria = enumerate_atomic_equilibria(game, config)
     except BudgetExceededError:
-        import numpy as np
         worst = None
         arcs = best_response_costs(game)
         for i in range(WORST_CASE_RESTARTS):
-            gen = np.random.Generator(np.random.Philox(key=config.rng_seed + i))
-            start = AtomicProfile(tuple(tuple(gen.integers(0, g.n_paths, size=g.n_users).tolist())
-                                        for g in game.groups))
+            start = _restart_start(game, config.rng_seed + i)
             result = best_response_atomic(game, config, start, arcs)
             if result.converged and (worst is None or float(result.cost) > worst):
                 worst = float(result.cost)

@@ -878,12 +878,17 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
     costs = list(map(getitem, arcs.tables, loads))
 
     moves = 0
+    # (group, load, path) -> moves when such a user last stayed: until the
+    # next move, another such user would read the same costs, so it is skipped.
+    stayed = {}
     converged = False
     while moves <= config.max_iterations:
         improved = False
         for gi, group_paths in enumerate(paths):
             for ui, d in enumerate(user_loads[gi]):
                 cur = choices[gi][ui]
+                if stayed.get((gi, d, cur)) == moves:
+                    continue
                 cur_arcs = arc_sets[gi][cur]
                 best_pi, best_cost = cur, sum(map(costs.__getitem__, group_paths[cur]))
                 for pi, path in enumerate(group_paths):
@@ -902,6 +907,8 @@ def best_response_atomic(game: Game, config: SolverConfig = SolverConfig(),
                     improved = True
                     if moves > config.max_iterations:
                         break
+                else:
+                    stayed[gi, d, cur] = moves
             if moves > config.max_iterations:
                 break
         if not improved:

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,8 @@ from poakit import (
     tight_paths,
 )
 
-from poakit.decomposition import MAX_INSTANCE_USERS, WORST_CASE_RESTARTS, worst_atomic_cost
+from poakit.decomposition import (MAX_INSTANCE_USERS, WORST_CASE_RESTARTS, _restart_start,
+                                  worst_atomic_cost)
 from poakit.solvers import _user_classes, require_converged
 
 from conftest import no_equilibrium_game, poly, two_commodity_game
@@ -630,3 +632,24 @@ class TestWorstAtomicCost:
         assert (digests[False].hexdigest(), digests[True].hexdigest()) == (
             "1cef96ffd833434d152079dee83087f76c6b09769d70b463bc4c13c24aab356e",
             "5de704d4a07b0f3376fe4166f0cc7b79044782084beab725e4b7782fb8450085")
+
+    # Groups as the start draw reads them, n_paths and n_users alone, so that
+    # a group can have 2**31 + 1 paths, where Lemire's draw rejects about half
+    # its 32-bit halves, or 2**32, where numpy takes the halves as they are;
+    # 1, 2, 3, 8 and 300 paths are the sizes games have.
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.sampled_from((1, 2, 3, 8, 300, 2**31 + 1, 2**32)),
+                                     st.integers(1, 9)), min_size=1, max_size=4),
+           seed=st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1))
+    def test_restart_starts_match_numpy_philox(self, shapes, seed):
+        # Drawn group after group from one generator, so an odd user count
+        # leaves a spare half for the next group, and a one-path group draws
+        # nothing.  From seed 2**64 - 1 the key crosses into its second word.
+        import numpy as np
+
+        game = SimpleNamespace(groups=[SimpleNamespace(n_paths=n, n_users=users)
+                                       for n, users in shapes])
+        for key in range(seed, seed + WORST_CASE_RESTARTS):
+            gen = np.random.Generator(np.random.Philox(key=key))
+            assert _restart_start(game, key).choices == tuple(
+                tuple(gen.integers(0, n, size=users).tolist()) for n, users in shapes)

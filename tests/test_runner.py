@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -659,6 +660,30 @@ class TestCli:
         run = subprocess.run([sys.executable, "-c", code, str(tmp_path), *games], cwd=src,
                              capture_output=True, text=True, check=True)
         assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+    def test_fallback_past_the_budget_leaves_numpy_unloaded(self, tmp_path):
+        # 40 unit users on 8 links, C(47, 7) states: past the default budget,
+        # so sweep and decompose take the best-response restarts, whose
+        # starts are drawn without numpy.
+        import poakit
+
+        family = write_family(tmp_path, "family.json", {
+            "arcs": [{"id": f"a{i}", "coeffs": [1 + i % 3, i % 4]} for i in range(8)],
+            "groups": [{"id": "od", "paths": [[f"a{i}"] for i in range(8)],
+                        "users": [{"demand": 1}]}],
+            "demand_laws": {"od": {"c": 1, "gamma": 1, "user_demand": 1}}})
+        code = ("import sys, poakit.cli\n"
+                "out, family = sys.argv[1:]\n"
+                "codes = [poakit.cli.main([mode, '--family', family, '--grid', '40', '--out',\n"
+                "                          f'{out}/{mode}']) for mode in ('sweep', 'decompose')]\n"
+                "print(codes, 'numpy' in sys.modules)")
+        src = str(Path(poakit.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path), family], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[0, 0] False"
+        for mode in ("sweep", "decompose"):
+            with open(tmp_path / mode / f"{mode}.csv", newline="") as rows:
+                assert [row["atomic_lower_bound_only"] for row in csv.DictReader(rows)] == ["True"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
     def test_help_exits_zero(self, argv, capsys):

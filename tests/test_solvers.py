@@ -424,6 +424,20 @@ class TestBestResponse:
         assert not result.converged
         assert "budget" in result.note
 
+    def test_identical_users_are_checked_once_between_moves(self, monkeypatch):
+        # 40 unit users, five on each of 8 equal links: an equilibrium.  A
+        # user who stays leaves every load as it was, so the next user of the
+        # same group, load and link would read the same seven deviations.
+        reads = []
+        deviation_cost = solvers._ArcCosts.deviation_cost
+        monkeypatch.setattr(solvers._ArcCosts, "deviation_cost",
+                            lambda *args: reads.append(1) or deviation_cost(*args))
+        start = tuple(i % 8 for i in range(40))
+        result = best_response_atomic(parallel_game([(1, 0)] * 8, [1] * 40), CFG,
+                                      AtomicProfile((start,)))
+        assert result.converged and result.iterations == 0 and result.flow.choices == (start,)
+        assert len(reads) == 8 * 7  # one user per link, not 40 * 7
+
 
 class TestEnumeration:
     def test_linear_double_equilibrium_set(self):
