@@ -550,18 +550,3 @@ def load_game(document: Union[str, Mapping]) -> Game:
         groups.append(Group(str(entry["id"]), tuple(path_tuples), runs=[(d, k) for d, k, _ in runs]))
 
     return Game(arcs, groups)
-
-
-def dump_game(game: Game) -> dict:
-    """Inverse of load_game, for writing derived games to disk."""
-    def enc(x: Fraction):
-        return str(x) if x.denominator != 1 else x.numerator
-
-    return {
-        "arcs": [{"id": aid, "coeffs": [enc(c) for c in poly.coefficients]}
-                 for aid, poly in game.arcs.items()],
-        "groups": [{"id": g.gid,
-                    "paths": [list(p) for p in g.paths],
-                    "users": [{"demand": enc(d)} for d in g.demands]}
-                   for g in game.groups],
-    }

@@ -552,8 +552,10 @@ def compute_poa_report(game: Game, config: SolverConfig = SolverConfig()) -> Poa
         atomic_value, atomic_status = atomic_poa(game, config, equilibria)
     except BudgetExceededError:
         br = best_response_atomic(game, config)
-        atomic_status = ("unavailable: enumeration budget exceeded; best-response "
-                         f"cost {float(br.cost):.6g} is a lower-bound witness")
+        witness = (f"best-response cost {float(br.cost):.6g} is a lower-bound witness"
+                   if br.converged else
+                   f"best response did not converge in {br.iterations} moves")
+        atomic_status = f"unavailable: enumeration budget exceeded; {witness}"
 
     mixed_value = None
     mixed_certified = False

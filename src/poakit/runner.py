@@ -164,7 +164,7 @@ def _read(path: str, parse: Callable, step: str = "load"):
 
 def _write_table(config: ExperimentConfig, name: str, header: list, rows: list) -> None:
     """CSV ``name`` under the output directory; every row ends in seed and version."""
-    if config.out_dir:
+    if config.out_dir is not None:
         write_csv(Path(config.out_dir) / name, [*header, "seed", "version"],
                   [[*row, config.seed, __version__] for row in rows])
 

@@ -149,28 +149,6 @@ def _worst_used_gap(game: Game, flow: PathFlow, path_costs: Mapping) -> float:
     return worst
 
 
-def epsilon_ne_residual(game: Game, flow: PathFlow) -> Number:
-    """Largest variational-inequality violation over all feasible flows.
-
-    The maximum of sum_a tau_a(f_a) (f_a - f'_a) over feasible f' is linear
-    in f', so the optimum sits at a vertex: each group routes everything on
-    its cheapest path.  The residual is therefore
-    sum_k ( sum_p f_p tau_p(f) - d_k min_p tau_p(f) ), which is 0 exactly
-    at a non-atomic equilibrium.
-    """
-    for gi, g in enumerate(game.groups):
-        s = sum(flow.value(gi, pi) for pi in range(g.n_paths))
-        if abs(s - g.total_demand) > 1e-9 * (1 + abs(float(g.total_demand))):
-            raise ValueError(f"infeasible flow: group {g.gid!r} routes {s} of {g.total_demand}")
-    arc_costs = game.arc_cost_map(flow)
-    total = 0
-    for gi, g in enumerate(game.groups):
-        costs = [game.path_cost(flow, gi, pi, arc_costs) for pi in range(g.n_paths)]
-        routed = sum(flow.value(gi, pi) * costs[pi] for pi in range(g.n_paths))
-        total += routed - g.total_demand * min(costs)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Non-atomic solvers (conditional gradient with exact line search)
 # ---------------------------------------------------------------------------
@@ -987,23 +965,15 @@ def expected_total_cost(arc_stats: dict) -> Number:
 
 
 def _mixed_summary(game: Game, profile: MixedProfile) -> tuple:
-    """(expected path costs, ``mixed_ne_residual``, expected total cost) of a
-    profile, from one ``expected_arc_statistics`` pass."""
+    """(expected path costs, residual, expected total cost) of a profile, from
+    one ``expected_arc_statistics`` pass.  The residual is the worst per-group
+    gap between a used path's expected cost and the group's cheapest: zero
+    exactly at a mixed equilibrium."""
     profile.validate(game)
     stats = expected_arc_statistics(game, profile)
     path_costs = expected_path_costs(game, stats)
     residual = _worst_used_gap(game, profile.expected_flow(game), path_costs)
     return path_costs, residual, expected_total_cost(stats)
-
-
-def mixed_ne_residual(game: Game, profile: MixedProfile) -> float:
-    """Worst per-group gap between used-path and cheapest expected costs.
-
-    Zero exactly when every path with positive expected flow has minimal
-    expected cost within its group, which is the equilibrium predicate for
-    mixed profiles (and, on degenerate profiles, the first principle).
-    """
-    return _mixed_summary(game, profile)[1]
 
 
 # ---------------------------------------------------------------------------

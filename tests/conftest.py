@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from poakit import CostPolynomial, Game, Group, MixedProfile
-from poakit.game import arc_users
+from poakit import CostPolynomial, Game, Group, MixedProfile, PathFlow, solvers
+from poakit.game import Number, arc_users
 from poakit.runner import asset_path
 from poakit.solvers import arc_flow_distribution
 
@@ -26,6 +26,53 @@ def cost_integral(poly: CostPolynomial, x):
 def beckmann_potential(game: Game, flow):
     """Sum over arcs of the integral of the arc cost from 0 to the arc flow."""
     return sum(cost_integral(game.arcs[aid], v) for aid, v in game.arc_flow(flow).items())
+
+
+def epsilon_ne_residual(game: Game, flow: PathFlow) -> Number:
+    """Largest variational-inequality violation over all feasible flows.
+
+    The maximum of sum_a tau_a(f_a) (f_a - f'_a) over feasible f' is linear
+    in f', so the optimum sits at a vertex: each group routes everything on
+    its cheapest path.  The residual is therefore
+    sum_k ( sum_p f_p tau_p(f) - d_k min_p tau_p(f) ), which is 0 exactly
+    at a non-atomic equilibrium.
+    """
+    for gi, g in enumerate(game.groups):
+        s = sum(flow.value(gi, pi) for pi in range(g.n_paths))
+        if abs(s - g.total_demand) > 1e-9 * (1 + abs(float(g.total_demand))):
+            raise ValueError(f"infeasible flow: group {g.gid!r} routes {s} of {g.total_demand}")
+    arc_costs = game.arc_cost_map(flow)
+    total = 0
+    for gi, g in enumerate(game.groups):
+        costs = [game.path_cost(flow, gi, pi, arc_costs) for pi in range(g.n_paths)]
+        routed = sum(flow.value(gi, pi) * costs[pi] for pi in range(g.n_paths))
+        total += routed - g.total_demand * min(costs)
+    return total
+
+
+def mixed_ne_residual(game: Game, profile: MixedProfile) -> float:
+    """Worst per-group gap between used-path and cheapest expected costs.
+
+    Zero exactly when every path with positive expected flow has minimal
+    expected cost within its group, which is the equilibrium predicate for
+    mixed profiles (and, on degenerate profiles, the first principle).
+    """
+    return solvers._mixed_summary(game, profile)[1]
+
+
+def dump_game(game: Game) -> dict:
+    """Inverse of load_game, for writing derived games to disk."""
+    def enc(x: Fraction):
+        return str(x) if x.denominator != 1 else x.numerator
+
+    return {
+        "arcs": [{"id": aid, "coeffs": [enc(c) for c in poly.coefficients]}
+                 for aid, poly in game.arcs.items()],
+        "groups": [{"id": g.gid,
+                    "paths": [list(p) for p in g.paths],
+                    "users": [{"demand": enc(d)} for d in g.demands]}
+                   for g in game.groups],
+    }
 
 
 def arc_flow_moments(game: Game, profile: MixedProfile) -> dict:

@@ -18,7 +18,6 @@ from poakit import (
     atomic_ne_approximation_bound,
     atomic_poa_upper_bound,
     enumerate_atomic_equilibria,
-    epsilon_ne_residual,
     expected_flow_approximation,
     nonatomic_poa_upper_bound,
     random_poa_probability_bound,
@@ -37,6 +36,7 @@ from poakit.runner import ExperimentConfig, run_sample, run_sweep
 
 from conftest import (
     affine_offset_game,
+    epsilon_ne_residual,
     linear_double_game,
     quadratic_constant_game,
     standard_error,

@@ -19,7 +19,6 @@ from poakit import (
     atomic_poa_upper_bound,
     enumerate_atomic_equilibria,
     expected_flow_approximation,
-    mixed_ne_residual,
     nonatomic_poa_upper_bound,
     random_poa_probability_bound,
     scale_game,
@@ -32,6 +31,7 @@ from poakit import (
 
 from conftest import (
     linear_double_game,
+    mixed_ne_residual,
     parallel_game,
     quadratic_constant_game,
 )

@@ -22,12 +22,13 @@ from poakit import (
     draw_atomic_profile,
     load_game,
 )
-from poakit.game import dump_game, sample_uniforms
+from poakit.game import sample_uniforms
 
 from conftest import (
     affine_offset_game,
     asset_text,
     cost_integral,
+    dump_game,
     flow_moments,
     linear_double_game,
     parallel_game,

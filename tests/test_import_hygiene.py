@@ -82,12 +82,12 @@ def test_no_assert_statement():
 # Every name ``poakit`` exports, by the module that defines it.
 PUBLIC_API = {
     "game": ["AtomicProfile", "CostPolynomial", "Game", "GameSchemaError", "Group",
-             "MixedProfile", "PathFlow", "draw_atomic_profile", "dump_game", "load_game"],
+             "MixedProfile", "PathFlow", "draw_atomic_profile", "load_game"],
     "solvers": ["AtomicEquilibria", "BudgetExceededError", "EquilibriumResult", "SolverConfig",
                 "best_response_atomic", "enumerate_atomic_equilibria",
-                "epsilon_ne_residual", "expected_arc_statistics", "expected_total_cost",
-                "mixed_ne_residual", "solve_atomic_so", "solve_mixed_ne_small",
-                "solve_nonatomic_ne", "solve_nonatomic_so", "verify_wardrop"],
+                "expected_arc_statistics", "expected_total_cost", "solve_atomic_so",
+                "solve_mixed_ne_small", "solve_nonatomic_ne", "solve_nonatomic_so",
+                "verify_wardrop"],
     "poa": ["PoaReport", "RandomPoaDistribution", "atomic_poa", "compute_poa_report",
             "exact_random_cost_distribution", "mixed_poa_small", "nonatomic_poa",
             "sample_random_poa"],

@@ -25,6 +25,7 @@ from poakit import (
     PoaReport,
     SolverConfig,
     atomic_poa,
+    best_response_atomic,
     compute_poa_report,
     enumerate_atomic_equilibria,
     exact_random_cost_distribution,
@@ -908,6 +909,18 @@ class TestReports:
         assert report.mixed_poa is None and report.mixed_ne is not None
         assert report.mixed_status == ("unavailable: enumeration budget exceeded; "
                                        "no atomic optimum")
+
+    def test_a_best_response_that_never_converged_quotes_no_cost(self):
+        # The weighted game has no pure equilibrium, so the fallback's best
+        # response cycles until its move budget runs out: its last cost is
+        # no equilibrium's and bounds nothing.
+        config = SolverConfig(enumeration_budget=1)
+        br = best_response_atomic(no_equilibrium_game(), config)
+        assert not br.converged
+        report = compute_poa_report(no_equilibrium_game(), config)
+        assert report.atomic_poa is None
+        assert report.atomic_status == ("unavailable: enumeration budget exceeded; best "
+                                         f"response did not converge in {br.iterations} moves")
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=sampled_games())

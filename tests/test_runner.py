@@ -34,7 +34,7 @@ from poakit.runner import (
     run_sweep,
 )
 
-from conftest import TWO_ARC_DIFFERENCE_GAME
+from conftest import TWO_ARC_DIFFERENCE_GAME, dump_game
 
 
 def write_family(tmp_path, name, doc):
@@ -191,7 +191,6 @@ class TestSolve:
 
     def test_weighted_game_without_equilibrium_reported(self, tmp_path):
         from conftest import no_equilibrium_game
-        from poakit import dump_game
         doc = dump_game(no_equilibrium_game())
         path = write_family(tmp_path, "noeq.json", doc)
         report = run_solve(ExperimentConfig(game_path=path))
@@ -984,6 +983,13 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("[FAIL] out: ")
 
+    def test_an_empty_out_writes_every_file_in_the_working_directory(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        game = str(asset_path("parallel_linear_double.json"))
+        assert main(["solve", "--game", game, "--out", ""]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "solve.csv"]
+
     @pytest.mark.parametrize("env", [{"POAKIT_BUDGET": "1"}, {"POAKIT_TOLERANCE": "1e6"}],
                              ids=["budget-1", "tolerance-1e6"])
     @pytest.mark.parametrize("mode", ["solve", "sweep", "sample", "decompose", "reproduce"])
@@ -1012,7 +1018,6 @@ class TestCli:
     def test_env_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POAKIT_BUDGET", "1")
         from conftest import affine_offset_game
-        from poakit import dump_game
         path = write_family(tmp_path, "g.json", dump_game(affine_offset_game(2)))
         code = main(["solve", "--game", path])
         assert code == EXIT_OK  # budget fallback keeps solve alive with statuses

@@ -24,12 +24,10 @@ from poakit import (
     SolverConfig,
     best_response_atomic,
     enumerate_atomic_equilibria,
-    epsilon_ne_residual,
     exact_random_cost_distribution,
     expected_arc_statistics,
     expected_total_cost,
     load_game,
-    mixed_ne_residual,
     mixed_poa_small,
     solve_atomic_so,
     solve_mixed_ne_small,
@@ -44,8 +42,10 @@ from conftest import (
     affine_offset_game,
     arc_flow_moments,
     beckmann_potential,
+    epsilon_ne_residual,
     flow_moments,
     linear_double_game,
+    mixed_ne_residual,
     no_equilibrium_game,
     parallel_game,
     point_mass_profile,
