@@ -89,13 +89,10 @@ def _untimed(value):
     return value
 
 
-def _tokens(text: str, paths: dict) -> str:
+def _digest(text: str, paths: dict) -> str:
+    """The first 16 hex digits of the sha256 of ``text``, each path replaced by its token."""
     for path, token in paths.items():  # longest path first, so a nested one keeps its token
         text = text.replace(path, token)
-    return text
-
-
-def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -114,13 +111,13 @@ def run_workload(name: str, seed: int, work: Path) -> dict:
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             code = main(op.argv + ["--out", str(out)])
-        parts = {"exit+stdout": f"exit {code}\n{_tokens(printed.getvalue(), paths)}"}
+        parts = {"exit+stdout": f"exit {code}\n{printed.getvalue()}"}
         for path in sorted(out.iterdir()):
             text = path.read_text(encoding="utf-8")
             if path.name == "report.json":
                 text = json.dumps(_untimed(json.loads(text)), sort_keys=True, ensure_ascii=False)
-            parts[path.name] = _tokens(text, paths)
-        digests[seed, op.name] = {part: _digest(text) for part, text in parts.items()}
+            parts[path.name] = text
+        digests[seed, op.name] = {part: _digest(text, paths) for part, text in parts.items()}
     return digests
 
 
